@@ -105,6 +105,18 @@ class RootOfUnityTag:
         return np.exp(2j * np.pi * self.index / self.order)
 
 
+def principal_power(z: complex, p: float) -> complex:
+    """Principal branch of z^p, |z|^p exp(i p arg z); 0 at z = 0."""
+    if z == 0:
+        return 0.0 + 0.0j
+    return abs(z) ** p * np.exp(1j * np.angle(z) * p)
+
+
+def c2j(z: complex) -> list[float]:
+    """A complex number as the [re, im] pair of the JSON interfaces."""
+    return [float(np.real(z)), float(np.imag(z))]
+
+
 def classify_root_of_unity(z: complex, order: int, tol: float) -> RootOfUnityTag:
     """Classify ``z`` as the nearest ``order``-th root of unity.
 
@@ -193,10 +205,6 @@ def deleted_poly_from_roots(roots: Sequence[complex], r_index: int) -> np.ndarra
     of the remaining roots."""
     rest = [x for i, x in enumerate(roots) if i != r_index]
     return poly_from_roots(rest)
-
-
-def polyval(coeffs: np.ndarray, z: complex) -> complex:
-    return complex(np.polyval(coeffs, z))
 
 
 def derivative_at_root(roots: Sequence[complex], r_index: int) -> complex:

@@ -7,8 +7,9 @@ Subcommands:
   thetalab verify <plan.json>          run a verification plan; JSONL reports
 
 Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success /
-all verifications passed, 1 verification failure, 2 parse failure or unknown
-task id, 3 invariant failure (bad curve, non-positive-definite Im tau).
+all verifications passed, 1 verification failure, 2 parse failure, unknown
+task id or a task for the other cover degree, 3 invariant failure (bad curve,
+non-positive-definite Im tau) or theta failure (truncation or point cap).
 Runs are deterministic for a fixed plan and seed; wall-clock timings appear
 only in the human summary, never in the JSONL stream.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 import time
 
 import numpy as np
@@ -28,15 +30,11 @@ from .homology import HomologyError
 from .theta import (Characteristic, RiemannMatrix, ThetaError, theta_eval,
                     theta_grad, truncation_radius)
 from . import thomae
-from .algebra import INF
-
-
-def _c2j(z) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+from .algebra import INF, c2j
 
 
 def _mat2j(m) -> list:
-    return [[_c2j(x) for x in row] for row in np.asarray(m)]
+    return [[c2j(x) for x in row] for row in np.asarray(m)]
 
 
 def _j2c(pair) -> complex:
@@ -68,7 +66,7 @@ def cmd_periods(args) -> int:
         return 2
     try:
         pd = build_periods(curve, quad_order=args.quad_order)
-    except (PeriodError, HomologyError) as exc:
+    except (PeriodError, HomologyError, ThetaError) as exc:
         print(f"error: period construction failed: {exc}", file=sys.stderr)
         return 3
     out = {
@@ -77,8 +75,8 @@ def cmd_periods(args) -> int:
         "C": _mat2j(pd.C),
         "B_raw": _mat2j(pd.Braw),
         "tau": _mat2j(pd.tau.matrix),
-        "aj_branch": {str(k): [_c2j(x) for x in v] for k, v in sorted(pd.aj_branch.items())},
-        "K": [_c2j(x) for x in pd.K],
+        "aj_branch": {str(k): [c2j(x) for x in v] for k, v in sorted(pd.aj_branch.items())},
+        "K": [c2j(x) for x in pd.K],
         "K_characteristic": {"eps": [str(x) for x in pd.K_char.eps],
                              "delta": [str(x) for x in pd.K_char.delta]},
         "quad_order": pd.quad_order,
@@ -128,9 +126,9 @@ def cmd_theta(args) -> int:
         print(f"error: theta evaluation failed: {exc}", file=sys.stderr)
         return 3
     out = {
-        "value": _c2j(val.value),
+        "value": c2j(val.value),
         "truncation_bound": val.truncation_bound,
-        "gradient": [_c2j(x) for x in grad.values],
+        "gradient": [c2j(x) for x in grad.values],
         "gradient_bound": grad.truncation_bound,
         "radius": radius,
     }
@@ -142,73 +140,80 @@ def cmd_theta(args) -> int:
 # verify
 
 
-KNOWN_TASKS = [
-    "period_sanity",
-    "thomae_const_hyp", "thomae_deriv_hyp", "quotient_hyp", "matrix_form_hyp",
-    "alpha_trig", "deriv_trig_t1", "deriv_trig_t2", "quotient_trig",
-    "matrix_form_trig", "simple_zeros_trig",
-]
+class Plan:
+    """The curve and period data of one plan, and what its tasks share.
 
+    Each task handler takes (task entry, tol, theta_tol, seed) and yields
+    reports.  Alpha is estimated once per pair of tolerances; the derivative
+    and matrix tasks always use the estimate at the plan tolerances, whatever
+    an `alpha_trig` task asked for."""
 
-def _period_sanity_report(curve: CurveSpec, pd: PeriodData) -> thomae.VerificationReport:
-    d = pd.diagnostics
-    tau_scale = 1.0 + float(np.max(np.abs(pd.tau.matrix)))
-    checks = {
-        "tau_asymmetry": (d["tau_asymmetry"], 1e-8),
-        "quad_drift": (d["quad_drift"], 1e-9),
-        "order_n_lattice_dist": (d["order_n_lattice_dist"], 1e-8 * tau_scale),
-        "K_lattice_dist_2K": (d["K_lattice_dist_2K"], 1e-8 * tau_scale),
-    }
-    passed = all(v <= t for v, t in checks.values()) and d["im_tau_min_eig"] > 0
-    return thomae.VerificationReport(
-        identity="period_sanity", partition="", s_range=[], lhs=[],
-        rhs_modulus=float("nan"), ratios=[], tag=None, spread=0.0,
-        passed=passed,
-        tolerances={k: t for k, (v, t) in checks.items()},
-        details={k: v for k, (v, t) in checks.items()}
-        | {"im_tau_min_eig": d["im_tau_min_eig"]})
+    def __init__(self, curve: CurveSpec, pd: PeriodData, defaults: dict):
+        self.curve = curve
+        self.pd = pd
+        self.defaults = defaults
+        self._alpha: dict[tuple[float, float], thomae.AlphaEstimate] = {}
+        self._lock = threading.Lock()
 
+    def tolerances(self, task: dict) -> tuple[float, float]:
+        """(tol, theta_tol) of a task: its own, else the plan's, else the defaults."""
+        return (float(task.get("tol", self.defaults.get("tol", 1e-6))),
+                float(task.get("theta_tol", self.defaults.get("theta_tol", 1e-10))))
 
-def _expand_task(task: dict, curve: CurveSpec, pd: PeriodData,
-                 alpha_cache: dict, seed: int, defaults: dict):
-    """Yield VerificationReports for one task entry."""
-    tid = task["id"]
-    tol = float(task.get("tol", defaults.get("tol", 1e-6)))
-    theta_tol = float(task.get("theta_tol", defaults.get("theta_tol", 1e-10)))
-    g = curve.genus
+    def alpha(self, tol: float, theta_tol: float) -> thomae.AlphaEstimate:
+        with self._lock:
+            if (tol, theta_tol) not in self._alpha:
+                self._alpha[tol, theta_tol] = thomae.estimate_alpha(
+                    [(self.curve, self.pd)], tol=tol, theta_tol=theta_tol)
+            return self._alpha[tol, theta_tol]
 
-    def alpha_ref():
-        if "est" not in alpha_cache:
-            alpha_cache["est"] = thomae.estimate_alpha([(curve, pd)], tol=tol,
-                                                       theta_tol=theta_tol)
-        return alpha_cache["est"].reference_for(0)
+    def alpha_ref(self) -> complex:
+        return self.alpha(*self.tolerances({})).reference_for(0)
 
-    if tid == "period_sanity":
-        yield _period_sanity_report(curve, pd)
-    elif tid == "thomae_const_hyp":
-        for p in thomae.enumerate_partitions_hyp(g, 0):
-            yield thomae.verify_thomae_const_hyp(curve, pd, p, tol, theta_tol)
-    elif tid == "thomae_deriv_hyp":
+    def period_sanity(self, task, tol, theta_tol, seed):
+        d = self.pd.diagnostics
+        tau_scale = 1.0 + float(np.max(np.abs(self.pd.tau.matrix)))
+        checks = {
+            "tau_asymmetry": (d["tau_asymmetry"], 1e-8),
+            "quad_drift": (d["quad_drift"], 1e-9),
+            "order_n_lattice_dist": (d["order_n_lattice_dist"], 1e-8 * tau_scale),
+            "K_lattice_dist_2K": (d["K_lattice_dist_2K"], 1e-8 * tau_scale),
+        }
+        passed = all(v <= t for v, t in checks.values()) and d["im_tau_min_eig"] > 0
+        yield thomae.VerificationReport(
+            identity="period_sanity", partition="", s_range=[], lhs=[],
+            rhs_modulus=float("nan"), ratios=[], tag=None, spread=0.0,
+            passed=passed,
+            tolerances={k: t for k, (v, t) in checks.items()},
+            details={k: v for k, (v, t) in checks.items()}
+            | {"im_tau_min_eig": d["im_tau_min_eig"]})
+
+    def thomae_const_hyp(self, task, tol, theta_tol, seed):
+        for p in thomae.enumerate_partitions_hyp(self.curve.genus, 0):
+            yield thomae.verify_thomae_const_hyp(self.curve, self.pd, p, tol, theta_tol)
+
+    def thomae_deriv_hyp(self, task, tol, theta_tol, seed):
         include_inf = bool(task.get("include_infinity", False))
-        for p in thomae.enumerate_partitions_hyp(g, 1):
-            if INF in p.I and not include_inf:
-                continue
-            yield thomae.verify_thomae_deriv_hyp(curve, pd, p, tol, theta_tol)
-    elif tid == "quotient_hyp":
-        ks = task.get("ks", list(range(1, curve.num_branch + 1)))
+        for p in thomae.enumerate_partitions_hyp(self.curve.genus, 1):
+            if include_inf or INF not in p.I:
+                yield thomae.verify_thomae_deriv_hyp(self.curve, self.pd, p, tol, theta_tol)
+
+    def quotient(self, task, tol, theta_tol, seed):
+        verify = (thomae.verify_quotient_hyp if self.curve.n == 2
+                  else thomae.verify_quotient_trig)
+        ks = task.get("ks", list(range(1, self.curve.num_branch + 1)))
         for i, k in enumerate(ks):
-            yield thomae.verify_quotient_hyp(curve, pd, int(k),
-                                             seed=seed + 977 * i,
-                                             samples=int(task.get("samples", 3)),
-                                             tol=tol, theta_tol=theta_tol)
-    elif tid == "matrix_form_hyp":
-        count = int(task.get("count", 1))
-        for p in thomae.enumerate_partitions_hyp(g, 0)[:count]:
-            yield thomae.verify_matrix_form_hyp(curve, pd, p, tol)
-    elif tid == "alpha_trig":
-        est = thomae.estimate_alpha([(curve, pd)], tol=tol, theta_tol=theta_tol)
-        alpha_cache["est"] = est
-        rep = thomae.VerificationReport(
+            yield verify(self.curve, self.pd, int(k), seed=seed + 977 * i,
+                         samples=int(task.get("samples", 3)), tol=tol, theta_tol=theta_tol)
+
+    def matrix_form_hyp(self, task, tol, theta_tol, seed):
+        parts = thomae.enumerate_partitions_hyp(self.curve.genus, 0)
+        for p in parts[:int(task.get("count", 1))]:
+            yield thomae.verify_matrix_form_hyp(self.curve, self.pd, p, tol)
+
+    def alpha_trig(self, task, tol, theta_tol, seed):
+        est = self.alpha(tol, theta_tol)
+        yield thomae.VerificationReport(
             identity="alpha_trig", partition="all-constant-kind", s_range=[],
             lhs=[], rhs_modulus=float("nan"), ratios=[], tag=None,
             spread=est.spread,
@@ -217,35 +222,46 @@ def _expand_task(task: dict, curve: CurveSpec, pd: PeriodData,
             details={"alpha_modulus": est.modulus,
                      "phase_indices": [t.index for t in est.phases],
                      "worst_phase_residual": max(t.phase_residual for t in est.phases)})
-        yield rep
-    elif tid == "deriv_trig_t1":
-        for p in thomae.enumerate_partitions_trig(curve.q, "deriv1"):
-            yield thomae.verify_thomae_deriv_trig_t1(curve, pd, alpha_ref(), p,
-                                                     tol, theta_tol)
-    elif tid == "deriv_trig_t2":
-        locs = task.get("infinity_in", [1, 0])
-        for loc in locs:
-            for p in thomae.enumerate_partitions_trig(curve.q, "deriv2", infinity_in=loc):
-                yield thomae.verify_thomae_deriv_trig_t2(curve, pd, alpha_ref(), p,
-                                                         tol, theta_tol)
-    elif tid == "quotient_trig":
-        ks = task.get("ks", list(range(1, curve.num_branch + 1)))
-        for i, k in enumerate(ks):
-            yield thomae.verify_quotient_trig(curve, pd, int(k),
-                                              seed=seed + 977 * i,
-                                              samples=int(task.get("samples", 3)),
-                                              tol=tol, theta_tol=theta_tol)
-    elif tid == "matrix_form_trig":
-        count = int(task.get("count", 1))
-        for p in thomae.enumerate_partitions_trig(curve.q, "constant")[:count]:
-            yield thomae.verify_matrix_form_trig(curve, pd, alpha_ref(), p, tol)
-    elif tid == "simple_zeros_trig":
-        for p in (thomae.enumerate_partitions_trig(curve.q, "deriv1")
-                  + thomae.enumerate_partitions_trig(curve.q, "deriv2", infinity_in=1)
-                  + thomae.enumerate_partitions_trig(curve.q, "constant")):
-            yield thomae.simple_zero_check(pd, p, theta_tol=theta_tol)
-    else:
-        raise KeyError(tid)
+
+    def deriv_trig_t1(self, task, tol, theta_tol, seed):
+        for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv1"):
+            yield thomae.verify_thomae_deriv_trig_t1(
+                self.curve, self.pd, self.alpha_ref(), p, tol, theta_tol)
+
+    def deriv_trig_t2(self, task, tol, theta_tol, seed):
+        for loc in task.get("infinity_in", [1, 0]):
+            for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv2", infinity_in=loc):
+                yield thomae.verify_thomae_deriv_trig_t2(
+                    self.curve, self.pd, self.alpha_ref(), p, tol, theta_tol)
+
+    def matrix_form_trig(self, task, tol, theta_tol, seed):
+        parts = thomae.enumerate_partitions_trig(self.curve.q, "constant")
+        for p in parts[:int(task.get("count", 1))]:
+            yield thomae.verify_matrix_form_trig(
+                self.curve, self.pd, self.alpha_ref(), p, tol)
+
+    def simple_zeros_trig(self, task, tol, theta_tol, seed):
+        q = self.curve.q
+        for p in (thomae.enumerate_partitions_trig(q, "deriv1")
+                  + thomae.enumerate_partitions_trig(q, "deriv2", infinity_in=1)
+                  + thomae.enumerate_partitions_trig(q, "constant")):
+            yield thomae.simple_zero_check(self.pd, p, theta_tol=theta_tol)
+
+
+# task id -> (cover degree it applies to, None for either; Plan handler)
+TASKS = {
+    "period_sanity": (None, Plan.period_sanity),
+    "thomae_const_hyp": (2, Plan.thomae_const_hyp),
+    "thomae_deriv_hyp": (2, Plan.thomae_deriv_hyp),
+    "quotient_hyp": (2, Plan.quotient),
+    "matrix_form_hyp": (2, Plan.matrix_form_hyp),
+    "alpha_trig": (3, Plan.alpha_trig),
+    "deriv_trig_t1": (3, Plan.deriv_trig_t1),
+    "deriv_trig_t2": (3, Plan.deriv_trig_t2),
+    "quotient_trig": (3, Plan.quotient),
+    "matrix_form_trig": (3, Plan.matrix_form_trig),
+    "simple_zeros_trig": (3, Plan.simple_zeros_trig),
+}
 
 
 def cmd_verify(args) -> int:
@@ -257,14 +273,19 @@ def cmd_verify(args) -> int:
             curve_obj = plan["curve"]
         curve = CurveSpec.from_json(curve_obj)
         tasks = plan["tasks"]
-        if not isinstance(tasks, list):
+        if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
             raise KeyError("tasks")
     except (KeyError, TypeError, CurveSpecError) as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
         return 2
     for t in tasks:
-        if t.get("id") not in KNOWN_TASKS:
+        if t.get("id") not in TASKS:
             print(f"error: unknown task id {t.get('id')!r}", file=sys.stderr)
+            return 2
+        degree = TASKS[t["id"]][0]
+        if degree not in (None, curve.n):
+            print(f"error: task {t['id']!r} needs a cover of degree {degree}, "
+                  f"the curve has degree {curve.n}", file=sys.stderr)
             return 2
     seed = int(args.seed if args.seed is not None else plan.get("seed", 0))
     defaults = dict(plan.get("tolerances", {}))
@@ -277,51 +298,43 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     try:
         pd = build_periods(curve, quad_order=quad_order)
-    except (PeriodError, HomologyError, CurveSpecError) as exc:
+    except (PeriodError, HomologyError, CurveSpecError, ThetaError) as exc:
         print(f"error: period construction failed: {exc}", file=sys.stderr)
         return 3
     t_periods = time.time() - t0
 
-    alpha_cache: dict = {}
-    needs_alpha = {"alpha_trig", "deriv_trig_t1", "deriv_trig_t2", "matrix_form_trig"}
-    if any(t["id"] in needs_alpha for t in tasks):
-        alpha_cache["est"] = thomae.estimate_alpha(
-            [(curve, pd)], tol=float(defaults.get("tol", 1e-6)),
-            theta_tol=float(defaults.get("theta_tol", 1e-10)))
+    ctx = Plan(curve, pd, defaults)
 
     def run_task(ti: int, task: dict):
         t1 = time.time()
-        out = [rep for rep in _expand_task(task, curve, pd, alpha_cache,
-                                           seed + 104729 * ti, defaults)]
+        handler = TASKS[task["id"]][1]
+        out = list(handler(ctx, task, *ctx.tolerances(task), seed + 104729 * ti))
         return out, time.time() - t1
 
-    reports: list[tuple[int, thomae.VerificationReport]] = []
-    timings = []
-    if args.jobs and args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            futures = [ex.submit(run_task, ti, task) for ti, task in enumerate(tasks)]
-            for ti, fut in enumerate(futures):
-                out, dt = fut.result()
-                reports.extend((ti, rep) for rep in out)
-                timings.append(dt)
-    else:
-        for ti, task in enumerate(tasks):
-            out, dt = run_task(ti, task)
-            reports.extend((ti, rep) for rep in out)
-            timings.append(dt)
+    try:
+        if args.jobs and args.jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=args.jobs) as ex:
+                results = list(ex.map(run_task, range(len(tasks)), tasks))
+        else:
+            results = list(map(run_task, range(len(tasks)), tasks))
+    except (ThetaError, PeriodError, HomologyError) as exc:
+        print(f"error: verification aborted: {exc}", file=sys.stderr)
+        return 3
+    reports = [rep for out, _ in results for rep in out]
+    timings = [dt for _, dt in results]
 
-    lines = [rep.jsonl() for _, rep in reports]
+    lines = [rep.jsonl() for rep in reports]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
 
     # human summary
-    n_pass = sum(1 for _, r in reports if r.passed)
+    n_pass = sum(1 for r in reports if r.passed)
     n_fail = len(reports) - n_pass
     print(f"{'identity':<22} {'partition':<42} {'|ratio|-1':>10} "
           f"{'root':>5} {'spread':>9} pass")
-    for _, r in reports:
+    for r in reports:
         mod = abs(np.mean(r.ratios)) - 1.0 if r.ratios else float("nan")
         root = r.tag.index if r.tag else "-"
         print(f"{r.identity:<22} {r.partition:<42} {mod:>10.2e} "
@@ -358,7 +371,7 @@ def main(argv=None) -> int:
     p3.add_argument("--quad-order", type=int, default=None)
     p3.add_argument("--seed", type=int, default=None)
     p3.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for independent tasks")
+                    help="threads for independent tasks (one interpreter lock)")
     p3.add_argument("--out", default=None, help="JSONL output path")
     p3.set_defaults(func=cmd_verify)
 

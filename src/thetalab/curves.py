@@ -8,11 +8,12 @@ there is exactly one point over infinity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .algebra import principal_power
 
 
 class CurveSpecError(ValueError):
@@ -99,7 +100,7 @@ class CurveSpec:
     def w_values(self, z: complex) -> np.ndarray:
         """All n sheets of w = f(z)^{1/n} at a non-branch z."""
         fz = self.f(z)
-        base = _principal_root(fz, self.n)
+        base = principal_power(fz, 1.0 / self.n)
         rots = np.exp(2j * np.pi * np.arange(self.n) / self.n)
         return base * rots
 
@@ -156,17 +157,3 @@ class CurveSpec:
             raise CurveSpecError(f"malformed curve spec: {exc}") from exc
         return cls.of(n, lambdas)
 
-    @classmethod
-    def from_json_str(cls, text: str) -> "CurveSpec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CurveSpecError(f"invalid JSON: {exc}") from exc
-        return cls.from_json(obj)
-
-
-def _principal_root(z: complex, n: int) -> complex:
-    r = abs(z)
-    if r == 0.0:
-        return 0.0 + 0.0j
-    return r ** (1.0 / n) * np.exp(1j * np.angle(z) / n)

@@ -25,14 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import all_elementary_symmetric, derivative_at_root
+from .algebra import all_elementary_symmetric, derivative_at_root, principal_power
 from .curves import CurveSpec
 from .periods import PeriodData, SurfacePoint
 from .quadrature import polyline_integrals, track_w
-
-
-def _principal_power(z: complex, p: float) -> complex:
-    return abs(z) ** p * np.exp(1j * np.angle(z) * p)
 
 
 # ----------------------------------------------------------------------------
@@ -139,13 +135,13 @@ def trig_forward_block_matrix(curve: CurveSpec, config: TrigConfiguration) -> np
     for r, a in enumerate(config.anchors):
         lam = curve.lam(a)
         fp = curve.f_prime_at_branch(a)
-        c = 3.0 / _principal_power(fp, 2.0 / 3.0)
+        c = 3.0 / principal_power(fp, 2.0 / 3.0)
         for l in range(1, 2 * q):
             M[l - 1, r] = c * lam ** (l - 1)
     for r, a in enumerate(config.doubled(q)):
         lam = curve.lam(a)
         fp = curve.f_prime_at_branch(a)
-        c = 1.5 / _principal_power(fp, 1.0 / 3.0)
+        c = 1.5 / principal_power(fp, 1.0 / 3.0)
         for l in range(2 * q, 3 * q - 1):
             M[l - 1, 2 * q - 1 + r] = c * lam ** (l - 2 * q)
     return M
@@ -176,7 +172,7 @@ def aj_jacobian_trig_closed(curve: CurveSpec, periods: PeriodData,
         others = [z for i, z in enumerate(zs_plus) if i != r]
         sig = all_elementary_symmetric(others)
         fplus_der = derivative_at_root(zs_plus, r)
-        coeff = _principal_power(fp, 2.0 / 3.0) / (3.0 * fplus_der)
+        coeff = principal_power(fp, 2.0 / 3.0) / (3.0 * fplus_der)
         for s in range(g):
             acc = 0.0 + 0.0j
             for l in range(1, 2 * q):
@@ -188,7 +184,7 @@ def aj_jacobian_trig_closed(curve: CurveSpec, periods: PeriodData,
         others = [z for i, z in enumerate(zs_minus) if i != r]
         sig = all_elementary_symmetric(others)
         fminus_der = derivative_at_root(zs_minus, r)
-        coeff = 2.0 * _principal_power(fp, 1.0 / 3.0) / (3.0 * fminus_der)
+        coeff = 2.0 * principal_power(fp, 1.0 / 3.0) / (3.0 * fminus_der)
         for s in range(g):
             acc = 0.0 + 0.0j
             for l in range(2 * q, 3 * q - 1):
@@ -202,7 +198,7 @@ def trig_point_on_local_branch(curve: CurveSpec, anchor: int, t: complex) -> Sur
     lam = curve.lam(anchor)
     fp = curve.f_prime_at_branch(anchor)
     z = lam + t ** 3
-    target = t * _principal_power(fp, 1.0 / 3.0)
+    target = t * principal_power(fp, 1.0 / 3.0)
     cands = curve.w_values(z)
     w = cands[int(np.argmin(np.abs(cands - target)))]
     return SurfacePoint(z, w)

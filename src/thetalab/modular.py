@@ -37,10 +37,3 @@ def j_invariant(tau: complex, terms: int = 60) -> complex:
     disc = (e4 ** 3 - e6 ** 2) / 1728.0
     return complex(e4 ** 3 / disc)
 
-
-def j_from_cross_ratio(lam_mod: complex) -> complex:
-    """j of the elliptic curve y^2 = x(x-1)(x-lam) via the modular lambda."""
-    lam = complex(lam_mod)
-    num = 256.0 * (lam * lam - lam + 1.0) ** 3
-    den = lam * lam * (lam - 1.0) ** 2
-    return num / den

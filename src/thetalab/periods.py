@@ -30,6 +30,8 @@ class PeriodError(RuntimeError):
 
 
 SNAP_DENOMINATOR = 6     # characteristic entries snap to p/6: covers 1,2,3,6
+THETA_SCALE_SEED = 1234  # seeded arguments of PeriodData.theta_scale
+THETA_SCALE_SAMPLES = 12
 
 
 @dataclass
@@ -54,6 +56,7 @@ class PeriodData:
     quad_order: int
     drift: float
     diagnostics: dict = field(default_factory=dict)
+    _theta_scales: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- lattice helpers --------------------------------------------------
 
@@ -108,9 +111,6 @@ class PeriodData:
 
     # -- Abel-Jacobi ------------------------------------------------------
 
-    def abel_jacobi_branch(self, index: int) -> np.ndarray:
-        return self.aj_branch[index]
-
     def abel_jacobi_point(self, point: SurfacePoint, order: Optional[int] = None) -> np.ndarray:
         """u_{P_inf}(point) for a generic surface point (z, w)."""
         curve = self.curve
@@ -138,21 +138,23 @@ class PeriodData:
             out = out + self.abel_jacobi_point(p)
         return out
 
-    def theta_scale(self, seed: int = 1234, samples: int = 12,
-                    tol: float = 1e-10) -> float:
+    def theta_scale(self, tol: float = 1e-10) -> float:
         """max theta magnitude over seeded random arguments X + tau X'.
 
         Uses the lattice-invariant magnitude (theta_norm_abs); vanishing
-        thresholds elsewhere compare against this scale."""
-        rng = np.random.default_rng(seed)
-        ch0 = Characteristic.zero(self.g)
-        best = 0.0
-        for _ in range(samples):
-            x = rng.random(self.g)
-            xp = rng.random(self.g)
-            zeta = x + self.tau.matrix @ xp
-            best = max(best, theta_norm_abs(ch0, zeta, self.tau, tol))
-        return best
+        thresholds elsewhere compare against this scale.  Computed once per
+        tol."""
+        if tol not in self._theta_scales:
+            rng = np.random.default_rng(THETA_SCALE_SEED)
+            ch0 = Characteristic.zero(self.g)
+            best = 0.0
+            for _ in range(THETA_SCALE_SAMPLES):
+                x = rng.random(self.g)
+                xp = rng.random(self.g)
+                zeta = x + self.tau.matrix @ xp
+                best = max(best, theta_norm_abs(ch0, zeta, self.tau, tol))
+            self._theta_scales[tol] = best
+        return self._theta_scales[tol]
 
 
 # ----------------------------------------------------------------------------

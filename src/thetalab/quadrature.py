@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+from .algebra import principal_power
 from .curves import CurveSpec, Differential
 
 
@@ -80,13 +81,6 @@ def _step(curve, z0, w0, z1, rots, depth):
     return _step(curve, zm, wm, z1, rots, depth - 1)
 
 
-def sheet_index(curve: CurveSpec, z: complex, w: complex) -> int:
-    """k such that w = rho^k * w_principal(z)."""
-    base = curve.w_principal(z)
-    rots = np.exp(2j * np.pi * np.arange(curve.n) / curve.n)
-    return int(np.argmin(np.abs(rots * base - w)))
-
-
 # ----------------------------------------------------------------------------
 # Single legs
 
@@ -106,7 +100,7 @@ def _smooth_part_candidates(curve: CurveSpec, z: complex, exclude: tuple[int, ..
     for i, lam in enumerate(curve.lambdas):
         if (i + 1) not in exclude:
             prod *= z - lam
-    return _principal_power(prod, 1.0 / curve.n) * rots
+    return principal_power(prod, 1.0 / curve.n) * rots
 
 
 def _track_smooth(curve: CurveSpec, exclude: tuple[int, ...],
@@ -177,9 +171,9 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
         # singular factors in the leg parameter, (1 +- x) hv, exact by construction
         k_fac = 1.0 + 0.0j
         if sing0:
-            k_fac *= _principal_power(hv, 1.0 / n)
+            k_fac *= principal_power(hv, 1.0 / n)
         if sing1:
-            k_fac *= _principal_power(-hv, 1.0 / n)
+            k_fac *= principal_power(-hv, 1.0 / n)
         anchor_x = 1.0 if anchor_at_end else -1.0
         if exclude:
             # anchor psi from w at the (non-singular) anchor end
@@ -211,10 +205,6 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
             vals = np.power(zs, d.a) if d.a else np.ones_like(zs)
             out[idx] = hv * kpow * np.sum(wts * vals * smooth)
     return out
-
-
-def _principal_power(z: complex, p: float) -> complex:
-    return abs(z) ** p * np.exp(1j * np.angle(z) * p)
 
 
 # ----------------------------------------------------------------------------
@@ -289,7 +279,7 @@ def infinity_leg_integrals(curve: CurveSpec, z_far: complex, w_far: complex,
         prod = 1.0 + 0.0j
         for lam in curve.lambdas:
             prod *= z_far - lam * s ** n
-        base = _principal_power(prod, 1.0 / n)
+        base = principal_power(prod, 1.0 / n)
         return base * rots
 
     sigmas = np.concatenate([[1.0], sig[::-1]])

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
@@ -274,6 +274,18 @@ def _tail_sum_bound(g: int, rho: float, R: float, extra_power: int = 0) -> float
     return g * (2.0 / rho) ** g * total
 
 
+def _search_radius(rho: float, tail: Callable[[float], float],
+                   tol: float) -> float:
+    """First R in rho + 1, rho + 1.25, ... with tail(R) <= tol (a NaN tail
+    keeps searching)."""
+    R = rho + 1.0
+    while not tail(R) <= tol:
+        R += 0.25
+        if R > _RADIUS_CAP:
+            raise ThetaError(f"truncation radius exceeds cap {_RADIUS_CAP} for tol {tol}")
+    return R
+
+
 def truncation_radius(tau: RiemannMatrix, tol: float, deriv_order: int = 0) -> float:
     """Radius R such that the omitted (possibly term-differentiated) tail of the
     theta series beyond ||U(m + offset)|| > R is below tol, for any offset with
@@ -281,16 +293,14 @@ def truncation_radius(tau: RiemannMatrix, tol: float, deriv_order: int = 0) -> f
     if tol <= 0:
         raise ValueError("tol must be positive")
     cworst = math.sqrt(tau.g) / 2.0 + 1.0  # after range reduction plus eps/2
-    R = tau.rho + 1.0
-    while R <= _RADIUS_CAP:
+
+    def tail(R):
         t = _tail_sum_bound(tau.g, tau.rho, R)
         if deriv_order >= 1:
             t = 2 * np.pi * (tau.Uinv_norm * _tail_sum_bound(tau.g, tau.rho, R, 1)
                              + cworst * t)
-        if t <= tol:
-            return R
-        R += 0.25
-    raise ThetaError(f"truncation radius exceeds cap {_RADIUS_CAP} for tol {tol}")
+        return t
+    return _search_radius(tau.rho, tail, tol)
 
 
 # ----------------------------------------------------------------------------
@@ -342,19 +352,14 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
 
     # pick radius: amp * tail <= tol_red (tail includes the derivative weight
     # and the range-reduction shift term when the gradient is requested)
-    R = tau.rho + 1.0
-    while True:
+    def tail(R):
         t0 = _tail_sum_bound(tau.g, tau.rho, R)
-        tail = t0
-        if want_grad:
-            t1 = _tail_sum_bound(tau.g, tau.rho, R, 1)
-            tail = 2 * np.pi * (tau.Uinv_norm * t1 + (cnorm + math.sqrt(tau.g)) * t0
-                                + n0norm * t0)
-        if amp * tail <= tol_red:
-            break
-        R += 0.25
-        if R > _RADIUS_CAP:
-            raise ThetaError("truncation radius exceeds cap during evaluation")
+        if not want_grad:
+            return amp * t0
+        t1 = _tail_sum_bound(tau.g, tau.rho, R, 1)
+        return amp * (2 * np.pi * (tau.Uinv_norm * t1 + (cnorm + math.sqrt(tau.g)) * t0
+                                   + n0norm * t0))
+    R = _search_radius(tau.rho, tail, tol_red)
 
     s = np.round(xi).astype(np.int64)
     pad = float(np.linalg.norm(tau.U @ (xi - s)))
@@ -389,11 +394,6 @@ def theta_grad(char: Characteristic, zeta, tau: RiemannMatrix,
                tol: float = 1e-8) -> ThetaGradient:
     """Componentwise d/d zeta_s of theta[char] at zeta, term-differentiated."""
     return _theta_core(char, zeta, tau, tol, want_grad=True)
-
-
-def theta_value(char: Characteristic, zeta, tau: RiemannMatrix,
-                tol: float = 1e-10) -> complex:
-    return theta_eval(char, zeta, tau, tol).value
 
 
 def theta_norm_abs(char: Characteristic, zeta, tau: RiemannMatrix,
@@ -434,11 +434,7 @@ def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarr
     scale = max(1.0, abs(pref))
     tol_red = tol / scale
 
-    R = tau.rho + 1.0
-    while amp * _tail_sum_bound(g, tau.rho, R) > tol_red:
-        R += 0.25
-        if R > _RADIUS_CAP:
-            raise ThetaError("truncation radius exceeds cap in table evaluation")
+    R = _search_radius(tau.rho, lambda R: amp * _tail_sum_bound(g, tau.rho, R), tol_red)
 
     two = 2 ** g
     bits = np.arange(g)

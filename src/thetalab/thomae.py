@@ -38,22 +38,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (INF, IndexSet, RootOfUnityTag, all_elementary_symmetric,
-                      classify_root_of_unity, elementary_symmetric, pair_delta,
+                      c2j, classify_root_of_unity, pair_delta, principal_power,
                       vandermonde_delta)
 from .curves import CurveSpec
 from .periods import PeriodData, _random_surface_points
 from .theta import Characteristic, theta_eval, theta_grad, theta_norm_abs
-
-
-def _ppow(z: complex, p: float) -> complex:
-    """Principal fractional power."""
-    if z == 0:
-        return 0.0 + 0.0j
-    return abs(z) ** p * np.exp(1j * np.angle(z) * p)
-
-
-def _c2j(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 # ----------------------------------------------------------------------------
@@ -198,9 +187,9 @@ class VerificationReport:
                    "phase_residual": self.tag.phase_residual,
                    "modulus_error": self.tag.modulus_error, "ok": self.tag.ok}
         return {"identity": self.identity, "partition": self.partition,
-                "s_range": self.s_range, "lhs": [_c2j(x) for x in self.lhs],
+                "s_range": self.s_range, "lhs": [c2j(x) for x in self.lhs],
                 "rhs_modulus": self.rhs_modulus,
-                "ratios": [_c2j(x) for x in self.ratios], "root_tag": tag,
+                "ratios": [c2j(x) for x in self.ratios], "root_tag": tag,
                 "spread": self.spread, "passed": bool(self.passed),
                 "tolerances": self.tolerances, "details": self.details}
 
@@ -230,7 +219,8 @@ def _ratio_statistics(lhs: np.ndarray, rhs: np.ndarray, tol: float):
 
 
 def _delta_quarter_pair(A: IndexSet, B: IndexSet, lam) -> complex:
-    return _ppow(vandermonde_delta(A, lam), 0.25) * _ppow(vandermonde_delta(B, lam), 0.25)
+    return (principal_power(vandermonde_delta(A, lam), 0.25)
+            * principal_power(vandermonde_delta(B, lam), 0.25))
 
 
 def verify_thomae_const_hyp(curve: CurveSpec, periods: PeriodData,
@@ -243,7 +233,7 @@ def verify_thomae_const_hyp(curve: CurveSpec, periods: PeriodData,
     lam = curve.lam_map
     ch = char_from_partition_hyp(p, periods)
     lhs = theta_eval(ch, np.zeros(g), periods.tau, theta_tol).value
-    rhs = (_ppow(np.linalg.det(periods.C) / (2.0 ** g * np.pi ** g), 0.5)
+    rhs = (principal_power(np.linalg.det(periods.C) / (2.0 ** g * np.pi ** g), 0.5)
            * _delta_quarter_pair(p.I, p.J, lam))
     ratio = lhs / rhs
     tag = classify_root_of_unity(ratio, 8, tol)
@@ -264,7 +254,7 @@ def _hyp_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: HypPartition) -> np
     lam = curve.lam_map
     vals = [lam[i] for i in p.I.finite]
     sig = all_elementary_symmetric(vals)
-    pref = (_ppow(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
+    pref = (principal_power(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
             * _delta_quarter_pair(p.I, p.J, lam))
     out = np.zeros(g, dtype=complex)
     for s in range(g):
@@ -319,35 +309,53 @@ def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float,
             raise RuntimeError("could not sample a non-special divisor")
 
 
-def verify_quotient_hyp(curve: CurveSpec, periods: PeriodData, k: int,
-                        seed: int = 0, samples: int = 3, tol: float = 1e-6,
-                        theta_tol: float = 1e-10) -> VerificationReport:
-    """Squared theta quotient at generic arguments vs the branch-value product."""
+# cover degree n -> (identity, root order, exponent of f'(lambda_k), sign of
+# the theta argument) of the n-th power theta quotient
+_QUOTIENT = {2: ("quotient_hyp", 4, 0.5, 1), 3: ("quotient_trig", 12, 1.0, -1)}
+
+
+def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
+                     seed: int, samples: int, tol: float,
+                     theta_tol: float) -> VerificationReport:
+    """(theta[u(P_k)] / theta)^n at sign (sum u(Q_r) + K) over g random
+    points Q_r against prod(lambda_k - z(Q_r)) / f'(lambda_k)^e, with sign
+    and e from _QUOTIENT."""
+    identity, order, fp_exp, sign = _QUOTIENT[n]
     g = curve.genus
     rng = np.random.default_rng(seed)
     ch_k, _ = periods.lattice_reduce(periods.aj_branch[k])
     lam_k = curve.lam(k)
-    sqrt_fp = _ppow(curve.f_prime_at_branch(k), 0.5)
+    fp = curve.f_prime_at_branch(k)
+    if fp_exp != 1.0:
+        fp = principal_power(fp, fp_exp)
     ratios = []
     resamples = 0
     for _ in range(samples):
         pts, arg, tries = _sample_nonspecial(periods, g, rng, theta_tol)
         resamples += tries
+        arg = sign * arg
         num = theta_eval(ch_k, arg, periods.tau, theta_tol).value
         den = theta_eval(Characteristic.zero(g), arg, periods.tau, theta_tol).value
-        lhs = (num / den) ** 2
-        rhs = np.prod([lam_k - p.z for p in pts]) / sqrt_fp
+        lhs = (num / den) ** n
+        rhs = np.prod([lam_k - p.z for p in pts]) / fp
         ratios.append(lhs / rhs)
     mean = complex(np.mean(ratios))
     spread = float(np.max(np.abs(np.array(ratios) - mean)) / abs(mean))
-    tag = classify_root_of_unity(mean, 4, tol)
+    tag = classify_root_of_unity(mean, order, tol)
     passed = tag.ok and spread < tol
     return VerificationReport(
-        identity="quotient_hyp", partition=f"k={k}", s_range=[],
+        identity=identity, partition=f"k={k}", s_range=[],
         lhs=[], rhs_modulus=float("nan"), ratios=[complex(r) for r in ratios],
         tag=tag, spread=spread, passed=passed,
         tolerances={"tol": tol, "theta_tol": theta_tol},
         details={"char": ch_k.label(), "samples": samples, "resamples": resamples})
+
+
+def verify_quotient_hyp(curve: CurveSpec, periods: PeriodData, k: int,
+                        seed: int = 0, samples: int = 3, tol: float = 1e-6,
+                        theta_tol: float = 1e-10) -> VerificationReport:
+    """Squared theta quotient at generic arguments vs the branch-value product."""
+    return _verify_quotient(curve, periods, k, 2, seed, samples, tol, theta_tol)
 
 
 def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
@@ -364,7 +372,7 @@ def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
     sigma = np.zeros((g, g), dtype=complex)
     grads = np.zeros((g, g), dtype=complex)
     predicted = np.zeros((g, g), dtype=complex)
-    pref = _ppow(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
+    pref = principal_power(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
     ok = True
     for kk, xk in enumerate(xs):
         I1 = I0.I.without(INF, xk)
@@ -403,12 +411,12 @@ def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
 def _delta_product_trig(p: TrigPartition, lam) -> complex:
     """Delta(L0)^{1/2} Delta(L1)^{1/2} Delta(L2)^{1/2} times the three pair
     products to the 1/6, principal branches, infinity skipped."""
-    out = (_ppow(vandermonde_delta(p.L0, lam), 0.5)
-           * _ppow(vandermonde_delta(p.L1, lam), 0.5)
-           * _ppow(vandermonde_delta(p.L2, lam), 0.5))
-    out *= _ppow(pair_delta(p.L0, p.L1, lam), 1.0 / 6.0)
-    out *= _ppow(pair_delta(p.L1, p.L2, lam), 1.0 / 6.0)
-    out *= _ppow(pair_delta(p.L2, p.L0, lam), 1.0 / 6.0)
+    out = (principal_power(vandermonde_delta(p.L0, lam), 0.5)
+           * principal_power(vandermonde_delta(p.L1, lam), 0.5)
+           * principal_power(vandermonde_delta(p.L2, lam), 0.5))
+    out *= principal_power(pair_delta(p.L0, p.L1, lam), 1.0 / 6.0)
+    out *= principal_power(pair_delta(p.L1, p.L2, lam), 1.0 / 6.0)
+    out *= principal_power(pair_delta(p.L2, p.L0, lam), 1.0 / 6.0)
     return out
 
 
@@ -443,7 +451,8 @@ def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
     lhs = theta_eval(ch, np.zeros(g), periods.tau, theta_tol).value
     ed = sum(e * d for e, d in zip(ch.eps, ch.delta))
     lhs = lhs * np.exp(2j * np.pi * float(ed) / 4.0)
-    rhs = _ppow(np.linalg.det(periods.C), 0.5) * _delta_product_trig(p, curve.lam_map)
+    rhs = (principal_power(np.linalg.det(periods.C), 0.5)
+           * _delta_product_trig(p, curve.lam_map))
     return lhs / rhs
 
 
@@ -490,7 +499,7 @@ def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
     q = curve.q
     g = curve.genus
     lam = curve.lam_map
-    pref = _delta_product_trig(p, lam) * _ppow(np.linalg.det(periods.C), 0.5)
+    pref = _delta_product_trig(p, lam) * principal_power(np.linalg.det(periods.C), 0.5)
     if p.kind == "deriv1":
         sig_set = list(p.L1.finite) + list(p.L2.finite)
         has_inf = INF in p.L1 or INF in p.L2
@@ -570,32 +579,7 @@ def verify_quotient_trig(curve: CurveSpec, periods: PeriodData, k: int,
                          seed: int = 0, samples: int = 3, tol: float = 1e-6,
                          theta_tol: float = 1e-10) -> VerificationReport:
     """Cubed theta quotient at -sum u(Q_r) - K vs the branch-value product."""
-    g = curve.genus
-    rng = np.random.default_rng(seed)
-    ch_k, _ = periods.lattice_reduce(periods.aj_branch[k])
-    lam_k = curve.lam(k)
-    fp = curve.f_prime_at_branch(k)
-    ratios = []
-    resamples = 0
-    for _ in range(samples):
-        pts, arg, tries = _sample_nonspecial(periods, g, rng, theta_tol)
-        resamples += tries
-        marg = -(arg)
-        num = theta_eval(ch_k, marg, periods.tau, theta_tol).value
-        den = theta_eval(Characteristic.zero(g), marg, periods.tau, theta_tol).value
-        lhs = (num / den) ** 3
-        rhs = np.prod([lam_k - p.z for p in pts]) / fp
-        ratios.append(lhs / rhs)
-    mean = complex(np.mean(ratios))
-    spread = float(np.max(np.abs(np.array(ratios) - mean)) / abs(mean))
-    tag = classify_root_of_unity(mean, 12, tol)
-    passed = tag.ok and spread < tol
-    return VerificationReport(
-        identity="quotient_trig", partition=f"k={k}", s_range=[],
-        lhs=[], rhs_modulus=float("nan"), ratios=[complex(r) for r in ratios],
-        tag=tag, spread=spread, passed=passed,
-        tolerances={"tol": tol, "theta_tol": theta_tol},
-        details={"char": ch_k.label(), "samples": samples, "resamples": resamples})
+    return _verify_quotient(curve, periods, k, 3, seed, samples, tol, theta_tol)
 
 
 def derived_partitions_for_matrix(p: TrigPartition, q: int) -> list[TrigPartition]:
@@ -644,7 +628,7 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     ok = True
     # sqrt(det C) accompanies the row theorems; the compact matrix statement
     # drops it from display but it is part of the identity
-    detfac = _ppow(np.linalg.det(periods.C), 0.5)
+    detfac = principal_power(np.linalg.det(periods.C), 0.5)
     for kk, pk in enumerate(derived):
         ch = char_from_partition_trig(pk, periods)
         grads[kk] = theta_grad(ch, np.zeros(g), periods.tau, 1e-9).values

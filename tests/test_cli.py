@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,14 @@ def test_verify_unknown_task(tmp_path):
     assert r.returncode == 2
 
 
+def test_verify_task_not_an_object(tmp_path):
+    plan = dict(PLAN_G1, tasks=["period_sanity"])
+    f = write(tmp_path / "plan.json", plan)
+    r = run_cli("verify", f)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: invalid plan")
+
+
 def test_verify_parse_failure(tmp_path):
     f = tmp_path / "plan.json"
     f.write_text("{]")
@@ -150,3 +159,70 @@ def test_verify_trig_plan(tmp_path):
     assert r.returncode == 0, r.stderr + r.stdout
     rows = [json.loads(l) for l in out.read_text().splitlines()]
     assert all(row["passed"] for row in rows)
+
+
+TRIG_Q1 = {"n": 3, "lambdas": [[0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize("curve, task", [
+    (PLAN_G1["curve"], "alpha_trig"),
+    (TRIG_Q1, "thomae_const_hyp"),
+])
+def test_verify_task_on_wrong_cover_degree(tmp_path, capsys, curve, task):
+    from thetalab.cli import main
+    f = write(tmp_path / "plan.json", {"curve": curve, "tasks": [{"id": task}]})
+    assert main(["verify", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and task in err
+
+
+@pytest.mark.parametrize("target", ["thetalab.periods.theta_halfint_table",
+                                    "thetalab.thomae.theta_grad"])
+def test_verify_theta_failure_exits_3(tmp_path, capsys, monkeypatch, target):
+    from thetalab.cli import main
+    from thetalab.theta import ThetaError
+
+    def give_up(*args, **kwargs):
+        raise ThetaError("lattice enumeration exceeded point cap")
+    monkeypatch.setattr(target, give_up)
+    f = write(tmp_path / "plan.json",
+              {"curve": TRIG_Q1, "tasks": [{"id": "deriv_trig_t1"}]})
+    assert main(["verify", f]) == 3
+    assert "point cap" in capsys.readouterr().err
+
+
+def test_verify_alpha_task_leaves_plan_alpha_alone(tmp_path, monkeypatch):
+    # an alpha_trig task with its own theta_tol must not change the alpha
+    # that the derivative tasks around it use, in sequence or in threads;
+    # each pair of tolerances is estimated once, also under contention
+    import thetalab.thomae
+    from thetalab.cli import main
+    estimate = thetalab.thomae.estimate_alpha
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["theta_tol"])
+        time.sleep(0.05)            # widen the window for a duplicate estimate
+        return estimate(*args, **kwargs)
+    monkeypatch.setattr(thetalab.thomae, "estimate_alpha", counted)
+    plan = {"curve": TRIG_Q1,
+            "tasks": [{"id": "deriv_trig_t1"},
+                      {"id": "alpha_trig", "theta_tol": 1e-2},
+                      {"id": "deriv_trig_t1"}]}
+    f = write(tmp_path / "plan.json", plan)
+    seq, par = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
+    main(["verify", f, "--out", str(seq)])
+    lines = seq.read_bytes().splitlines()
+    assert [json.loads(l)["identity"] for l in lines] == [
+        "thomae_deriv_trig_t1", "alpha_trig", "thomae_deriv_trig_t1"]
+    assert lines[0] == lines[2]
+    assert sorted(calls) == [1e-10, 1e-2]
+    calls.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        main(["verify", f, "--out", str(par), "--jobs", "3"])
+    finally:
+        sys.setswitchinterval(interval)
+    assert par.read_bytes() == seq.read_bytes()
+    assert sorted(calls) == [1e-10, 1e-2]

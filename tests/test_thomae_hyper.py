@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from thetalab.algebra import INF, IndexSet, classify_root_of_unity, vandermonde_delta
+from thetalab.algebra import (INF, IndexSet, classify_root_of_unity, principal_power,
+                              vandermonde_delta)
 from thetalab.theta import parity, theta_eval
 from thetalab.thomae import (HypPartition, char_from_partition_hyp,
                              enumerate_partitions_hyp, verify_matrix_form_hyp,
                              verify_quotient_hyp, verify_thomae_const_hyp,
                              verify_thomae_deriv_hyp, _delta_quarter_pair,
-                             _ppow, _sample_nonspecial)
+                             _sample_nonspecial)
 
 
 def test_partition_counts_g2():
@@ -59,7 +60,7 @@ def test_thomae_constant_negative_control(hyp_g2):
     lhs = theta_eval(ch, np.zeros(2), pd.tau, 1e-10).value
     lam = dict(c.lam_map)
     lam[p.I.finite[0]] += 0.037        # RHS-only perturbation
-    rhs = (_ppow(np.linalg.det(pd.C) / (2.0 ** 2 * np.pi ** 2), 0.5)
+    rhs = (principal_power(np.linalg.det(pd.C) / (2.0 ** 2 * np.pi ** 2), 0.5)
            * _delta_quarter_pair(p.I, p.J, lam))
     tag = classify_root_of_unity(lhs / rhs, 8, 1e-6)
     assert not tag.ok
