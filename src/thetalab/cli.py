@@ -9,7 +9,8 @@ Subcommands:
 Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success /
 all verifications passed, 1 verification failure, 2 parse failure, unknown
 task id or a task for the other cover degree, 3 invariant failure (bad curve,
-non-positive-definite Im tau) or theta failure (truncation or point cap).
+non-positive-definite Im tau), theta failure (truncation or point cap), sheet
+tracking failure or no non-special divisor found by sampling.
 Runs are deterministic for a fixed plan and seed; wall-clock timings appear
 only in the human summary, never in the JSONL stream.
 """
@@ -27,6 +28,7 @@ import numpy as np
 from .curves import CurveSpec, CurveSpecError
 from .periods import PeriodData, PeriodError, build_periods
 from .homology import HomologyError
+from .quadrature import QuadratureError
 from .theta import (Characteristic, RiemannMatrix, ThetaError, theta_eval,
                     theta_grad, truncation_radius)
 from . import thomae
@@ -66,7 +68,7 @@ def cmd_periods(args) -> int:
         return 2
     try:
         pd = build_periods(curve, quad_order=args.quad_order)
-    except (PeriodError, HomologyError, ThetaError) as exc:
+    except (PeriodError, HomologyError, QuadratureError, ThetaError) as exc:
         print(f"error: period construction failed: {exc}", file=sys.stderr)
         return 3
     out = {
@@ -298,7 +300,8 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     try:
         pd = build_periods(curve, quad_order=quad_order)
-    except (PeriodError, HomologyError, CurveSpecError, ThetaError) as exc:
+    except (PeriodError, HomologyError, CurveSpecError, QuadratureError,
+            ThetaError) as exc:
         print(f"error: period construction failed: {exc}", file=sys.stderr)
         return 3
     t_periods = time.time() - t0
@@ -318,7 +321,7 @@ def cmd_verify(args) -> int:
                 results = list(ex.map(run_task, range(len(tasks)), tasks))
         else:
             results = list(map(run_task, range(len(tasks)), tasks))
-    except (ThetaError, PeriodError, HomologyError) as exc:
+    except (ThetaError, PeriodError, HomologyError, QuadratureError) as exc:
         print(f"error: verification aborted: {exc}", file=sys.stderr)
         return 3
     reports = [rep for out, _ in results for rep in out]

@@ -104,12 +104,15 @@ class CurveSpec:
         rots = np.exp(2j * np.pi * np.arange(self.n) / self.n)
         return base * rots
 
-    def w_principal(self, z: complex) -> complex:
-        """Deterministic reference branch: exp(sum of principal logs / n)."""
+    def w_principal(self, z: complex | np.ndarray) -> complex | np.ndarray:
+        """Deterministic reference branch: exp(sum of principal logs / n), at
+        one point (a complex) or elementwise over an array of points (the
+        same floats: the logs are summed in the same order)."""
         s = 0.0 + 0.0j
         for lam in self.lambdas:
-            s += np.log(z - lam)
-        return complex(np.exp(s / self.n))
+            s = s + np.log(z - lam)
+        out = np.exp(s / self.n)
+        return out if np.ndim(out) else complex(out)
 
     def differentials(self) -> list[Differential]:
         """Holomorphic basis ordered so that row l of the period matrix C

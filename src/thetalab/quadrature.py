@@ -4,12 +4,13 @@ Every path is a polyline whose legs either end at a branch point (integrable
 endpoint singularity of exponent -m/n, handled by Gauss-Jacobi nodes with the
 matching weight) or stay away from all branch points (Gauss-Legendre).  The
 sheet of w along a path is fixed by an anchor value at one non-singular point
-and transported by nearest-root tracking with adaptive step refinement; no
-principal-value calls happen inside the integrators.
+and transported by nearest-root tracking with provable, breadth-first step
+refinement in arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -40,49 +41,101 @@ def _gj_nodes(order: int, alpha: float, beta: float):
 
 def track_w(curve: CurveSpec, zs: Sequence[complex], w_start: complex,
             max_depth: int = 52) -> np.ndarray:
-    """Continue w = f^{1/n} along the points zs, starting from w_start at zs[0].
+    """Continue w = f^{1/n} along the points zs, starting from w_start at
+    zs[0], by the provable step rule of _track."""
+    return _track(zs, w_start, curve.lambdas, curve.n, curve.w_principal, max_depth)
+
+
+def _track(zs: Sequence[complex], start: complex, lams: Sequence[complex], n: int,
+           principal, max_depth: int = 52) -> np.ndarray:
+    """Continue the branch of (prod_{lam in lams} (z - lam))^{1/n} that is
+    `start` at zs[0] along zs; principal maps an array of points to the
+    principal values.
 
     A step is only taken when it is provably unambiguous: along a segment at
-    distance d from every branch point, |d log w| <= (N/n) |dz| / d, so steps
-    with |dz| <= 0.3 (n/N) d cannot rotate the branch anywhere near the root
-    spacing 2 pi / n.  Longer steps are bisected; endpoint-only heuristics are
-    unsound (the true branch can rotate by pi across a long step and land
-    near the wrong root).
+    distance d from every lam, |d log w| <= (N/n) |dz| / d (N = len(lams)),
+    so steps with |dz| <= 0.3 (n/N) d cannot rotate the branch anywhere near
+    the root spacing 2 pi / n.  Longer steps are bisected, breadth-first: all
+    failing sub-steps of one level are split together, up to max_depth
+    (<= 62) levels.  Endpoint-only heuristics are unsound (the true branch
+    can rotate by pi across a long step and land near the wrong root).
     """
-    n = curve.n
-    rots = np.exp(2j * np.pi * np.arange(n) / n)
-    out = np.empty(len(zs), dtype=complex)
-    out[0] = w_start
-    for i in range(1, len(zs)):
-        out[i] = _step(curve, zs[i - 1], out[i - 1], zs[i], rots, max_depth)
-    return out
-
-
-def _step(curve, z0, w0, z1, rots, depth):
-    if z1 == z0:
-        return w0
-    dmin = min(_seg_distance(z0, z1, lam)[0] for lam in curve.lambdas)
-    n = curve.n
-    N = curve.num_branch
-    if dmin > 0.0 and abs(z1 - z0) <= 0.3 * n * dmin / N:
-        cands = curve.w_principal(z1) * rots
-        d = np.abs(cands - w0)
-        j = int(np.argmin(d))
-        d_sorted = np.sort(d)
-        if len(d) > 1 and d_sorted[0] > 0.5 * d_sorted[1]:
+    zs = np.asarray(zs, dtype=complex)
+    lams = np.asarray(lams, dtype=complex)
+    bad = ~np.isfinite(zs)
+    if bad.any():       # its steps would fail at every level, doubling each time
+        raise QuadratureError(f"sheet tracking through the non-finite point {zs[bad][0]}")
+    # frontier: sub-step a -> b, its step index and dyadic position in it
+    a, b = zs[:-1], zs[1:]
+    step = np.arange(len(a))
+    pos = np.zeros(len(a), dtype=np.int64)
+    leaves = []
+    for level in range(max_depth + 1):
+        live = a != b               # a zero-length step keeps the value
+        a, b, step, pos = a[live], b[live], step[live], pos[live]
+        ok = _provable_steps(a, b, lams, n)
+        leaves.append((step[ok], pos[ok] << (max_depth - level), b[ok]))
+        if ok.all():
+            break
+        if level == max_depth:
             raise QuadratureError(
-                f"sheet tracking lost separation near {z1} (step too coarse)")
-        return cands[j]
-    if depth <= 0:
+                f"sheet tracking cannot resolve the step {a[~ok][0]} -> {b[~ok][0]}")
+        a, b, step, pos = a[~ok], b[~ok], step[~ok], pos[~ok]
+        mid = (a + b) / 2.0
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        step, pos = np.concatenate([step, step]), np.concatenate([2 * pos, 2 * pos + 1])
+    step, key, ends = (np.concatenate(x) for x in zip(*leaves))
+    order = np.lexsort((key, step))
+    vals = _nearest_roots(principal(ends[order]), start, n, ends[order])
+    # the value at zs[i] is the one after the last leaf of steps 0 .. i-1
+    last = np.searchsorted(step[order], np.arange(len(zs) - 1), side="right")
+    return np.concatenate([[start], np.concatenate([[start], vals])[last]])
+
+
+def _provable_steps(a: np.ndarray, b: np.ndarray, lams: np.ndarray, n: int) -> np.ndarray:
+    """Which steps a -> b satisfy |dz| <= 0.3 n d / N, d the distance from
+    the segment to the nearest of the N lams (all steps x lams at once)."""
+    if not len(lams):
+        return np.ones(len(a), dtype=bool)
+    ab = b - a
+    length = np.abs(ab)
+    ux, uy = (ab.real / length)[:, None], (ab.imag / length)[:, None]
+    pa = lams - a[:, None]
+    s = np.clip(pa.real * ux + pa.imag * uy, 0.0, length[:, None])
+    d = np.hypot(s * ux - pa.real, s * uy - pa.imag).min(axis=1)
+    return (d > 0.0) & (length <= 0.3 * n * d / len(lams))
+
+
+def _nearest_roots(base: np.ndarray, start: complex, n: int, at) -> np.ndarray:
+    """base[i] rho^{j_i} with each value the nearest of its n candidates to
+    the one before it (to start for i = 0); rho = exp(2 pi i / n).
+
+    j_i is the running sum mod n of the shifts that take base[i] nearest to
+    base[i - 1].  Raises QuadratureError where the nearest candidate is not
+    at most half as far as the next one (the point is named from `at`)."""
+    rots = np.exp(2j * np.pi * np.arange(n) / n)
+    # the result is indexed from this product, not formed as base * rots[j]:
+    # numpy's contiguous complex multiply can round differently from the
+    # point-by-roots product that the sheet values have always been
+    cands = base[:, None] * rots
+    prev = np.concatenate([[start], base[:-1]])
+    d = np.abs(cands - prev[:len(base), None])
+    d_sorted = np.sort(d, axis=1)
+    bad = d_sorted[:, 0] > 0.5 * d_sorted[:, 1]
+    if bad.any():
         raise QuadratureError(
-            f"sheet tracking cannot resolve the step {z0} -> {z1}")
-    zm = (z0 + z1) / 2.0
-    wm = _step(curve, z0, w0, zm, rots, depth - 1)
-    return _step(curve, zm, wm, z1, rots, depth - 1)
+            f"sheet tracking lost separation near {at[bad][0]} (step too coarse)")
+    j = np.cumsum(np.argmin(d, axis=1)) % n
+    return cands[np.arange(len(base)), j]
 
 
 # ----------------------------------------------------------------------------
 # Single legs
+
+
+def _root_of_product(factors: Sequence[complex], n: int) -> complex:
+    """principal_power(prod(factors), 1/n), multiplied in scalar arithmetic."""
+    return principal_power(math.prod(factors, start=1.0 + 0.0j), 1.0 / n)
 
 
 def _branch_index_at(curve: CurveSpec, z: complex) -> int:
@@ -92,48 +145,6 @@ def _branch_index_at(curve: CurveSpec, z: complex) -> int:
         if abs(z - lam) <= 1e-12 * scale:
             return i + 1
     raise QuadratureError(f"singular endpoint {z} is not a branch point")
-
-
-def _smooth_part_candidates(curve: CurveSpec, z: complex, exclude: tuple[int, ...],
-                            rots: np.ndarray) -> np.ndarray:
-    prod = 1.0 + 0.0j
-    for i, lam in enumerate(curve.lambdas):
-        if (i + 1) not in exclude:
-            prod *= z - lam
-    return principal_power(prod, 1.0 / curve.n) * rots
-
-
-def _track_smooth(curve: CurveSpec, exclude: tuple[int, ...],
-                  zs: Sequence[complex], psi_start: complex,
-                  max_depth: int = 52) -> np.ndarray:
-    """Continue psi = (prod_{i not in exclude} (z - lambda_i))^{1/n} along zs.
-
-    Same provable step rule as track_w, now relative to the non-excluded
-    branch points only (the excluded linear factors are handled exactly by
-    the caller's parameterization)."""
-    n = curve.n
-    rots = np.exp(2j * np.pi * np.arange(n) / n)
-    lams = [lam for i, lam in enumerate(curve.lambdas) if (i + 1) not in exclude]
-    Nsm = max(1, len(lams))
-    out = np.empty(len(zs), dtype=complex)
-    out[0] = psi_start
-
-    def step(z0, p0, z1, depth):
-        if z1 == z0:
-            return p0
-        dmin = min(_seg_distance(z0, z1, lam)[0] for lam in lams) if lams else np.inf
-        if dmin > 0.0 and abs(z1 - z0) <= 0.3 * n * dmin / Nsm:
-            cands = _smooth_part_candidates(curve, z1, exclude, rots)
-            j = int(np.argmin(np.abs(cands - p0)))
-            return cands[j]
-        if depth <= 0:
-            raise QuadratureError("smooth-part tracking cannot resolve a step")
-        zm = (z0 + z1) / 2.0
-        return step(zm, step(z0, p0, zm, depth - 1), z1, depth - 1)
-
-    for i in range(1, len(zs)):
-        out[i] = step(zs[i - 1], out[i - 1], zs[i], max_depth)
-    return out
 
 
 def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
@@ -161,7 +172,14 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
         exclude.append(_branch_index_at(curve, z0))
     if sing1:
         exclude.append(_branch_index_at(curve, z1))
-    exclude = tuple(exclude)
+    lams = [lam for i, lam in enumerate(curve.lambdas) if (i + 1) not in exclude]
+
+    def psi_principal(pts):
+        # scalar on purpose: psi enters the integrals, and array abs and **
+        # differ from principal_power in the last bit
+        return np.array([_root_of_product([z - lam for lam in lams], n) for z in pts],
+                        dtype=complex)
+
     ms = sorted({d.m for d in diffs})
     for m in ms:
         alpha = -m / n if sing1 else 0.0
@@ -175,6 +193,8 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
         if sing1:
             k_fac *= principal_power(-hv, 1.0 / n)
         anchor_x = 1.0 if anchor_at_end else -1.0
+        chain = (np.concatenate([[z1], zs[::-1]]) if anchor_at_end
+                 else np.concatenate([[z0], zs]))
         if exclude:
             # anchor psi from w at the (non-singular) anchor end
             afrac = 1.0
@@ -183,19 +203,11 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
             if sing1:
                 afrac *= (1.0 - anchor_x)
             psi_anchor = w_anchor / (afrac ** (1.0 / n) * k_fac)
-            if anchor_at_end:
-                chain = np.concatenate([[z1], zs[::-1]])
-                psi = _track_smooth(curve, exclude, chain, psi_anchor)[1:][::-1]
-            else:
-                chain = np.concatenate([[z0], zs])
-                psi = _track_smooth(curve, exclude, chain, psi_anchor)[1:]
+            psi = _track(chain, psi_anchor, lams, n, psi_principal)[1:]
         else:
-            if anchor_at_end:
-                chain = np.concatenate([[z1], zs[::-1]])
-                psi = track_w(curve, chain, w_anchor)[1:][::-1]
-            else:
-                chain = np.concatenate([[z0], zs])
-                psi = track_w(curve, chain, w_anchor)[1:]
+            psi = track_w(curve, chain, w_anchor)[1:]
+        if anchor_at_end:
+            psi = psi[::-1]
         smooth = psi ** (-m)
         kpow = k_fac ** (-m)
         # the Gauss-Jacobi weight absorbs frac^{-m/n}on its own
@@ -273,23 +285,9 @@ def infinity_leg_integrals(curve: CurveSpec, z_far: complex, w_far: complex,
     sig = 0.5 * (x + 1.0)        # nodes on (0,1)
     wts = 0.5 * wts
     # continue h from sigma=1 (h=w_far) down through the nodes
-    rots = np.exp(2j * np.pi * np.arange(n) / n)
-
-    def h_candidates(s: float) -> np.ndarray:
-        prod = 1.0 + 0.0j
-        for lam in curve.lambdas:
-            prod *= z_far - lam * s ** n
-        base = principal_power(prod, 1.0 / n)
-        return base * rots
-
-    sigmas = np.concatenate([[1.0], sig[::-1]])
-    hvals = np.empty(len(sigmas), dtype=complex)
-    hvals[0] = w_far
-    for i in range(1, len(sigmas)):
-        cands = h_candidates(sigmas[i])
-        j = int(np.argmin(np.abs(cands - hvals[i - 1])))
-        hvals[i] = cands[j]
-    h_at_nodes = hvals[1:][::-1]
+    base = np.array([_root_of_product([z_far - lam * s ** n for lam in curve.lambdas], n)
+                     for s in sig[::-1]], dtype=complex)
+    h_at_nodes = _nearest_roots(base, w_far, n, sig[::-1])[::-1]
 
     out = np.empty(len(diffs), dtype=complex)
     for idx, d in enumerate(diffs):

@@ -41,7 +41,7 @@ from .algebra import (INF, IndexSet, RootOfUnityTag, all_elementary_symmetric,
                       c2j, classify_root_of_unity, pair_delta, principal_power,
                       vandermonde_delta)
 from .curves import CurveSpec
-from .periods import PeriodData, _random_surface_points
+from .periods import PeriodData, PeriodError, _random_surface_points
 from .theta import Characteristic, theta_eval, theta_grad, theta_norm_abs
 
 
@@ -306,7 +306,7 @@ def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float,
             return pts, arg, tries
         tries += 1
         if tries >= max_tries:
-            raise RuntimeError("could not sample a non-special divisor")
+            raise PeriodError("could not sample a non-special divisor")
 
 
 # cover degree n -> (identity, root order, exponent of f'(lambda_k), sign of

@@ -1,8 +1,9 @@
 """Independent reference computations used to pin expected values.
 
 These deliberately avoid the library's evaluation paths: the theta oracle is
-a plain full-box lattice sum, and the elliptic j target comes from the
-branch-point cross-ratio.
+a plain full-box lattice sum, the elliptic j target comes from the
+branch-point cross-ratio, and sheet tracking is checked against the scalar
+depth-first step rule.
 """
 
 import numpy as np
@@ -44,3 +45,40 @@ def cross_ratio_j(e1: complex, e2: complex, e3: complex) -> complex:
     """j-invariant of y^2 = (x-e1)(x-e2)(x-e3) via the modular lambda."""
     lam = (e3 - e1) / (e2 - e1)
     return 256.0 * (lam * lam - lam + 1.0) ** 3 / (lam * lam * (lam - 1.0) ** 2)
+
+
+def seg_distance(a: complex, b: complex, p: complex) -> float:
+    ab = b - a
+    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / abs(ab) ** 2
+    return abs(a + min(1.0, max(0.0, t)) * ab - p)
+
+
+def scalar_track(zs, start, lams, n, principal, max_depth: int = 52) -> np.ndarray:
+    """Sheet tracking with the scalar depth-first step rule, frozen from the
+    recursion thetalab used before its array tracker: continue the branch
+    of (prod (z - lam))^{1/n} that is `start` at zs[0], taking a step only
+    when |dz| <= 0.3 n d / len(lams) for the distance d from the segment to
+    every lam, bisecting otherwise; principal(z) is the principal value."""
+    rots = np.exp(2j * np.pi * np.arange(n) / n)
+
+    def step(z0, w0, z1, depth):
+        if z1 == z0:
+            return w0
+        dmin = min(seg_distance(z0, z1, lam) for lam in lams)
+        if dmin > 0.0 and abs(z1 - z0) <= 0.3 * n * dmin / len(lams):
+            cands = principal(z1) * rots
+            d = np.abs(cands - w0)
+            d_sorted = np.sort(d)
+            if d_sorted[0] > 0.5 * d_sorted[1]:
+                raise RuntimeError(f"lost separation near {z1}")
+            return cands[int(np.argmin(d))]
+        if depth <= 0:
+            raise RuntimeError(f"cannot resolve the step {z0} -> {z1}")
+        zm = (z0 + z1) / 2.0
+        return step(zm, step(z0, w0, zm, depth - 1), z1, depth - 1)
+
+    out = np.empty(len(zs), dtype=complex)
+    out[0] = start
+    for i in range(1, len(zs)):
+        out[i] = step(zs[i - 1], out[i - 1], zs[i], max_depth)
+    return out

@@ -191,6 +191,45 @@ def test_verify_theta_failure_exits_3(tmp_path, capsys, monkeypatch, target):
     assert "point cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "periods"])
+def test_tracking_failure_exits_3(tmp_path, capsys, monkeypatch, command):
+    from thetalab.cli import main
+    from thetalab.quadrature import QuadratureError
+
+    def lose_sheet(*args, **kwargs):
+        raise QuadratureError("sheet tracking lost separation near 0j")
+    monkeypatch.setattr("thetalab.periods.polyline_integrals", lose_sheet)
+    if command == "verify":
+        f = write(tmp_path / "plan.json",
+                  {"curve": TRIG_Q1, "tasks": [{"id": "period_sanity"}]})
+    else:
+        f = write(tmp_path / "curve.json", TRIG_Q1)
+    assert main([command, f]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "lost separation" in err
+
+
+def test_verify_sampling_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # on a hyperelliptic curve P + iota(P) is special: theta vanishes at its
+    # argument, so no sampled divisor is accepted
+    import thetalab.thomae
+    from thetalab.cli import main
+    from thetalab.periods import SurfacePoint
+    sample = thetalab.thomae._random_surface_points
+
+    def special(periods, count, rng):
+        p = sample(periods, 1, rng)[0]
+        return [p, SurfacePoint(p.z, -p.w)]
+    monkeypatch.setattr(thetalab.thomae, "_random_surface_points", special)
+    f = write(tmp_path / "plan.json",
+              {"curve": {"n": 2, "lambdas": [[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]]},
+               "tasks": [{"id": "quotient_hyp", "ks": [1], "samples": 1}]})
+    assert main(["verify", f]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-special divisor" in err
+
+
 def test_verify_alpha_task_leaves_plan_alpha_alone(tmp_path, monkeypatch):
     # an alpha_trig task with its own theta_tol must not change the alpha
     # that the derivative tasks around it use, in sequence or in threads;

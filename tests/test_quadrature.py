@@ -1,0 +1,169 @@
+import time
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.special import roots_jacobi
+
+import thetalab.quadrature as quadrature
+from thetalab.algebra import principal_power
+from thetalab.curves import CurveSpec
+from thetalab.quadrature import (QuadratureError, infinity_leg_integrals,
+                                 leg_integrals, track_w)
+
+from conftest import random_curve
+from oracles import scalar_track, seg_distance
+
+CURVES = [CurveSpec.of(2, [0, 1, 2, 3, 4]),
+          random_curve(2, 7, 42, box=3.0, min_gap=0.9),
+          CurveSpec.of(3, [0, 1]),
+          random_curve(3, 5, 7)]
+IDS = ["hyp-g2", "hyp-g3", "trig-q1", "trig-q2"]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
+
+
+def seeded_polyline(curve: CurveSpec, seed: int) -> list[complex]:
+    """A far start like the Abel-Jacobi base point z_far (its long steps
+    bisect deeply), random points around the branch points, and zero-length
+    steps at the start and in the middle."""
+    rng = np.random.default_rng(seed)
+    scale = max(abs(x) for x in curve.lambdas) + 1.0
+    pts = [3.0 * scale * np.exp(1j * rng.uniform(0, 2 * np.pi))]
+    pts += [complex(*rng.uniform(-1.5, 1.5, 2) * scale) for _ in range(12)]
+    pts.insert(0, pts[0])
+    pts.insert(6, pts[5])
+    return pts
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=IDS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_track_w_matches_scalar_oracle(curve, seed):
+    pts = seeded_polyline(curve, seed)
+    sheet = np.exp(2j * np.pi * seed / curve.n)
+    w0 = curve.w_principal(pts[0]) * sheet
+    got = track_w(curve, pts, w0)
+    want = scalar_track(pts, w0, curve.lambdas, curve.n, curve.w_principal)
+    assert same_bits(got, want)
+    assert got[1] == w0             # a leading zero-length step keeps w_start
+
+
+def _scalar_leg_from_branch(curve, k, z1, w1, order):
+    """Frozen scalar sum of leg_integrals on the leg lambda_k -> z1 anchored
+    at z1: the smooth part psi tracked by the oracle over the same nodes."""
+    n = curve.n
+    z0 = curve.lam(k)
+    lams = [lam for i, lam in enumerate(curve.lambdas) if i + 1 != k]
+    hv = (z1 - z0) / 2.0
+    mid = (z0 + z1) / 2.0
+
+    def psi_principal(z):
+        prod = 1.0 + 0.0j
+        for lam in lams:
+            prod *= z - lam
+        return principal_power(prod, 1.0 / n)
+
+    out = []
+    for d in curve.differentials():
+        x, wts = roots_jacobi(order, 0.0, -d.m / n)
+        zs = mid + x * hv
+        k_fac = (1.0 + 0.0j) * principal_power(hv, 1.0 / n)
+        psi_anchor = w1 / (2.0 ** (1.0 / n) * k_fac)
+        chain = np.concatenate([[z1], zs[::-1]])
+        psi = scalar_track(chain, psi_anchor, lams, n, psi_principal)[1:][::-1]
+        vals = np.power(zs, d.a) if d.a else np.ones_like(zs)
+        out.append(hv * k_fac ** (-d.m) * np.sum(wts * vals * psi ** (-d.m)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=IDS)
+def test_smooth_part_matches_scalar_sum(curve):
+    z1 = 0.7 + 1.9j
+    w1 = curve.w_principal(z1)
+    for k in range(1, curve.num_branch + 1):
+        got = leg_integrals(curve, curve.lam(k), z1, curve.differentials(), 40,
+                            True, False, w1, True)
+        assert same_bits(got, _scalar_leg_from_branch(curve, k, z1, w1, 40))
+
+
+def _circle(center, radius, clockwise=False, count=48):
+    t = np.linspace(0.0, 2 * np.pi, count + 1)[:-1] * (-1 if clockwise else 1)
+    pts = list(center + radius * np.exp(1j * t))
+    return pts + [pts[0]]
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=IDS)
+def test_monodromy_of_one_loop(curve):
+    n = curve.n
+    gap = min(abs(a - b) for i, a in enumerate(curve.lambdas)
+              for b in curve.lambdas[i + 1:])
+    for lam in curve.lambdas:
+        for clockwise, turn in ((False, 1), (True, -1)):
+            loop = _circle(lam, 0.4 * gap, clockwise)
+            w = track_w(curve, loop, curve.w_principal(loop[0]))
+            assert abs(w[-1] / w[0] - np.exp(2j * np.pi * turn / n)) < 1e-12
+    # a loop around no branch point returns to the start value
+    far = 2.0 * (max(abs(x) for x in curve.lambdas) + 1.0)
+    loop = _circle(far, 0.5)
+    w = track_w(curve, loop, curve.w_principal(loop[0]))
+    assert abs(w[-1] / w[0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("curve, lam", [(CURVES[0], 2.0), (CURVES[3], CURVES[3].lambdas[2])],
+                         ids=["hyp-g2", "trig-q2"])
+def test_chain_through_branch_point_fails_fast(curve, lam, monkeypatch):
+    # near the branch point, steps within about N / (0.3 n) step lengths of
+    # it fail on either side and each splits in two, so every level holds
+    # about 4 N / (0.3 n) sub-steps, down to the depth cap
+    widths = []
+    provable = quadrature._provable_steps
+
+    def recorded(a, b, lams, n):
+        widths.append(len(a))
+        return provable(a, b, lams, n)
+    monkeypatch.setattr(quadrature, "_provable_steps", recorded)
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError, match="cannot resolve"):
+        track_w(curve, [lam - 0.5j, lam + 0.5j], curve.w_principal(lam - 0.5j))
+    assert time.perf_counter() - t0 < 1.0
+    assert len(widths) == 53
+    assert max(widths) <= 4 * (curve.num_branch / (0.3 * curve.n) + 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_non_finite_point_fails_fast(bad):
+    curve = CURVES[0]
+    with pytest.raises(QuadratureError, match="non-finite"):
+        track_w(curve, [0.5 + 1j, bad, 1.5 + 1j], curve.w_principal(0.5 + 1j))
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=IDS)
+def test_infinity_leg_needs_a_separated_start(curve):
+    # a start value halfway between two sheets has no nearest root
+    z_far = 3.0 * (max(abs(x) for x in curve.lambdas) + 1.0)
+    w_far = curve.w_principal(z_far)
+    diffs = curve.differentials()
+    infinity_leg_integrals(curve, z_far, w_far, diffs, 32)
+    with pytest.raises(QuadratureError, match="separation"):
+        infinity_leg_integrals(curve, z_far, w_far * np.exp(1j * np.pi / curve.n),
+                               diffs, 32)
+
+
+_coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(curve=st.sampled_from(CURVES),
+       pts=st.lists(st.builds(complex, _coord, _coord), min_size=2, max_size=6),
+       sheet=st.integers(0, 2))
+def test_track_w_sheets_match_oracle_clear_of_branch_points(curve, pts, sheet):
+    clear = min(seg_distance(a, b, lam) if a != b else abs(a - lam)
+                for a, b in zip(pts, pts[1:]) for lam in curve.lambdas)
+    assume(clear > 0.05)
+    w0 = curve.w_principal(pts[0]) * np.exp(2j * np.pi * sheet / curve.n)
+    got = track_w(curve, pts, w0)
+    want = scalar_track(pts, w0, curve.lambdas, curve.n, curve.w_principal)
+    assert same_bits(got, want)
