@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 import time
 
 import numpy as np
@@ -155,7 +154,6 @@ class Plan:
         self.pd = pd
         self.defaults = defaults
         self._alpha: dict[tuple[float, float], thomae.AlphaEstimate] = {}
-        self._lock = threading.Lock()
 
     def tolerances(self, task: dict) -> tuple[float, float]:
         """(tol, theta_tol) of a task: its own, else the plan's, else the defaults."""
@@ -163,11 +161,10 @@ class Plan:
                 float(task.get("theta_tol", self.defaults.get("theta_tol", 1e-10))))
 
     def alpha(self, tol: float, theta_tol: float) -> thomae.AlphaEstimate:
-        with self._lock:
-            if (tol, theta_tol) not in self._alpha:
-                self._alpha[tol, theta_tol] = thomae.estimate_alpha(
-                    [(self.curve, self.pd)], tol=tol, theta_tol=theta_tol)
-            return self._alpha[tol, theta_tol]
+        if (tol, theta_tol) not in self._alpha:
+            self._alpha[tol, theta_tol] = thomae.estimate_alpha(
+                [(self.curve, self.pd)], tol=tol, theta_tol=theta_tol)
+        return self._alpha[tol, theta_tol]
 
     def alpha_ref(self) -> complex:
         return self.alpha(*self.tolerances({})).reference_for(0)
@@ -315,12 +312,7 @@ def cmd_verify(args) -> int:
         return out, time.time() - t1
 
     try:
-        if args.jobs and args.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-                results = list(ex.map(run_task, range(len(tasks)), tasks))
-        else:
-            results = list(map(run_task, range(len(tasks)), tasks))
+        results = list(map(run_task, range(len(tasks)), tasks))
     except (ThetaError, PeriodError, HomologyError, QuadratureError) as exc:
         print(f"error: verification aborted: {exc}", file=sys.stderr)
         return 3
@@ -373,8 +365,6 @@ def main(argv=None) -> int:
     p3.add_argument("--theta-tol", type=float, default=None)
     p3.add_argument("--quad-order", type=int, default=None)
     p3.add_argument("--seed", type=int, default=None)
-    p3.add_argument("--jobs", type=int, default=1,
-                    help="threads for independent tasks (one interpreter lock)")
     p3.add_argument("--out", default=None, help="JSONL output path")
     p3.set_defaults(func=cmd_verify)
 

@@ -4,8 +4,9 @@ Every path is a polyline whose legs either end at a branch point (integrable
 endpoint singularity of exponent -m/n, handled by Gauss-Jacobi nodes with the
 matching weight) or stay away from all branch points (Gauss-Legendre).  The
 sheet of w along a path is fixed by an anchor value at one non-singular point
-and transported by nearest-root tracking with provable, breadth-first step
-refinement in arrays.
+and continued exactly along the straight steps between points: a linear factor
+that moves straight without passing 0 turns by the argument of its end-to-start
+ratio, so the sheets are a running sum of root-of-unity shifts (_continue).
 """
 
 from __future__ import annotations
@@ -39,94 +40,63 @@ def _gj_nodes(order: int, alpha: float, beta: float):
 # Sheet tracking
 
 
-def track_w(curve: CurveSpec, zs: Sequence[complex], w_start: complex,
-            max_depth: int = 52) -> np.ndarray:
+def track_w(curve: CurveSpec, zs: Sequence[complex], w_start: complex) -> np.ndarray:
     """Continue w = f^{1/n} along the points zs, starting from w_start at
-    zs[0], by the provable step rule of _track."""
-    return _track(zs, w_start, curve.lambdas, curve.n, curve.w_principal, max_depth)
+    zs[0]; see _continue."""
+    return _track(zs, w_start, curve.lambdas, curve.n, curve.w_principal)
 
 
 def _track(zs: Sequence[complex], start: complex, lams: Sequence[complex], n: int,
-           principal, max_depth: int = 52) -> np.ndarray:
+           principal) -> np.ndarray:
     """Continue the branch of (prod_{lam in lams} (z - lam))^{1/n} that is
-    `start` at zs[0] along zs; principal maps an array of points to the
-    principal values.
-
-    A step is only taken when it is provably unambiguous: along a segment at
-    distance d from every lam, |d log w| <= (N/n) |dz| / d (N = len(lams)),
-    so steps with |dz| <= 0.3 (n/N) d cannot rotate the branch anywhere near
-    the root spacing 2 pi / n.  Longer steps are bisected, breadth-first: all
-    failing sub-steps of one level are split together, up to max_depth
-    (<= 62) levels.  Endpoint-only heuristics are unsound (the true branch
-    can rotate by pi across a long step and land near the wrong root).
-    """
+    `start` at zs[0] along the straight steps between the points zs;
+    principal maps an array of points to principal values."""
     zs = np.asarray(zs, dtype=complex)
-    lams = np.asarray(lams, dtype=complex)
-    bad = ~np.isfinite(zs)
-    if bad.any():       # its steps would fail at every level, doubling each time
-        raise QuadratureError(f"sheet tracking through the non-finite point {zs[bad][0]}")
-    # frontier: sub-step a -> b, its step index and dyadic position in it
-    a, b = zs[:-1], zs[1:]
-    step = np.arange(len(a))
-    pos = np.zeros(len(a), dtype=np.int64)
-    leaves = []
-    for level in range(max_depth + 1):
-        live = a != b               # a zero-length step keeps the value
-        a, b, step, pos = a[live], b[live], step[live], pos[live]
-        ok = _provable_steps(a, b, lams, n)
-        leaves.append((step[ok], pos[ok] << (max_depth - level), b[ok]))
-        if ok.all():
-            break
-        if level == max_depth:
-            raise QuadratureError(
-                f"sheet tracking cannot resolve the step {a[~ok][0]} -> {b[~ok][0]}")
-        a, b, step, pos = a[~ok], b[~ok], step[~ok], pos[~ok]
-        mid = (a + b) / 2.0
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        step, pos = np.concatenate([step, step]), np.concatenate([2 * pos, 2 * pos + 1])
-    step, key, ends = (np.concatenate(x) for x in zip(*leaves))
-    order = np.lexsort((key, step))
-    vals = _nearest_roots(principal(ends[order]), start, n, ends[order])
-    # the value at zs[i] is the one after the last leaf of steps 0 .. i-1
-    last = np.searchsorted(step[order], np.arange(len(zs) - 1), side="right")
-    return np.concatenate([[start], np.concatenate([[start], vals])[last]])
+    factors = zs[:, None] - np.asarray(lams, dtype=complex)
+    return _continue(zs, factors, start, n, principal)
 
 
-def _provable_steps(a: np.ndarray, b: np.ndarray, lams: np.ndarray, n: int) -> np.ndarray:
-    """Which steps a -> b satisfy |dz| <= 0.3 n d / N, d the distance from
-    the segment to the nearest of the N lams (all steps x lams at once)."""
-    if not len(lams):
-        return np.ones(len(a), dtype=bool)
-    ab = b - a
-    length = np.abs(ab)
-    ux, uy = (ab.real / length)[:, None], (ab.imag / length)[:, None]
-    pa = lams - a[:, None]
-    s = np.clip(pa.real * ux + pa.imag * uy, 0.0, length[:, None])
-    d = np.hypot(s * ux - pa.real, s * uy - pa.imag).min(axis=1)
-    return (d > 0.0) & (length <= 0.3 * n * d / len(lams))
+def _continue(at: np.ndarray, factors: np.ndarray, start: complex, n: int,
+              principal) -> np.ndarray:
+    """Continue w with w^n = prod_k factors[:, k] from `start` at row 0,
+    where each factor moves straight from row to row; `at` names the rows
+    (points or parameters) and principal(at) gives one n-th root per row.
 
-
-def _nearest_roots(base: np.ndarray, start: complex, n: int, at) -> np.ndarray:
-    """base[i] rho^{j_i} with each value the nearest of its n candidates to
-    the one before it (to start for i = 0); rho = exp(2 pi i / n).
-
-    j_i is the running sum mod n of the shifts that take base[i] nearest to
-    base[i - 1].  Raises QuadratureError where the nearest candidate is not
-    at most half as far as the next one (the point is named from `at`)."""
+    A factor moving straight from p to q without passing 0 turns by exactly
+    Arg(q/p), so w turns by the sum of the turns over n, and the shift
+    between the principal values of consecutive rows is the integer
+    (arg P_i - arg P_{i+1} + sum_k turn_k / n) n / (2 pi): the sheets are a
+    running sum mod n, with no step test.  A zero factor or a turn within
+    1e-8 of +-pi (a step onto or through a branch point) raises.
+    """
+    bad = ~np.isfinite(at)
+    if bad.any():
+        raise QuadratureError(f"sheet tracking through the non-finite point {at[bad][0]}")
+    bad = (factors == 0).any(axis=1)
+    if bad.any():
+        raise QuadratureError(f"sheet tracking onto a branch point at {at[bad][0]}")
+    turn = np.angle(factors[1:] / factors[:-1])
+    bad = ~(np.abs(turn) <= np.pi - 1e-8).all(axis=1)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise QuadratureError(
+            f"sheet tracking through a branch point on the step {at[i]} -> {at[i + 1]}")
+    base = principal(at)
     rots = np.exp(2j * np.pi * np.arange(n) / n)
     # the result is indexed from this product, not formed as base * rots[j]:
     # numpy's contiguous complex multiply can round differently from the
     # point-by-roots product that the sheet values have always been
     cands = base[:, None] * rots
-    prev = np.concatenate([[start], base[:-1]])
-    d = np.abs(cands - prev[:len(base), None])
-    d_sorted = np.sort(d, axis=1)
-    bad = d_sorted[:, 0] > 0.5 * d_sorted[:, 1]
-    if bad.any():
-        raise QuadratureError(
-            f"sheet tracking lost separation near {at[bad][0]} (step too coarse)")
-    j = np.cumsum(np.argmin(d, axis=1)) % n
-    return cands[np.arange(len(base)), j]
+    d = np.abs(cands[0] - start)
+    d_sorted = np.sort(d)
+    if d_sorted[0] > 0.5 * d_sorted[1]:
+        raise QuadratureError(f"sheet tracking lost separation near {at[0]} (start value)")
+    arg = np.angle(base)
+    shift = np.rint((arg[:-1] - arg[1:] + turn.sum(axis=1) / n) * (n / (2 * np.pi)))
+    j = (np.argmin(d) + np.concatenate([[0], np.cumsum(shift.astype(np.int64))])) % n
+    out = cands[np.arange(len(at)), j]
+    out[np.logical_and.accumulate(at == at[0])] = start   # leading zero-length steps
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -247,14 +217,14 @@ def polyline_integrals(curve: CurveSpec, points: Sequence[complex],
         raise ValueError("anchor cannot sit on a singular endpoint")
     if sing_end and anchor_index == M:
         raise ValueError("anchor cannot sit on a singular endpoint")
-    # propagate the anchor to every non-singular vertex
-    wv: dict[int, complex] = {anchor_index: complex(w_anchor)}
+    # propagate the anchor to every non-singular vertex, one run each way
     lo = 1 if sing_start else 0
     hi = M - 1 if sing_end else M
-    for i in range(anchor_index + 1, hi + 1):
-        wv[i] = track_w(curve, [pts[i - 1], pts[i]], wv[i - 1])[-1]
-    for i in range(anchor_index - 1, lo - 1, -1):
-        wv[i] = track_w(curve, [pts[i + 1], pts[i]], wv[i + 1])[-1]
+    w = complex(w_anchor)
+    wv = dict(zip(range(anchor_index, hi + 1),
+                  track_w(curve, pts[anchor_index:hi + 1], w)))
+    wv.update(zip(range(anchor_index, lo - 1, -1),
+                  track_w(curve, pts[lo:anchor_index + 1][::-1], w)))
     total = np.zeros(len(diffs), dtype=complex)
     for leg in range(M):
         s0 = sing_start and leg == 0
@@ -284,10 +254,16 @@ def infinity_leg_integrals(curve: CurveSpec, z_far: complex, w_far: complex,
     x, wts = roots_legendre(order)
     sig = 0.5 * (x + 1.0)        # nodes on (0,1)
     wts = 0.5 * wts
-    # continue h from sigma=1 (h=w_far) down through the nodes
-    base = np.array([_root_of_product([z_far - lam * s ** n for lam in curve.lambdas], n)
-                     for s in sig[::-1]], dtype=complex)
-    h_at_nodes = _nearest_roots(base, w_far, n, sig[::-1])[::-1]
+    # continue h from sigma=1 (h=w_far) down through the nodes: each factor
+    # z_far - lam sigma^n moves straight as sigma^n falls
+    at = np.concatenate([[1.0], sig[::-1]])
+    lams = np.asarray(curve.lambdas, dtype=complex)
+
+    def principal(ss):
+        # scalar on purpose: these values enter the integrals
+        return np.array([_root_of_product([z_far - lam * s ** n for lam in curve.lambdas], n)
+                         for s in ss], dtype=complex)
+    h_at_nodes = _continue(at, z_far - at[:, None] ** n * lams, w_far, n, principal)[:0:-1]
 
     out = np.empty(len(diffs), dtype=complex)
     for idx, d in enumerate(diffs):
@@ -302,16 +278,20 @@ def infinity_leg_integrals(curve: CurveSpec, z_far: complex, w_far: complex,
 # ----------------------------------------------------------------------------
 # Obstacle-avoiding polylines
 
+_AVOID_ROUNDS = 6       # bends of build_avoiding_path
+_REFINE_RATIO = 0.3     # refine_path_for_quadrature: obstacle distance / leg length
+_REFINE_DEPTH = 24      # and its halvings per leg
+
 
 def build_avoiding_path(z0: complex, z1: complex, obstacles: Sequence[complex],
-                        clearance: float, max_rounds: int = 6) -> list[complex]:
+                        clearance: float) -> list[complex]:
     """Polyline from z0 to z1 that keeps interior obstacles at distance
-    >= clearance/2 by bending away from them.  Endpoints may coincide with
-    obstacles (they are ignored)."""
+    >= clearance/2 by bending away from them, in at most _AVOID_ROUNDS bends.
+    Endpoints may coincide with obstacles (they are ignored)."""
     pts = [complex(z0), complex(z1)]
     obs = [complex(o) for o in obstacles
            if abs(o - z0) > 1e-14 and abs(o - z1) > 1e-14]
-    for _ in range(max_rounds):
+    for _ in range(_AVOID_ROUNDS):
         worst = None
         for a_i in range(len(pts) - 1):
             a, b = pts[a_i], pts[a_i + 1]
@@ -345,9 +325,10 @@ def _seg_distance(a: complex, b: complex, p: complex) -> tuple[float, float]:
     return abs(a + t * ab - p), t
 
 
-def refine_path_for_quadrature(path: Sequence[complex], obstacles: Sequence[complex],
-                               ratio: float = 0.3, max_depth: int = 24) -> list[complex]:
-    """Split legs until every obstacle is at distance >= ratio * leg length.
+def refine_path_for_quadrature(path: Sequence[complex],
+                               obstacles: Sequence[complex]) -> list[complex]:
+    """Split legs until every obstacle is at distance >= _REFINE_RATIO times
+    the leg length, halving each leg at most _REFINE_DEPTH times.
 
     Gauss rules converge at a rate set by the nearest singularity relative to
     the leg size; halving long legs that pass moderately close to other branch
@@ -356,21 +337,20 @@ def refine_path_for_quadrature(path: Sequence[complex], obstacles: Sequence[comp
     for that leg."""
     out = [complex(path[0])]
     for i in range(len(path) - 1):
-        _refine_leg(complex(path[i]), complex(path[i + 1]), obstacles, ratio,
-                    max_depth, out)
+        _refine_leg(complex(path[i]), complex(path[i + 1]), obstacles, _REFINE_DEPTH, out)
     return out
 
 
-def _refine_leg(a, b, obstacles, ratio, depth, out):
+def _refine_leg(a, b, obstacles, depth, out):
     L = abs(b - a)
     if depth > 0 and L > 0:
         for o in obstacles:
             if abs(o - a) < 1e-12 or abs(o - b) < 1e-12:
                 continue
             d, _ = _seg_distance(a, b, o)
-            if d < ratio * L:
+            if d < _REFINE_RATIO * L:
                 mid = (a + b) / 2.0
-                _refine_leg(a, mid, obstacles, ratio, depth - 1, out)
-                _refine_leg(mid, b, obstacles, ratio, depth - 1, out)
+                _refine_leg(a, mid, obstacles, depth - 1, out)
+                _refine_leg(mid, b, obstacles, depth - 1, out)
                 return
     out.append(b)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -100,13 +101,6 @@ class Characteristic:
 
     def delta_float(self) -> np.ndarray:
         return np.array([float(x) for x in self.delta])
-
-    def negate(self) -> "Characteristic":
-        return Characteristic(tuple(-x for x in self.eps), tuple(-x for x in self.delta))
-
-    def add(self, other: "Characteristic") -> "Characteristic":
-        return Characteristic(tuple(a + b for a, b in zip(self.eps, other.eps)),
-                              tuple(a + b for a, b in zip(self.delta, other.delta)))
 
     def label(self) -> str:
         def fmt(v):
@@ -255,12 +249,14 @@ def _upper_gamma_half(k: int, a2: float) -> float:
     return 0.5 * float(gamma_fn(s)) * float(gammaincc(s, a2))
 
 
+@lru_cache(maxsize=256)
 def _tail_sum_bound(g: int, rho: float, R: float, extra_power: int = 0) -> float:
     """Bound on sum over ||U(m+xi)|| > R of ||U(m+xi)||^extra_power * exp(-||..||^2).
 
     Uniform in the offset xi.  Valid for R > rho; derived by packing disjoint
     balls of radius rho/2 around the lattice points and comparing with the
-    radial Gaussian integral.
+    radial Gaussian integral.  Memoized: the radius search walks the same
+    grid rho + 1 + 0.25 k for every evaluation on one matrix.
     """
     a = max(R - rho, 0.0)
     half = rho / 2.0
