@@ -19,8 +19,11 @@ for tau in the Siegel upper half-space.  Useful identities implemented here:
 Evaluation sums over the lattice points inside the ellipsoid
 || U (m + eps/2 + Y^{-1} Im(zeta + delta/2)) || <= R, where U^t U = pi * Im tau,
 with R chosen from a Gaussian tail bound so the omitted tail is below the
-requested tolerance.  The argument is first range-reduced by integer lattice
-shifts (tracking the periodicity prefactor) to keep exponents bounded.
+requested tolerance.  The points come from a breadth-first Fincke-Pohst
+enumeration, one numpy pass per coordinate, with the point cap checked on
+each level's candidates before they are allocated.  The argument is first
+range-reduced by integer lattice shifts (tracking the periodicity prefactor)
+to keep exponents bounded.
 
 Characteristics are stored as exact rationals (denominators 1, 2, 3, 6 in
 practice) so that third- and sixth-period bookkeeping never drifts.
@@ -116,8 +119,13 @@ def parity(char: Characteristic) -> int:
     return s % 2
 
 
+@lru_cache(maxsize=1024)
 def reduce_characteristic(char: Characteristic) -> tuple[Characteristic, complex]:
-    """Reduce entries into [0, 2); theta(original) = phase * theta(reduced)."""
+    """Reduce entries into [0, 2); theta(original) = phase * theta(reduced).
+
+    Memoized: a pure function of the frozen characteristic, called on every
+    theta evaluation with the few characteristics of a plan.
+    """
     eps_red, delta_red, n_shift, l_shift = [], [], [], []
     for x in char.eps:
         r = x % 2
@@ -192,51 +200,39 @@ class RiemannMatrix:
 def _enumerate_ellipsoid(U: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """All integer m with ||U (m + center)|| <= radius, U upper triangular.
 
-    Fincke-Pohst style recursion from the last coordinate down.
+    Fincke-Pohst enumeration, breadth-first: one array pass per coordinate,
+    from m_{g-1} down to m_0.  A frontier node holds its chosen coordinates,
+    the partial linear form (the rows still needed) and the remaining squared
+    norm; its children are the k in [lo, hi] with budget - (u (k + off))^2 >=
+    -1e-12.  Children are expanded in parent order with k ascending, so the
+    rows come out in lexicographic order on (m_{g-1}, ..., m_0).  ThetaError
+    is raised as soon as one level has more than _POINT_CAP candidates,
+    before that level's arrays are allocated.
     """
     g = U.shape[0]
-    out: list[np.ndarray] = []
-    m = np.zeros(g, dtype=np.int64)
-    count = 0
-
-    def rec(level: int, partial: np.ndarray, budget: float):
-        nonlocal count
-        # partial: contributions of levels > level to each row's linear form
+    chosen = np.zeros((1, 0), dtype=np.int64)   # columns m_{level+1} .. m_{g-1}
+    partial = np.zeros((1, g))
+    budget = np.array([radius * radius])
+    for level in range(g - 1, -1, -1):
         u = U[level, level]
-        off = center[level] + partial[level] / u
-        half = math.sqrt(max(budget, 0.0)) / abs(u)
-        lo = math.ceil(-off - half - 1e-12)
-        hi = math.floor(-off + half + 1e-12)
-        if hi < lo:
-            return
-        if level == 0:
-            ks = np.arange(lo, hi + 1, dtype=np.int64)
-            t = u * (ks + off)
-            keep = ks[budget - t * t >= -1e-12]
-            if keep.size:
-                block = np.tile(m, (keep.size, 1))
-                block[:, 0] = keep
-                out.append(block)
-                count += keep.size
-                if count > _POINT_CAP:
-                    raise ThetaError("lattice enumeration exceeded point cap")
-            return
-        for k in range(lo, hi + 1):
-            t = u * (k + off)
-            rem = budget - t * t
-            if rem < -1e-12:
-                continue
-            m[level] = k
-            newpart = partial + U[:, level] * (k + center[level])
-            rec(level - 1, newpart, max(rem, 0.0))
-        m[level] = 0
-
-    if g == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    rec(g - 1, np.zeros(g), radius * radius)
-    if not out:
-        return np.zeros((0, g), dtype=np.int64)
-    return np.concatenate(out, axis=0)
+        off = center[level] + partial[:, level] / u
+        half = np.sqrt(budget) / abs(u)
+        lo = np.ceil(-off - half - 1e-12).astype(np.int64)
+        hi = np.floor(-off + half + 1e-12).astype(np.int64)
+        counts = np.maximum(hi - lo + 1, 0)
+        total = int(counts.sum())
+        if total > _POINT_CAP:
+            raise ThetaError("lattice enumeration exceeded point cap")
+        parent = np.repeat(np.arange(counts.size), counts)
+        k = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        t = u * (k + off[parent])
+        rem = budget[parent] - t * t
+        keep = rem >= -1e-12
+        parent, k = parent[keep], k[keep]
+        chosen = np.column_stack([k, chosen[parent]])
+        partial = partial[parent, :level] + U[:level, level] * (k + center[level])[:, None]
+        budget = np.maximum(rem[keep], 0.0)
+    return chosen
 
 
 # ----------------------------------------------------------------------------

@@ -2,11 +2,18 @@
 
 These deliberately avoid the library's evaluation paths: the theta oracle is
 a plain full-box lattice sum, the elliptic j target comes from the
-branch-point cross-ratio, and sheet tracking is checked against the scalar
-depth-first step rule.
+branch-point cross-ratio, sheet tracking is checked against the scalar
+depth-first step rule, and lattice enumeration against the depth-first
+Fincke-Pohst recursion.
 """
 
+import math
+
 import numpy as np
+
+from thetalab.theta import ThetaError
+
+_POINT_CAP = 8_000_000
 
 
 def naive_theta(eps, delta, zeta, tau, box: int = 12) -> complex:
@@ -82,3 +89,54 @@ def scalar_track(zs, start, lams, n, principal, max_depth: int = 52) -> np.ndarr
     for i in range(1, len(zs)):
         out[i] = step(zs[i - 1], out[i - 1], zs[i], max_depth)
     return out
+
+
+def recursive_enumerate(U: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """All integer m with ||U (m + center)|| <= radius, U upper triangular.
+
+    Fincke-Pohst style recursion from the last coordinate down, frozen from
+    the depth-first enumerator thetalab used before its breadth-first one.
+    """
+    g = U.shape[0]
+    out: list[np.ndarray] = []
+    m = np.zeros(g, dtype=np.int64)
+    count = 0
+
+    def rec(level: int, partial: np.ndarray, budget: float):
+        nonlocal count
+        # partial: contributions of levels > level to each row's linear form
+        u = U[level, level]
+        off = center[level] + partial[level] / u
+        half = math.sqrt(max(budget, 0.0)) / abs(u)
+        lo = math.ceil(-off - half - 1e-12)
+        hi = math.floor(-off + half + 1e-12)
+        if hi < lo:
+            return
+        if level == 0:
+            ks = np.arange(lo, hi + 1, dtype=np.int64)
+            t = u * (ks + off)
+            keep = ks[budget - t * t >= -1e-12]
+            if keep.size:
+                block = np.tile(m, (keep.size, 1))
+                block[:, 0] = keep
+                out.append(block)
+                count += keep.size
+                if count > _POINT_CAP:
+                    raise ThetaError("lattice enumeration exceeded point cap")
+            return
+        for k in range(lo, hi + 1):
+            t = u * (k + off)
+            rem = budget - t * t
+            if rem < -1e-12:
+                continue
+            m[level] = k
+            newpart = partial + U[:, level] * (k + center[level])
+            rec(level - 1, newpart, max(rem, 0.0))
+        m[level] = 0
+
+    if g == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    rec(g - 1, np.zeros(g), radius * radius)
+    if not out:
+        return np.zeros((0, g), dtype=np.int64)
+    return np.concatenate(out, axis=0)

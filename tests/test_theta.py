@@ -1,13 +1,20 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import thetalab.theta
 from thetalab.theta import (Characteristic, RiemannMatrix, ThetaError,
-                            apply_transchar, count_parities, parity,
-                            reduce_characteristic, theta_eval, theta_grad,
-                            theta_norm_abs, truncation_radius)
+                            _enumerate_ellipsoid, apply_transchar,
+                            count_parities, parity, reduce_characteristic,
+                            theta_eval, theta_grad, theta_norm_abs,
+                            truncation_radius)
 
 from conftest import random_riemann_matrix
-from oracles import THETA_AT_I, naive_theta, naive_theta_grad
+from oracles import (THETA_AT_I, naive_theta, naive_theta_grad,
+                     recursive_enumerate)
 
 
 def test_classical_value_at_i():
@@ -212,3 +219,102 @@ def test_norm_abs_lattice_invariance():
     shifted = theta_norm_abs(ch, zeta + tau.matrix @ np.array([2, -1]) + np.array([3, 1]),
                              tau, 1e-12)
     assert abs(base - shifted) < 1e-9 * base
+
+
+# ----------------------------------------------------------------------------
+# Lattice enumeration: the breadth-first pass against the frozen recursion
+
+
+def assert_same_points(U, center, radius):
+    got = _enumerate_ellipsoid(U, center, radius)
+    want = recursive_enumerate(U, center, radius)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+def test_enumeration_matches_recursion_on_seeded_matrices(g):
+    rng = np.random.default_rng(30 + g)
+    radii = (0.0, 0.7, 1.6, 2.5) if g <= 4 else (0.0, 0.7, 1.6, 2.2)
+    for _ in range(4):
+        U = RiemannMatrix(random_riemann_matrix(g, rng)).U
+        for center in (np.zeros(g), rng.uniform(-1.0, 1.0, g)):
+            for radius in radii:
+                assert_same_points(U, center, radius)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.7])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_enumeration_matches_recursion_on_lattice_norms(g, c):
+    # r = c sqrt(k) puts points exactly on the sphere, at the 1e-12 margin
+    U = c * np.eye(g)
+    for k in range(12):
+        for center in (np.zeros(g), np.full(g, 0.5)):
+            assert_same_points(U, center, c * np.sqrt(k))
+
+
+def test_enumeration_matches_recursion_on_skewed_bases():
+    rng = np.random.default_rng(40)
+    for _ in range(30):
+        g = int(rng.integers(2, 6))
+        U = np.triu(rng.normal(scale=3.0, size=(g, g)), 1)
+        U[np.diag_indices(g)] = rng.uniform(0.2, 1.5, g)
+        center = rng.normal(size=g) if rng.random() < 0.5 else np.zeros(g)
+        assert_same_points(U, center, float(rng.uniform(0.5, 2.5)))
+
+
+def test_enumeration_empty_and_genus_zero():
+    got = assert_same_points(np.eye(3), np.full(3, 0.5), 0.5)
+    assert got.shape == (0, 3)
+    got = assert_same_points(np.zeros((0, 0)), np.zeros(0), 1.0)
+    assert got.shape == (1, 0)
+
+
+@st.composite
+def _ellipsoids(draw):
+    g = draw(st.integers(1, 4))
+    entry = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    U = np.triu(np.array(draw(st.lists(entry, min_size=g * g, max_size=g * g)))
+                .reshape(g, g), 1)
+    U[np.diag_indices(g)] = draw(st.lists(st.floats(0.3, 3.0), min_size=g, max_size=g))
+    center = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=g, max_size=g)))
+    return U, center, draw(st.floats(0.0, 3.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_ellipsoids())
+def test_enumeration_matches_recursion_property(case):
+    assert_same_points(*case)
+
+
+def test_point_cap_is_checked_on_each_level(monkeypatch):
+    # diagonal U, zero centre: every node keeps its k = 0 child and no
+    # candidate is rejected, so the leaf level holds the most candidates
+    U = np.diag([1.0, 1.3, 0.8])
+    full = _enumerate_ellipsoid(U, np.zeros(3), 2.5)
+    monkeypatch.setattr(thetalab.theta, "_POINT_CAP", len(full))
+    assert np.array_equal(_enumerate_ellipsoid(U, np.zeros(3), 2.5), full)
+    monkeypatch.setattr(thetalab.theta, "_POINT_CAP", len(full) - 1)
+    with pytest.raises(ThetaError, match="point cap"):
+        _enumerate_ellipsoid(U, np.zeros(3), 2.5)
+
+
+def test_point_cap_fails_fast(monkeypatch):
+    U, radius = np.eye(6), 5.0
+    assert len(_enumerate_ellipsoid(U, np.zeros(6), radius)) == 84_769
+    monkeypatch.setattr(thetalab.theta, "_POINT_CAP", 10_000)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ThetaError, match="point cap"):
+            _enumerate_ellipsoid(U, np.zeros(6), radius)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    # the whole enumeration peaks at about 11 MiB; stopping at the first
+    # level past the cap never holds more than about 10,000 nodes
+    assert peak < 4 * 2 ** 20
