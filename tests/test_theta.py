@@ -301,6 +301,19 @@ def test_point_cap_is_checked_on_each_level(monkeypatch):
         _enumerate_ellipsoid(U, np.zeros(3), 2.5)
 
 
+def test_point_cap_counts_intermediate_levels(monkeypatch):
+    # uneven diagonal: the m_1 level has 21 candidates (k = -10..10) but
+    # only 3 of them have an m_0 child, so a cap of 20 fires on 3 points
+    U, radius = np.array([[100.0, 37.0], [0.0, 1.0]]), 10.0
+    full = _enumerate_ellipsoid(U, np.zeros(2), radius)
+    assert full.tolist() == [[3, -8], [0, 0], [-3, 8]]
+    monkeypatch.setattr(thetalab.theta, "_POINT_CAP", 21)
+    assert np.array_equal(_enumerate_ellipsoid(U, np.zeros(2), radius), full)
+    monkeypatch.setattr(thetalab.theta, "_POINT_CAP", 20)
+    with pytest.raises(ThetaError, match="point cap"):
+        _enumerate_ellipsoid(U, np.zeros(2), radius)
+
+
 def test_point_cap_fails_fast(monkeypatch):
     U, radius = np.eye(6), 5.0
     assert len(_enumerate_ellipsoid(U, np.zeros(6), radius)) == 84_769
