@@ -168,6 +168,30 @@ def all_elementary_symmetric(values: Sequence[complex]) -> np.ndarray:
     return e
 
 
+def sigma_row(values: Sequence[complex], rows: Sequence[int],
+              drop: int = 0) -> dict[int, complex]:
+    """l -> (-1)^(top-l) sigma_{top-l-drop}(values) over the rows l of one
+    block of C, top = rows[-1]; drop = 1 when infinity is in the sigma set.
+    Rows whose degree is out of range are left out."""
+    sig = all_elementary_symmetric(values)
+    top = rows[-1]
+    return {l: (-1) ** (top - l) * sig[top - l - drop] for l in rows
+            if 0 <= top - l - drop < len(sig)}
+
+
+def sigma_contract(pref: complex, row: Mapping[int, complex],
+                   C: np.ndarray) -> np.ndarray:
+    """pref * sum_l row[l] C[l-1, s] per column s, in row order: a scalar loop,
+    since numpy's array complex product (row @ C) can round differently."""
+    out = np.zeros(C.shape[1], dtype=complex)
+    for s in range(C.shape[1]):
+        acc = 0.0 + 0.0j
+        for l, coeff in row.items():
+            acc += coeff * C[l - 1, s]
+        out[s] = pref * acc
+    return out
+
+
 def vandermonde_delta(I: IndexSet, lam: Mapping[int, complex]) -> complex:
     """Product of (lambda_i - lambda_j) over ordered pairs i < j in I, INF skipped."""
     idx = I.finite

@@ -8,7 +8,8 @@ Subcommands:
 
 Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success /
 all verifications passed, 1 verification failure, 2 parse failure, unknown
-task id or a task for the other cover degree, 3 invariant failure (bad curve,
+task id, a task for the other cover degree or a bad task or plan
+parameter, 3 invariant failure (bad curve,
 non-positive-definite Im tau), theta failure (truncation or point cap), sheet
 tracking failure or no non-special divisor found by sampling.
 Runs are deterministic for a fixed plan and seed; wall-clock timings appear
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from .curves import CurveSpec, CurveSpecError
-from .periods import PeriodData, PeriodError, build_periods
+from .periods import QUAD_DRIFT_TARGET, PeriodData, PeriodError, build_periods
 from .homology import HomologyError
 from .quadrature import QuadratureError
 from .theta import (Characteristic, RiemannMatrix, ThetaError, theta_eval,
@@ -174,7 +176,7 @@ class Plan:
         tau_scale = 1.0 + float(np.max(np.abs(self.pd.tau.matrix)))
         checks = {
             "tau_asymmetry": (d["tau_asymmetry"], 1e-8),
-            "quad_drift": (d["quad_drift"], 1e-9),
+            "quad_drift": (d["quad_drift"], QUAD_DRIFT_TARGET),
             "order_n_lattice_dist": (d["order_n_lattice_dist"], 1e-8 * tau_scale),
             "K_lattice_dist_2K": (d["K_lattice_dist_2K"], 1e-8 * tau_scale),
         }
@@ -263,6 +265,33 @@ TASKS = {
 }
 
 
+def _int_in(lo, hi):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
+
+
+def _bad_parameter(places: list[tuple[str, dict]], n: int):
+    """The error line for the first bad task or plan parameter, or None; n is
+    the number of branch points."""
+    positive = (_int_in(1, math.inf), "a positive integer")
+    tolerance = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                 and math.isfinite(v) and v > 0, "a finite positive number")
+    checks = {
+        "ks": (lambda v: isinstance(v, list) and all(map(_int_in(1, n), v)),
+               f"a list of branch indices in 1..{n}"),
+        "samples": positive, "count": positive, "quad_order": positive,
+        "seed": (_int_in(-math.inf, math.inf), "an integer"),
+        "infinity_in": (lambda v: isinstance(v, list) and all(map(_int_in(0, 2), v)),
+                        "a list of parts among 0, 1, 2"),
+        "include_infinity": (lambda v: isinstance(v, bool), "true or false"),
+        "tol": tolerance, "theta_tol": tolerance,
+    }
+    for where, params in places:
+        for key, (ok, what) in checks.items():
+            if key in params and not ok(params[key]):
+                return f"error: {where}: {key} must be {what}, got {params[key]!r}"
+    return None
+
+
 def cmd_verify(args) -> int:
     plan = _load_json(args.plan)
     try:
@@ -274,7 +303,8 @@ def cmd_verify(args) -> int:
         tasks = plan["tasks"]
         if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
             raise KeyError("tasks")
-    except (KeyError, TypeError, CurveSpecError) as exc:
+        defaults = dict(plan.get("tolerances", {}))
+    except (KeyError, TypeError, ValueError, CurveSpecError) as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
         return 2
     for t in tasks:
@@ -286,12 +316,16 @@ def cmd_verify(args) -> int:
             print(f"error: task {t['id']!r} needs a cover of degree {degree}, "
                   f"the curve has degree {curve.n}", file=sys.stderr)
             return 2
-    seed = int(args.seed if args.seed is not None else plan.get("seed", 0))
-    defaults = dict(plan.get("tolerances", {}))
     if args.tol is not None:
         defaults["tol"] = args.tol
     if args.theta_tol is not None:
         defaults["theta_tol"] = args.theta_tol
+    bad = _bad_parameter([("plan", plan), ("plan tolerances", defaults)]
+                         + [(f"task {t['id']!r}", t) for t in tasks], curve.num_branch)
+    if bad:
+        print(bad, file=sys.stderr)
+        return 2
+    seed = int(args.seed if args.seed is not None else plan.get("seed", 0))
     quad_order = int(args.quad_order or plan.get("quad_order", 64))
 
     t0 = time.time()

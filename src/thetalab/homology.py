@@ -32,6 +32,9 @@ class HomologyError(RuntimeError):
     pass
 
 
+ARC_SEGMENTS = 48   # polyline segments per far arc of a cycle
+
+
 # ----------------------------------------------------------------------------
 # Chain construction
 
@@ -139,7 +142,7 @@ def _graded_strand(path: Sequence[complex], start: complex, end: complex,
 
 
 def build_cycle(curve: CurveSpec, edge: ChainEdge, edge_index: int, shift: int,
-                radius: float, offset: float, arc_segments: int = 48) -> CyclePolyline:
+                radius: float, offset: float) -> CyclePolyline:
     """Figure-eight cycle winding +1 around the edge start and -1 around the
     edge end.
 
@@ -166,13 +169,13 @@ def build_cycle(curve: CurveSpec, edge: ChainEdge, edge_index: int, shift: int,
 
     pts: list[complex] = []
     arc_a = _arc(la, radius, float(np.angle(t2 - la)), float(np.angle(t3 - la)),
-                 ccw=True, segments=arc_segments)
+                 ccw=True, segments=ARC_SEGMENTS)
     pts.extend(arc_a)                                   # t2 ... t3
     out_strand = _graded_strand(path, t3, t1, -offset, +skew * offset)
     i_out_mid = len(pts) + max(0, (len(out_strand) - 2) // 2)
     pts.extend(out_strand[1:])                          # ... t1
     arc_b = _arc(lb, radius, float(np.angle(t1 - lb)), float(np.angle(t4 - lb)),
-                 ccw=False, segments=arc_segments)
+                 ccw=False, segments=ARC_SEGMENTS)
     pts.extend(arc_b[1:])                               # ... t4
     # reversed path flips the leg normals, so in the forward frame this strand
     # grades from -skew*s at the lambda_end side to +s at lambda_start

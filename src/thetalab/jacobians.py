@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import all_elementary_symmetric, derivative_at_root, principal_power
+from .algebra import derivative_at_root, principal_power, sigma_contract, sigma_row
 from .curves import CurveSpec
 from .periods import PeriodData, SurfacePoint
 from .quadrature import polyline_integrals, track_w
@@ -57,15 +57,8 @@ def aj_jacobian_hyper_closed(curve: CurveSpec, periods: PeriodData,
     zs = [p.z for p in points]
     out = np.zeros((g, g), dtype=complex)
     for r, p in enumerate(points):
-        others = [z for i, z in enumerate(zs) if i != r]
-        sig = all_elementary_symmetric(others)
-        denom = derivative_at_root(zs, r)
-        coeff = p.w / denom
-        for s in range(g):
-            acc = 0.0 + 0.0j
-            for l in range(1, g + 1):
-                acc += (-1) ** (g - l) * sig[g - l] * periods.C[l - 1, s]
-            out[r, s] = coeff * acc
+        out[r] = sigma_contract(p.w / derivative_at_root(zs, r),
+                                sigma_row(zs[:r] + zs[r + 1:], range(1, g + 1)), periods.C)
     return out
 
 
@@ -158,39 +151,22 @@ def aj_jacobian_trig(curve: CurveSpec, periods: PeriodData,
 
 def aj_jacobian_trig_closed(curve: CurveSpec, periods: PeriodData,
                             config: TrigConfiguration) -> tuple[np.ndarray, np.ndarray]:
-    """The same blocks through the closed-form symmetric-function expressions."""
+    """The same blocks through the closed-form symmetric-function expressions:
+    row r is c f'(lambda_r)^e / (3 F'(lambda_r)) times the sigma row of the
+    other anchors of its block, (c, e) = (1, 2/3) for alpha, (2, 1/3) for beta."""
     config.validate(curve)
     q = curve.q
-    g = curve.genus
-    zs_plus = [curve.lam(a) for a in config.anchors]
-    zs_minus = [curve.lam(a) for a in config.doubled(q)]
-    d_alpha = np.zeros((2 * q - 1, g), dtype=complex)
-    d_beta = np.zeros((q - 1, g), dtype=complex)
-    for r, a in enumerate(config.anchors):
-        lam = curve.lam(a)
-        fp = curve.f_prime_at_branch(a)
-        others = [z for i, z in enumerate(zs_plus) if i != r]
-        sig = all_elementary_symmetric(others)
-        fplus_der = derivative_at_root(zs_plus, r)
-        coeff = principal_power(fp, 2.0 / 3.0) / (3.0 * fplus_der)
-        for s in range(g):
-            acc = 0.0 + 0.0j
-            for l in range(1, 2 * q):
-                acc += (-1) ** (2 * q - 1 - l) * sig[2 * q - 1 - l] * periods.C[l - 1, s]
-            d_alpha[r, s] = coeff * acc
-    for r, a in enumerate(config.doubled(q)):
-        lam = curve.lam(a)
-        fp = curve.f_prime_at_branch(a)
-        others = [z for i, z in enumerate(zs_minus) if i != r]
-        sig = all_elementary_symmetric(others)
-        fminus_der = derivative_at_root(zs_minus, r)
-        coeff = 2.0 * principal_power(fp, 1.0 / 3.0) / (3.0 * fminus_der)
-        for s in range(g):
-            acc = 0.0 + 0.0j
-            for l in range(2 * q, 3 * q - 1):
-                acc += (-1) ** (3 * q - 2 - l) * sig[3 * q - 2 - l] * periods.C[l - 1, s]
-            d_beta[r, s] = coeff * acc
-    return d_alpha, d_beta
+    blocks = []
+    for anchors, c, e, rows in ((config.anchors, 1.0, 2.0 / 3.0, range(1, 2 * q)),
+                                (config.doubled(q), 2.0, 1.0 / 3.0, range(2 * q, 3 * q - 1))):
+        zs = [curve.lam(a) for a in anchors]
+        block = np.zeros((len(zs), curve.genus), dtype=complex)
+        for r, a in enumerate(anchors):
+            coeff = (c * principal_power(curve.f_prime_at_branch(a), e)
+                     / (3.0 * derivative_at_root(zs, r)))
+            block[r] = sigma_contract(coeff, sigma_row(zs[:r] + zs[r + 1:], rows), periods.C)
+        blocks.append(block)
+    return blocks[0], blocks[1]
 
 
 def trig_point_on_local_branch(curve: CurveSpec, anchor: int, t: complex) -> SurfacePoint:

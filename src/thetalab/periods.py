@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +30,12 @@ class PeriodError(RuntimeError):
 
 
 SNAP_DENOMINATOR = 6     # characteristic entries snap to p/6: covers 1,2,3,6
+SNAP_TOL = 1e-7          # largest coordinate change a snap may make
+QUAD_DRIFT_TARGET = 1e-9  # relative period change between quadrature orders
+QUAD_MAX_ORDER = 1024
+DIRECT_NODES = 10        # Gauss-Legendre nodes per polyline segment, a-period re-check
+DIRECT_REL_TOL = 2e-5    # agreement the re-check asks of the a_1-periods
+THETA_TOL = 1e-10        # theta tolerance of the Riemann-constant search
 THETA_SCALE_SEED = 1234  # seeded arguments of PeriodData.theta_scale
 THETA_SCALE_SAMPLES = 12
 
@@ -79,28 +85,19 @@ class PeriodData:
         resid = self.tau.matrix @ de + dd
         return float(np.max(np.abs(resid))) if self.g else 0.0
 
-    def lattice_reduce(self, v: np.ndarray, snap: bool = True,
-                       snap_tol: float = 1e-7) -> tuple[Characteristic, float]:
-        """Characteristic of v modulo the lattice.
-
-        With snap=True the coordinates are rounded to the nearest multiples of
-        1/SNAP_DENOMINATOR and the residual (max deviation before reduction)
-        is returned; a residual above snap_tol raises."""
+    def lattice_reduce(self, v: np.ndarray) -> tuple[Characteristic, float]:
+        """Characteristic of v modulo the lattice, its coordinates rounded to
+        the nearest multiples of 1/SNAP_DENOMINATOR, and the residual (max
+        deviation before reduction); a residual above SNAP_TOL raises."""
         eps, delta = self.lattice_coords(v)
-        if not snap:
-            ch = Characteristic.of([Fraction(x).limit_denominator(3 * 10 ** 8) % 2
-                                    for x in eps],
-                                   [Fraction(x).limit_denominator(3 * 10 ** 8) % 2
-                                    for x in delta])
-            return ch, 0.0
         d = SNAP_DENOMINATOR
         eps_s = np.round(eps * d) / d
         delta_s = np.round(delta * d) / d
         residual = float(max(np.max(np.abs(eps - eps_s), initial=0.0),
                              np.max(np.abs(delta - delta_s), initial=0.0)))
-        if residual > snap_tol:
+        if residual > SNAP_TOL:
             raise PeriodError(
-                f"characteristic snap residual {residual:.3e} exceeds {snap_tol:.1e}")
+                f"characteristic snap residual {residual:.3e} exceeds {SNAP_TOL:.1e}")
         ch = Characteristic.of(
             [Fraction(int(round(x * d)), d) % 2 for x in eps_s],
             [Fraction(int(round(x * d)), d) % 2 for x in delta_s])
@@ -111,16 +108,15 @@ class PeriodData:
 
     # -- Abel-Jacobi ------------------------------------------------------
 
-    def abel_jacobi_point(self, point: SurfacePoint, order: Optional[int] = None) -> np.ndarray:
-        """u_{P_inf}(point) for a generic surface point (z, w)."""
+    def abel_jacobi_point(self, point: SurfacePoint) -> np.ndarray:
+        """u_{P_inf}(point) for a generic surface point (z, w), at quad_order."""
         curve = self.curve
-        order = order or self.quad_order
         diffs = curve.differentials()
         others = list(curve.lambdas)
         clearance = 0.25 * self.chain.gap
         path = build_avoiding_path(self.z_far, point.z, others, clearance)
         path = refine_path_for_quadrature(path, others)
-        res = polyline_integrals(curve, path, diffs, order,
+        res = polyline_integrals(curve, path, diffs, self.quad_order,
                                  sing_start=False, sing_end=False,
                                  w_anchor=point.w, anchor_index=len(path) - 1)
         # sheet of the path at z_far relative to the stored far anchor
@@ -222,13 +218,13 @@ def _cycle_periods(curve: CurveSpec, chain: Chain, cycles: list[CyclePolyline],
 
 
 def _direct_cycle_integrals(curve: CurveSpec, cycle: CyclePolyline,
-                            diffs: Sequence[Differential], nodes: int = 10) -> np.ndarray:
+                            diffs: Sequence[Differential]) -> np.ndarray:
     """Periods by brute-force Gauss-Legendre along the cycle polyline itself.
 
     Slow and only moderately accurate (the polyline hugs the branch points at
     distance ~radius); used to re-verify the closed-form edge assembly."""
     from scipy.special import roots_legendre
-    x, wts = roots_legendre(nodes)
+    x, wts = roots_legendre(DIRECT_NODES)
     total = np.zeros(len(diffs), dtype=complex)
     pts, wv = cycle.points, cycle.w
     for i in range(len(pts) - 1):
@@ -242,10 +238,11 @@ def _direct_cycle_integrals(curve: CurveSpec, cycle: CyclePolyline,
     return total
 
 
-def build_periods(curve: CurveSpec, quad_order: int = 64,
-                  drift_target: float = 1e-9, max_order: int = 1024,
-                  verify: bool = True, theta_tol: float = 1e-10) -> PeriodData:
+def build_periods(curve: CurveSpec, quad_order: int = 64) -> PeriodData:
     """Construct the full analytic package for a curve.
+
+    The quadrature order doubles from ``quad_order`` until the periods move
+    by less than QUAD_DRIFT_TARGET, up to QUAD_MAX_ORDER.
 
     Raises PeriodError / HomologyError on invariant failures (these indicate
     ill-conditioned input or a construction bug, never a soft warning).
@@ -281,9 +278,9 @@ def build_periods(curve: CurveSpec, quad_order: int = 64,
         drift = float(np.max(np.abs(Pi2 - Pi) / np.maximum(np.abs(Pi2), 1e-3 * scaleP)))
         E, Pi = E2, Pi2
         order *= 2
-        if drift < drift_target or order >= max_order:
+        if drift < QUAD_DRIFT_TARGET or order >= QUAD_MAX_ORDER:
             break
-    if drift >= drift_target:
+    if drift >= QUAD_DRIFT_TARGET:
         raise PeriodError(
             f"quadrature did not converge: drift {drift:.3e} at order {order}")
 
@@ -308,7 +305,7 @@ def build_periods(curve: CurveSpec, quad_order: int = 64,
             raise PeriodError("Im tau is indefinite: homology reduction bug")
     if asym > 1e-8:
         raise PeriodError(f"tau asymmetry {asym:.3e} exceeds 1e-8")
-    tau = RiemannMatrix(tau_m, symmetry_tol=1e-8)
+    tau = RiemannMatrix(tau_m)
 
     # infinity anchor and branch-point Abel-Jacobi vectors
     z_far = (5.0 * max(abs(x) for x in curve.lambdas) + 5.0) * np.exp(0.2345j)
@@ -347,14 +344,12 @@ def build_periods(curve: CurveSpec, quad_order: int = 64,
     data.diagnostics["quad_drift"] = drift
     data.diagnostics["intersection_matrix"] = M.tolist()
 
-    if verify:
-        _verify_a_normalization(curve, cycles, S, A, diffs, data)
-
-    _attach_riemann_constants(data, theta_tol)
+    _verify_a_normalization(curve, cycles, S, A, diffs, data)
+    _attach_riemann_constants(data, THETA_TOL)
     return data
 
 
-def _verify_a_normalization(curve, cycles, S, A, diffs, data, rel_tol=2e-5):
+def _verify_a_normalization(curve, cycles, S, A, diffs, data):
     """Re-verify one a-period row by direct integration along the polylines."""
     row = S[0]
     direct = np.zeros(len(diffs), dtype=complex)
@@ -364,7 +359,7 @@ def _verify_a_normalization(curve, cycles, S, A, diffs, data, rel_tol=2e-5):
     scale = float(np.max(np.abs(A[0])))
     err = float(np.max(np.abs(direct - A[0])))
     data.diagnostics["a1_direct_check"] = err / max(scale, 1e-300)
-    if err > rel_tol * max(scale, 1e-300):
+    if err > DIRECT_REL_TOL * max(scale, 1e-300):
         raise PeriodError(
             f"direct a_1-period check failed: {err:.3e} vs scale {scale:.3e}")
 

@@ -47,6 +47,7 @@ class ThetaError(Exception):
 
 _RADIUS_CAP = 80.0
 _POINT_CAP = 8_000_000
+_SYMMETRY_TOL = 1e-8      # largest |tau - tau^t| entry a Riemann matrix may have
 
 
 def _efun(x: complex) -> complex:
@@ -158,13 +159,13 @@ def apply_transchar(char: Characteristic, zeta: np.ndarray, tau: "RiemannMatrix"
 class RiemannMatrix:
     """g x g symmetric complex matrix with positive definite imaginary part."""
 
-    def __init__(self, matrix, symmetry_tol: float = 1e-8):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("tau must be a square matrix")
         asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-        if asym > symmetry_tol:
-            raise ValueError(f"tau asymmetry {asym:.3e} exceeds {symmetry_tol:.1e}")
+        if asym > _SYMMETRY_TOL:
+            raise ValueError(f"tau asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
         y = np.imag(m)
         y = (y + y.T) / 2.0
         eigs = np.linalg.eigvalsh(y)

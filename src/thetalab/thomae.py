@@ -21,6 +21,10 @@ Trigonal (w^3 = f, deg f = 3q-1):
   * cube theta quotient (12th root);
   * the matrix form with the two-block Sigma.
 
+Derivative right-hand sides contract algebra.sigma_row with C through
+algebra.sigma_contract; every derivative report, matrix-form rows included,
+comes from one verifier, _verify_deriv.
+
 All fractional powers take principal branches; every ambiguity group divides
 the asserted root order, so classifications are branch-robust.  Ratios are
 always classified, never either side alone.  The reference-partition phase of
@@ -37,12 +41,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (INF, IndexSet, RootOfUnityTag, all_elementary_symmetric,
-                      c2j, classify_root_of_unity, pair_delta, principal_power,
+from .algebra import (INF, IndexSet, RootOfUnityTag, c2j, classify_root_of_unity,
+                      pair_delta, principal_power, sigma_contract, sigma_row,
                       vandermonde_delta)
 from .curves import CurveSpec
 from .periods import PeriodData, PeriodError, _random_surface_points
 from .theta import Characteristic, theta_eval, theta_grad, theta_norm_abs
+
+SAMPLE_TRIES = 5   # divisors _sample_nonspecial draws before it gives up
 
 
 # ----------------------------------------------------------------------------
@@ -252,49 +258,46 @@ def _hyp_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: HypPartition) -> np
     on the finite part (the relocation extension; flagged experimental)."""
     g = curve.genus
     lam = curve.lam_map
-    vals = [lam[i] for i in p.I.finite]
-    sig = all_elementary_symmetric(vals)
     pref = (principal_power(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
             * _delta_quarter_pair(p.I, p.J, lam))
-    out = np.zeros(g, dtype=complex)
-    for s in range(g):
-        acc = 0.0 + 0.0j
-        for l in range(1, g + 1):
-            deg = g - l - (1 if INF in p.I else 0)
-            if deg < 0 or deg >= len(sig):
-                continue
-            acc += (-1) ** (g - l) * sig[deg] * periods.C[l - 1, s]
-        out[s] = pref * acc
-    return out
+    row = sigma_row([lam[i] for i in p.I.finite], range(1, g + 1), int(INF in p.I))
+    return sigma_contract(pref, row, periods.C)
+
+
+def _verify_deriv(identity: str, order: int, periods: PeriodData,
+                  ch: Characteristic, rhs: np.ndarray, experimental: bool,
+                  partition: str, tol: float, theta_tol: float,
+                  grad_tol: float) -> VerificationReport:
+    """grad theta[ch](0) against the RHS vector: one ratio per nonzero RHS
+    entry, their mean classified as an order-th root of unity."""
+    g = periods.g
+    grad = theta_grad(ch, np.zeros(g), periods.tau, grad_tol).values
+    ratios, mean, spread, zeros_ok = _ratio_statistics(grad, rhs, tol)
+    tag = classify_root_of_unity(mean, order, tol) if ratios else None
+    passed = bool(ratios) and tag.ok and spread < tol and zeros_ok
+    return VerificationReport(
+        identity=identity, partition=partition, s_range=list(range(1, g + 1)),
+        lhs=[complex(x) for x in grad], rhs_modulus=float(np.max(np.abs(rhs))),
+        ratios=ratios, tag=tag, spread=spread, passed=passed,
+        tolerances={"tol": tol, "theta_tol": theta_tol, "grad_tol": grad_tol},
+        details={"char": ch.label(), "experimental": experimental,
+                 "zeros_ok": zeros_ok})
 
 
 def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
                             p: HypPartition, tol: float = 1e-6,
                             theta_tol: float = 1e-10,
                             grad_tol: float = 1e-9) -> VerificationReport:
-    g = curve.genus
-    p.validate(g)
+    p.validate(curve.genus)
     if p.m != 1:
         raise ValueError("derivative identity needs an m=1 partition")
-    experimental = INF in p.I
-    ch = char_from_partition_hyp(p, periods)
-    grad = theta_grad(ch, np.zeros(g), periods.tau, grad_tol).values
-    rhs = _hyp_deriv_rhs(curve, periods, p)
-    ratios, mean, spread, zeros_ok = _ratio_statistics(grad, rhs, tol)
-    tag = classify_root_of_unity(mean, 8, tol) if ratios else None
-    passed = bool(ratios) and tag.ok and spread < tol and zeros_ok
-    return VerificationReport(
-        identity="thomae_deriv_hyp", partition=p.label(),
-        s_range=list(range(1, g + 1)), lhs=[complex(x) for x in grad],
-        rhs_modulus=float(np.max(np.abs(rhs))), ratios=ratios, tag=tag,
-        spread=spread, passed=passed,
-        tolerances={"tol": tol, "theta_tol": theta_tol, "grad_tol": grad_tol},
-        details={"char": ch.label(), "experimental": experimental,
-                 "zeros_ok": zeros_ok})
+    return _verify_deriv("thomae_deriv_hyp", 8, periods,
+                         char_from_partition_hyp(p, periods),
+                         _hyp_deriv_rhs(curve, periods, p), INF in p.I,
+                         p.label(), tol, theta_tol, grad_tol)
 
 
-def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float,
-                       max_tries: int = 5):
+def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float):
     """Random surface points whose divisor argument keeps theta away from 0."""
     ch0 = Characteristic.zero(periods.g)
     scale = periods.theta_scale(tol=theta_tol)
@@ -305,7 +308,7 @@ def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float,
         if theta_norm_abs(ch0, arg, periods.tau, theta_tol) > 1e-4 * scale:
             return pts, arg, tries
         tries += 1
-        if tries >= max_tries:
+        if tries >= SAMPLE_TRIES:
             raise PeriodError("could not sample a non-special divisor")
 
 
@@ -377,14 +380,10 @@ def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
     for kk, xk in enumerate(xs):
         I1 = I0.I.without(INF, xk)
         J1 = IndexSet.of([s for s in symbols if s not in I1])
-        part = HypPartition(1, I1, J1)
-        rep = verify_thomae_deriv_hyp(curve, periods, part, tol=tol)
+        rep = verify_thomae_deriv_hyp(curve, periods, HypPartition(1, I1, J1), tol=tol)
         ok = ok and rep.passed
         rows.append(rep)
-        vals = [lam[i] for i in I1.finite]
-        sig = all_elementary_symmetric(vals)
-        for l in range(1, g + 1):
-            sigma[kk, l - 1] = (-1) ** (g - l) * sig[g - l]
+        sigma[kk] = list(sigma_row([lam[i] for i in I1.finite], range(1, g + 1)).values())
         grads[kk] = np.array(rep.lhs)
         eps_row = rep.tag.value if rep.tag else 1.0
         dkk = eps_row * _delta_quarter_pair(I1, J1, lam)
@@ -488,71 +487,47 @@ def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
                          references=references, per_partition=per_partition)
 
 
-def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
-                    alpha_ref: complex) -> np.ndarray:
-    """RHS vector for the trigonal derivative identities.
-
-    deriv1 uses rows l = 1..2q-1 of C with sigma over L1 u L2; deriv2 uses
-    rows l = 2q..3q-2 with sigma over L2 and a factor 2.  When infinity sits
-    in the sigma set, the degree drops by one on the finite part (relocation
-    extension, experimental)."""
-    q = curve.q
-    g = curve.genus
-    lam = curve.lam_map
-    pref = _delta_product_trig(p, lam) * principal_power(np.linalg.det(periods.C), 0.5)
+def _trig_sigma_row(p: TrigPartition, q: int, lam) -> tuple[dict[int, complex], int]:
+    """Sigma row and degree drop of a deriv-kind partition: rows l = 1..2q-1
+    of C with sigma over L1 u L2 (deriv1), rows l = 2q..3q-2 with sigma over
+    L2 (deriv2); infinity in the sigma set drops the degree by one."""
     if p.kind == "deriv1":
-        sig_set = list(p.L1.finite) + list(p.L2.finite)
-        has_inf = INF in p.L1 or INF in p.L2
-        lrange = range(1, 2 * q)
-        degree = lambda l: 2 * q - 1 - l - (1 if has_inf else 0)
-        pref = pref * alpha_ref / 3.0
+        sig_set, rows = p.L1.finite + p.L2.finite, range(1, 2 * q)
+        drop = int(INF in p.L1 or INF in p.L2)
     elif p.kind == "deriv2":
-        sig_set = list(p.L2.finite)
-        has_inf = INF in p.L2
-        lrange = range(2 * q, 3 * q - 1)
-        degree = lambda l: 3 * q - 2 - l - (1 if has_inf else 0)
-        # constant alpha/3, not 2 alpha/3: near the double point the cube root
-        # of the branch-value product is t * t', and the symmetrized
-        # beta-derivative of t*t' at the diagonal is -1/2 (phi_tt - phi_ts)/2
-        # with phi_tt = 0), which halves the printed factor 2 (sign absorbed
-        # into the 36th root).  Confirmed numerically: the plain ratio has
-        # modulus exactly 1/2 for every type-2 partition.
-        pref = pref * alpha_ref / 3.0
+        sig_set, rows, drop = p.L2.finite, range(2 * q, 3 * q - 1), int(INF in p.L2)
     else:
         raise ValueError("derivative RHS needs a deriv-kind partition")
-    sig = all_elementary_symmetric([lam[i] for i in sig_set])
-    out = np.zeros(g, dtype=complex)
-    for s in range(g):
-        acc = 0.0 + 0.0j
-        for l in lrange:
-            deg = degree(l)
-            if deg < 0 or deg >= len(sig):
-                continue
-            acc += (-1) ** deg * sig[deg] * periods.C[l - 1, s]
-        out[s] = pref * acc
-    return out
+    return sigma_row([lam[i] for i in sig_set], rows, drop), drop
+
+
+def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
+                    alpha_ref: complex) -> np.ndarray:
+    """RHS vector for the trigonal derivative identities, constant alpha/3.
+
+    For deriv2 that halves the printed 2 alpha/3: near the double point the
+    cube root of the branch-value product is t * t', whose symmetrized
+    beta-derivative at the diagonal is -1/2 (phi_tt - phi_ts)/2 with
+    phi_tt = 0 (sign absorbed into the 36th root).  Confirmed numerically:
+    the plain ratio has modulus exactly 1/2 for every type-2 partition."""
+    lam = curve.lam_map
+    row, drop = _trig_sigma_row(p, curve.q, lam)
+    pref = (_delta_product_trig(p, lam) * principal_power(np.linalg.det(periods.C), 0.5)
+            * alpha_ref / 3.0)
+    # the trigonal sign (-1)^deg is (-1)^drop times the row's (-1)^(top-l)
+    return sigma_contract(-pref if drop else pref, row, periods.C)
 
 
 def _verify_thomae_deriv_trig(curve: CurveSpec, periods: PeriodData,
                               alpha_ref: complex, p: TrigPartition,
                               tol: float, theta_tol: float,
                               grad_tol: float, identity: str) -> VerificationReport:
-    g = curve.genus
     p.validate(curve.q)
-    ch = char_from_partition_trig(p, periods)
-    grad = theta_grad(ch, np.zeros(g), periods.tau, grad_tol).values
-    rhs = _trig_deriv_rhs(curve, periods, p, alpha_ref)
-    ratios, mean, spread, zeros_ok = _ratio_statistics(grad, rhs, tol)
-    tag = classify_root_of_unity(mean, 36, tol) if ratios else None
-    theorem_placement = (INF in p.L0) if p.kind == "deriv1" else (INF in p.L1 or INF in p.L0)
-    passed = bool(ratios) and tag.ok and spread < tol and zeros_ok
-    return VerificationReport(
-        identity=identity, partition=p.label(), s_range=list(range(1, g + 1)),
-        lhs=[complex(x) for x in grad], rhs_modulus=float(np.max(np.abs(rhs))),
-        ratios=ratios, tag=tag, spread=spread, passed=passed,
-        tolerances={"tol": tol, "theta_tol": theta_tol, "grad_tol": grad_tol},
-        details={"char": ch.label(), "experimental": not theorem_placement,
-                 "zeros_ok": zeros_ok})
+    # infinity in the sigma set is the experimental relocation
+    experimental = INF in p.L2 or (p.kind == "deriv1" and INF in p.L1)
+    return _verify_deriv(identity, 36, periods, char_from_partition_trig(p, periods),
+                         _trig_deriv_rhs(curve, periods, p, alpha_ref), experimental,
+                         p.label(), tol, theta_tol, grad_tol)
 
 
 def verify_thomae_deriv_trig_t1(curve: CurveSpec, periods: PeriodData,
@@ -630,27 +605,17 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     # drops it from display but it is part of the identity
     detfac = principal_power(np.linalg.det(periods.C), 0.5)
     for kk, pk in enumerate(derived):
-        ch = char_from_partition_trig(pk, periods)
-        grads[kk] = theta_grad(ch, np.zeros(g), periods.tau, 1e-9).values
-        vals = ([lam[i] for i in pk.L1.finite] + [lam[i] for i in pk.L2.finite]
-                if kk < q else [lam[i] for i in pk.L2.finite])
-        sig = all_elementary_symmetric(vals)
-        if kk < q:
-            for l in range(1, 2 * q):
-                deg = 2 * q - 1 - l
-                sigma[kk, l - 1] = (-1) ** deg * sig[deg]
-        else:
-            # no factor 2 on the double-subtraction rows; see _trig_deriv_rhs
-            for l in range(2 * q, 3 * q - 1):
-                deg = 3 * q - 2 - l
-                sigma[kk, l - 1] = (-1) ** deg * sig[deg]
+        # the per-row phase comes from the row's own derivative identity
+        verify = (verify_thomae_deriv_trig_t1 if pk.kind == "deriv1"
+                  else verify_thomae_deriv_trig_t2)
+        rep = verify(curve, periods, alpha_ref, pk, tol, theta_tol)
+        ok = ok and rep.passed
+        tags.append(rep.tag)
+        grads[kk] = np.array(rep.lhs)
+        # no factor 2 on the double-subtraction rows; see _trig_deriv_rhs
+        row = _trig_sigma_row(pk, q, lam)[0]
+        sigma[kk, [l - 1 for l in row]] = list(row.values())
         dvec[kk] = _delta_product_trig(pk, lam)
-        # per-row phase from the ratio against the phase-free prediction
-        pred_row = (alpha_ref / 3.0) * detfac * dvec[kk] * (sigma[kk] @ periods.C)
-        ratios, mean, spread, zeros_ok = _ratio_statistics(grads[kk], pred_row, tol)
-        tag = classify_root_of_unity(mean, 36, tol) if ratios else None
-        tags.append(tag)
-        ok = ok and tag is not None and tag.ok and spread < tol and zeros_ok
     # entrywise identity with the classified per-row phases
     predicted = (alpha_ref / 3.0) * detfac \
         * np.diag(dvec * np.array([t.value for t in tags])) @ sigma @ periods.C

@@ -3,15 +3,19 @@
 These deliberately avoid the library's evaluation paths: the theta oracle is
 a plain full-box lattice sum, the elliptic j target comes from the
 branch-point cross-ratio, sheet tracking is checked against the scalar
-depth-first step rule, and lattice enumeration against the depth-first
-Fincke-Pohst recursion.
+depth-first step rule, lattice enumeration against the depth-first
+Fincke-Pohst recursion, and the Thomae derivative right-hand sides and
+closed-form Jacobians against the contraction loops each once wrote out.
 """
 
 import math
 
 import numpy as np
 
+from thetalab.algebra import (INF, all_elementary_symmetric, derivative_at_root,
+                              principal_power)
 from thetalab.theta import ThetaError
+from thetalab.thomae import _delta_product_trig, _delta_quarter_pair
 
 _POINT_CAP = 8_000_000
 
@@ -140,3 +144,110 @@ def recursive_enumerate(U: np.ndarray, center: np.ndarray, radius: float) -> np.
     if not out:
         return np.zeros((0, g), dtype=np.int64)
     return np.concatenate(out, axis=0)
+
+
+# ----------------------------------------------------------------------------
+# Signed sigma-row contractions, frozen from the loops thetalab wrote out per
+# identity before they shared algebra.sigma_row / algebra.sigma_contract.
+# Each reads only `.C` of the periods.
+
+
+def hyp_deriv_rhs(curve, periods, p) -> np.ndarray:
+    g = curve.genus
+    lam = curve.lam_map
+    vals = [lam[i] for i in p.I.finite]
+    sig = all_elementary_symmetric(vals)
+    pref = (principal_power(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
+            * _delta_quarter_pair(p.I, p.J, lam))
+    out = np.zeros(g, dtype=complex)
+    for s in range(g):
+        acc = 0.0 + 0.0j
+        for l in range(1, g + 1):
+            deg = g - l - (1 if INF in p.I else 0)
+            if deg < 0 or deg >= len(sig):
+                continue
+            acc += (-1) ** (g - l) * sig[deg] * periods.C[l - 1, s]
+        out[s] = pref * acc
+    return out
+
+
+def trig_deriv_rhs(curve, periods, p, alpha_ref: complex) -> np.ndarray:
+    q = curve.q
+    g = curve.genus
+    lam = curve.lam_map
+    pref = _delta_product_trig(p, lam) * principal_power(np.linalg.det(periods.C), 0.5)
+    if p.kind == "deriv1":
+        sig_set = list(p.L1.finite) + list(p.L2.finite)
+        has_inf = INF in p.L1 or INF in p.L2
+        lrange = range(1, 2 * q)
+        degree = lambda l: 2 * q - 1 - l - (1 if has_inf else 0)  # noqa: E731
+        pref = pref * alpha_ref / 3.0
+    elif p.kind == "deriv2":
+        sig_set = list(p.L2.finite)
+        has_inf = INF in p.L2
+        lrange = range(2 * q, 3 * q - 1)
+        degree = lambda l: 3 * q - 2 - l - (1 if has_inf else 0)  # noqa: E731
+        pref = pref * alpha_ref / 3.0
+    else:
+        raise ValueError("derivative RHS needs a deriv-kind partition")
+    sig = all_elementary_symmetric([lam[i] for i in sig_set])
+    out = np.zeros(g, dtype=complex)
+    for s in range(g):
+        acc = 0.0 + 0.0j
+        for l in lrange:
+            deg = degree(l)
+            if deg < 0 or deg >= len(sig):
+                continue
+            acc += (-1) ** deg * sig[deg] * periods.C[l - 1, s]
+        out[s] = pref * acc
+    return out
+
+
+def aj_jacobian_hyper_closed(curve, periods, points) -> np.ndarray:
+    g = curve.genus
+    zs = [p.z for p in points]
+    out = np.zeros((g, g), dtype=complex)
+    for r, p in enumerate(points):
+        others = [z for i, z in enumerate(zs) if i != r]
+        sig = all_elementary_symmetric(others)
+        denom = derivative_at_root(zs, r)
+        coeff = p.w / denom
+        for s in range(g):
+            acc = 0.0 + 0.0j
+            for l in range(1, g + 1):
+                acc += (-1) ** (g - l) * sig[g - l] * periods.C[l - 1, s]
+            out[r, s] = coeff * acc
+    return out
+
+
+def aj_jacobian_trig_closed(curve, periods, config) -> tuple[np.ndarray, np.ndarray]:
+    config.validate(curve)
+    q = curve.q
+    g = curve.genus
+    zs_plus = [curve.lam(a) for a in config.anchors]
+    zs_minus = [curve.lam(a) for a in config.doubled(q)]
+    d_alpha = np.zeros((2 * q - 1, g), dtype=complex)
+    d_beta = np.zeros((q - 1, g), dtype=complex)
+    for r, a in enumerate(config.anchors):
+        fp = curve.f_prime_at_branch(a)
+        others = [z for i, z in enumerate(zs_plus) if i != r]
+        sig = all_elementary_symmetric(others)
+        fplus_der = derivative_at_root(zs_plus, r)
+        coeff = principal_power(fp, 2.0 / 3.0) / (3.0 * fplus_der)
+        for s in range(g):
+            acc = 0.0 + 0.0j
+            for l in range(1, 2 * q):
+                acc += (-1) ** (2 * q - 1 - l) * sig[2 * q - 1 - l] * periods.C[l - 1, s]
+            d_alpha[r, s] = coeff * acc
+    for r, a in enumerate(config.doubled(q)):
+        fp = curve.f_prime_at_branch(a)
+        others = [z for i, z in enumerate(zs_minus) if i != r]
+        sig = all_elementary_symmetric(others)
+        fminus_der = derivative_at_root(zs_minus, r)
+        coeff = 2.0 * principal_power(fp, 1.0 / 3.0) / (3.0 * fminus_der)
+        for s in range(g):
+            acc = 0.0 + 0.0j
+            for l in range(2 * q, 3 * q - 1):
+                acc += (-1) ** (3 * q - 2 - l) * sig[3 * q - 2 - l] * periods.C[l - 1, s]
+            d_beta[r, s] = coeff * acc
+    return d_alpha, d_beta

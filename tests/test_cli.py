@@ -246,3 +246,37 @@ def test_verify_alpha_task_leaves_plan_alpha_alone(tmp_path, monkeypatch):
         "thomae_deriv_trig_t1", "alpha_trig", "thomae_deriv_trig_t1"]
     assert lines[0] == lines[2]
     assert sorted(calls) == [1e-10, 1e-2]
+
+
+def _tasks(*tasks, curve=PLAN_G1["curve"], **plan):
+    return dict(plan, curve=curve, tasks=list(tasks))
+
+
+@pytest.mark.parametrize("plan", [
+    _tasks({"id": "quotient_hyp", "ks": [99]}),
+    _tasks({"id": "quotient_hyp", "ks": [0]}),
+    _tasks({"id": "quotient_hyp", "samples": "x"}),
+    _tasks({"id": "quotient_hyp", "samples": 0}),
+    _tasks({"id": "matrix_form_hyp", "count": "two"}),
+    _tasks({"id": "deriv_trig_t2", "infinity_in": [5]}, curve=TRIG_Q1),
+    _tasks({"id": "thomae_deriv_hyp", "include_infinity": "yes"}),
+    _tasks({"id": "thomae_const_hyp", "tol": "x"}),
+    _tasks({"id": "thomae_const_hyp", "tol": -1}),
+    _tasks({"id": "period_sanity"}, tolerances={"theta_tol": float("nan")}),
+    _tasks({"id": "period_sanity"}, tolerances="tight"),
+    _tasks({"id": "period_sanity"}, seed="x"),
+    _tasks({"id": "period_sanity"}, quad_order=0),
+], ids=["ks-99", "ks-0", "samples-x", "samples-0", "count-two", "infinity_in-5",
+        "include_infinity-yes", "task-tol-x", "task-tol-negative", "plan-theta_tol-nan",
+        "plan-tolerances-string", "plan-seed-x", "plan-quad_order-0"])
+def test_verify_bad_parameter_exits_2(tmp_path, capsys, monkeypatch, plan):
+    from thetalab.cli import main
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("periods built for a plan with a bad parameter")
+    monkeypatch.setattr("thetalab.cli.build_periods", must_not_run)
+    f = tmp_path / "plan.json"
+    f.write_text(json.dumps(plan))       # NaN is written as the bare token NaN
+    assert main(["verify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
