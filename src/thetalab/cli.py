@@ -7,11 +7,13 @@ Subcommands:
   thetalab verify <plan.json>          run a verification plan; JSONL reports
 
 Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success /
-all verifications passed, 1 verification failure, 2 parse failure, unknown
+all verifications passed, 1 verification failure, 2 parse failure (a curve
+spec that does not parse or has the wrong number of branch points), unknown
 task id, a task for the other cover degree or a bad task or plan
-parameter, 3 invariant failure (bad curve,
+parameter, 3 invariant failure (branch points not distinct,
 non-positive-definite Im tau), theta failure (truncation or point cap), sheet
-tracking failure or no non-special divisor found by sampling.
+tracking failure (a path step or quadrature leg onto or through a branch
+point) or no non-special divisor found by sampling.
 Runs are deterministic for a fixed plan and seed; wall-clock timings appear
 only in the human summary, never in the JSONL stream.
 """
@@ -26,12 +28,12 @@ import time
 
 import numpy as np
 
-from .curves import CurveSpec, CurveSpecError
+from .curves import BranchPointsNotDistinct, CurveSpec, CurveSpecError
 from .periods import QUAD_DRIFT_TARGET, PeriodData, PeriodError, build_periods
 from .homology import HomologyError
 from .quadrature import QuadratureError
-from .theta import (Characteristic, RiemannMatrix, ThetaError, theta_eval,
-                    theta_grad, truncation_radius)
+from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, ThetaError,
+                    theta_eval, theta_grad, truncation_radius)
 from . import thomae
 from .algebra import INF, c2j
 
@@ -62,11 +64,8 @@ def cmd_periods(args) -> int:
     try:
         curve = CurveSpec.from_json(obj)
     except CurveSpecError as exc:
-        if "not distinct" in str(exc):
-            print(f"error: branch points not distinct: {exc}", file=sys.stderr)
-            return 3
         print(f"error: invalid curve spec: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BranchPointsNotDistinct) else 2
     try:
         pd = build_periods(curve, quad_order=args.quad_order)
     except (PeriodError, HomologyError, QuadratureError, ThetaError) as exc:
@@ -114,7 +113,10 @@ def cmd_theta(args) -> int:
     except (KeyError, TypeError, IndexError) as exc:
         print(f"error: malformed theta input: {exc}", file=sys.stderr)
         return 2
-    tol = float(obj.get("tol", args.tol))
+    tol = obj.get("tol", args.tol)
+    if not _finite_positive(tol):
+        print(f"error: tol must be a finite positive number, got {tol!r}", file=sys.stderr)
+        return 2
     try:
         tau = RiemannMatrix(np.array(tau_rows, dtype=complex))
     except ValueError as exc:
@@ -175,7 +177,7 @@ class Plan:
         d = self.pd.diagnostics
         tau_scale = 1.0 + float(np.max(np.abs(self.pd.tau.matrix)))
         checks = {
-            "tau_asymmetry": (d["tau_asymmetry"], 1e-8),
+            "tau_asymmetry": (d["tau_asymmetry"], _SYMMETRY_TOL),
             "quad_drift": (d["quad_drift"], QUAD_DRIFT_TARGET),
             "order_n_lattice_dist": (d["order_n_lattice_dist"], 1e-8 * tau_scale),
             "K_lattice_dist_2K": (d["K_lattice_dist_2K"], 1e-8 * tau_scale),
@@ -269,12 +271,16 @@ def _int_in(lo, hi):
     return lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
 
 
+def _finite_positive(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0)
+
+
 def _bad_parameter(places: list[tuple[str, dict]], n: int):
     """The error line for the first bad task or plan parameter, or None; n is
     the number of branch points."""
     positive = (_int_in(1, math.inf), "a positive integer")
-    tolerance = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-                 and math.isfinite(v) and v > 0, "a finite positive number")
+    tolerance = (_finite_positive, "a finite positive number")
     checks = {
         "ks": (lambda v: isinstance(v, list) and all(map(_int_in(1, n), v)),
                f"a list of branch indices in 1..{n}"),
@@ -296,6 +302,8 @@ def cmd_verify(args) -> int:
     plan = _load_json(args.plan)
     try:
         if "curve_file" in plan:
+            if not isinstance(plan["curve_file"], str):
+                raise TypeError(f"curve_file must be a string, got {plan['curve_file']!r}")
             curve_obj = _load_json(plan["curve_file"])
         else:
             curve_obj = plan["curve"]
@@ -306,7 +314,7 @@ def cmd_verify(args) -> int:
         defaults = dict(plan.get("tolerances", {}))
     except (KeyError, TypeError, ValueError, CurveSpecError) as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BranchPointsNotDistinct) else 2
     for t in tasks:
         if t.get("id") not in TASKS:
             print(f"error: unknown task id {t.get('id')!r}", file=sys.stderr)

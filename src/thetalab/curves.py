@@ -20,6 +20,10 @@ class CurveSpecError(ValueError):
     pass
 
 
+class BranchPointsNotDistinct(CurveSpecError):
+    """Two branch points closer than min_separation times their scale."""
+
+
 @dataclass(frozen=True)
 class Differential:
     """The differential z^a dz / w^m."""
@@ -50,7 +54,7 @@ class CurveSpec:
         for i in range(N):
             for j in range(i + 1, N):
                 if abs(self.lambdas[i] - self.lambdas[j]) < self.min_separation * scale:
-                    raise CurveSpecError(
+                    raise BranchPointsNotDistinct(
                         f"branch points not distinct: lambda_{i+1} and lambda_{j+1} "
                         f"closer than {self.min_separation:g} * scale")
 

@@ -19,9 +19,9 @@ import numpy as np
 from .curves import CurveSpec, Differential
 from .homology import (Chain, CyclePolyline, HomologyError, build_chain,
                        build_cycles, intersection_matrix, symplectic_transform)
-from .quadrature import (build_avoiding_path, infinity_leg_integrals,
+from .quadrature import (build_avoiding_path, infinity_leg_integrals, leg_integrals,
                          polyline_integrals, refine_path_for_quadrature, track_w)
-from .theta import (Characteristic, RiemannMatrix, theta_halfint_table,
+from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, theta_halfint_table,
                     theta_norm_abs)
 
 
@@ -219,23 +219,15 @@ def _cycle_periods(curve: CurveSpec, chain: Chain, cycles: list[CyclePolyline],
 
 def _direct_cycle_integrals(curve: CurveSpec, cycle: CyclePolyline,
                             diffs: Sequence[Differential]) -> np.ndarray:
-    """Periods by brute-force Gauss-Legendre along the cycle polyline itself.
+    """Periods by Gauss-Legendre along the cycle polyline itself, each
+    segment anchored at its start's sheet value.
 
-    Slow and only moderately accurate (the polyline hugs the branch points at
-    distance ~radius); used to re-verify the closed-form edge assembly."""
-    from scipy.special import roots_legendre
-    x, wts = roots_legendre(DIRECT_NODES)
-    total = np.zeros(len(diffs), dtype=complex)
+    Only moderately accurate (the polyline hugs the branch points at distance
+    ~radius); used to re-verify the closed-form edge assembly."""
     pts, wv = cycle.points, cycle.w
-    for i in range(len(pts) - 1):
-        z0, z1 = pts[i], pts[i + 1]
-        hv = (z1 - z0) / 2.0
-        zs = (z0 + z1) / 2.0 + x * hv
-        chain_pts = np.concatenate([[z0], zs])
-        ws = track_w(curve, chain_pts, wv[i])[1:]
-        for li, d in enumerate(diffs):
-            total[li] += hv * np.sum(wts * zs ** d.a * ws ** (-d.m))
-    return total
+    return sum(leg_integrals(curve, pts[i], pts[i + 1], diffs, DIRECT_NODES,
+                             False, False, wv[i], False)
+               for i in range(len(pts) - 1))
 
 
 def build_periods(curve: CurveSpec, quad_order: int = 64) -> PeriodData:
@@ -303,8 +295,8 @@ def build_periods(curve: CurveSpec, quad_order: int = 64) -> PeriodData:
             eigs = np.linalg.eigvalsh((np.imag(tau_m) + np.imag(tau_m).T) / 2.0)
         if eigs[0] <= 0:
             raise PeriodError("Im tau is indefinite: homology reduction bug")
-    if asym > 1e-8:
-        raise PeriodError(f"tau asymmetry {asym:.3e} exceeds 1e-8")
+    if asym > _SYMMETRY_TOL:
+        raise PeriodError(f"tau asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
     tau = RiemannMatrix(tau_m)
 
     # infinity anchor and branch-point Abel-Jacobi vectors

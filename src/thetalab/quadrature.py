@@ -4,14 +4,17 @@ Every path is a polyline whose legs either end at a branch point (integrable
 endpoint singularity of exponent -m/n, handled by Gauss-Jacobi nodes with the
 matching weight) or stay away from all branch points (Gauss-Legendre).  The
 sheet of w along a path is fixed by an anchor value at one non-singular point
-and continued exactly along the straight steps between points: a linear factor
-that moves straight without passing 0 turns by the argument of its end-to-start
-ratio, so the sheets are a running sum of root-of-unity shifts (_continue).
+and continued exactly from vertex to vertex: a linear factor that moves
+straight without passing 0 turns by the argument of its end-to-start ratio, so
+the sheets are a running sum of root-of-unity shifts (track_w).  On a leg no
+node is tracked: w is one constant, fixed at the leg's anchor end, times a
+product of principal roots none of which meets its branch cut on the leg
+(after Molin & Neurohr, Math. Comp. 88, 2019); the infinity leg takes the
+same form.  A leg through a branch point raises QuadratureError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -41,71 +44,61 @@ def _gj_nodes(order: int, alpha: float, beta: float):
 
 
 def track_w(curve: CurveSpec, zs: Sequence[complex], w_start: complex) -> np.ndarray:
-    """Continue w = f^{1/n} along the points zs, starting from w_start at
-    zs[0]; see _continue."""
-    return _track(zs, w_start, curve.lambdas, curve.n, curve.w_principal)
+    """Continue w = f^{1/n} along the straight steps between the points zs,
+    starting from w_start at zs[0].
 
-
-def _track(zs: Sequence[complex], start: complex, lams: Sequence[complex], n: int,
-           principal) -> np.ndarray:
-    """Continue the branch of (prod_{lam in lams} (z - lam))^{1/n} that is
-    `start` at zs[0] along the straight steps between the points zs;
-    principal maps an array of points to principal values."""
-    zs = np.asarray(zs, dtype=complex)
-    factors = zs[:, None] - np.asarray(lams, dtype=complex)
-    return _continue(zs, factors, start, n, principal)
-
-
-def _continue(at: np.ndarray, factors: np.ndarray, start: complex, n: int,
-              principal) -> np.ndarray:
-    """Continue w with w^n = prod_k factors[:, k] from `start` at row 0,
-    where each factor moves straight from row to row; `at` names the rows
-    (points or parameters) and principal(at) gives one n-th root per row.
-
-    A factor moving straight from p to q without passing 0 turns by exactly
-    Arg(q/p), so w turns by the sum of the turns over n, and the shift
-    between the principal values of consecutive rows is the integer
+    A factor z - lambda moving straight from p to q without passing 0 turns
+    by exactly Arg(q/p), so w turns by the sum of the turns over n, and the
+    shift between the principal values of consecutive points is the integer
     (arg P_i - arg P_{i+1} + sum_k turn_k / n) n / (2 pi): the sheets are a
-    running sum mod n, with no step test.  A zero factor or a turn within
-    1e-8 of +-pi (a step onto or through a branch point) raises.
+    running sum mod n, with no step test.  A non-finite point, a zero factor
+    or a turn within 1e-8 of +-pi (a step onto or through a branch point)
+    raises.
     """
-    bad = ~np.isfinite(at)
+    n = curve.n
+    zs = np.asarray(zs, dtype=complex)
+    factors = zs[:, None] - np.asarray(curve.lambdas, dtype=complex)
+    bad = ~np.isfinite(zs)
     if bad.any():
-        raise QuadratureError(f"sheet tracking through the non-finite point {at[bad][0]}")
+        raise QuadratureError(f"sheet tracking through the non-finite point {zs[bad][0]}")
     bad = (factors == 0).any(axis=1)
     if bad.any():
-        raise QuadratureError(f"sheet tracking onto a branch point at {at[bad][0]}")
+        raise QuadratureError(f"sheet tracking onto a branch point at {zs[bad][0]}")
     turn = np.angle(factors[1:] / factors[:-1])
     bad = ~(np.abs(turn) <= np.pi - 1e-8).all(axis=1)
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise QuadratureError(
-            f"sheet tracking through a branch point on the step {at[i]} -> {at[i + 1]}")
-    base = principal(at)
+            f"sheet tracking through a branch point on the step {zs[i]} -> {zs[i + 1]}")
+    base = curve.w_principal(zs)
     rots = np.exp(2j * np.pi * np.arange(n) / n)
     # the result is indexed from this product, not formed as base * rots[j]:
     # numpy's contiguous complex multiply can round differently from the
     # point-by-roots product that the sheet values have always been
     cands = base[:, None] * rots
-    d = np.abs(cands[0] - start)
-    d_sorted = np.sort(d)
-    if d_sorted[0] > 0.5 * d_sorted[1]:
-        raise QuadratureError(f"sheet tracking lost separation near {at[0]} (start value)")
     arg = np.angle(base)
     shift = np.rint((arg[:-1] - arg[1:] + turn.sum(axis=1) / n) * (n / (2 * np.pi)))
-    j = (np.argmin(d) + np.concatenate([[0], np.cumsum(shift.astype(np.int64))])) % n
-    out = cands[np.arange(len(at)), j]
-    out[np.logical_and.accumulate(at == at[0])] = start   # leading zero-length steps
+    j = (_nearest_sheet(w_start, base[0], n, zs[0])
+         + np.concatenate([[0], np.cumsum(shift.astype(np.int64))])) % n
+    out = cands[np.arange(len(zs)), j]
+    out[np.logical_and.accumulate(zs == zs[0])] = w_start   # leading zero-length steps
     return out
+
+
+def _nearest_sheet(start: complex, base: complex, n: int, where) -> int:
+    """The j for which base exp(2 pi i j / n) is nearest to start, where base
+    is one n-th root of w^n at the start point; raises unless start is
+    separated from the other sheets (at most half as far from the nearest
+    root as from the next)."""
+    d = np.abs(base * np.exp(2j * np.pi * np.arange(n) / n) - start)
+    d_sorted = np.sort(d)
+    if not d_sorted[0] <= 0.5 * d_sorted[1]:
+        raise QuadratureError(f"sheet tracking lost separation near {where} (start value)")
+    return int(np.argmin(d))
 
 
 # ----------------------------------------------------------------------------
 # Single legs
-
-
-def _root_of_product(factors: Sequence[complex], n: int) -> complex:
-    """principal_power(prod(factors), 1/n), multiplied in scalar arithmetic."""
-    return principal_power(math.prod(factors, start=1.0 + 0.0j), 1.0 / n)
 
 
 def _branch_index_at(curve: CurveSpec, z: complex) -> int:
@@ -126,66 +119,58 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
     sing0/sing1 flag branch-point endpoints; the anchor value is w at the
     non-singular end selected by anchor_at_end (False: z0, True: z1).
 
-    The singular linear factors are never formed by subtraction: with
-    z = mid + x hv they are (1 +- x) hv exactly, and only the smooth part
-    psi^n = prod over the other branch points is tracked numerically.  This
-    keeps full relative accuracy on legs much shorter than |lambda|.
+    With z = mid + x hv each factor z - lambda_k is hv (x - x_k).  The
+    singular ones are (1 +- x) hv exactly and go into the Gauss-Jacobi
+    weight, which keeps full relative accuracy on legs much shorter than
+    |lambda|.  Every other x - x_k moves parallel to the real axis as x runs
+    over [-1, 1], so it never crosses the cut of the principal n-th root
+    unless lambda_k lies on the leg, which raises.  So w is one constant,
+    fixed by w_anchor, times a product of principal roots.
     """
     n = curve.n
-    hv = (z1 - z0) / 2.0
-    mid = (z0 + z1) / 2.0
-    out = np.empty(len(diffs), dtype=complex)
     if sing0 and sing1:
         raise QuadratureError("split both-singular legs at an interior anchor")
-    exclude = []
+    hv = (z1 - z0) / 2.0
+    mid = (z0 + z1) / 2.0
+    exclude = {_branch_index_at(curve, z) for z, s in ((z0, sing0), (z1, sing1)) if s}
+    xk = (np.array([lam for i, lam in enumerate(curve.lambdas) if i + 1 not in exclude])
+          - mid) / hv
+    # distance of x_k from [-1, 1], in half-leg lengths
+    off = np.abs(xk - np.clip(xk.real, -1.0, 1.0))
+    if not (off > 1e-8).all():
+        raise QuadratureError(
+            f"leg {z0} -> {z1} passes through the branch point "
+            f"{mid + hv * xk[np.argmin(off)]}")
+
+    def log_roots(x):
+        # log of the product of the principal roots: the summed logs over n
+        return np.log(x[:, None] - xk).sum(axis=1) / n
+
+    # the singular factors in the leg parameter: (1 +- x) hv = (1 +- x)^{1/n} k_fac
+    anchor_x = 1.0 if anchor_at_end else -1.0
+    k_fac = 1.0 + 0.0j
+    afrac = 1.0
     if sing0:
-        exclude.append(_branch_index_at(curve, z0))
+        k_fac *= principal_power(hv, 1.0 / n)
+        afrac *= 1.0 + anchor_x
     if sing1:
-        exclude.append(_branch_index_at(curve, z1))
-    lams = [lam for i, lam in enumerate(curve.lambdas) if (i + 1) not in exclude]
+        k_fac *= principal_power(-hv, 1.0 / n)
+        afrac *= 1.0 - anchor_x
+    z_anchor = z1 if anchor_at_end else z0
+    _nearest_sheet(w_anchor, curve.w_principal(z_anchor), n, z_anchor)
+    psi_anchor = w_anchor / (afrac ** (1.0 / n) * k_fac)
+    log_anchor = log_roots(np.array([anchor_x]))[0]
 
-    def psi_principal(pts):
-        # scalar on purpose: psi enters the integrals, and array abs and **
-        # differ from principal_power in the last bit
-        return np.array([_root_of_product([z - lam for lam in lams], n) for z in pts],
-                        dtype=complex)
-
-    ms = sorted({d.m for d in diffs})
-    for m in ms:
-        alpha = -m / n if sing1 else 0.0
-        beta = -m / n if sing0 else 0.0
-        x, wts = _gj_nodes(order, alpha, beta)
+    out = np.empty(len(diffs), dtype=complex)
+    for m in sorted({d.m for d in diffs}):
+        # the Gauss-Jacobi weight absorbs (1 +- x)^{-m/n}
+        x, wts = _gj_nodes(order, -m / n if sing1 else 0.0, -m / n if sing0 else 0.0)
         zs = mid + x * hv
-        # singular factors in the leg parameter, (1 +- x) hv, exact by construction
-        k_fac = 1.0 + 0.0j
-        if sing0:
-            k_fac *= principal_power(hv, 1.0 / n)
-        if sing1:
-            k_fac *= principal_power(-hv, 1.0 / n)
-        anchor_x = 1.0 if anchor_at_end else -1.0
-        chain = (np.concatenate([[z1], zs[::-1]]) if anchor_at_end
-                 else np.concatenate([[z0], zs]))
-        if exclude:
-            # anchor psi from w at the (non-singular) anchor end
-            afrac = 1.0
-            if sing0:
-                afrac *= (1.0 + anchor_x)
-            if sing1:
-                afrac *= (1.0 - anchor_x)
-            psi_anchor = w_anchor / (afrac ** (1.0 / n) * k_fac)
-            psi = _track(chain, psi_anchor, lams, n, psi_principal)[1:]
-        else:
-            psi = track_w(curve, chain, w_anchor)[1:]
-        if anchor_at_end:
-            psi = psi[::-1]
-        smooth = psi ** (-m)
-        kpow = k_fac ** (-m)
-        # the Gauss-Jacobi weight absorbs frac^{-m/n}on its own
+        smooth = (psi_anchor * np.exp(log_roots(x) - log_anchor)) ** (-m)
         for idx, d in enumerate(diffs):
-            if d.m != m:
-                continue
-            vals = np.power(zs, d.a) if d.a else np.ones_like(zs)
-            out[idx] = hv * kpow * np.sum(wts * vals * smooth)
+            if d.m == m:
+                vals = np.power(zs, d.a) if d.a else np.ones_like(zs)
+                out[idx] = hv * k_fac ** (-m) * np.sum(wts * vals * smooth)
     return out
 
 
@@ -245,7 +230,10 @@ def infinity_leg_integrals(curve: CurveSpec, z_far: complex, w_far: complex,
 
     Requires |z_far| > max |lambda| so the ray stays clear of branch points.
     Overflow-safe: with z = z_far sigma^{-n} one has w = sigma^{-N} h(sigma)
-    where h(sigma)^n = prod(z_far - lambda_i sigma^n) stays O(1).
+    where h(sigma)^n = prod(z_far - lambda_i sigma^n) stays O(1).  Each
+    factor is z_far (1 - sigma^n lambda_i / z_far) with |lambda_i / z_far| < 1,
+    so h is one constant, fixed by h(1) = w_far, times a product of principal
+    roots of factors with positive real part.
     """
     N = curve.num_branch
     n = curve.n
@@ -254,16 +242,10 @@ def infinity_leg_integrals(curve: CurveSpec, z_far: complex, w_far: complex,
     x, wts = roots_legendre(order)
     sig = 0.5 * (x + 1.0)        # nodes on (0,1)
     wts = 0.5 * wts
-    # continue h from sigma=1 (h=w_far) down through the nodes: each factor
-    # z_far - lam sigma^n moves straight as sigma^n falls
-    at = np.concatenate([[1.0], sig[::-1]])
-    lams = np.asarray(curve.lambdas, dtype=complex)
-
-    def principal(ss):
-        # scalar on purpose: these values enter the integrals
-        return np.array([_root_of_product([z_far - lam * s ** n for lam in curve.lambdas], n)
-                         for s in ss], dtype=complex)
-    h_at_nodes = _continue(at, z_far - at[:, None] ** n * lams, w_far, n, principal)[:0:-1]
+    t = np.asarray(curve.lambdas, dtype=complex) / z_far
+    _nearest_sheet(w_far, curve.w_principal(z_far), n, z_far)
+    log_h = np.log(1.0 - np.concatenate([[1.0], sig ** n])[:, None] * t).sum(axis=1) / n
+    h_at_nodes = w_far * np.exp(log_h[1:] - log_h[0])
 
     out = np.empty(len(diffs), dtype=complex)
     for idx, d in enumerate(diffs):

@@ -4,13 +4,15 @@ These deliberately avoid the library's evaluation paths: the theta oracle is
 a plain full-box lattice sum, the elliptic j target comes from the
 branch-point cross-ratio, sheet tracking is checked against the scalar
 depth-first step rule, lattice enumeration against the depth-first
-Fincke-Pohst recursion, and the Thomae derivative right-hand sides and
+Fincke-Pohst recursion, the infinity leg against its node-by-node
+continuation, and the Thomae derivative right-hand sides and
 closed-form Jacobians against the contraction loops each once wrote out.
 """
 
 import math
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from thetalab.algebra import (INF, all_elementary_symmetric, derivative_at_root,
                               principal_power)
@@ -93,6 +95,28 @@ def scalar_track(zs, start, lams, n, principal, max_depth: int = 52) -> np.ndarr
     for i in range(1, len(zs)):
         out[i] = step(zs[i - 1], out[i - 1], zs[i], max_depth)
     return out
+
+
+def infinity_leg_by_continuation(curve, z_far, w_far, diffs, order) -> np.ndarray:
+    """The integrals of thetalab's infinity leg as it computed them before
+    legs took their sheets by formula: h(sigma) continued from h(1) = w_far
+    down through the Gauss-Legendre nodes by the exact per-step argument
+    sums, on scalar principal roots of prod(z_far - lambda sigma^n)."""
+    n, N = curve.n, curve.num_branch
+    x, wts = roots_legendre(order)
+    sig = 0.5 * (x + 1.0)
+    at = np.concatenate([[1.0], sig[::-1]])
+    factors = z_far - at[:, None] ** n * np.asarray(curve.lambdas, dtype=complex)
+    base = np.array([principal_power(math.prod([z_far - lam * s ** n for lam in curve.lambdas],
+                                               start=1.0 + 0.0j), 1.0 / n) for s in at])
+    turn = np.angle(factors[1:] / factors[:-1]).sum(axis=1)
+    arg = np.angle(base)
+    shift = np.rint((arg[:-1] - arg[1:] + turn / n) * (n / (2 * np.pi))).astype(np.int64)
+    cands = base[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
+    j = (np.argmin(np.abs(cands[0] - w_far)) + np.concatenate([[0], np.cumsum(shift)])) % n
+    h = cands[np.arange(len(at)), j][:0:-1]
+    return np.array([-n * z_far ** (d.a + 1) * np.sum(
+        0.5 * wts * sig ** (d.m * N - n * (d.a + 1) - 1) * h ** (-d.m)) for d in diffs])
 
 
 def recursive_enumerate(U: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -67,6 +67,16 @@ def test_theta_bad_tau(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("tol", ["x", -1, float("nan")], ids=["string", "negative", "nan"])
+def test_theta_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    from thetalab.cli import main
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps({"tau": [[[0.0, 1.0]]], "tol": tol}))   # NaN as the token NaN
+    assert main(["theta", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tol must be") and err.count("\n") == 1
+
+
 PLAN_G1 = {
     "curve": {"n": 2, "lambdas": [[0, 0], [1, 0], [2, 0]]},
     "seed": 11,
@@ -128,6 +138,25 @@ def test_verify_task_not_an_object(tmp_path):
     r = run_cli("verify", f)
     assert r.returncode == 2
     assert r.stderr.startswith("error: invalid plan")
+
+
+def test_verify_curve_file_not_a_string(tmp_path, capsys):
+    from thetalab.cli import main
+    f = write(tmp_path / "plan.json", dict(PLAN_G1, curve_file=987654))   # not an open fd
+    assert main(["verify", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid plan") and "curve_file" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "periods"])
+def test_coincident_branch_points_exit_3(tmp_path, capsys, command):
+    from thetalab.cli import main
+    curve = {"n": 2, "lambdas": [[0, 0], [0, 0], [1, 0]]}
+    f = write(tmp_path / "in.json",
+              dict(PLAN_G1, curve=curve) if command == "verify" else curve)
+    assert main([command, f]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not distinct" in err and err.count("\n") == 1
 
 
 def test_verify_parse_failure(tmp_path):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import roots_jacobi
 
+from thetalab import homology, periods, quadrature
 from thetalab.algebra import principal_power
 from thetalab.curves import CurveSpec
 from thetalab.quadrature import (QuadratureError, infinity_leg_integrals,
                                  leg_integrals, track_w)
 
 from conftest import random_curve
-from oracles import scalar_track, seg_distance
+from oracles import infinity_leg_by_continuation, scalar_track, seg_distance
 
 CURVES = [CurveSpec.of(2, [0, 1, 2, 3, 4]),
           random_curve(2, 7, 42, box=3.0, min_gap=0.9),
@@ -23,6 +24,10 @@ IDS = ["hyp-g2", "hyp-g3", "trig-q1", "trig-q2"]
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
+
+
+def rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 def seeded_polyline(curve: CurveSpec, seed: int) -> list[complex]:
@@ -80,12 +85,72 @@ def _scalar_leg_from_branch(curve, k, z1, w1, order):
 
 @pytest.mark.parametrize("curve", CURVES, ids=IDS)
 def test_smooth_part_matches_scalar_sum(curve):
+    # the leg's product of principal roots rounds differently from the
+    # oracle's root of the product: equal sheets, values to a few ulps
     z1 = 0.7 + 1.9j
     w1 = curve.w_principal(z1)
     for k in range(1, curve.num_branch + 1):
         got = leg_integrals(curve, curve.lam(k), z1, curve.differentials(), 40,
                             True, False, w1, True)
-        assert same_bits(got, _scalar_leg_from_branch(curve, k, z1, w1, 40))
+        assert rel_err(got, _scalar_leg_from_branch(curve, k, z1, w1, 40)) <= 1e-14
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=IDS)
+@pytest.mark.parametrize("order", [32, 96])
+def test_infinity_leg_matches_continuation(curve, order):
+    z_far = (5.0 * max(abs(x) for x in curve.lambdas) + 5.0) * np.exp(0.2345j)
+    diffs = curve.differentials()
+    for sheet in range(curve.n):
+        w_far = curve.w_principal(z_far) * np.exp(2j * np.pi * sheet / curve.n)
+        got = infinity_leg_integrals(curve, z_far, w_far, diffs, order)
+        assert rel_err(got, infinity_leg_by_continuation(curve, z_far, w_far, diffs,
+                                                         order)) <= 1e-14
+
+
+@pytest.mark.parametrize("z0, z1, sing0", [(1.5, 2.5, False),            # across lambda = 2
+                                           (2.0, 2.5 + 1.0j, False),     # ends on it, unflagged
+                                           (0.0, 1.0 + 1e-12j, True)])   # ends at lambda = 1
+def test_leg_through_a_branch_point_fails(z0, z1, sing0):
+    curve = CURVES[0]
+    w1 = curve.w_principal(z1 + 0.5j)
+    with pytest.raises(QuadratureError, match="through the branch point"):
+        leg_integrals(curve, z0, z1, curve.differentials(), 16, sing0, False, w1, True)
+
+
+def test_build_periods_tracks_no_quadrature_node(monkeypatch):
+    # track_w sees the polyline vertices, the cycle points and two-point
+    # steps from those to crossings and strand points; the quadrature
+    # nodes of every leg take their sheets from the leg's closed form
+    curve = CURVES[2]
+    tracked, vertices, cycle_points = [], [], []
+    real_track, real_polyline = quadrature.track_w, periods.polyline_integrals
+    real_cycle = homology.build_cycle
+
+    def track(curve, zs, w_start):
+        tracked.append([complex(z) for z in zs])
+        return real_track(curve, zs, w_start)
+
+    def polyline(curve, points, *args, **kwargs):
+        vertices.append([complex(z) for z in points])
+        return real_polyline(curve, points, *args, **kwargs)
+
+    def cycle(*args, **kwargs):
+        out = real_cycle(*args, **kwargs)
+        cycle_points.append(list(out.points))
+        return out
+
+    for module in (quadrature, homology, periods):
+        monkeypatch.setattr(module, "track_w", track)
+    monkeypatch.setattr(periods, "polyline_integrals", polyline)
+    monkeypatch.setattr(homology, "build_cycle", cycle)
+    periods.build_periods(curve)
+    known = {z for pts in vertices + cycle_points for z in pts}
+    for zs in tracked:
+        assert set(zs[:1] if len(zs) == 2 else zs) <= known
+    two_point = sum(len(zs) == 2 for zs in tracked)
+    bound = (sum(len(pts) + 1 for pts in vertices) + sum(map(len, cycle_points))
+             + 2 * two_point)
+    assert sum(map(len, tracked)) <= bound
 
 
 def _circle(center, radius, clockwise=False, count=48):
