@@ -7,10 +7,10 @@ Subcommands:
   thetalab verify <plan.json>          run a verification plan; JSONL reports
 
 Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success /
-all verifications passed, 1 verification failure, 2 parse failure (a curve
-spec that does not parse or has the wrong number of branch points), unknown
-task id, a task for the other cover degree or a bad task or plan
-parameter, 3 invariant failure (branch points not distinct,
+all verifications passed, 1 verification failure, 2 parse failure (also a
+curve spec with a bad degree or branch-point count), unknown task id, a
+task for the other cover degree or a bad task or plan parameter, 3
+invariant failure (branch points not distinct,
 non-positive-definite Im tau), theta failure (truncation or point cap), sheet
 tracking failure (a path step or quadrature leg onto or through a branch
 point) or no non-special divisor found by sampling.

@@ -167,10 +167,12 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
         x, wts = _gj_nodes(order, -m / n if sing1 else 0.0, -m / n if sing0 else 0.0)
         zs = mid + x * hv
         smooth = (psi_anchor * np.exp(log_roots(x) - log_anchor)) ** (-m)
+        kpow = k_fac ** (-m)
         for idx, d in enumerate(diffs):
-            if d.m == m:
-                vals = np.power(zs, d.a) if d.a else np.ones_like(zs)
-                out[idx] = hv * k_fac ** (-m) * np.sum(wts * vals * smooth)
+            if d.m != m:
+                continue
+            vals = np.power(zs, d.a) if d.a else np.ones_like(zs)
+            out[idx] = hv * kpow * np.sum(wts * vals * smooth)
     return out
 
 
