@@ -146,15 +146,8 @@ def elementary_symmetric(values: Sequence[complex], p: int) -> complex:
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
-    vals = list(values)
-    if p > len(vals):
-        return 0.0 + 0.0j
-    e = np.zeros(p + 1, dtype=complex)
-    e[0] = 1.0
-    for i, x in enumerate(vals):
-        for j in range(min(p, i + 1), 0, -1):
-            e[j] = e[j] + x * e[j - 1]
-    return complex(e[p])
+    sig = all_elementary_symmetric(values)
+    return complex(sig[p]) if p < len(sig) else 0.0 + 0.0j
 
 
 def all_elementary_symmetric(values: Sequence[complex]) -> np.ndarray:

@@ -262,9 +262,8 @@ def intersection_matrix(curve: CurveSpec, cycles: list[CyclePolyline]) -> np.nda
     M = np.zeros((m, m), dtype=np.int64)
     for i in range(m):
         for j in range(i + 1, m):
-            if cycles[i].edge_index is not None and cycles[j].edge_index is not None:
-                if abs(cycles[i].edge_index - cycles[j].edge_index) > 1:
-                    continue
+            if abs(cycles[i].edge_index - cycles[j].edge_index) > 1:
+                continue
             v = intersection_number(curve, cycles[i], cycles[j])
             M[i, j] = v
             M[j, i] = -v

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import derivative_at_root, principal_power, sigma_contract, sigma_row
 from .curves import CurveSpec
-from .periods import PeriodData, SurfacePoint
+from .periods import PeriodData, SurfacePoint, branch_leg_integrals
 from .quadrature import polyline_integrals, track_w
 
 
@@ -178,16 +178,6 @@ def trig_point_on_local_branch(curve: CurveSpec, anchor: int, t: complex) -> Sur
     cands = curve.w_values(z)
     w = cands[int(np.argmin(np.abs(cands - target)))]
     return SurfacePoint(z, w)
-
-
-def branch_leg_integrals(curve: CurveSpec, anchor: int, point: SurfacePoint,
-                         order: int = 48) -> np.ndarray:
-    """Integral of the monomial basis from the branch point to a nearby point."""
-    diffs = curve.differentials()
-    res = polyline_integrals(curve, [curve.lam(anchor), point.z], diffs, order,
-                             sing_start=True, sing_end=False,
-                             w_anchor=point.w, anchor_index=1)
-    return res.values
 
 
 def trig_forward_fd(curve: CurveSpec, config: TrigConfiguration,

@@ -21,8 +21,8 @@ from .homology import (Chain, CyclePolyline, HomologyError, build_chain,
                        build_cycles, intersection_matrix, symplectic_transform)
 from .quadrature import (build_avoiding_path, infinity_leg_integrals, leg_integrals,
                          polyline_integrals, refine_path_for_quadrature, track_w)
-from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, theta_halfint_table,
-                    theta_norm_abs)
+from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, parity,
+                    theta_halfint_table, theta_norm_abs)
 
 
 class PeriodError(RuntimeError):
@@ -109,30 +109,22 @@ class PeriodData:
     # -- Abel-Jacobi ------------------------------------------------------
 
     def abel_jacobi_point(self, point: SurfacePoint) -> np.ndarray:
-        """u_{P_inf}(point) for a generic surface point (z, w), at quad_order."""
-        curve = self.curve
-        diffs = curve.differentials()
-        others = list(curve.lambdas)
-        clearance = 0.25 * self.chain.gap
-        path = build_avoiding_path(self.z_far, point.z, others, clearance)
-        path = refine_path_for_quadrature(path, others)
-        res = polyline_integrals(curve, path, diffs, self.quad_order,
-                                 sing_start=False, sing_end=False,
-                                 w_anchor=point.w, anchor_index=len(path) - 1)
-        # sheet of the path at z_far relative to the stored far anchor
-        rho = np.exp(2j * np.pi / curve.n)
-        j = int(np.argmin([abs(res.w_start - self.w_far * rho ** k)
-                           for k in range(curve.n)]))
-        scaled_inf = np.array([self.inf_leg[i] * rho ** (-j * d.m)
-                               for i, d in enumerate(diffs)])
-        y = scaled_inf + res.values
-        return np.linalg.solve(self.C, y)
+        """u_{P_inf}(point) for a generic surface point (z, w), at quad_order:
+        u(P_k) plus the integral from the nearest branch point lambda_k, so no
+        other branch point lies on the leg (it would be nearer)."""
+        k = 1 + int(np.argmin(np.abs(np.asarray(self.curve.lambdas) - point.z)))
+        leg = branch_leg_integrals(self.curve, k, point, self.quad_order)
+        return self.aj_branch[k] + np.linalg.solve(self.C, leg)
 
     def abel_jacobi_divisor(self, points: Sequence[SurfacePoint]) -> np.ndarray:
+        """Sum of the points' images, moved by a lattice vector into the cell
+        |eps/2|, |delta/2| <= 1/2 of lattice_coords, so that it does not
+        depend on the routes the images were integrated along."""
         out = np.zeros(self.g, dtype=complex)
         for p in points:
             out = out + self.abel_jacobi_point(p)
-        return out
+        eps, delta = self.lattice_coords(out)
+        return out - (self.tau.matrix @ np.round(eps / 2.0) + np.round(delta / 2.0))
 
     def theta_scale(self, tol: float = 1e-10) -> float:
         """max theta magnitude over seeded random arguments X + tau X'.
@@ -155,6 +147,18 @@ class PeriodData:
 
 # ----------------------------------------------------------------------------
 # Construction
+
+
+def branch_leg_integrals(curve: CurveSpec, k: int, point: SurfacePoint,
+                         order: int) -> np.ndarray:
+    """Integrals of the monomial basis from the branch point lambda_k to a
+    surface point along the segment between them, split where another branch
+    point comes near; singular at the start, anchored at the point's w."""
+    others = [lam for i, lam in enumerate(curve.lambdas) if i + 1 != k]
+    path = refine_path_for_quadrature([curve.lam(k), point.z], others)
+    return polyline_integrals(curve, path, curve.differentials(), order,
+                              sing_start=True, sing_end=False, w_anchor=point.w,
+                              anchor_index=len(path) - 1).values
 
 
 def _edge_raw_integrals(curve: CurveSpec, chain: Chain,
@@ -364,7 +368,6 @@ def _attach_riemann_constants(data: PeriodData, theta_tol: float):
     curve = data.curve
     g = data.g
     if curve.n == 2:
-        odd_sum = np.zeros(g, dtype=complex)
         n_odd = 0
         eps_sum = [Fraction(0)] * g
         delta_sum = [Fraction(0)] * g
@@ -372,10 +375,8 @@ def _attach_riemann_constants(data: PeriodData, theta_tol: float):
             ch, _ = data.lattice_reduce(data.aj_branch[k])
             if not ch.is_integral():
                 raise PeriodError(f"u(P_{k}) failed to snap to a half period")
-            from .theta import parity as char_parity
-            if char_parity(ch) == 1:
+            if parity(ch) == 1:
                 n_odd += 1
-                odd_sum = odd_sum + data.aj_branch[k]
                 eps_sum = [a + b for a, b in zip(eps_sum, ch.eps)]
                 delta_sum = [a + b for a, b in zip(delta_sum, ch.delta)]
         if n_odd != g:

@@ -352,8 +352,8 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
         if not want_grad:
             return amp * t0
         t1 = _tail_sum_bound(tau.g, tau.rho, R, 1)
-        return amp * (2 * np.pi * (tau.Uinv_norm * t1 + (cnorm + math.sqrt(tau.g)) * t0
-                                   + n0norm * t0))
+        return (amp * 2 * np.pi * (tau.Uinv_norm * t1 + (cnorm + math.sqrt(tau.g)) * t0)
+                + 2 * np.pi * n0norm * (amp * t0))
     R = _search_radius(tau.rho, tail, tol_red)
 
     s = np.round(xi).astype(np.int64)
@@ -366,17 +366,12 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
     lin = n @ (zr + b)
     terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
     val_red = terms.sum()
-    vbound_red = amp * _tail_sum_bound(tau.g, tau.rho, R)
+    bound = float(abs(pref) * tail(R))
     if not want_grad:
-        value = phase0 * pref * val_red
-        return ThetaValue(complex(value), float(abs(pref) * vbound_red))
+        return ThetaValue(complex(phase0 * pref * val_red), bound)
     grad_red = 2j * np.pi * (n.T @ terms)
     grad = phase0 * pref * (grad_red - 2j * np.pi * n0 * val_red)
-    gbound_red = amp * 2 * np.pi * (
-        tau.Uinv_norm * _tail_sum_bound(tau.g, tau.rho, R, 1)
-        + (cnorm + math.sqrt(tau.g)) * _tail_sum_bound(tau.g, tau.rho, R))
-    gbound = abs(pref) * (gbound_red + 2 * np.pi * n0norm * vbound_red)
-    return ThetaGradient(np.asarray(grad, dtype=complex), float(gbound))
+    return ThetaGradient(np.asarray(grad, dtype=complex), bound)
 
 
 def theta_eval(char: Characteristic, zeta, tau: RiemannMatrix,

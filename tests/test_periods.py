@@ -3,10 +3,10 @@ import pytest
 
 from thetalab.curves import CurveSpec, CurveSpecError
 from thetalab.modular import j_invariant
-from thetalab.periods import SurfacePoint, build_periods
+from thetalab.periods import SurfacePoint, _random_surface_points, build_periods
 from thetalab.quadrature import (build_avoiding_path, polyline_integrals,
                                  refine_path_for_quadrature)
-from thetalab.theta import Characteristic, parity, theta_norm_abs
+from thetalab.theta import Characteristic, parity, theta_eval, theta_norm_abs
 
 from oracles import cross_ratio_j
 
@@ -75,7 +75,6 @@ def test_branch_parity_census_g2(hyp_g2):
 
 
 def test_riemann_vanishing_g2(hyp_g2):
-    from thetalab.periods import _random_surface_points
     c, pd = hyp_g2
     rng = np.random.default_rng(33)
     scale = pd.theta_scale()
@@ -86,11 +85,11 @@ def test_riemann_vanishing_g2(hyp_g2):
         assert theta_norm_abs(ch0, arg, pd.tau) < 1e-7 * scale
 
 
-def test_abel_jacobi_path_independence(hyp_g2):
-    c, pd = hyp_g2
-    pt = SurfacePoint(1.3 + 0.9j, c.w_principal(1.3 + 0.9j))
-    u1 = pd.abel_jacobi_point(pt)
-    # alternative route through a detour waypoint
+def _route_from_infinity(pd, pt):
+    """u(pt) along an independent route: the infinity leg, then an avoiding
+    polyline from z_far through a detour waypoint to pt, its sheet at z_far
+    matched against w_far."""
+    c = pd.curve
     mid = pt.z + 2.5 - 1.5j
     path1 = build_avoiding_path(pd.z_far, mid, list(c.lambdas), 0.3)
     path2 = build_avoiding_path(mid, pt.z, list(c.lambdas), 0.3)
@@ -102,8 +101,86 @@ def test_abel_jacobi_path_independence(hyp_g2):
     j = int(np.argmin([abs(res.w_start - pd.w_far * rho ** k) for k in range(c.n)]))
     diffs = c.differentials()
     y = np.array([pd.inf_leg[i] * rho ** (-j * d.m) for i, d in enumerate(diffs)]) + res.values
-    u2 = np.linalg.solve(pd.C, y)
-    assert pd.lattice_distance(u1 - u2) < 1e-9
+    return np.linalg.solve(pd.C, y)
+
+
+def _near_branch_points(pd, seed, count):
+    """Seeded points within half the smallest branch-point gap of a branch
+    point, on random sheets: no other branch point comes near their leg."""
+    c = pd.curve
+    lams = np.asarray(c.lambdas)
+    gap = min(abs(a - b) for i, a in enumerate(lams) for b in lams[i + 1:])
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(0, len(lams)))
+        z = lams[k] + 0.5 * gap * rng.uniform(0.05, 1.0) * np.exp(2j * np.pi * rng.random())
+        sheet = np.exp(2j * np.pi * rng.integers(0, c.n) / c.n)
+        out.append(SurfacePoint(z, c.w_principal(z) * sheet))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])
+def test_abel_jacobi_path_independence(fixture, seed, request):
+    c, pd = request.getfixturevalue(fixture)
+    pts = _random_surface_points(pd, 1, np.random.default_rng(seed))
+    for pt in pts + _near_branch_points(pd, seed, 1):
+        assert pd.lattice_distance(pd.abel_jacobi_point(pt) - _route_from_infinity(pd, pt)) < 1e-9
+
+
+@pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])
+def test_abel_jacobi_point_is_one_leg(fixture, request, monkeypatch):
+    import thetalab.quadrature
+    c, pd = request.getfixturevalue(fixture)
+    calls = []
+    leg = thetalab.quadrature.leg_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return leg(*args, **kwargs)
+
+    monkeypatch.setattr(thetalab.quadrature, "leg_integrals", counted)
+    for pt in _near_branch_points(pd, 5, 6):
+        calls.clear()
+        pd.abel_jacobi_point(pt)
+        assert len(calls) == 1 and calls[0][1] == pt.z
+
+
+@pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])
+def test_abel_jacobi_divisor_in_fixed_cell(fixture, request):
+    c, pd = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        pts = _random_surface_points(pd, c.genus, rng)
+        u = pd.abel_jacobi_divisor(pts)
+        eps, delta = pd.lattice_coords(u)
+        assert np.max(np.abs(np.concatenate([eps, delta]) / 2.0)) <= 0.5 + 1e-12
+        assert pd.lattice_distance(u - sum(pd.abel_jacobi_point(p) for p in pts)) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])
+def test_theta_quotient_power_is_lift_invariant(fixture, request):
+    """(theta[u(P_k)](a) / theta(a))^n does not see a -> a + tau m + l, so the
+    quotient identities do not depend on the lift of the divisor image."""
+    c, pd = request.getfixturevalue(fixture)
+    g = c.genus
+    rng = np.random.default_rng(5)
+    a = pd.tau.matrix @ rng.uniform(-0.5, 0.5, g) + rng.uniform(-0.5, 0.5, g)
+    ch0 = Characteristic.zero(g)
+
+    def quotient(arg, ch):
+        return (theta_eval(ch, arg, pd.tau, 1e-13).value
+                / theta_eval(ch0, arg, pd.tau, 1e-13).value) ** c.n
+
+    for k in (1, 2, c.num_branch):
+        ch, _ = pd.lattice_reduce(pd.aj_branch[k])
+        q0 = quotient(a, ch)
+        for _ in range(3):
+            m = rng.integers(-2, 3, g)
+            l = rng.integers(-2, 3, g)
+            q = quotient(a + pd.tau.matrix @ m + l, ch)
+            assert abs(q - q0) <= 1e-9 * abs(q0)
 
 
 def test_fiber_sum_is_lattice(trig_q2):

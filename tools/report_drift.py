@@ -8,7 +8,9 @@ plan, taken from this script's own checkout) it runs `thetalab verify` and
 `thetalab periods` from both checkouts' `src/`, and `thetalab theta` on the
 README input.  For each plan it prints whether the outputs are byte for byte
 the same, the largest entry of |tau_NEW - tau_OLD|, and for each identity the
-largest relative change of its reports' `ratios`.  Every change of a report's
+largest relative change of its reports' `ratios` and, on each side, the worst
+residual max(modulus_error, phase_residual, spread) of its root tags, so that
+an accuracy change reads as a number.  Every change of a report's
 identity, partition, `passed` flag or root index, of the number of reports
 or ratios, or of the periods' `K_characteristic` or `quad_order` is printed
 on a `CHANGED` line, and the exit code is then 1; otherwise it is 0.  A
@@ -59,6 +61,12 @@ def complex_array(pairs) -> complex:
     return [complex(re, im) for re, im in pairs]
 
 
+def residual(report: dict) -> float:
+    """How far a report's ratios are from its root of unity: 0 when exact."""
+    tag = report["root_tag"]
+    return max(tag["modulus_error"], tag["phase_residual"], report["spread"])
+
+
 def compare(label: str, old: tuple[bytes, bytes], new: tuple[bytes, bytes]) -> list[str]:
     """Print one plan's drift; return its structural changes."""
     changes = []
@@ -74,6 +82,7 @@ def compare(label: str, old: tuple[bytes, bytes], new: tuple[bytes, bytes]) -> l
     if len(r_old) != len(r_new):
         changes.append(f"{len(r_old)} reports -> {len(r_new)}")
     drift: dict[str, float] = defaultdict(float)
+    worst: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0])
     for i, (a, b) in enumerate(zip(r_old, r_new)):
         index = [(r["root_tag"] or {}).get("index") for r in (a, b)]
         for key, va, vb in (("identity", a["identity"], b["identity"]),
@@ -85,12 +94,17 @@ def compare(label: str, old: tuple[bytes, bytes], new: tuple[bytes, bytes]) -> l
                 changes.append(f"report {i} {key} {va!r} -> {vb!r}")
         for x, y in zip(complex_array(a["ratios"]), complex_array(b["ratios"])):
             drift[a["identity"]] = max(drift[a["identity"]], abs(y - x) / abs(x))
+        for side, r in enumerate((a, b)):
+            if r["root_tag"]:
+                w = worst[r["identity"]]
+                w[side] = max(w[side], residual(r))
 
     same = ["same" if o == n else "differ" for o, n in zip(old, new)]
     print(f"{label}: verify bytes {same[0]}, periods bytes {same[1]}, "
           f"max |d tau| {d_tau:.1e}")
     for identity, value in drift.items():
-        print(f"    {identity:<22} max relative ratio drift {value:.1e}")
+        print(f"    {identity:<22} max relative ratio drift {value:.1e}, "
+              "worst residual {:.1e} -> {:.1e}".format(*worst[identity]))
     for change in changes:
         print(f"    CHANGED {change}")
     return changes
