@@ -463,7 +463,9 @@ def _search_riemann_constant(data: PeriodData, theta_tol: float):
     # stage 0: vectorized screen over all 4^g half-periods at once
     screen = (_branch_supported_divisors(data, 2, rng) + divisors[:1]) if g > 1 \
         else divisors[:1]
-    screen_tol = max(theta_tol, 1e-6)
+    # the table's error is then at most a tenth of the 1e-3 * scale cut, so the
+    # true K survives the screen
+    screen_tol = max(theta_tol, 1e-4 * scale)
     alive = np.ones((2 ** g, 2 ** g), dtype=bool)
     for u in screen:
         alive &= invariant_table(u, screen_tol) < 1e-3 * scale

@@ -208,10 +208,13 @@ def polyline_integrals(curve: CurveSpec, points: Sequence[complex],
     lo = 1 if sing_start else 0
     hi = M - 1 if sing_end else M
     w = complex(w_anchor)
-    wv = dict(zip(range(anchor_index, hi + 1),
-                  track_w(curve, pts[anchor_index:hi + 1], w)))
-    wv.update(zip(range(anchor_index, lo - 1, -1),
-                  track_w(curve, pts[lo:anchor_index + 1][::-1], w)))
+    wv = {anchor_index: w}
+    if hi > anchor_index:
+        wv.update(zip(range(anchor_index, hi + 1),
+                      track_w(curve, pts[anchor_index:hi + 1], w)))
+    if anchor_index > lo:
+        wv.update(zip(range(anchor_index, lo - 1, -1),
+                      track_w(curve, pts[lo:anchor_index + 1][::-1], w)))
     total = np.zeros(len(diffs), dtype=complex)
     for leg in range(M):
         s0 = sing_start and leg == 0

@@ -19,11 +19,12 @@ for tau in the Siegel upper half-space.  Useful identities implemented here:
 Evaluation sums over the lattice points inside the ellipsoid
 || U (m + eps/2 + Y^{-1} Im(zeta + delta/2)) || <= R, where U^t U = pi * Im tau,
 with R chosen from a Gaussian tail bound so the omitted tail is below the
-requested tolerance.  The points come from a breadth-first Fincke-Pohst
-enumeration, one numpy pass per coordinate, with the point cap checked on
-each level's candidates before they are allocated.  The argument is first
-range-reduced by integer lattice shifts (tracking the periodicity prefactor)
-to keep exponents bounded.
+requested tolerance.  Each evaluation enumerates the ellipsoid centred on
+its own offset; nothing is cached per matrix.  The points come from a
+breadth-first Fincke-Pohst enumeration, one numpy pass per coordinate, with
+the point cap checked on each level's candidates before they are allocated.
+The argument is first range-reduced by integer lattice shifts (tracking the
+periodicity prefactor) to keep exponents bounded.
 
 Characteristics are stored as exact rationals (denominators 1, 2, 3, 6 in
 practice) so that third- and sixth-period bookkeeping never drifts.
@@ -181,7 +182,6 @@ class RiemannMatrix:
         self.Uinv = np.linalg.inv(self.U)
         self.Uinv_norm = float(np.linalg.norm(self.Uinv, 2))
         self.rho = self._shortest_vector()
-        self._point_cache: dict[float, np.ndarray] = {}
 
     def _shortest_vector(self) -> float:
         bound = min(float(np.linalg.norm(self.U[:, j])) for j in range(self.g))
@@ -190,13 +190,9 @@ class RiemannMatrix:
         nz = norms[norms > 1e-12]
         return float(nz.min()) if nz.size else bound
 
-    def lattice_points(self, radius: float) -> np.ndarray:
-        """Cached integer points with ||U m|| <= radius (radius snapped up)."""
-        key = math.ceil(radius * 2.0) / 2.0
-        if key not in self._point_cache:
-            self._point_cache[key] = _enumerate_ellipsoid(
-                self.U, np.zeros(self.g), key)
-        return self._point_cache[key]
+    def lattice_points(self, center: np.ndarray, radius: float) -> np.ndarray:
+        """All integer m with ||U (m + center)|| <= radius; nothing is kept."""
+        return _enumerate_ellipsoid(self.U, center, radius)
 
 
 def _enumerate_ellipsoid(U: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -356,10 +352,7 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
                 + 2 * np.pi * n0norm * (amp * t0))
     R = _search_radius(tau.rho, tail, tol_red)
 
-    s = np.round(xi).astype(np.int64)
-    pad = float(np.linalg.norm(tau.U @ (xi - s)))
-    pts = tau.lattice_points(R + pad)  # integer m' = m + s
-    n = pts - s + a  # m + eps/2
+    n = tau.lattice_points(xi, R) + a  # m + eps/2
     # exponent: i*pi n^t tau n + 2*pi*i n^t (zr + b)
     tn = n @ tau.matrix
     quad = np.einsum("ij,ij->i", tn, n)
@@ -438,16 +431,13 @@ def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarr
     for ecode in range(two):
         evec = (ecode >> bits) & 1
         a = evec / 2.0
-        xi = a + c
-        s = np.round(xi).astype(np.int64)
-        pad = float(np.linalg.norm(tau.U @ (xi - s)))
-        pts = tau.lattice_points(R + pad)
-        n = pts - s + a
+        pts = tau.lattice_points(a + c, R)
+        n = pts + a
         tn = n @ tau.matrix
         quad = np.einsum("ij,ij->i", tn, n)
         lin = n @ zr
         terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
-        pcodes = ((pts - s) % 2) @ (1 << bits)
+        pcodes = (pts % 2) @ (1 << bits)
         P = (np.bincount(pcodes, weights=terms.real, minlength=two)
              + 1j * np.bincount(pcodes, weights=terms.imag, minlength=two))
         theta_red = walsh @ P                     # indexed by delta code

@@ -153,6 +153,31 @@ def test_build_periods_tracks_no_quadrature_node(monkeypatch):
     assert sum(map(len, tracked)) <= bound
 
 
+@pytest.mark.parametrize("curve", CURVES, ids=IDS)
+def test_branch_leg_tracks_nothing(curve, monkeypatch):
+    # a two-point branch leg has one non-singular vertex, the anchor: no
+    # track_w run, and the leg's own anchor check still rejects a bad start
+    calls = []
+    real_track = quadrature.track_w
+
+    def track(*args):
+        calls.append(args)
+        return real_track(*args)
+
+    monkeypatch.setattr(quadrature, "track_w", track)
+    lam = curve.lambdas[0]
+    z = lam + 0.3 + 0.2j
+    w = curve.w_principal(z)
+    diffs = curve.differentials()
+    res = quadrature.polyline_integrals(curve, [lam, z], diffs, 24, True, False, w, 1)
+    assert calls == []
+    assert res.w_start == res.w_end == w
+    assert same_bits(res.values, leg_integrals(curve, lam, z, diffs, 24, True, False, w, True))
+    with pytest.raises(QuadratureError, match="separation"):
+        quadrature.polyline_integrals(curve, [lam, z], diffs, 24, True, False, 0.0, 1)
+    assert calls == []
+
+
 def _circle(center, radius, clockwise=False, count=48):
     t = np.linspace(0.0, 2 * np.pi, count + 1)[:-1] * (-1 if clockwise else 1)
     pts = list(center + radius * np.exp(1j * t))

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -9,8 +10,8 @@ import thetalab.theta
 from thetalab.theta import (Characteristic, RiemannMatrix, ThetaError,
                             _enumerate_ellipsoid, apply_transchar,
                             count_parities, parity, reduce_characteristic,
-                            theta_eval, theta_grad, theta_norm_abs,
-                            truncation_radius)
+                            theta_eval, theta_grad, theta_halfint_table,
+                            theta_norm_abs, truncation_radius)
 
 from conftest import random_riemann_matrix
 from oracles import (THETA_AT_I, naive_theta, naive_theta_grad,
@@ -195,7 +196,6 @@ def test_invalid_riemann_matrix():
 
 
 def test_halfint_table_matches_direct():
-    from thetalab.theta import theta_halfint_table
     rng = np.random.default_rng(19)
     for g in (1, 2, 3):
         tau = RiemannMatrix(random_riemann_matrix(g, rng))
@@ -207,6 +207,70 @@ def test_halfint_table_matches_direct():
                 dl = [(d >> j) & 1 for j in range(g)]
                 ref = theta_eval(Characteristic.of(eps, dl), zeta, tau, 1e-12).value
                 assert abs(table[e, d] - ref) < 1e-9 * max(abs(ref), 1e-4)
+
+
+def _array_bytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_array_bytes(v) for v in obj.values())
+    return 0
+
+
+def test_evaluation_keeps_no_state_on_the_matrix():
+    rng = np.random.default_rng(23)
+    tau = RiemannMatrix(random_riemann_matrix(3, rng))
+    before = sum(_array_bytes(v) for v in vars(tau).values())
+    for _ in range(3):
+        zeta = rng.normal(size=3) + 1j * rng.normal(size=3)
+        ch = Characteristic.of(rng.integers(0, 2, 3), rng.integers(0, 2, 3))
+        theta_eval(ch, zeta, tau, 1e-12)
+        theta_grad(ch, zeta, tau, 1e-10)
+        theta_halfint_table(zeta, tau, 1e-10)
+    assert sum(_array_bytes(v) for v in vars(tau).values()) == before
+
+
+def _half_offset_zeta(tau, eps, rng):
+    """A zeta whose reduced offset xi = eps/2 + Y^-1 Im(zeta') has every
+    coordinate within 0.01 of +-1/2, the ellipsoid centre farthest from the
+    lattice, and the size exp(pi y^t Y^-1 y), y = Im zeta, of its largest
+    series term: the rounding of both sums scales with it."""
+    t = rng.choice([-0.49, 0.49], size=tau.g) - np.asarray(eps) / 2.0
+    zeta = tau.matrix @ t + rng.normal(size=tau.g)
+    return zeta, math.exp(np.pi * t @ tau.Y @ t)
+
+
+def test_half_offset_matches_naive_sum():
+    rng = np.random.default_rng(24)
+    for g in (1, 2, 3):
+        tau = RiemannMatrix(random_riemann_matrix(g, rng))
+        for _ in range(3):
+            eps = rng.integers(0, 2, g)
+            delta = rng.integers(0, 2, g)
+            zeta, size = _half_offset_zeta(tau, eps, rng)
+            ch = Characteristic.of(eps, delta)
+            v = theta_eval(ch, zeta, tau, 1e-12)
+            assert abs(v.value - naive_theta(eps, delta, zeta, tau.matrix)) \
+                <= v.truncation_bound + 1e-12 * size
+            d = theta_grad(ch, zeta, tau, 1e-10)
+            ref = naive_theta_grad(eps, delta, zeta, tau.matrix)
+            assert np.max(np.abs(d.values - ref)) <= d.truncation_bound + 1e-12 * size
+
+
+def test_halfint_table_at_half_offsets_matches_naive_sum():
+    # each row is checked at a zeta that puts its eps class at the half
+    # offset, against the box sum rather than theta_eval, which shares its
+    # points
+    rng = np.random.default_rng(25)
+    for g in (1, 2, 3):
+        tau = RiemannMatrix(random_riemann_matrix(g, rng))
+        vecs = [[(c >> j) & 1 for j in range(g)] for c in range(2 ** g)]
+        for e, eps in enumerate(vecs):
+            zeta, size = _half_offset_zeta(tau, eps, rng)
+            row = theta_halfint_table(zeta, tau, 1e-12)[e]
+            for d, delta in enumerate(vecs):
+                ref = naive_theta(eps, delta, zeta, tau.matrix)
+                assert abs(row[d] - ref) <= 1e-12 + 1e-12 * size
 
 
 def test_norm_abs_lattice_invariance():
