@@ -19,8 +19,8 @@ import numpy as np
 from .curves import CurveSpec, Differential
 from .homology import (Chain, CyclePolyline, HomologyError, build_chain,
                        build_cycles, intersection_matrix, symplectic_transform)
-from .quadrature import (build_avoiding_path, infinity_leg_integrals, leg_integrals,
-                         polyline_integrals, refine_path_for_quadrature, track_w)
+from .quadrature import (infinity_leg_integrals, leg_integrals, polyline_integrals,
+                         refine_path_for_quadrature, track_w)
 from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, parity,
                     theta_halfint_table, theta_norm_abs)
 
@@ -53,9 +53,6 @@ class PeriodData:
     C: np.ndarray                  # g x g, rows = differentials, cols = a-cycles
     Braw: np.ndarray               # g x g, rows = differentials, cols = b-cycles
     tau: RiemannMatrix
-    z_far: complex
-    w_far: complex
-    inf_leg: np.ndarray            # integrals of the monomial basis from P_inf to z_far
     aj_branch: dict[int, np.ndarray]
     K: np.ndarray
     K_char: Characteristic
@@ -117,14 +114,15 @@ class PeriodData:
         return self.aj_branch[k] + np.linalg.solve(self.C, leg)
 
     def abel_jacobi_divisor(self, points: Sequence[SurfacePoint]) -> np.ndarray:
-        """Sum of the points' images, moved by a lattice vector into the cell
-        |eps/2|, |delta/2| <= 1/2 of lattice_coords, so that it does not
-        depend on the routes the images were integrated along."""
-        out = np.zeros(self.g, dtype=complex)
-        for p in points:
-            out = out + self.abel_jacobi_point(p)
-        eps, delta = self.lattice_coords(out)
-        return out - (self.tau.matrix @ np.round(eps / 2.0) + np.round(delta / 2.0))
+        """Sum of the points' images in the cell of to_cell, so that it does
+        not depend on the routes the images were integrated along."""
+        return self.to_cell(sum((self.abel_jacobi_point(p) for p in points),
+                                np.zeros(self.g, dtype=complex)))
+
+    def to_cell(self, v: np.ndarray) -> np.ndarray:
+        """v moved by a lattice vector into the cell |eps/2|, |delta/2| <= 1/2."""
+        eps, delta = self.lattice_coords(v)
+        return v - (self.tau.matrix @ np.round(eps / 2.0) + np.round(delta / 2.0))
 
     def theta_scale(self, tol: float = 1e-10) -> float:
         """max theta magnitude over seeded random arguments X + tau X'.
@@ -238,7 +236,9 @@ def build_periods(curve: CurveSpec, quad_order: int = 64) -> PeriodData:
     """Construct the full analytic package for a curve.
 
     The quadrature order doubles from ``quad_order`` until the periods move
-    by less than QUAD_DRIFT_TARGET, up to QUAD_MAX_ORDER.
+    by less than QUAD_DRIFT_TARGET, up to QUAD_MAX_ORDER.  The branch images
+    u(P_k) take one route from infinity, to the outermost branch point k0,
+    and from there running sums of C^{-1} E over the chain edges.
 
     Raises PeriodError / HomologyError on invariant failures (these indicate
     ill-conditioned input or a construction bug, never a soft warning).
@@ -303,26 +303,18 @@ def build_periods(curve: CurveSpec, quad_order: int = 64) -> PeriodData:
         raise PeriodError(f"tau asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
     tau = RiemannMatrix(tau_m)
 
-    # infinity anchor and branch-point Abel-Jacobi vectors
-    z_far = (5.0 * max(abs(x) for x in curve.lambdas) + 5.0) * np.exp(0.2345j)
+    # no other branch point lies on the ray through lambda_k0; on every chain
+    # edge i: a -> b, u(P_b) - u(P_a) - C^{-1} E_i is a lattice vector
+    k0 = 1 + int(np.argmax(np.abs(curve.lambdas)))
+    z_far = 2.0 * curve.lam(k0)
     w_far = curve.w_principal(z_far)
-    inf_leg = infinity_leg_integrals(curve, z_far, w_far, diffs, max(order, 96))
-
-    clearance = 0.25 * chain.gap
-    aj_branch: dict[int, np.ndarray] = {}
-    for k in range(1, curve.num_branch + 1):
-        lam_k = curve.lam(k)
-        obstacles = [curve.lam(i) for i in range(1, curve.num_branch + 1) if i != k]
-        path = build_avoiding_path(z_far, lam_k, obstacles, clearance)
-        path = refine_path_for_quadrature(path, obstacles)
-        res = polyline_integrals(curve, path, diffs, order,
-                                 sing_start=False, sing_end=True,
-                                 w_anchor=w_far, anchor_index=0)
-        y = inf_leg + res.values
-        aj_branch[k] = np.linalg.solve(C, y)
+    u_k0 = np.linalg.solve(C, infinity_leg_integrals(curve, z_far, w_far, diffs, max(order, 96))
+                           - branch_leg_integrals(curve, k0, SurfacePoint(z_far, w_far), order))
+    sums = np.concatenate([np.zeros((1, g)), np.cumsum(np.linalg.solve(C, E.T).T, axis=0)])
+    sums += u_k0 - sums[chain.order.index(k0)]
+    aj_branch = dict(sorted(zip(chain.order, sums)))
 
     data = PeriodData(curve=curve, chain=chain, C=C, Braw=B.T, tau=tau,
-                      z_far=z_far, w_far=w_far, inf_leg=inf_leg,
                       aj_branch=aj_branch, K=np.zeros(g, dtype=complex),
                       K_char=Characteristic.zero(g),
                       quad_order=order, drift=drift)
@@ -411,7 +403,9 @@ def _random_surface_points(data: PeriodData, count: int, rng) -> list[SurfacePoi
 
 def _branch_supported_divisors(data: PeriodData, count: int, rng) -> list[np.ndarray]:
     """Abel-Jacobi images of degree g-1 divisors supported on branch points
-    (multiplicities <= n-1); cheap since the branch images are precomputed."""
+    (multiplicities <= n-1); cheap since the branch images are precomputed.
+    Each comes back in the cell of to_cell: a far lift would shrink the
+    theta table's range-reduced tolerance and so widen its radius."""
     curve = data.curve
     g = data.g
     out = []
@@ -424,7 +418,7 @@ def _branch_supported_divisors(data: PeriodData, count: int, rng) -> list[np.nda
             if mult[k] < curve.n - 1:
                 mult[k] += 1
                 deg += 1
-        out.append(sum(m * data.aj_branch[k] for k, m in mult.items()))
+        out.append(data.to_cell(sum(m * data.aj_branch[k] for k, m in mult.items())))
     return out
 
 

@@ -1,16 +1,18 @@
 """Path integrals of z^a dz / w^m on superelliptic curves.
 
-Every path is a polyline whose legs either end at a branch point (integrable
-endpoint singularity of exponent -m/n, handled by Gauss-Jacobi nodes with the
-matching weight) or stay away from all branch points (Gauss-Legendre).  The
-sheet of w along a path is fixed by an anchor value at one non-singular point
-and continued exactly from vertex to vertex: a linear factor that moves
-straight without passing 0 turns by the argument of its end-to-start ratio, so
-the sheets are a running sum of root-of-unity shifts (track_w).  On a leg no
-node is tracked: w is one constant, fixed at the leg's anchor end, times a
-product of principal roots none of which meets its branch cut on the leg
-(after Molin & Neurohr, Math. Comp. 88, 2019); the infinity leg takes the
-same form.  A leg through a branch point raises QuadratureError.
+Every path is a polyline whose legs either end at a branch point or stay away
+from all branch points, and every leg takes one Gauss-Legendre rule.  At a
+singular end the substitution 1 +- x = 2 t^n turns (1 +- x)^{-m/n} dx into
+2^{1-m/n} n t^{n-1-m} dt, a polynomial for m < n, so the rule runs in t and
+its nodes x do not depend on m.  The sheet of w along a path is fixed by an
+anchor value at one non-singular point and continued exactly from vertex to
+vertex: a linear factor that moves straight without passing 0 turns by the
+argument of its end-to-start ratio, so the sheets are a running sum of
+root-of-unity shifts (track_w).  On a leg no node is tracked: w is one
+constant, fixed at the leg's anchor end, times a product of principal roots
+none of which meets its branch cut on the leg (after Molin & Neurohr, Math.
+Comp. 88, 2019); the infinity leg takes the same form.  A leg through a
+branch point raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_legendre
 
 from .algebra import principal_power
 from .curves import CurveSpec, Differential
@@ -31,12 +33,17 @@ class QuadratureError(RuntimeError):
 
 
 @lru_cache(maxsize=256)
-def _gj_nodes(order: int, alpha: float, beta: float):
-    if alpha == 0.0 and beta == 0.0:
-        x, w = roots_legendre(order)
-    else:
-        x, w = roots_jacobi(order, alpha, beta)
-    return x, w
+def _leg_rule(order: int, n: int, side: int):
+    """Nodes x on [-1, 1] and, for m = 0..n-1, the weights that integrate
+    f(x) (1 - side x)^{-m/n} dx: side -1 or +1 puts the singular end at
+    x = side, side 0 has none.  With 1 - side x = 2 t^n the weight of the
+    Gauss-Legendre node t is 2^{-m/n} n t^{n-1-m} times its own."""
+    y, w = roots_legendre(order)
+    if side == 0:
+        return y, (w,) * n
+    t = (y + 1.0) / 2.0
+    return side * (1.0 - 2.0 * t ** n), tuple(
+        2.0 ** (-m / n) * n * t ** (n - 1 - m) * w for m in range(n))
 
 
 # ----------------------------------------------------------------------------
@@ -120,12 +127,13 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
     non-singular end selected by anchor_at_end (False: z0, True: z1).
 
     With z = mid + x hv each factor z - lambda_k is hv (x - x_k).  The
-    singular ones are (1 +- x) hv exactly and go into the Gauss-Jacobi
-    weight, which keeps full relative accuracy on legs much shorter than
+    singular one is (1 +- x) hv exactly and goes into the weights of
+    _leg_rule, which keeps full relative accuracy on legs much shorter than
     |lambda|.  Every other x - x_k moves parallel to the real axis as x runs
     over [-1, 1], so it never crosses the cut of the principal n-th root
     unless lambda_k lies on the leg, which raises.  So w is one constant,
-    fixed by w_anchor, times a product of principal roots.
+    fixed by w_anchor, times a product of principal roots, evaluated once on
+    the nodes for every power m.
     """
     n = curve.n
     if sing0 and sing1:
@@ -161,18 +169,15 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
     psi_anchor = w_anchor / (afrac ** (1.0 / n) * k_fac)
     log_anchor = log_roots(np.array([anchor_x]))[0]
 
+    # the weights absorb (1 +- x)^{-m/n}
+    x, wts = _leg_rule(order, n, -1 if sing0 else 1 if sing1 else 0)
+    zs = mid + x * hv
+    psi = psi_anchor * np.exp(log_roots(x) - log_anchor)
+    smooth = {m: psi ** (-m) for m in {d.m for d in diffs}}
     out = np.empty(len(diffs), dtype=complex)
-    for m in sorted({d.m for d in diffs}):
-        # the Gauss-Jacobi weight absorbs (1 +- x)^{-m/n}
-        x, wts = _gj_nodes(order, -m / n if sing1 else 0.0, -m / n if sing0 else 0.0)
-        zs = mid + x * hv
-        smooth = (psi_anchor * np.exp(log_roots(x) - log_anchor)) ** (-m)
-        kpow = k_fac ** (-m)
-        for idx, d in enumerate(diffs):
-            if d.m != m:
-                continue
-            vals = np.power(zs, d.a) if d.a else np.ones_like(zs)
-            out[idx] = hv * kpow * np.sum(wts * vals * smooth)
+    for idx, d in enumerate(diffs):
+        vals = np.power(zs, d.a) if d.a else 1.0
+        out[idx] = hv * k_fac ** (-d.m) * np.sum(wts[d.m] * vals * smooth[d.m])
     return out
 
 
@@ -244,7 +249,7 @@ def infinity_leg_integrals(curve: CurveSpec, z_far: complex, w_far: complex,
     n = curve.n
     if abs(z_far) <= max(abs(x) for x in curve.lambdas):
         raise ValueError("z_far must lie outside the branch-point disk")
-    x, wts = roots_legendre(order)
+    x, (wts,) = _leg_rule(order, 1, 0)
     sig = 0.5 * (x + 1.0)        # nodes on (0,1)
     wts = 0.5 * wts
     t = np.asarray(curve.lambdas, dtype=complex) / z_far

@@ -5,8 +5,10 @@ a plain full-box lattice sum, the elliptic j target comes from the
 branch-point cross-ratio, sheet tracking is checked against the scalar
 depth-first step rule, lattice enumeration against the depth-first
 Fincke-Pohst recursion, the infinity leg against its node-by-node
-continuation, and the Thomae derivative right-hand sides and
-closed-form Jacobians against the contraction loops each once wrote out.
+continuation, the branch images summed along the chain edges against one
+route from infinity per branch point, and the Thomae derivative right-hand
+sides and closed-form Jacobians against the contraction loops each once
+wrote out.
 """
 
 import math
@@ -16,6 +18,8 @@ from scipy.special import roots_legendre
 
 from thetalab.algebra import (INF, all_elementary_symmetric, derivative_at_root,
                               principal_power)
+from thetalab.quadrature import (build_avoiding_path, infinity_leg_integrals,
+                                 polyline_integrals, refine_path_for_quadrature)
 from thetalab.theta import ThetaError
 from thetalab.thomae import _delta_product_trig, _delta_quarter_pair
 
@@ -117,6 +121,36 @@ def infinity_leg_by_continuation(curve, z_far, w_far, diffs, order) -> np.ndarra
     h = cands[np.arange(len(at)), j][:0:-1]
     return np.array([-n * z_far ** (d.a + 1) * np.sum(
         0.5 * wts * sig ** (d.m * N - n * (d.a + 1) - 1) * h ** (-d.m)) for d in diffs])
+
+
+def rotated_far_anchor(curve, order):
+    """(z_far, w_far, integrals of the monomial basis from P_inf to
+    (z_far, w_far)) at the far point thetalab took every branch point's
+    route from before it summed the chain edges: 5 max |lambda| + 5, turned
+    0.2345 rad off the real axis, on the principal sheet."""
+    z_far = (5.0 * max(abs(x) for x in curve.lambdas) + 5.0) * np.exp(0.2345j)
+    w_far = curve.w_principal(z_far)
+    return z_far, w_far, infinity_leg_integrals(curve, z_far, w_far,
+                                                curve.differentials(), max(order, 96))
+
+
+def branch_images_by_routes(periods) -> dict:
+    """u(P_k) of every branch point along its own route, frozen from
+    thetalab's build_periods before it summed the chain edges: the infinity
+    leg to the rotated z_far, then a polyline from z_far to lambda_k that
+    bends around the other branch points, both at the periods' order."""
+    curve, order = periods.curve, periods.quad_order
+    z_far, w_far, inf_leg = rotated_far_anchor(curve, order)
+    out = {}
+    for k in range(1, curve.num_branch + 1):
+        obstacles = [lam for i, lam in enumerate(curve.lambdas) if i + 1 != k]
+        path = build_avoiding_path(z_far, curve.lam(k), obstacles, 0.25 * periods.chain.gap)
+        path = refine_path_for_quadrature(path, obstacles)
+        res = polyline_integrals(curve, path, curve.differentials(), order,
+                                 sing_start=False, sing_end=True,
+                                 w_anchor=w_far, anchor_index=0)
+        out[k] = np.linalg.solve(periods.C, inf_leg + res.values)
+    return out
 
 
 def recursive_enumerate(U: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -3,12 +3,13 @@ import pytest
 
 from thetalab.curves import CurveSpec, CurveSpecError
 from thetalab.modular import j_invariant
-from thetalab.periods import SurfacePoint, _random_surface_points, build_periods
+from thetalab.periods import (SurfacePoint, _branch_supported_divisors,
+                              _random_surface_points, build_periods)
 from thetalab.quadrature import (build_avoiding_path, polyline_integrals,
                                  refine_path_for_quadrature)
 from thetalab.theta import Characteristic, parity, theta_eval, theta_norm_abs
 
-from oracles import cross_ratio_j
+from oracles import branch_images_by_routes, cross_ratio_j, rotated_far_anchor
 
 
 def test_curve_spec_validation():
@@ -86,21 +87,23 @@ def test_riemann_vanishing_g2(hyp_g2):
 
 
 def _route_from_infinity(pd, pt):
-    """u(pt) along an independent route: the infinity leg, then an avoiding
-    polyline from z_far through a detour waypoint to pt, its sheet at z_far
-    matched against w_far."""
+    """u(pt) along an independent route: an infinity leg to a far point off
+    the ray that build_periods takes, then an avoiding polyline from z_far
+    through a detour waypoint to pt, its sheet at z_far matched against
+    w_far."""
     c = pd.curve
+    z_far, w_far, inf_leg = rotated_far_anchor(c, pd.quad_order)
     mid = pt.z + 2.5 - 1.5j
-    path1 = build_avoiding_path(pd.z_far, mid, list(c.lambdas), 0.3)
+    path1 = build_avoiding_path(z_far, mid, list(c.lambdas), 0.3)
     path2 = build_avoiding_path(mid, pt.z, list(c.lambdas), 0.3)
     path = refine_path_for_quadrature(path1[:-1] + path2, list(c.lambdas))
     res = polyline_integrals(c, path, c.differentials(), pd.quad_order,
                              sing_start=False, sing_end=False,
                              w_anchor=pt.w, anchor_index=len(path) - 1)
     rho = np.exp(2j * np.pi / c.n)
-    j = int(np.argmin([abs(res.w_start - pd.w_far * rho ** k) for k in range(c.n)]))
+    j = int(np.argmin([abs(res.w_start - w_far * rho ** k) for k in range(c.n)]))
     diffs = c.differentials()
-    y = np.array([pd.inf_leg[i] * rho ** (-j * d.m) for i, d in enumerate(diffs)]) + res.values
+    y = np.array([inf_leg[i] * rho ** (-j * d.m) for i, d in enumerate(diffs)]) + res.values
     return np.linalg.solve(pd.C, y)
 
 
@@ -127,6 +130,25 @@ def test_abel_jacobi_path_independence(fixture, seed, request):
     pts = _random_surface_points(pd, 1, np.random.default_rng(seed))
     for pt in pts + _near_branch_points(pd, seed, 1):
         assert pd.lattice_distance(pd.abel_jacobi_point(pt) - _route_from_infinity(pd, pt)) < 1e-9
+
+
+@pytest.mark.parametrize("fixture", ["hyp_g2", "hyp_g3", "trig_q1", "trig_q2"])
+def test_branch_images_match_one_route_each(fixture, request):
+    # the chain-edge sums and the old per-branch-point routes may end on
+    # different lifts, so they agree modulo the lattice
+    c, pd = request.getfixturevalue(fixture)
+    routes = branch_images_by_routes(pd)
+    assert sorted(pd.aj_branch) == sorted(routes)
+    for k, u in pd.aj_branch.items():
+        assert pd.lattice_distance(u - routes[k]) <= 1e-11
+
+
+@pytest.mark.parametrize("fixture", ["hyp_g2_batch", "trig_q2_batch"])
+def test_periods_reach_rounding_level(fixture, request):
+    for c, pd in request.getfixturevalue(fixture):
+        tau_scale = 1.0 + np.max(np.abs(pd.tau.matrix))
+        assert pd.diagnostics["order_n_lattice_dist"] <= 1e-13 * tau_scale
+        assert pd.diagnostics["quad_drift"] <= 1e-13
 
 
 @pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])
@@ -157,6 +179,10 @@ def test_abel_jacobi_divisor_in_fixed_cell(fixture, request):
         eps, delta = pd.lattice_coords(u)
         assert np.max(np.abs(np.concatenate([eps, delta]) / 2.0)) <= 0.5 + 1e-12
         assert pd.lattice_distance(u - sum(pd.abel_jacobi_point(p) for p in pts)) < 1e-12
+    # so do the K screen's branch-supported divisors
+    for u in _branch_supported_divisors(pd, 4, rng):
+        eps, delta = pd.lattice_coords(u)
+        assert np.max(np.abs(np.concatenate([eps, delta]) / 2.0)) <= 0.5 + 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])

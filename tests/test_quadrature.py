@@ -1,9 +1,10 @@
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.special import roots_jacobi
+from scipy.special import roots_legendre
 
 from thetalab import homology, periods, quadrature
 from thetalab.algebra import principal_power
@@ -31,9 +32,9 @@ def rel_err(got, want) -> float:
 
 
 def seeded_polyline(curve: CurveSpec, seed: int) -> list[complex]:
-    """A far start like the Abel-Jacobi base point z_far (its long steps
-    bisect deeply), random points around the branch points, and zero-length
-    steps at the start and in the middle."""
+    """A far start like the z_far of the route from infinity (a long first
+    step), random points around the branch points, and zero-length steps at
+    the start and in the middle."""
     rng = np.random.default_rng(seed)
     scale = max(abs(x) for x in curve.lambdas) + 1.0
     pts = [3.0 * scale * np.exp(1j * rng.uniform(0, 2 * np.pi))]
@@ -57,7 +58,8 @@ def test_track_w_matches_scalar_oracle(curve, seed):
 
 def _scalar_leg_from_branch(curve, k, z1, w1, order):
     """Frozen scalar sum of leg_integrals on the leg lambda_k -> z1 anchored
-    at z1: the smooth part psi tracked by the oracle over the same nodes."""
+    at z1: the smooth part psi tracked by the oracle over the same nodes,
+    Gauss-Legendre in t after 1 + x = 2 t^n."""
     n = curve.n
     z0 = curve.lam(k)
     lams = [lam for i, lam in enumerate(curve.lambdas) if i + 1 != k]
@@ -70,9 +72,12 @@ def _scalar_leg_from_branch(curve, k, z1, w1, order):
             prod *= z - lam
         return principal_power(prod, 1.0 / n)
 
+    y, w = roots_legendre(order)
+    t = (y + 1.0) / 2.0
+    x = -1.0 + 2.0 * t ** n        # 1 + x = 2 t^n
     out = []
     for d in curve.differentials():
-        x, wts = roots_jacobi(order, 0.0, -d.m / n)
+        wts = 2.0 ** (-d.m / n) * n * t ** (n - 1 - d.m) * w
         zs = mid + x * hv
         k_fac = (1.0 + 0.0j) * principal_power(hv, 1.0 / n)
         psi_anchor = w1 / (2.0 ** (1.0 / n) * k_fac)
@@ -93,6 +98,20 @@ def test_smooth_part_matches_scalar_sum(curve):
         got = leg_integrals(curve, curve.lam(k), z1, curve.differentials(), 40,
                             True, False, w1, True)
         assert rel_err(got, _scalar_leg_from_branch(curve, k, z1, w1, 40)) <= 1e-14
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_leg_rule_against_mpmath(m, n, side):
+    # (1 - side x)^{-m/n} e^x / (x - 3) over [-1, 1]; the reference takes
+    # 1 - side x = t^n on [0, 2^{1/n}], where the integrand is smooth
+    with mpmath.workdps(30):
+        ref = complex(mpmath.quad(
+            lambda t: n * t ** (n - 1 - m) * mpmath.exp(side * (1 - t ** n))
+            / (side * (1 - t ** n) - 3), [0, mpmath.root(2, n)]))
+    for order in (24, 32, 64, 96, 128, 192, 256):
+        x, wts = quadrature._leg_rule(order, n, side)
+        assert abs(np.sum(wts[m] * np.exp(x) / (x - 3)) - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=IDS)
