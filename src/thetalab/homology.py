@@ -15,6 +15,15 @@ canonical symplectic form J = [[0, I], [-I, 0]] by an exact unimodular
 transform.  Correctness is not taken on faith: cycle closure, general
 position, unimodularity and the Riemann-matrix invariants downstream all act
 as checks on this construction.
+
+The same intersection numbers give the Riemann constant.  Its spin bundle
+O((g-1) P_inf) squares to the divisor (2g-2) P_inf of dz/w^(n-1), and that
+spin structure is D. Johnson's quadratic form q on H_1(X, Z/2) (Spin
+structures and quadratic forms on surfaces, J. London Math. Soc. 22, 1980):
+q(x + y) = q(x) + q(y) + x.y, and on an embedded loop q is 1 plus the index
+of the differential along it.  Every dumbbell is a figure-eight of turning
+number 0 winding +1 and -1 around its two branch points, so dz/w^(n-1) has
+index 0 along it and q is 1 on each basis cycle (spin_form).
 """
 
 from __future__ import annotations
@@ -347,3 +356,11 @@ def symplectic_transform(M: np.ndarray) -> np.ndarray:
     if not np.array_equal(J, expect.astype(np.int64)):
         raise HomologyError("symplectic reduction failed to reach canonical form")
     return Sm
+
+
+def spin_form(M: np.ndarray, c: Sequence[int]) -> int:
+    """Johnson's form q of dz/w^(n-1) on the class sum_j c_j (cycle j), for
+    the intersection matrix M of the dumbbells: with q = 1 on each of them,
+    q(c) = sum_j c_j + sum_{j<k} c_j c_k M_jk mod 2."""
+    x = np.asarray(c, dtype=np.int64) % 2
+    return int(x.sum() + x @ np.triu(M, 1) @ x) % 2

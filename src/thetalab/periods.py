@@ -5,11 +5,18 @@ monomial differential (so C is the transition matrix from the dual basis v_s,
 normalized by a-periods, to the monomial basis), tau_{sj} is the b_j-period
 of v_s, and the Jacobian lattice is Z^g + tau Z^g.  The Abel-Jacobi base
 point is the single point over infinity.
+
+The Riemann constant K for that base point is the theta characteristic of
+the spin bundle O((g-1) P_inf), whose square is the divisor (2g-2) P_inf of
+dz/w^(n-1).  Its characteristic is [q(a_1..a_g); q(b_1..b_g)] for D.
+Johnson's quadratic form q of that spin structure on H_1(X, Z/2), which the
+intersection form of the dumbbell cycles fixes (homology.spin_form); no
+half-period is searched.  One Riemann vanishing test on K_CHECK_DIVISORS
+seeded generic divisors checks the result.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -18,11 +25,11 @@ import numpy as np
 
 from .curves import CurveSpec, Differential
 from .homology import (Chain, CyclePolyline, HomologyError, build_chain,
-                       build_cycles, intersection_matrix, symplectic_transform)
+                       build_cycles, intersection_matrix, spin_form,
+                       symplectic_transform)
 from .quadrature import (infinity_leg_integrals, leg_integrals, polyline_integrals,
                          refine_path_for_quadrature, track_w)
-from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, parity,
-                    theta_halfint_table, theta_norm_abs)
+from .theta import _SYMMETRY_TOL, Characteristic, RiemannMatrix, theta_norm_abs
 
 
 class PeriodError(RuntimeError):
@@ -35,7 +42,9 @@ QUAD_DRIFT_TARGET = 1e-9  # relative period change between quadrature orders
 QUAD_MAX_ORDER = 1024
 DIRECT_NODES = 10        # Gauss-Legendre nodes per polyline segment, a-period re-check
 DIRECT_REL_TOL = 2e-5    # agreement the re-check asks of the a_1-periods
-THETA_TOL = 1e-10        # theta tolerance of the Riemann-constant search
+THETA_TOL = 1e-10        # theta tolerance of the Riemann-constant check
+K_CHECK_DIVISORS = 3     # seeded generic divisors the Riemann-constant check tests
+K_CHECK_SEED = 20240915
 THETA_SCALE_SEED = 1234  # seeded arguments of PeriodData.theta_scale
 THETA_SCALE_SAMPLES = 12
 
@@ -238,7 +247,9 @@ def build_periods(curve: CurveSpec, quad_order: int = 64) -> PeriodData:
     The quadrature order doubles from ``quad_order`` until the periods move
     by less than QUAD_DRIFT_TARGET, up to QUAD_MAX_ORDER.  The branch images
     u(P_k) take one route from infinity, to the outermost branch point k0,
-    and from there running sums of C^{-1} E over the chain edges.
+    and from there running sums of C^{-1} E over the chain edges.  K comes
+    from the intersection matrix M and the symplectic transform S, after
+    the a/b swap when that runs.
 
     Raises PeriodError / HomologyError on invariant failures (these indicate
     ill-conditioned input or a construction bug, never a soft warning).
@@ -333,7 +344,7 @@ def build_periods(curve: CurveSpec, quad_order: int = 64) -> PeriodData:
     data.diagnostics["intersection_matrix"] = M.tolist()
 
     _verify_a_normalization(curve, cycles, S, A, diffs, data)
-    _attach_riemann_constants(data, THETA_TOL)
+    _attach_riemann_constant(data, M, S)
     return data
 
 
@@ -353,38 +364,44 @@ def _verify_a_normalization(curve, cycles, S, A, diffs, data):
 
 
 # ----------------------------------------------------------------------------
-# Riemann constants
+# Riemann constant
 
 
-def _attach_riemann_constants(data: PeriodData, theta_tol: float):
-    curve = data.curve
+def _attach_riemann_constant(data: PeriodData, M: np.ndarray, S: np.ndarray):
+    """K from Johnson's form on the symplectic basis (homology.spin_form):
+    K = tau q(a)/2 + q(b)/2 with a_i = S[i] and b_i = S[g+i] as classes of
+    the dumbbells, then checked by Riemann's vanishing theorem."""
     g = data.g
-    if curve.n == 2:
-        n_odd = 0
-        eps_sum = [Fraction(0)] * g
-        delta_sum = [Fraction(0)] * g
-        for k in range(1, curve.num_branch + 1):
-            ch, _ = data.lattice_reduce(data.aj_branch[k])
-            if not ch.is_integral():
-                raise PeriodError(f"u(P_{k}) failed to snap to a half period")
-            if parity(ch) == 1:
-                n_odd += 1
-                eps_sum = [a + b for a, b in zip(eps_sum, ch.eps)]
-                delta_sum = [a + b for a, b in zip(delta_sum, ch.delta)]
-        if n_odd != g:
-            raise PeriodError(
-                f"branch-point parity census wrong: {n_odd} odd, expected {g}")
-        k_char = Characteristic.of([e % 2 for e in eps_sum], [d % 2 for d in delta_sum])
-        data.K_char = k_char
-        data.K = data.char_to_vector(k_char)
-    else:
-        data.K_char, data.K = _search_riemann_constant(data, theta_tol)
+    q = [spin_form(M, row) for row in S]
+    data.K_char = Characteristic.of(q[:g], q[g:])
+    data.K = data.char_to_vector(data.K_char)
+    data.diagnostics["K_vanishing_residual"] = _riemann_vanishing_residual(data)
 
     tau_scale = 1.0 + float(np.max(np.abs(data.tau.matrix)))
     dist2k = data.lattice_distance(2.0 * data.K)
     if dist2k > 1e-8 * tau_scale:
         raise PeriodError(f"2K misses the lattice by {dist2k:.3e}")
     data.diagnostics["K_lattice_dist_2K"] = dist2k
+
+
+def _riemann_vanishing_residual(data: PeriodData) -> float:
+    """max |theta(u(D) + K)| / theta_scale over K_CHECK_DIVISORS seeded
+    generic divisors D of degree g-1 (for g = 1 the empty divisor); theta
+    vanishes there exactly when K is the Riemann constant, so a residual
+    of 1e-7 or more raises."""
+    g = data.g
+    rng = np.random.default_rng(K_CHECK_SEED)
+    scale = data.theta_scale(tol=THETA_TOL)
+    ch0 = Characteristic.zero(g)
+    worst = 0.0
+    for _ in range(K_CHECK_DIVISORS if g > 1 else 1):
+        u = data.abel_jacobi_divisor(_random_surface_points(data, g - 1, rng))
+        worst = max(worst, theta_norm_abs(ch0, u + data.K, data.tau, THETA_TOL))
+    if worst >= 1e-7 * scale:
+        raise PeriodError(f"theta(u(D) + K) = {worst / scale:.3e} of its scale on a "
+                          f"generic divisor: K = {data.K_char.label()} is not the "
+                          "Riemann constant")
+    return worst / scale
 
 
 def _random_surface_points(data: PeriodData, count: int, rng) -> list[SurfacePoint]:
@@ -399,86 +416,3 @@ def _random_surface_points(data: PeriodData, count: int, rng) -> list[SurfacePoi
         w = curve.w_principal(z) * np.exp(2j * np.pi * sheet / curve.n)
         pts.append(SurfacePoint(z, w))
     return pts
-
-
-def _branch_supported_divisors(data: PeriodData, count: int, rng) -> list[np.ndarray]:
-    """Abel-Jacobi images of degree g-1 divisors supported on branch points
-    (multiplicities <= n-1); cheap since the branch images are precomputed.
-    Each comes back in the cell of to_cell: a far lift would shrink the
-    theta table's range-reduced tolerance and so widen its radius."""
-    curve = data.curve
-    g = data.g
-    out = []
-    keys = list(data.aj_branch)
-    while len(out) < count:
-        mult = {k: 0 for k in keys}
-        deg = 0
-        while deg < g - 1:
-            k = keys[int(rng.integers(0, len(keys)))]
-            if mult[k] < curve.n - 1:
-                mult[k] += 1
-                deg += 1
-        out.append(data.to_cell(sum(m * data.aj_branch[k] for k, m in mult.items())))
-    return out
-
-
-def _search_riemann_constant(data: PeriodData, theta_tol: float):
-    """Exhaustive half-period search using the Riemann vanishing test.
-
-    The canonical divisor is (2g-2) P_inf (exact local-order computation), so
-    2K = 0 in the Jacobian and K is one of the 4^g half-periods.  A cheap
-    screen over branch-supported divisors (whose Abel-Jacobi images are
-    already known) prunes the 4^g candidates before the generic-divisor test
-    at the final threshold.
-    """
-    g = data.g
-    rng = np.random.default_rng(20240915)
-    n_div = 20 if g > 1 else 1
-    divisors = []
-    for _ in range(n_div):
-        if g == 1:
-            divisors.append(np.zeros(1, dtype=complex))  # empty divisor, degree 0
-        else:
-            pts = _random_surface_points(data, g - 1, rng)
-            divisors.append(data.abel_jacobi_divisor(pts))
-    scale = data.theta_scale(tol=theta_tol)
-    ch0 = Characteristic.zero(g)
-
-    def theta_at(vec, tol=theta_tol):
-        return theta_norm_abs(ch0, vec, data.tau, tol)
-
-    def invariant_table(u, tol):
-        """Lattice-invariant |theta(u + half-period)| for all 4^g candidates:
-        equals |theta[eps;delta](u)| times a candidate-independent factor."""
-        y = np.imag(np.asarray(u, dtype=complex))
-        fac = math.exp(-np.pi * y @ data.tau.Yinv @ y)
-        return np.abs(theta_halfint_table(u, data.tau, tol)) * fac
-
-    # stage 0: vectorized screen over all 4^g half-periods at once
-    screen = (_branch_supported_divisors(data, 2, rng) + divisors[:1]) if g > 1 \
-        else divisors[:1]
-    # the table's error is then at most a tenth of the 1e-3 * scale cut, so the
-    # true K survives the screen
-    screen_tol = max(theta_tol, 1e-4 * scale)
-    alive = np.ones((2 ** g, 2 ** g), dtype=bool)
-    for u in screen:
-        alive &= invariant_table(u, screen_tol) < 1e-3 * scale
-    survivors = []
-    bits = np.arange(g)
-    for ecode, dcode in zip(*np.nonzero(alive)):
-        ch = Characteristic.of(((int(ecode) >> bits) & 1).tolist(),
-                               ((int(dcode) >> bits) & 1).tolist())
-        survivors.append((ch, data.char_to_vector(ch)))
-    # final: full generic-divisor test at the spec threshold
-    final = []
-    for ch, vec in survivors:
-        vals = [theta_at(u + vec) for u in divisors]
-        if max(vals) < 1e-7 * scale:
-            final.append((ch, vec, max(vals)))
-    if len(final) != 1:
-        raise PeriodError(
-            f"Riemann-constant search found {len(final)} candidates "
-            f"(stage-0 survivors {len(survivors)})")
-    ch, vec, worst = final[0]
-    data.diagnostics["K_vanishing_residual"] = worst / scale
-    return ch, vec

@@ -6,12 +6,15 @@ branch-point cross-ratio, sheet tracking is checked against the scalar
 depth-first step rule, lattice enumeration against the depth-first
 Fincke-Pohst recursion, the infinity leg against its node-by-node
 continuation, the branch images summed along the chain edges against one
-route from infinity per branch point, and the Thomae derivative right-hand
+route from infinity per branch point, the Riemann constant from the
+intersection form against the half-period search and the hyperelliptic
+parity census that once found it, and the Thomae derivative right-hand
 sides and closed-form Jacobians against the contraction loops each once
 wrote out.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -20,7 +23,9 @@ from thetalab.algebra import (INF, all_elementary_symmetric, derivative_at_root,
                               principal_power)
 from thetalab.quadrature import (build_avoiding_path, infinity_leg_integrals,
                                  polyline_integrals, refine_path_for_quadrature)
-from thetalab.theta import ThetaError
+from thetalab.periods import _random_surface_points
+from thetalab.theta import (Characteristic, ThetaError, parity, theta_halfint_table,
+                            theta_norm_abs)
 from thetalab.thomae import _delta_product_trig, _delta_quarter_pair
 
 _POINT_CAP = 8_000_000
@@ -151,6 +156,79 @@ def branch_images_by_routes(periods) -> dict:
                                  w_anchor=w_far, anchor_index=0)
         out[k] = np.linalg.solve(periods.C, inf_leg + res.values)
     return out
+
+
+def _branch_supported_divisors(data, count: int, rng) -> list:
+    """Abel-Jacobi images of degree g-1 divisors supported on branch points
+    (multiplicities <= n-1), each in the cell of to_cell."""
+    g = data.g
+    out = []
+    keys = list(data.aj_branch)
+    while len(out) < count:
+        mult = {k: 0 for k in keys}
+        deg = 0
+        while deg < g - 1:
+            k = keys[int(rng.integers(0, len(keys)))]
+            if mult[k] < data.curve.n - 1:
+                mult[k] += 1
+                deg += 1
+        out.append(data.to_cell(sum(m * data.aj_branch[k] for k, m in mult.items())))
+    return out
+
+
+def searched_riemann_constant(data, theta_tol: float = 1e-10) -> Characteristic:
+    """The Riemann constant's characteristic by the exhaustive half-period
+    search thetalab ran on trigonal curves before it read K off the
+    intersection form: K is one of the 4^g half-periods (2K = 0, the
+    canonical divisor being (2g-2) P_inf); a theta_halfint_table screen over
+    two branch-supported divisors and one generic divisor prunes them, and
+    exactly one survivor may vanish on 20 generic divisors."""
+    g = data.g
+    rng = np.random.default_rng(20240915)
+    n_div = 20 if g > 1 else 1
+    divisors = [data.abel_jacobi_divisor(_random_surface_points(data, g - 1, rng))
+                for _ in range(n_div)]
+    scale = data.theta_scale(tol=theta_tol)
+    ch0 = Characteristic.zero(g)
+
+    def invariant_table(u, tol):
+        y = np.imag(np.asarray(u, dtype=complex))
+        fac = math.exp(-np.pi * y @ data.tau.Yinv @ y)
+        return np.abs(theta_halfint_table(u, data.tau, tol)) * fac
+
+    screen = (_branch_supported_divisors(data, 2, rng) if g > 1 else []) + divisors[:1]
+    alive = np.ones((2 ** g, 2 ** g), dtype=bool)
+    for u in screen:
+        alive &= invariant_table(u, max(theta_tol, 1e-4 * scale)) < 1e-3 * scale
+    bits = np.arange(g)
+    final = []
+    for ecode, dcode in zip(*np.nonzero(alive)):
+        ch = Characteristic.of(((int(ecode) >> bits) & 1).tolist(),
+                               ((int(dcode) >> bits) & 1).tolist())
+        vec = data.char_to_vector(ch)
+        if max(theta_norm_abs(ch0, u + vec, data.tau, theta_tol)
+               for u in divisors) < 1e-7 * scale:
+            final.append(ch)
+    if len(final) != 1:
+        raise AssertionError(f"the half-period search found {len(final)} candidates")
+    return final[0]
+
+
+def census_riemann_constant(data) -> Characteristic:
+    """The hyperelliptic Riemann constant as thetalab once took it: the sum
+    of the g odd half-periods among the branch images u(P_k)."""
+    g = data.g
+    eps, delta = [Fraction(0)] * g, [Fraction(0)] * g
+    odd = 0
+    for k in sorted(data.aj_branch):
+        ch, _ = data.lattice_reduce(data.aj_branch[k])
+        if parity(ch) == 1:
+            odd += 1
+            eps = [a + b for a, b in zip(eps, ch.eps)]
+            delta = [a + b for a, b in zip(delta, ch.delta)]
+    if odd != g:
+        raise AssertionError(f"branch-point parity census: {odd} odd, expected {g}")
+    return Characteristic.of([e % 2 for e in eps], [d % 2 for d in delta])
 
 
 def recursive_enumerate(U: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -196,7 +196,7 @@ def test_verify_task_on_wrong_cover_degree(tmp_path, capsys, curve, task):
     assert err.startswith("error:") and task in err
 
 
-@pytest.mark.parametrize("target", ["thetalab.periods.theta_halfint_table",
+@pytest.mark.parametrize("target", ["thetalab.periods.theta_norm_abs",
                                     "thetalab.thomae.theta_grad"])
 def test_verify_theta_failure_exits_3(tmp_path, capsys, monkeypatch, target):
     from thetalab.cli import main

@@ -1,15 +1,24 @@
+import dataclasses
+import itertools
+import json
+import os
+
 import numpy as np
 import pytest
 
 from thetalab.curves import CurveSpec, CurveSpecError
 from thetalab.modular import j_invariant
-from thetalab.periods import (SurfacePoint, _branch_supported_divisors,
-                              _random_surface_points, build_periods)
+from thetalab.periods import (PeriodError, SurfacePoint, _random_surface_points,
+                              _riemann_vanishing_residual, build_periods)
 from thetalab.quadrature import (build_avoiding_path, polyline_integrals,
                                  refine_path_for_quadrature)
 from thetalab.theta import Characteristic, parity, theta_eval, theta_norm_abs
 
-from oracles import branch_images_by_routes, cross_ratio_j, rotated_far_anchor
+from conftest import random_curve
+from oracles import (branch_images_by_routes, census_riemann_constant, cross_ratio_j,
+                     rotated_far_anchor, searched_riemann_constant)
+
+G7_PLAN = os.path.join(os.path.dirname(__file__), "..", "tools", "trig-q3-g7.json")
 
 
 def test_curve_spec_validation():
@@ -84,6 +93,54 @@ def test_riemann_vanishing_g2(hyp_g2):
         pts = _random_surface_points(pd, 1, rng)
         arg = pd.abel_jacobi_divisor(pts) + pd.K
         assert theta_norm_abs(ch0, arg, pd.tau) < 1e-7 * scale
+
+
+FIXTURE_CURVES = ["hyp_g1", "hyp_g2", "hyp_g2_batch", "hyp_g3",
+                  "trig_q1", "trig_q2", "trig_q2_batch"]
+
+
+def _fixture_periods(name, request):
+    value = request.getfixturevalue(name)
+    return value if isinstance(value, list) else [value]
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_CURVES)
+def test_riemann_constant_matches_search_and_census(fixture, request):
+    for c, pd in _fixture_periods(fixture, request):
+        assert pd.K_char == searched_riemann_constant(pd)
+        if c.n == 2:
+            assert pd.K_char == census_riemann_constant(pd)
+        assert np.array_equal(pd.K, pd.char_to_vector(pd.K_char))
+
+
+@pytest.mark.parametrize("fixture", ["hyp_g1", "hyp_g2", "hyp_g3", "trig_q1", "trig_q2"])
+def test_every_wrong_half_period_fails_the_check(fixture, request):
+    c, pd = request.getfixturevalue(fixture)
+    g = c.genus
+    for bits in itertools.product((0, 1), repeat=2 * g):
+        ch = Characteristic.of(bits[:g], bits[g:])
+        if ch == pd.K_char:
+            continue
+        wrong = dataclasses.replace(pd, K=pd.char_to_vector(ch), K_char=ch, diagnostics={})
+        wrong._theta_scales.update(pd._theta_scales)
+        with pytest.raises(PeriodError, match="not the Riemann constant"):
+            _riemann_vanishing_residual(wrong)
+
+
+def test_genus_7_periods():
+    with open(G7_PLAN) as fh:
+        c = CurveSpec.from_json(json.load(fh)["curve"])
+    pd = build_periods(c)
+    assert c.genus == 7
+    assert pd.K_char == Characteristic.of([1, 0, 0, 1, 0, 0, 1], [1] * 7)
+    d = pd.diagnostics
+    tau_scale = 1.0 + np.max(np.abs(pd.tau.matrix))
+    assert d["tau_asymmetry"] < 1e-8
+    assert d["im_tau_min_eig"] > 0
+    assert d["quad_drift"] < 1e-9
+    assert d["order_n_lattice_dist"] <= 1e-13 * tau_scale
+    assert d["K_lattice_dist_2K"] <= 1e-8 * tau_scale
+    assert d["K_vanishing_residual"] < 1e-7
 
 
 def _route_from_infinity(pd, pt):
@@ -179,10 +236,6 @@ def test_abel_jacobi_divisor_in_fixed_cell(fixture, request):
         eps, delta = pd.lattice_coords(u)
         assert np.max(np.abs(np.concatenate([eps, delta]) / 2.0)) <= 0.5 + 1e-12
         assert pd.lattice_distance(u - sum(pd.abel_jacobi_point(p) for p in pts)) < 1e-12
-    # so do the K screen's branch-supported divisors
-    for u in _branch_supported_divisors(pd, 4, rng):
-        eps, delta = pd.lattice_coords(u)
-        assert np.max(np.abs(np.concatenate([eps, delta]) / 2.0)) <= 0.5 + 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])
