@@ -141,6 +141,13 @@ def test_genus_7_periods():
     assert d["order_n_lattice_dist"] <= 1e-13 * tau_scale
     assert d["K_lattice_dist_2K"] <= 1e-8 * tau_scale
     assert d["K_vanishing_residual"] < 1e-7
+    assert d["a1_direct_check"] <= 1e-10
+
+
+def test_direct_a1_check_accepts_spread_curve():
+    # 10 nodes per polyline segment missed these a_1-periods by 3.0e-5
+    c = random_curve(2, 7, 7004, box=4.1, min_gap=0.7)
+    assert build_periods(c).diagnostics["a1_direct_check"] <= 1e-12
 
 
 def _route_from_infinity(pd, pt):
