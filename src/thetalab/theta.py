@@ -388,9 +388,14 @@ def theta_norm_abs(char: Characteristic, zeta, tau: RiemannMatrix,
     (raw |theta| grows like the inverse of that exponential).
     """
     zeta = np.asarray(zeta, dtype=complex).reshape(tau.g)
+    return invariant_abs(theta_eval(char, zeta, tau, tol).value, zeta, tau)
+
+
+def invariant_abs(value: complex, zeta: np.ndarray, tau: RiemannMatrix) -> float:
+    """The lattice-invariant magnitude of theta_norm_abs for a theta value
+    already evaluated at zeta."""
     y = np.imag(zeta)
-    v = theta_eval(char, zeta, tau, tol).value
-    return float(abs(v) * math.exp(-np.pi * y @ tau.Yinv @ y))
+    return float(abs(value) * math.exp(-np.pi * y @ tau.Yinv @ y))
 
 
 def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarray:

@@ -46,7 +46,7 @@ from .algebra import (INF, IndexSet, RootOfUnityTag, c2j, classify_root_of_unity
                       vandermonde_delta)
 from .curves import CurveSpec
 from .periods import PeriodData, PeriodError, _random_surface_points
-from .theta import Characteristic, theta_eval, theta_grad, theta_norm_abs
+from .theta import Characteristic, invariant_abs, theta_eval, theta_grad
 
 SAMPLE_TRIES = 5   # divisors _sample_nonspecial draws before it gives up
 
@@ -297,16 +297,19 @@ def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
                          p.label(), tol, theta_tol, grad_tol)
 
 
-def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float):
-    """Random surface points whose divisor argument keeps theta away from 0."""
+def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float,
+                       sign: int):
+    """Random surface points whose divisor argument sign (sum u(Q_r) + K)
+    keeps theta away from 0: (points, argument, theta there, resamples)."""
     ch0 = Characteristic.zero(periods.g)
     scale = periods.theta_scale(tol=theta_tol)
     tries = 0
     while True:
         pts = _random_surface_points(periods, count, rng)
-        arg = periods.abel_jacobi_divisor(pts) + periods.K
-        if theta_norm_abs(ch0, arg, periods.tau, theta_tol) > 1e-4 * scale:
-            return pts, arg, tries
+        arg = sign * (periods.abel_jacobi_divisor(pts) + periods.K)
+        val = theta_eval(ch0, arg, periods.tau, theta_tol).value
+        if invariant_abs(val, arg, periods.tau) > 1e-4 * scale:
+            return pts, arg, val, tries
         tries += 1
         if tries >= SAMPLE_TRIES:
             raise PeriodError("could not sample a non-special divisor")
@@ -334,11 +337,9 @@ def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
     ratios = []
     resamples = 0
     for _ in range(samples):
-        pts, arg, tries = _sample_nonspecial(periods, g, rng, theta_tol)
+        pts, arg, den, tries = _sample_nonspecial(periods, g, rng, theta_tol, sign)
         resamples += tries
-        arg = sign * arg
         num = theta_eval(ch_k, arg, periods.tau, theta_tol).value
-        den = theta_eval(Characteristic.zero(g), arg, periods.tau, theta_tol).value
         lhs = (num / den) ** n
         rhs = np.prod([lam_k - p.z for p in pts]) / fp
         ratios.append(lhs / rhs)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from thetalab.algebra import (INF, IndexSet, classify_root_of_unity, principal_power,
                               vandermonde_delta)
-from thetalab.theta import parity, theta_eval
+from thetalab.theta import Characteristic, parity, theta_eval
 from thetalab.thomae import (HypPartition, char_from_partition_hyp,
                              enumerate_partitions_hyp, verify_matrix_form_hyp,
                              verify_quotient_hyp, verify_thomae_const_hyp,
@@ -103,18 +105,19 @@ def test_quotient_resample_path(hyp_g2, monkeypatch):
     import thetalab.thomae as T
     c, pd = hyp_g2
     calls = {"n": 0}
-    orig = T.theta_norm_abs
+    orig = T.theta_eval
 
     def fake(ch, arg, tau, tol):
         calls["n"] += 1
         if calls["n"] == 1:
-            return 0.0
+            return dataclasses.replace(orig(ch, arg, tau, tol), value=0j)
         return orig(ch, arg, tau, tol)
 
-    monkeypatch.setattr(T, "theta_norm_abs", fake)
+    monkeypatch.setattr(T, "theta_eval", fake)
     rng = np.random.default_rng(5)
-    pts, arg, tries = _sample_nonspecial(pd, 2, rng, 1e-10)
-    assert tries == 1
+    pts, arg, den, tries = _sample_nonspecial(pd, 2, rng, 1e-10, 1)
+    assert tries == 1 and calls["n"] == 2
+    assert den == orig(Characteristic.zero(2), arg, pd.tau, 1e-10).value
 
 
 def test_matrix_form(hyp_g2):
