@@ -44,7 +44,7 @@ DIRECT_NODES = 40        # Gauss-Legendre nodes per polyline segment, a-period r
 DIRECT_REL_TOL = 1e-10   # agreement the re-check asks of the a_1-periods
 THETA_TOL = 1e-10        # theta tolerance of the Riemann-constant check
 K_CHECK_DIVISORS = 3     # seeded generic divisors the Riemann-constant check tests
-K_CHECK_SEED = 20240915
+K_CHECK_SEED = 20240915  # seed of those divisors
 THETA_SCALE_SEED = 1234  # seeded arguments of PeriodData.theta_scale
 THETA_SCALE_SAMPLES = 12
 
@@ -233,10 +233,10 @@ def _direct_cycle_integrals(curve: CurveSpec, cycle: CyclePolyline,
     """Periods by Gauss-Legendre along the cycle polyline itself, each
     segment anchored at its start's sheet value.
 
-    The polyline hugs the branch points at distance ~radius, so 10 nodes
-    per segment fell to 5.7e-5 relative on some seeded curves; at
-    DIRECT_NODES the worst seen is 1.6e-14.  Used to re-verify the
-    closed-form edge assembly."""
+    The polyline hugs the branch points at distance ~radius; DIRECT_NODES
+    per segment still reach rounding level there (at most 1.6e-14 relative
+    on 56 seeded curves).  Used to re-verify the closed-form edge
+    assembly."""
     pts, wv = cycle.points, cycle.w
     return sum(leg_integrals(curve, pts[i], pts[i + 1], diffs, DIRECT_NODES,
                              False, False, wv[i], False)

@@ -176,7 +176,7 @@ def _branch_supported_divisors(data, count: int, rng) -> list:
     return out
 
 
-def searched_riemann_constant(data, theta_tol: float = 1e-10) -> Characteristic:
+def searched_riemann_constant(data) -> Characteristic:
     """The Riemann constant's characteristic by the exhaustive half-period
     search thetalab ran on trigonal curves before it read K off the
     intersection form: K is one of the 4^g half-periods (2K = 0, the
@@ -184,6 +184,7 @@ def searched_riemann_constant(data, theta_tol: float = 1e-10) -> Characteristic:
     two branch-supported divisors and one generic divisor prunes them, and
     exactly one survivor may vanish on 20 generic divisors."""
     g = data.g
+    theta_tol = 1e-10
     rng = np.random.default_rng(20240915)
     n_div = 20 if g > 1 else 1
     divisors = [data.abel_jacobi_divisor(_random_surface_points(data, g - 1, rng))
