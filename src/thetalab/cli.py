@@ -110,7 +110,12 @@ def cmd_theta(args) -> int:
         eps = obj.get("eps", [0] * len(tau_rows))
         delta = obj.get("delta", [0] * len(tau_rows))
         zeta = [_j2c(x) for x in obj.get("zeta", [[0.0, 0.0]] * len(tau_rows))]
-    except (KeyError, TypeError, IndexError) as exc:
+        char = Characteristic.of(eps, delta)
+        for name, v in (("eps", char.eps), ("delta", char.delta), ("zeta", zeta)):
+            if len(v) != len(tau_rows):
+                raise ValueError(f"{name} has {len(v)} entries for a {len(tau_rows)} x "
+                                 f"{len(tau_rows)} tau")
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         print(f"error: malformed theta input: {exc}", file=sys.stderr)
         return 2
     tol = obj.get("tol", args.tol)
@@ -123,7 +128,6 @@ def cmd_theta(args) -> int:
         print(f"error: invalid Riemann matrix: {exc}", file=sys.stderr)
         return 3
     try:
-        char = Characteristic.of(eps, delta)
         val = theta_eval(char, np.array(zeta), tau, tol)
         grad = theta_grad(char, np.array(zeta), tau, max(tol, 1e-8))
         radius = truncation_radius(tau, tol)

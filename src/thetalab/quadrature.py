@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .algebra import principal_power
 from .curves import CurveSpec, Differential
@@ -38,7 +37,7 @@ def _leg_rule(order: int, n: int, side: int):
     f(x) (1 - side x)^{-m/n} dx: side -1 or +1 puts the singular end at
     x = side, side 0 has none.  With 1 - side x = 2 t^n the weight of the
     Gauss-Legendre node t is 2^{-m/n} n t^{n-1-m} times its own."""
-    y, w = roots_legendre(order)
+    y, w = np.polynomial.legendre.leggauss(order)
     if side == 0:
         return y, (w,) * n
     t = (y + 1.0) / 2.0

@@ -17,10 +17,19 @@ for tau in the Siegel upper half-space.  Useful identities implemented here:
                   for integral characteristics.
 
 Evaluation sums over the lattice points inside the ellipsoid
-|| U (m + eps/2 + Y^{-1} Im(zeta + delta/2)) || <= R, where U^t U = pi * Im tau,
-with R chosen from a Gaussian tail bound so the omitted tail is below the
-requested tolerance.  Each evaluation enumerates the ellipsoid centred on
-its own offset; nothing is cached per matrix.  The points come from a
+||U (m + xi)|| <= R, xi = eps/2 + Y^{-1} Im(zeta + delta/2), where U is upper
+triangular with U^t U = pi * Im tau.  The radius R comes in closed form from
+a Rankin bound: for 0 < s < 1 and every offset xi,
+
+    sum_{||U(m+xi)|| > R} exp(-||U(m+xi)||^2)
+        <= exp(-(1-s) R^2) sum_m exp(-s ||U(m+xi)||^2)
+        <= exp(-(1-s) R^2) P(s),    P(s) = prod_i (1 + sqrt(pi/s) / U_ii).
+
+Proof of the last step: only row 0 of U holds m_0, and a sum over k of
+exp(-a (k+c)^2) is at most its largest term plus its integral, 1 + sqrt(pi/a);
+summing out m_0, m_1, ... in turn gives one factor per diagonal entry.  Each
+evaluation enumerates the ellipsoid centred on its own offset; nothing is
+cached per matrix but log P on a fixed grid of s.  The points come from a
 breadth-first Fincke-Pohst enumeration, one numpy pass per coordinate, with
 the point cap checked on each level's candidates before they are allocated.
 The argument is first range-reduced by integer lattice shifts (tracking the
@@ -36,10 +45,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
-from scipy.special import gammaincc, gamma as gamma_fn
 
 
 class ThetaError(Exception):
@@ -49,6 +57,8 @@ class ThetaError(Exception):
 _RADIUS_CAP = 80.0
 _POINT_CAP = 8_000_000
 _SYMMETRY_TOL = 1e-8      # largest |tau - tau^t| entry a Riemann matrix may have
+# the s of the Rankin bound (module docstring) that every radius is minimized over
+_S_GRID = np.geomspace(1e-3, 0.49, 64)
 
 
 def _efun(x: complex) -> complex:
@@ -176,19 +186,11 @@ class RiemannMatrix:
         self.g = m.shape[0]
         self.Y = y
         self.Yinv = np.linalg.inv(y)
-        self.min_eig_imag = float(eigs[0])
         # upper-triangular U with U^t U = pi * Y
         self.U = np.linalg.cholesky(np.pi * y).T
-        self.Uinv = np.linalg.inv(self.U)
-        self.Uinv_norm = float(np.linalg.norm(self.Uinv, 2))
-        self.rho = self._shortest_vector()
-
-    def _shortest_vector(self) -> float:
-        bound = min(float(np.linalg.norm(self.U[:, j])) for j in range(self.g))
-        pts = _enumerate_ellipsoid(self.U, np.zeros(self.g), bound + 1e-9)
-        norms = np.linalg.norm(pts @ self.U.T, axis=1)
-        nz = norms[norms > 1e-12]
-        return float(nz.min()) if nz.size else bound
+        self.Uinv_norm = float(np.linalg.norm(np.linalg.inv(self.U), 2))
+        # log P(s) of the Rankin bound on _S_GRID
+        self.log_p = np.log1p(np.sqrt(np.pi / _S_GRID)[:, None] / np.diag(self.U)).sum(axis=1)
 
     def lattice_points(self, center: np.ndarray, radius: float) -> np.ndarray:
         """All integer m with ||U (m + center)|| <= radius; nothing is kept."""
@@ -235,63 +237,48 @@ def _enumerate_ellipsoid(U: np.ndarray, center: np.ndarray, radius: float) -> np
 
 
 # ----------------------------------------------------------------------------
-# Gaussian tail bounds
+# Truncation radius
 
 
-def _upper_gamma_half(k: int, a2: float) -> float:
-    """integral_a^inf u^k exp(-u^2) du = Gamma((k+1)/2, a^2) / 2."""
-    s = (k + 1) / 2.0
-    return 0.5 * float(gamma_fn(s)) * float(gammaincc(s, a2))
+def _radius(tau: RiemannMatrix, tol: float, weight: float,
+            grad: tuple[float, float] | None = None) -> tuple[float, float]:
+    """(R, bound): a radius R and the bound <= tol it certifies on the tail
 
+        sum_{||v|| > R} weight * f(||v||) * exp(-||v||^2),   v = U (m + xi),
 
-@lru_cache(maxsize=256)
-def _tail_sum_bound(g: int, rho: float, R: float, extra_power: int = 0) -> float:
-    """Bound on sum over ||U(m+xi)|| > R of ||U(m+xi)||^extra_power * exp(-||..||^2).
-
-    Uniform in the offset xi.  Valid for R > rho; derived by packing disjoint
-    balls of radius rho/2 around the lattice points and comparing with the
-    radial Gaussian integral.  Memoized: the radius search walks the same
-    grid rho + 1 + 0.25 k for every evaluation on one matrix.
+    uniformly in xi, with f = 1, or f(r) = A r + B for grad = (A, B).  By the
+    Rankin bound of the module docstring the tail is at most
+    weight * exp(-(1-s) R^2) P(s); with the gradient weight,
+    r exp(-s r^2) <= (2 e s)^(-1/2) leaves
+    weight * (A (2 e s)^(-1/2) + B) exp(-(1-2s) R^2) P(s).  R is the least
+    over _S_GRID of the closed-form solution for the bound at tol e^(-1e-9),
+    a margin far above the rounding of the exponent, so the bound at R is
+    below tol in floating point too.
     """
-    a = max(R - rho, 0.0)
-    half = rho / 2.0
-    # integrand bound: (u + 2*half)^extra_power * (u + half)^{g-1} e^{-u^2}
-    total = 0.0
-    for i in range(extra_power + 1):
-        ci = math.comb(extra_power, i) * (2 * half) ** (extra_power - i)
-        for j in range(g):
-            cj = math.comb(g - 1, j) * half ** (g - 1 - j)
-            total += ci * cj * _upper_gamma_half(i + j, a * a)
-    return g * (2.0 / rho) ** g * total
-
-
-def _search_radius(rho: float, tail: Callable[[float], float],
-                   tol: float) -> float:
-    """First R in rho + 1, rho + 1.25, ... with tail(R) <= tol (a NaN tail
-    keeps searching)."""
-    R = rho + 1.0
-    while not tail(R) <= tol:
-        R += 0.25
-        if R > _RADIUS_CAP:
-            raise ThetaError(f"truncation radius exceeds cap {_RADIUS_CAP} for tol {tol}")
-    return R
+    if grad is None:
+        w, k = np.full(_S_GRID.shape, weight), 1.0
+    else:
+        w, k = weight * (grad[0] / np.sqrt(2 * math.e * _S_GRID) + grad[1]), 2.0
+    expo = 1.0 - k * _S_GRID
+    r2 = (tau.log_p + np.log(w) - math.log(tol) + 1e-9) / expo
+    i = int(np.argmin(r2))
+    R = math.sqrt(max(float(r2[i]), 0.0))
+    if not R <= _RADIUS_CAP:
+        raise ThetaError(f"truncation radius exceeds cap {_RADIUS_CAP} for tol {tol}")
+    return R, float(w[i] * math.exp(tau.log_p[i] - expo[i] * R * R))
 
 
 def truncation_radius(tau: RiemannMatrix, tol: float, deriv_order: int = 0) -> float:
-    """Radius R such that the omitted (possibly term-differentiated) tail of the
-    theta series beyond ||U(m + offset)|| > R is below tol, for any offset with
-    range-reduced argument."""
+    """Radius R such that the omitted tail of the theta series beyond
+    ||U(m + offset)|| > R is below tol for any offset, at unit amplitude:
+    an evaluation whose reduced argument has Y^{-1} Im zeta' = c multiplies
+    every term by exp(pi c^t Y c) and so needs a larger R.  This is the
+    radius that `thetalab theta` prints.  With deriv_order 1 the terms carry
+    the gradient weight 2 pi (||U^{-1}|| ||v|| + sqrt(g)/2 + 1)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cworst = math.sqrt(tau.g) / 2.0 + 1.0  # after range reduction plus eps/2
-
-    def tail(R):
-        t = _tail_sum_bound(tau.g, tau.rho, R)
-        if deriv_order >= 1:
-            t = 2 * np.pi * (tau.Uinv_norm * _tail_sum_bound(tau.g, tau.rho, R, 1)
-                             + cworst * t)
-        return t
-    return _search_radius(tau.rho, tail, tol)
+    grad = (tau.Uinv_norm, math.sqrt(tau.g) / 2.0 + 1.0) if deriv_order >= 1 else None
+    return _radius(tau, tol, 2 * np.pi if grad else 1.0, grad)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -341,16 +328,13 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
 
     n0norm = float(np.linalg.norm(n0)) if n0.size else 0.0
 
-    # pick radius: amp * tail <= tol_red (tail includes the derivative weight
-    # and the range-reduction shift term when the gradient is requested)
-    def tail(R):
-        t0 = _tail_sum_bound(tau.g, tau.rho, R)
-        if not want_grad:
-            return amp * t0
-        t1 = _tail_sum_bound(tau.g, tau.rho, R, 1)
-        return (amp * 2 * np.pi * (tau.Uinv_norm * t1 + (cnorm + math.sqrt(tau.g)) * t0)
-                + 2 * np.pi * n0norm * (amp * t0))
-    R = _search_radius(tau.rho, tail, tol_red)
+    # each term is amp * exp(-||v||^2), v = U(m + xi); the gradient weighs it
+    # by 2 pi |n - n0| <= 2 pi (||U^{-1}|| ||v|| + |c| + sqrt(g) + |n0|)
+    if want_grad:
+        R, tail = _radius(tau, tol_red, 2 * np.pi * amp,
+                          (tau.Uinv_norm, cnorm + math.sqrt(tau.g) + n0norm))
+    else:
+        R, tail = _radius(tau, tol_red, amp)
 
     n = tau.lattice_points(xi, R) + a  # m + eps/2
     # exponent: i*pi n^t tau n + 2*pi*i n^t (zr + b)
@@ -359,7 +343,7 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
     lin = n @ (zr + b)
     terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
     val_red = terms.sum()
-    bound = float(abs(pref) * tail(R))
+    bound = float(abs(pref) * tail)
     if not want_grad:
         return ThetaValue(complex(phase0 * pref * val_red), bound)
     grad_red = 2j * np.pi * (n.T @ terms)
@@ -422,7 +406,7 @@ def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarr
     scale = max(1.0, abs(pref))
     tol_red = tol / scale
 
-    R = _search_radius(tau.rho, lambda R: amp * _tail_sum_bound(g, tau.rho, R), tol_red)
+    R = _radius(tau, tol_red, amp)[0]
 
     two = 2 ** g
     bits = np.arange(g)

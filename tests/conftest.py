@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,17 @@ def random_curve(n: int, count: int, seed: int, box: float = 2.0,
         if all(abs(z - l) > min_gap for l in lams):
             lams.append(z)
     return CurveSpec.of(n, lams)
+
+
+G7_PLAN = os.path.join(os.path.dirname(__file__), "..", "tools", "trig-q3-g7.json")
+
+
+@pytest.fixture(scope="session")
+def trig_q3_g7():
+    """The genus-7 trigonal curve of tools/trig-q3-g7.json with its periods."""
+    with open(G7_PLAN) as fh:
+        c = CurveSpec.from_json(json.load(fh)["curve"])
+    return c, build_periods(c)
 
 
 @pytest.fixture(scope="session")

@@ -10,14 +10,17 @@ route from infinity per branch point, the Riemann constant from the
 intersection form against the half-period search and the hyperelliptic
 parity census that once found it, and the Thomae derivative right-hand
 sides and closed-form Jacobians against the contraction loops each once
-wrote out.
+wrote out.  The truncation radius is checked against the packing bound it
+replaced, its product bound against Poisson summation, and theta itself
+against a 30-digit mpmath sum.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
-from scipy.special import roots_legendre
 
 from thetalab.algebra import (INF, all_elementary_symmetric, derivative_at_root,
                               principal_power)
@@ -112,7 +115,7 @@ def infinity_leg_by_continuation(curve, z_far, w_far, diffs, order) -> np.ndarra
     down through the Gauss-Legendre nodes by the exact per-step argument
     sums, on scalar principal roots of prod(z_far - lambda sigma^n)."""
     n, N = curve.n, curve.num_branch
-    x, wts = roots_legendre(order)
+    x, wts = np.polynomial.legendre.leggauss(order)
     sig = 0.5 * (x + 1.0)
     at = np.concatenate([[1.0], sig[::-1]])
     factors = z_far - at[:, None] ** n * np.asarray(curve.lambdas, dtype=complex)
@@ -281,6 +284,106 @@ def recursive_enumerate(U: np.ndarray, center: np.ndarray, radius: float) -> np.
     if not out:
         return np.zeros((0, g), dtype=np.int64)
     return np.concatenate(out, axis=0)
+
+
+# ----------------------------------------------------------------------------
+# Truncation radii and lattice sums
+
+
+def _packing_tail(g: int, rho: float, R: float, extra_power: int = 0) -> float:
+    """Bound on sum over ||U(m+xi)|| > R of ||U(m+xi)||^extra_power * exp(-||..||^2),
+    uniform in xi, from packing balls of radius rho/2 around the lattice points
+    (rho the shortest lattice vector), frozen from thetalab's packing bound
+    with its incomplete gamma from mpmath."""
+    a = max(R - rho, 0.0)
+    half = rho / 2.0
+    total = 0.0
+    for i in range(extra_power + 1):
+        ci = math.comb(extra_power, i) * (2 * half) ** (extra_power - i)
+        for j in range(g):
+            cj = math.comb(g - 1, j) * half ** (g - 1 - j)
+            # integral_a^inf u^k exp(-u^2) du = Gamma((k+1)/2, a^2) / 2, k = i + j
+            total += ci * cj * 0.5 * float(mpmath.gammainc((i + j + 1) / 2.0, a * a))
+    return g * (2.0 / rho) ** g * total
+
+
+def shortest_vector(U: np.ndarray) -> float:
+    """The least ||U m|| over nonzero integer m."""
+    g = U.shape[0]
+    bound = min(float(np.linalg.norm(U[:, j])) for j in range(g))
+    norms = np.linalg.norm(recursive_enumerate(U, np.zeros(g), bound + 1e-9) @ U.T, axis=1)
+    nz = norms[norms > 1e-12]
+    return float(nz.min()) if nz.size else bound
+
+
+def packing_radius(U: np.ndarray, tol: float, weight: float = 1.0, grad=None) -> float:
+    """The radius of thetalab's packing bound: the first R in rho + 1,
+    rho + 1.25, ... with weight * tail(R) <= tol, where tail bounds the sum
+    over ||v|| > R of f(||v||) exp(-||v||^2), f = 1 or f(r) = A r + B for
+    grad = (A, B)."""
+    g = U.shape[0]
+    rho = shortest_vector(U)
+
+    def tail(R):
+        t0 = _packing_tail(g, rho, R)
+        if grad is None:
+            return weight * t0
+        return weight * (grad[0] * _packing_tail(g, rho, R, 1) + grad[1] * t0)
+
+    R = rho + 1.0
+    while not tail(R) <= tol:
+        R += 0.25
+        if R > 80.0:
+            raise ThetaError("packing radius exceeds 80")
+    return R
+
+
+def gaussian_lattice_sum(U: np.ndarray, xi: np.ndarray, s, cut: float = 40.0) -> np.ndarray:
+    """sum over all m in Z^g of exp(-s ||U (m + xi)||^2) for each s of an
+    array, by Poisson summation:
+    (pi/s)^(g/2) / det U * sum_k exp(-pi^2 ||U^-t k||^2 / s) cos(2 pi k.xi),
+    without the dual terms below exp(-cut) at the largest s."""
+    g = len(xi)
+    s = np.asarray(s, dtype=float)
+    V = np.linalg.cholesky(np.linalg.inv(U.T @ U)).T     # ||V k|| = ||U^-t k||
+    k = recursive_enumerate(V, np.zeros(g), math.sqrt(cut * s.max()) / math.pi)
+    d2 = np.sum((k @ V.T) ** 2, axis=1)
+    dual = np.exp(-math.pi ** 2 * d2 / s[..., None]) @ np.cos(2 * math.pi * (k @ xi))
+    return (math.pi / s) ** (g / 2) / np.prod(np.diag(U)) * dual
+
+
+def mp_theta(eps, delta, zeta, tau, dps: int = 30, cut: float = 60.0):
+    """theta[eps;delta](zeta, tau) and its gradient summed term by term in
+    mpmath at dps digits, over the box of m holding every term within
+    exp(-cut) of the largest; also the sums of |term| and, per component,
+    of |gradient term|.  Returns (value, gradient, abs_sum, grad_abs_sum)."""
+    tau = np.asarray(tau, dtype=complex)
+    g = tau.shape[0]
+    a = np.asarray(eps, dtype=float) / 2.0
+    zeta = np.asarray(zeta, dtype=complex)
+    yinv = np.linalg.inv(np.imag(tau))
+    c = yinv @ np.imag(zeta)
+    half = np.sqrt(cut / math.pi * np.diag(yinv))
+    axes = [range(math.ceil(-ci - ai - h), math.floor(-ci - ai + h) + 1)
+            for ci, ai, h in zip(c, a, half)]
+    with mpmath.workdps(dps):
+        t = [[mpmath.mpc(x) for x in row] for row in tau]
+        z = [mpmath.mpc(x) + mpmath.mpf(int(d)) / 2 for x, d in zip(zeta, delta)]
+        value = mpmath.mpc(0)
+        grad = [mpmath.mpc(0)] * g
+        abs_sum = mpmath.mpf(0)
+        grad_abs = [mpmath.mpf(0)] * g
+        for m in itertools.product(*axes):
+            n = [mpmath.mpf(mi) + mpmath.mpf(int(e)) / 2 for mi, e in zip(m, eps)]
+            quad = mpmath.fsum(n[i] * t[i][j] * n[j] for i in range(g) for j in range(g))
+            term = mpmath.expjpi(quad + 2 * mpmath.fsum(ni * zi for ni, zi in zip(n, z)))
+            value += term
+            abs_sum += abs(term)
+            for j in range(g):
+                grad[j] += 2j * mpmath.pi * n[j] * term
+                grad_abs[j] += 2 * mpmath.pi * abs(n[j] * term)
+        return (complex(value), np.array([complex(x) for x in grad]),
+                float(abs_sum), np.array([float(x) for x in grad_abs]))
 
 
 # ----------------------------------------------------------------------------

@@ -77,6 +77,29 @@ def test_theta_bad_tolerance_exits_2(tmp_path, capsys, tol):
     assert err.startswith("error: tol must be") and err.count("\n") == 1
 
 
+TAU_G2 = [[[0.1, 1.2], [0.2, 0.3]], [[0.2, 0.3], [-0.1, 0.9]]]
+
+
+@pytest.mark.parametrize("entry", [
+    {"eps": ["a", 0]}, {"eps": [float("nan"), 0]}, {"eps": 1}, {"eps": [0]},
+    {"delta": [0, 1, 0]}, {"zeta": [[0.0, 0.0]]}, {"zeta": [[0.0, 0.0], [1.0]]},
+], ids=["eps-string", "eps-nan", "eps-scalar", "eps-short", "delta-long", "zeta-short",
+        "zeta-not-a-pair"])
+def test_theta_bad_characteristic_or_argument_exits_2(tmp_path, capsys, entry):
+    from thetalab.cli import main
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps({"tau": TAU_G2, **entry}))
+    assert main(["theta", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed theta input") and err.count("\n") == 1
+
+
+def test_thetalab_imports_no_scipy():
+    code = ("import sys, thetalab, thetalab.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 PLAN_G1 = {
     "curve": {"n": 2, "lambdas": [[0, 0], [1, 0], [2, 0]]},
     "seed": 11,

@@ -1,7 +1,5 @@
 import dataclasses
 import itertools
-import json
-import os
 
 import numpy as np
 import pytest
@@ -17,8 +15,6 @@ from thetalab.theta import Characteristic, parity, theta_eval, theta_norm_abs
 from conftest import random_curve
 from oracles import (branch_images_by_routes, census_riemann_constant, cross_ratio_j,
                      rotated_far_anchor, searched_riemann_constant)
-
-G7_PLAN = os.path.join(os.path.dirname(__file__), "..", "tools", "trig-q3-g7.json")
 
 
 def test_curve_spec_validation():
@@ -126,10 +122,8 @@ def test_every_wrong_half_period_fails_the_check(fixture, request):
             _riemann_vanishing_residual(wrong)
 
 
-def test_genus_7_periods():
-    with open(G7_PLAN) as fh:
-        c = CurveSpec.from_json(json.load(fh)["curve"])
-    pd = build_periods(c)
+def test_genus_7_periods(trig_q3_g7):
+    c, pd = trig_q3_g7
     assert c.genus == 7
     assert pd.K_char == Characteristic.of([1, 0, 0, 1, 0, 0, 1], [1] * 7)
     d = pd.diagnostics

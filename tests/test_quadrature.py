@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.special import roots_legendre
 
 from thetalab import homology, periods, quadrature
 from thetalab.algebra import principal_power
@@ -72,7 +71,7 @@ def _scalar_leg_from_branch(curve, k, z1, w1, order):
             prod *= z - lam
         return principal_power(prod, 1.0 / n)
 
-    y, w = roots_legendre(order)
+    y, w = np.polynomial.legendre.leggauss(order)
     t = (y + 1.0) / 2.0
     x = -1.0 + 2.0 * t ** n        # 1 + x = 2 t^n
     out = []

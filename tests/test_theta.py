@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import time
 import tracemalloc
 
@@ -7,15 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thetalab.theta
-from thetalab.theta import (Characteristic, RiemannMatrix, ThetaError,
-                            _enumerate_ellipsoid, apply_transchar,
+from thetalab.curves import CurveSpec
+from thetalab.periods import build_periods
+from thetalab.theta import (_S_GRID, Characteristic, RiemannMatrix, ThetaError,
+                            _enumerate_ellipsoid, _radius, apply_transchar,
                             count_parities, parity, reduce_characteristic,
                             theta_eval, theta_grad, theta_halfint_table,
                             theta_norm_abs, truncation_radius)
 
 from conftest import random_riemann_matrix
-from oracles import (THETA_AT_I, naive_theta, naive_theta_grad,
-                     recursive_enumerate)
+from oracles import (THETA_AT_I, gaussian_lattice_sum, mp_theta, naive_theta,
+                     naive_theta_grad, packing_radius, recursive_enumerate)
 
 
 def test_classical_value_at_i():
@@ -283,6 +287,146 @@ def test_norm_abs_lattice_invariance():
     shifted = theta_norm_abs(ch, zeta + tau.matrix @ np.array([2, -1]) + np.array([3, 1]),
                              tau, 1e-12)
     assert abs(base - shifted) < 1e-9 * base
+
+
+# ----------------------------------------------------------------------------
+# Truncation radius: the Rankin bound of _radius
+
+
+def _skewed_matrices():
+    """Im tau = A^t A with A = [[1, 0], [k, 1]]: one short and one long
+    Cholesky diagonal entry, the ellipsoid ever thinner as k grows."""
+    for k in (1.0, 3.0, 10.0, 30.0):
+        a = np.array([[1.0, 0.0], [k, 1.0]])
+        yield RiemannMatrix(np.array([[0.3, -0.1], [-0.1, 0.2]]) + 1j * (a.T @ a))
+
+
+def _seeded_matrices(genera, seed, count=2):
+    rng = np.random.default_rng(seed)
+    return [RiemannMatrix(random_riemann_matrix(g, rng)) for g in genera for _ in range(count)]
+
+
+def _grad_weight(tau):
+    """The gradient weight (A, B) of truncation_radius."""
+    return tau.Uinv_norm, math.sqrt(tau.g) / 2.0 + 1.0
+
+
+def test_poisson_sum_matches_direct_sum():
+    # the product test below trusts gaussian_lattice_sum; where the direct
+    # sum is small enough to enumerate, the two agree
+    rng = np.random.default_rng(49)
+    for tau in _seeded_matrices((1, 2, 3), 48) + list(_skewed_matrices()):
+        xi = rng.uniform(-0.5, 0.5, tau.g)
+        s = np.array([0.1, 0.25, 0.49])
+        r2 = np.sum(((tau.lattice_points(xi, math.sqrt(40.0 / s[0])) + xi) @ tau.U.T) ** 2,
+                    axis=1)
+        direct = np.exp(-s[:, None] * r2).sum(axis=1)
+        assert np.all(np.abs(gaussian_lattice_sum(tau.U, xi, s) - direct) <= 1e-12 * direct)
+
+
+def test_product_bounds_the_shifted_gaussian_sum():
+    # sum_m exp(-s ||U(m + xi)||^2) <= P(s) = prod_i (1 + sqrt(pi/s) / U_ii)
+    # for every s of the grid, at zero and random offsets
+    rng = np.random.default_rng(50)
+    for tau in _seeded_matrices((1, 2, 3, 4, 5), 51) + list(_skewed_matrices()):
+        for xi in (np.zeros(tau.g), rng.uniform(-0.5, 0.5, tau.g)):
+            assert np.all(gaussian_lattice_sum(tau.U, xi, _S_GRID)
+                          <= np.exp(tau.log_p) * (1 + 1e-12))
+
+
+def _enumerated_tail(tau, xi, R, weight, grad, extra):
+    """weight * sum of f(||v||) exp(-||v||^2) over R < ||v||, v = U(m + xi),
+    out to ||v||^2 = R^2 + extra, past which each term is below e^-extra of
+    the largest omitted one."""
+    pts = tau.lattice_points(xi, math.sqrt(R * R + extra))
+    r = np.linalg.norm((pts + xi) @ tau.U.T, axis=1)
+    r = r[r > R]
+    f = 1.0 if grad is None else grad[0] * r + grad[1]
+    return weight * float(np.sum(f * np.exp(-r * r)))
+
+
+def _assert_bound_above_tail(tau, tols, rng, extra=40.0):
+    for xi in (np.zeros(tau.g), rng.uniform(-0.5, 0.5, tau.g)):
+        for tol in tols:
+            for weight, grad in ((1.0, None), (5.0, None), (2 * np.pi, _grad_weight(tau))):
+                R, bound = _radius(tau, tol, weight, grad)
+                assert _enumerated_tail(tau, xi, R, weight, grad, extra) <= bound <= tol
+
+
+def test_bound_above_enumerated_tail_low_genus():
+    rng = np.random.default_rng(52)
+    for tau in _seeded_matrices((1, 2, 3, 4), 53) + list(_skewed_matrices()):
+        _assert_bound_above_tail(tau, (1e-2, 1e-6, 1e-10), rng)
+
+
+def test_bound_above_enumerated_tail_genus_7(trig_q3_g7):
+    # 8 more in ||v||^2 already holds about 150,000 points at g=7
+    _assert_bound_above_tail(trig_q3_g7[1].tau, (1e-10,), np.random.default_rng(54), 8.0)
+
+
+def test_bound_is_at_most_tol():
+    # R solves the bound at tol e^-1e-9, so rounding never lifts it above
+    # tol, and R is no larger than that margin needs
+    for tau in _seeded_matrices((1, 3, 5), 55, count=1) + list(_skewed_matrices())[-1:]:
+        for tol in np.geomspace(1e-16, 1e-1, 31):
+            for weight in (1.0, 7.3, 1e6):
+                for grad in (None, _grad_weight(tau)):
+                    R, bound = _radius(tau, float(tol), weight, grad)
+                    assert bound <= tol
+                    assert R == 0.0 or bound >= tol * (1 - 1e-6)
+    # the command-line case: theta(0, i) at tol 1e-12
+    tau = RiemannMatrix([[1j]])
+    assert theta_eval(Characteristic.zero(1), [0.0], tau, 1e-12).truncation_bound <= 1e-12
+    assert theta_grad(Characteristic.zero(1), [0.0], tau, 1e-12).truncation_bound <= 1e-12
+
+
+def test_radius_cap_raises():
+    tau = RiemannMatrix([[1j]])
+    with pytest.raises(ThetaError, match="cap"):
+        _radius(tau, 1e-10, float("inf"))
+    with pytest.raises(ThetaError, match="cap"):
+        _radius(tau, 1e-10, float("nan"))
+
+
+def _bench_taus():
+    """tau of the 12 benchmark curves (the plans of tools/identity_digests.py)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench.workloads import hyp_plan, trig_plan
+    plans = [trig_plan(s) for s in (1, 2, 3)]
+    plans += [hyp_plan(s, g) for s in (1, 2, 3) for g in (2, 3, 4)]
+    return [build_periods(CurveSpec.from_json(p["curve"])).tau for p in plans]
+
+
+def test_radius_never_above_the_packing_radius():
+    # the packing bound this replaced, frozen in tests/oracles.py
+    taus = (_bench_taus() + _seeded_matrices((1, 2, 3, 4, 5, 6), 56)
+            + list(_skewed_matrices()))
+    for tau in taus:
+        for tol in (1e-8, 1e-12):
+            assert truncation_radius(tau, tol) <= packing_radius(tau.U, tol)
+            assert (truncation_radius(tau, tol, deriv_order=1)
+                    <= packing_radius(tau.U, tol, 2 * np.pi, _grad_weight(tau)))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_theta_and_gradient_within_bound_of_mpmath_sum(g):
+    # at loose tolerances the truncation error dominates the rounding, so
+    # this checks the bound itself; the second zeta, Im zeta = 1.3 Y (1, ..., 1),
+    # is range-reduced by n0 = (1, ..., 1)
+    rng = np.random.default_rng(57 + g)
+    tau = RiemannMatrix(random_riemann_matrix(g, rng))
+    far = tau.Y @ np.full(g, 1.3) * 1j
+    for zeta in (rng.normal(size=g) * 0.5 + 1j * rng.normal(size=g) * 0.5, far + 0.2):
+        eps, delta = rng.integers(0, 2, g), rng.integers(0, 2, g)
+        ch = Characteristic.of(eps, delta)
+        value, grad, abs_sum, grad_abs = mp_theta(eps, delta, zeta, tau.matrix)
+        for tol in (1e-3, 1e-6, 1e-10):
+            v = theta_eval(ch, zeta, tau, tol)
+            assert abs(v.value - value) <= v.truncation_bound + 1e-14 * abs_sum
+            d = theta_grad(ch, zeta, tau, tol)
+            assert np.all(np.abs(d.values - grad) <= d.truncation_bound + 1e-14 * grad_abs)
 
 
 # ----------------------------------------------------------------------------
