@@ -17,7 +17,7 @@ from .thomae import (AlphaEstimate, HypPartition, TrigPartition,
                      VerificationReport, char_from_partition_hyp,
                      char_from_partition_trig, enumerate_partitions_hyp,
                      enumerate_partitions_trig, estimate_alpha,
-                     simple_zero_check, verify_matrix_form_hyp,
+                     simple_zero_check, trig_alpha, verify_matrix_form_hyp,
                      verify_matrix_form_trig, verify_quotient_hyp,
                      verify_quotient_trig, verify_thomae_const_hyp,
                      verify_thomae_deriv_hyp, verify_thomae_deriv_trig_t1,

@@ -29,7 +29,8 @@ import time
 import numpy as np
 
 from .curves import BranchPointsNotDistinct, CurveSpec, CurveSpecError
-from .periods import QUAD_DRIFT_TARGET, PeriodData, PeriodError, build_periods
+from .periods import (K_VANISHING_CUT, QUAD_DRIFT_TARGET, PeriodData, PeriodError,
+                      build_periods)
 from .homology import HomologyError
 from .quadrature import QuadratureError
 from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, ThetaError,
@@ -106,15 +107,17 @@ def cmd_periods(args) -> int:
 def cmd_theta(args) -> int:
     obj = _load_json(args.input)
     try:
-        tau_rows = [[_j2c(x) for x in row] for row in obj["tau"]]
-        eps = obj.get("eps", [0] * len(tau_rows))
-        delta = obj.get("delta", [0] * len(tau_rows))
-        zeta = [_j2c(x) for x in obj.get("zeta", [[0.0, 0.0]] * len(tau_rows))]
+        tau_m = np.array([[_j2c(x) for x in row] for row in obj["tau"]], dtype=complex)
+        if tau_m.ndim != 2 or tau_m.shape[0] != tau_m.shape[1]:
+            raise ValueError(f"tau has shape {tau_m.shape}, not g x g")
+        g = len(tau_m)
+        eps = obj.get("eps", [0] * g)
+        delta = obj.get("delta", [0] * g)
+        zeta = [_j2c(x) for x in obj.get("zeta", [[0.0, 0.0]] * g)]
         char = Characteristic.of(eps, delta)
         for name, v in (("eps", char.eps), ("delta", char.delta), ("zeta", zeta)):
-            if len(v) != len(tau_rows):
-                raise ValueError(f"{name} has {len(v)} entries for a {len(tau_rows)} x "
-                                 f"{len(tau_rows)} tau")
+            if len(v) != g:
+                raise ValueError(f"{name} has {len(v)} entries for a {g} x {g} tau")
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         print(f"error: malformed theta input: {exc}", file=sys.stderr)
         return 2
@@ -123,7 +126,7 @@ def cmd_theta(args) -> int:
         print(f"error: tol must be a finite positive number, got {tol!r}", file=sys.stderr)
         return 2
     try:
-        tau = RiemannMatrix(np.array(tau_rows, dtype=complex))
+        tau = RiemannMatrix(tau_m)
     except ValueError as exc:
         print(f"error: invalid Riemann matrix: {exc}", file=sys.stderr)
         return 3
@@ -153,29 +156,17 @@ class Plan:
     """The curve and period data of one plan, and what its tasks share.
 
     Each task handler takes (task entry, tol, theta_tol, seed) and yields
-    reports.  Alpha is estimated once per pair of tolerances; the derivative
-    and matrix tasks always use the estimate at the plan tolerances, whatever
-    an `alpha_trig` task asked for."""
+    reports."""
 
     def __init__(self, curve: CurveSpec, pd: PeriodData, defaults: dict):
         self.curve = curve
         self.pd = pd
         self.defaults = defaults
-        self._alpha: dict[tuple[float, float], thomae.AlphaEstimate] = {}
 
     def tolerances(self, task: dict) -> tuple[float, float]:
         """(tol, theta_tol) of a task: its own, else the plan's, else the defaults."""
         return (float(task.get("tol", self.defaults.get("tol", 1e-6))),
                 float(task.get("theta_tol", self.defaults.get("theta_tol", 1e-10))))
-
-    def alpha(self, tol: float, theta_tol: float) -> thomae.AlphaEstimate:
-        if (tol, theta_tol) not in self._alpha:
-            self._alpha[tol, theta_tol] = thomae.estimate_alpha(
-                [(self.curve, self.pd)], tol=tol, theta_tol=theta_tol)
-        return self._alpha[tol, theta_tol]
-
-    def alpha_ref(self) -> complex:
-        return self.alpha(*self.tolerances({})).reference_for(0)
 
     def period_sanity(self, task, tol, theta_tol, seed):
         d = self.pd.diagnostics
@@ -184,12 +175,12 @@ class Plan:
             "tau_asymmetry": (d["tau_asymmetry"], _SYMMETRY_TOL),
             "quad_drift": (d["quad_drift"], QUAD_DRIFT_TARGET),
             "order_n_lattice_dist": (d["order_n_lattice_dist"], 1e-8 * tau_scale),
-            "K_lattice_dist_2K": (d["K_lattice_dist_2K"], 1e-8 * tau_scale),
+            "K_vanishing_residual": (d["K_vanishing_residual"], K_VANISHING_CUT),
         }
         passed = all(v <= t for v, t in checks.values()) and d["im_tau_min_eig"] > 0
         yield thomae.VerificationReport(
             identity="period_sanity", partition="", s_range=[], lhs=[],
-            rhs_modulus=float("nan"), ratios=[], tag=None, spread=0.0,
+            rhs_modulus=None, ratios=[], tag=None, spread=0.0,
             passed=passed,
             tolerances={k: t for k, (v, t) in checks.items()},
             details={k: v for k, (v, t) in checks.items()}
@@ -219,33 +210,32 @@ class Plan:
             yield thomae.verify_matrix_form_hyp(self.curve, self.pd, p, tol)
 
     def alpha_trig(self, task, tol, theta_tol, seed):
-        est = self.alpha(tol, theta_tol)
+        est = thomae.estimate_alpha([(self.curve, self.pd)], tol=tol, theta_tol=theta_tol)
         yield thomae.VerificationReport(
             identity="alpha_trig", partition="all-constant-kind", s_range=[],
-            lhs=[], rhs_modulus=float("nan"), ratios=[], tag=None,
-            spread=est.spread,
-            passed=est.spread < tol and all(t.ok for t in est.phases),
+            lhs=[], rhs_modulus=None, ratios=[], tag=None,
+            spread=est.spread, passed=all(t.ok for t in est.phases),
             tolerances={"tol": tol, "theta_tol": theta_tol},
             details={"alpha_modulus": est.modulus,
+                     "alpha_closed_form": thomae.trig_alpha(self.curve.genus),
                      "phase_indices": [t.index for t in est.phases],
                      "worst_phase_residual": max(t.phase_residual for t in est.phases)})
 
     def deriv_trig_t1(self, task, tol, theta_tol, seed):
         for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv1"):
             yield thomae.verify_thomae_deriv_trig_t1(
-                self.curve, self.pd, self.alpha_ref(), p, tol, theta_tol)
+                self.curve, self.pd, p, tol, theta_tol)
 
     def deriv_trig_t2(self, task, tol, theta_tol, seed):
         for loc in task.get("infinity_in", [1, 0]):
             for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv2", infinity_in=loc):
                 yield thomae.verify_thomae_deriv_trig_t2(
-                    self.curve, self.pd, self.alpha_ref(), p, tol, theta_tol)
+                    self.curve, self.pd, p, tol, theta_tol)
 
     def matrix_form_trig(self, task, tol, theta_tol, seed):
         parts = thomae.enumerate_partitions_trig(self.curve.q, "constant")
         for p in parts[:int(task.get("count", 1))]:
-            yield thomae.verify_matrix_form_trig(
-                self.curve, self.pd, self.alpha_ref(), p, tol)
+            yield thomae.verify_matrix_form_trig(self.curve, self.pd, p, tol)
 
     def simple_zeros_trig(self, task, tol, theta_tol, seed):
         q = self.curve.q

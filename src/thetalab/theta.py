@@ -329,10 +329,10 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
     n0norm = float(np.linalg.norm(n0)) if n0.size else 0.0
 
     # each term is amp * exp(-||v||^2), v = U(m + xi); the gradient weighs it
-    # by 2 pi |n - n0| <= 2 pi (||U^{-1}|| ||v|| + |c| + sqrt(g) + |n0|)
+    # by 2 pi |n - n0| <= 2 pi (||U^{-1}|| ||v|| + |c| + |n0|), as n = U^{-1} v - c
     if want_grad:
         R, tail = _radius(tau, tol_red, 2 * np.pi * amp,
-                          (tau.Uinv_norm, cnorm + math.sqrt(tau.g) + n0norm))
+                          (tau.Uinv_norm, cnorm + n0norm))
     else:
         R, tail = _radius(tau, tol_red, amp)
 

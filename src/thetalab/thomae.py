@@ -13,13 +13,20 @@ Hyperelliptic (w^2 = f, deg f = 2g+1):
   * the g x g matrix form tying the derivative rows to D Sigma C with
     det Sigma = Delta(I0).
 
-Trigonal (w^3 = f, deg f = 3q-1):
+Trigonal (w^3 = f, deg f = 3q-1, g = 3q-2):
 
-  * constant identity with the global constant alpha and a 12th root;
-  * derivative identities for the two divisor types (36th roots), using rows
-    l <= 2q-1 resp. l >= 2q of C;
+  * constant identity with the closed-form constant
+    alpha = (2 pi)^{-g/2} 3^{-g/8} (trig_alpha) and a 144th root;
+  * derivative identities for the two divisor types (144th roots), using
+    rows l <= 2q-1 resp. l >= 2q of C;
   * cube theta quotient (12th root);
   * the matrix form with the two-block Sigma.
+
+The closed form of alpha is observed, not derived: every constant-kind
+ratio divided by it has modulus 1 to 2e-12 at q = 1, 2, 3, and every
+constant and derivative ratio is a root of unity whose order divides 144.
+So the trigonal identities are absolute, as the hyperelliptic ones are with
+(det C / (2 pi)^g)^{1/2}.
 
 Derivative right-hand sides contract algebra.sigma_row with C through
 algebra.sigma_contract; every derivative report, matrix-form rows included,
@@ -27,9 +34,7 @@ comes from one verifier, _verify_deriv.
 
 All fractional powers take principal branches; every ambiguity group divides
 the asserted root order, so classifications are branch-robust.  Ratios are
-always classified, never either side alone.  The reference-partition phase of
-alpha is folded into the derivative-side tags, which keeps them exact roots
-of unity without assigning alpha itself a phase.
+always classified, never either side alone.
 """
 
 from __future__ import annotations
@@ -178,7 +183,7 @@ class VerificationReport:
     partition: str
     s_range: list[int]
     lhs: list[complex]
-    rhs_modulus: float
+    rhs_modulus: Optional[float]       # None (JSON null) without one RHS
     ratios: list[complex]
     tag: Optional[RootOfUnityTag]
     spread: float
@@ -349,7 +354,7 @@ def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
     passed = tag.ok and spread < tol
     return VerificationReport(
         identity=identity, partition=f"k={k}", s_range=[],
-        lhs=[], rhs_modulus=float("nan"), ratios=[complex(r) for r in ratios],
+        lhs=[], rhs_modulus=None, ratios=[complex(r) for r in ratios],
         tag=tag, spread=spread, passed=passed,
         tolerances={"tol": tol, "theta_tol": theta_tol},
         details={"char": ch_k.label(), "samples": samples, "resamples": resamples})
@@ -396,7 +401,7 @@ def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
     passed = ok and ent_err < tol and det_err < det_tol
     return VerificationReport(
         identity="matrix_form_hyp", partition=I0.label(),
-        s_range=list(range(1, g + 1)), lhs=[], rhs_modulus=float("nan"),
+        s_range=list(range(1, g + 1)), lhs=[], rhs_modulus=None,
         ratios=[], tag=None, spread=ent_err, passed=passed,
         tolerances={"tol": tol, "det_tol": det_tol},
         details={"det_sigma_rel_err": det_err,
@@ -420,30 +425,37 @@ def _delta_product_trig(p: TrigPartition, lam) -> complex:
     return out
 
 
+# every order seen so far of a trigonal constant or derivative ratio
+# divides this
+TRIG_ROOT_ORDER = 144
+
+
+def trig_alpha(g: int) -> float:
+    """The trigonal Thomae constant |alpha| = (2 pi)^(-g/2) 3^(-g/8);
+    observed, not derived (see the module docstring)."""
+    return (2.0 * np.pi) ** (-g / 2.0) * 3.0 ** (-g / 8.0)
+
+
 @dataclass
 class AlphaEstimate:
-    modulus: float
-    phases: list[RootOfUnityTag]
+    modulus: float                  # median |alpha_ratio|
+    phases: list[RootOfUnityTag]    # alpha_ratio / trig_alpha as 144th roots
     spread: float
-    references: dict[int, complex]        # curve index -> reference ratio
     per_partition: list[dict]
-
-    def reference_for(self, curve_index: int = 0) -> complex:
-        return self.references[curve_index]
 
 
 def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
                 theta_tol: float = 1e-10) -> complex:
     """Normalized theta constant over the full Delta expression; equals
-    alpha times a 12th root of unity when the identity holds.
+    trig_alpha(g) times a 144th root of unity when the identity holds.
 
     The theta constant carries the normalization e(eps^t delta / 4).  For
     integral characteristics that factor is an 8th root of unity and invisible
     inside the hyperelliptic statements, but for third-integer
-    characteristics it contributes 9th roots: without it the per-partition
-    constants are 36th (not 12th) roots of unity.  (Verified numerically via
-    branch-free 12th powers of the plain ratios, whose relative phases are
-    exact cube roots of unity.)
+    characteristics it contributes 9th roots: without it the ratios of two
+    partitions' constants are 36th (not 12th) roots of unity.  (Verified
+    numerically via branch-free 12th powers of the plain ratios, whose
+    relative phases are exact cube roots of unity.)
     """
     p.validate(curve.q)
     ch = char_from_partition_trig(p, periods)
@@ -458,25 +470,16 @@ def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
 
 def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
                    tol: float = 1e-6, theta_tol: float = 1e-10) -> AlphaEstimate:
-    """|alpha| across all constant-kind partitions of all supplied curves.
-
-    The phase of alpha is not an observable here (it is entangled with the
-    12th roots); phases are recorded relative to each curve's first partition
-    and the complex reference ratios are kept for the derivative identities.
-    """
+    """alpha_ratio over all constant-kind partitions of all supplied curves,
+    each classified against trig_alpha as a 144th root of unity."""
     moduli = []
     phases = []
-    references = {}
     per_partition = []
     for ci, (curve, periods) in enumerate(curves):
-        parts = enumerate_partitions_trig(curve.q, "constant")
-        ref = None
-        for p in parts:
+        alpha = trig_alpha(curve.genus)
+        for p in enumerate_partitions_trig(curve.q, "constant"):
             r = alpha_ratio(curve, periods, p, theta_tol)
-            if ref is None:
-                ref = r
-                references[ci] = r
-            tag = classify_root_of_unity(r / ref, 12, tol)
+            tag = classify_root_of_unity(r / alpha, TRIG_ROOT_ORDER, tol)
             phases.append(tag)
             moduli.append(abs(r))
             per_partition.append({"curve": ci, "partition": p.label(),
@@ -485,7 +488,7 @@ def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
     med = float(np.median(moduli))
     spread = float((max(moduli) - min(moduli)) / med)
     return AlphaEstimate(modulus=med, phases=phases, spread=spread,
-                         references=references, per_partition=per_partition)
+                         per_partition=per_partition)
 
 
 def _trig_sigma_row(p: TrigPartition, q: int, lam) -> tuple[dict[int, complex], int]:
@@ -502,53 +505,52 @@ def _trig_sigma_row(p: TrigPartition, q: int, lam) -> tuple[dict[int, complex], 
     return sigma_row([lam[i] for i in sig_set], rows, drop), drop
 
 
-def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
-                    alpha_ref: complex) -> np.ndarray:
+def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> np.ndarray:
     """RHS vector for the trigonal derivative identities, constant alpha/3.
 
     For deriv2 that halves the printed 2 alpha/3: near the double point the
     cube root of the branch-value product is t * t', whose symmetrized
     beta-derivative at the diagonal is -1/2 (phi_tt - phi_ts)/2 with
-    phi_tt = 0 (sign absorbed into the 36th root).  Confirmed numerically:
+    phi_tt = 0 (sign absorbed into the 144th root).  Confirmed numerically:
     the plain ratio has modulus exactly 1/2 for every type-2 partition."""
     lam = curve.lam_map
     row, drop = _trig_sigma_row(p, curve.q, lam)
     pref = (_delta_product_trig(p, lam) * principal_power(np.linalg.det(periods.C), 0.5)
-            * alpha_ref / 3.0)
+            * trig_alpha(curve.genus) / 3.0)
     # the trigonal sign (-1)^deg is (-1)^drop times the row's (-1)^(top-l)
     return sigma_contract(-pref if drop else pref, row, periods.C)
 
 
 def _verify_thomae_deriv_trig(curve: CurveSpec, periods: PeriodData,
-                              alpha_ref: complex, p: TrigPartition,
-                              tol: float, theta_tol: float,
+                              p: TrigPartition, tol: float, theta_tol: float,
                               grad_tol: float, identity: str) -> VerificationReport:
     p.validate(curve.q)
     # infinity in the sigma set is the experimental relocation
     experimental = INF in p.L2 or (p.kind == "deriv1" and INF in p.L1)
-    return _verify_deriv(identity, 36, periods, char_from_partition_trig(p, periods),
-                         _trig_deriv_rhs(curve, periods, p, alpha_ref), experimental,
+    return _verify_deriv(identity, TRIG_ROOT_ORDER, periods,
+                         char_from_partition_trig(p, periods),
+                         _trig_deriv_rhs(curve, periods, p), experimental,
                          p.label(), tol, theta_tol, grad_tol)
 
 
 def verify_thomae_deriv_trig_t1(curve: CurveSpec, periods: PeriodData,
-                                alpha_ref: complex, p: TrigPartition,
-                                tol: float = 1e-5, theta_tol: float = 1e-10,
+                                p: TrigPartition, tol: float = 1e-5,
+                                theta_tol: float = 1e-10,
                                 grad_tol: float = 1e-9) -> VerificationReport:
     if p.kind != "deriv1":
         raise ValueError("type-1 identity needs a deriv1 partition")
-    return _verify_thomae_deriv_trig(curve, periods, alpha_ref, p, tol,
-                                     theta_tol, grad_tol, "thomae_deriv_trig_t1")
+    return _verify_thomae_deriv_trig(curve, periods, p, tol, theta_tol, grad_tol,
+                                     "thomae_deriv_trig_t1")
 
 
 def verify_thomae_deriv_trig_t2(curve: CurveSpec, periods: PeriodData,
-                                alpha_ref: complex, p: TrigPartition,
-                                tol: float = 1e-5, theta_tol: float = 1e-10,
+                                p: TrigPartition, tol: float = 1e-5,
+                                theta_tol: float = 1e-10,
                                 grad_tol: float = 1e-9) -> VerificationReport:
     if p.kind != "deriv2":
         raise ValueError("type-2 identity needs a deriv2 partition")
-    return _verify_thomae_deriv_trig(curve, periods, alpha_ref, p, tol,
-                                     theta_tol, grad_tol, "thomae_deriv_trig_t2")
+    return _verify_thomae_deriv_trig(curve, periods, p, tol, theta_tol, grad_tol,
+                                     "thomae_deriv_trig_t2")
 
 
 def verify_quotient_trig(curve: CurveSpec, periods: PeriodData, k: int,
@@ -586,7 +588,7 @@ def derived_partitions_for_matrix(p: TrigPartition, q: int) -> list[TrigPartitio
 
 
 def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
-                            alpha_ref: complex, p: TrigPartition,
+                            p: TrigPartition,
                             tol: float = 1e-5, zero_tol: float = 1e-10,
                             theta_tol: float = 1e-10) -> VerificationReport:
     """Matrix identity Grad = (alpha/3) D Sigma C for the degenerations of a
@@ -604,12 +606,12 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     ok = True
     # sqrt(det C) accompanies the row theorems; the compact matrix statement
     # drops it from display but it is part of the identity
-    detfac = principal_power(np.linalg.det(periods.C), 0.5)
+    const = trig_alpha(g) * principal_power(np.linalg.det(periods.C), 0.5) / 3.0
     for kk, pk in enumerate(derived):
         # the per-row phase comes from the row's own derivative identity
         verify = (verify_thomae_deriv_trig_t1 if pk.kind == "deriv1"
                   else verify_thomae_deriv_trig_t2)
-        rep = verify(curve, periods, alpha_ref, pk, tol, theta_tol)
+        rep = verify(curve, periods, pk, tol, theta_tol)
         ok = ok and rep.passed
         tags.append(rep.tag)
         grads[kk] = np.array(rep.lhs)
@@ -618,20 +620,21 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
         sigma[kk, [l - 1 for l in row]] = list(row.values())
         dvec[kk] = _delta_product_trig(pk, lam)
     # entrywise identity with the classified per-row phases
-    predicted = (alpha_ref / 3.0) * detfac \
-        * np.diag(dvec * np.array([t.value for t in tags])) @ sigma @ periods.C
+    rowfac = dvec * np.array([t.value for t in tags])
+    predicted = const * np.diag(rowfac) @ sigma @ periods.C
     ent_err = float(np.max(np.abs(grads - predicted)) / np.max(np.abs(grads)))
     # reconstructed Sigma: zero blocks must come out exactly
-    sigma_hat = np.diag(1.0 / (dvec * np.array([t.value for t in tags]))) @ grads \
-        @ np.linalg.inv(periods.C) * 3.0 / (alpha_ref * detfac)
+    sigma_hat = np.diag(1.0 / rowfac) @ grads @ np.linalg.inv(periods.C) / const
     zero_mask = np.zeros((g, g), dtype=bool)
     zero_mask[:q, 2 * q - 1:] = True
     zero_mask[q:, : 2 * q - 1] = True
-    zero_err = float(np.max(np.abs(sigma_hat[zero_mask])) / np.max(np.abs(sigma_hat)))
+    # at q = 1 (g = 1) Sigma has no zero blocks
+    zero_err = float(np.max(np.abs(sigma_hat[zero_mask]), initial=0.0)
+                     / np.max(np.abs(sigma_hat)))
     passed = ok and ent_err < tol and zero_err < zero_tol
     return VerificationReport(
         identity="matrix_form_trig", partition=p.label(),
-        s_range=list(range(1, g + 1)), lhs=[], rhs_modulus=float("nan"),
+        s_range=list(range(1, g + 1)), lhs=[], rhs_modulus=None,
         ratios=[], tag=None, spread=ent_err, passed=passed,
         tolerances={"tol": tol, "zero_tol": zero_tol, "theta_tol": theta_tol},
         details={"entrywise_rel_err": ent_err, "zero_block_err": zero_err,
@@ -654,7 +657,7 @@ def simple_zero_check(periods: PeriodData, p: TrigPartition,
     passed = (is_zero == expected_zero) and (grad_ok if expected_zero else True)
     return VerificationReport(
         identity="simple_zero_trig", partition=p.label(), s_range=[],
-        lhs=[complex(val)], rhs_modulus=float("nan"), ratios=[], tag=None,
+        lhs=[complex(val)], rhs_modulus=None, ratios=[], tag=None,
         spread=0.0, passed=passed,
         tolerances={"zero_tol": zero_tol, "grad_floor": grad_floor},
         details={"char": ch.label(), "theta_abs": val, "grad_norm": grad,

@@ -411,7 +411,7 @@ def hyp_deriv_rhs(curve, periods, p) -> np.ndarray:
     return out
 
 
-def trig_deriv_rhs(curve, periods, p, alpha_ref: complex) -> np.ndarray:
+def trig_deriv_rhs(curve, periods, p, alpha: float) -> np.ndarray:
     q = curve.q
     g = curve.genus
     lam = curve.lam_map
@@ -421,13 +421,13 @@ def trig_deriv_rhs(curve, periods, p, alpha_ref: complex) -> np.ndarray:
         has_inf = INF in p.L1 or INF in p.L2
         lrange = range(1, 2 * q)
         degree = lambda l: 2 * q - 1 - l - (1 if has_inf else 0)  # noqa: E731
-        pref = pref * alpha_ref / 3.0
+        pref = pref * alpha / 3.0
     elif p.kind == "deriv2":
         sig_set = list(p.L2.finite)
         has_inf = INF in p.L2
         lrange = range(2 * q, 3 * q - 1)
         degree = lambda l: 3 * q - 2 - l - (1 if has_inf else 0)  # noqa: E731
-        pref = pref * alpha_ref / 3.0
+        pref = pref * alpha / 3.0
     else:
         raise ValueError("derivative RHS needs a deriv-kind partition")
     sig = all_elementary_symmetric([lam[i] for i in sig_set])

@@ -217,26 +217,28 @@ def test_criterion_07_alpha_global(trig_q2_batch):
     means = [np.median(v) for v in per_curve.values()]
     cross = (max(means) - min(means)) / np.median(means)
     phases_ok = all(t.ok for t in est.phases)
-    ok = all(s < 1e-6 for s in spreads.values()) and cross < 1e-6 and phases_ok
-    _report(7, "alpha modulus global + 12th-root phases", ok,
+    closed = abs(est.modulus / thomae.trig_alpha(4) - 1.0)
+    ok = (all(s < 1e-6 for s in spreads.values()) and cross < 1e-6 and phases_ok
+          and closed < 1e-10)
+    _report(7, "alpha modulus global and closed-form + 144th-root phases", ok,
             f"per-curve spreads {[f'{s:.1e}' for s in spreads.values()]}, "
-            f"cross-curve {cross:.2e}, |alpha|={est.modulus:.6g}")
+            f"cross-curve {cross:.2e}, |alpha|={est.modulus:.6g} "
+            f"(closed form off by {closed:.1e})")
 
 
 def test_criterion_08_trig_derivatives(trig_q2):
     c, pd = trig_q2
-    aref = thomae.estimate_alpha([(c, pd)]).reference_for(0)
     n_pass = total = 0
     worst = 0.0
     for p in thomae.enumerate_partitions_trig(2, "deriv1"):
-        rep = thomae.verify_thomae_deriv_trig_t1(c, pd, aref, p, tol=1e-5)
+        rep = thomae.verify_thomae_deriv_trig_t1(c, pd, p, tol=1e-5)
         total += 1
         n_pass += rep.passed
         worst = max(worst, rep.spread, rep.tag.phase_residual)
     assert total == 20
     for loc in (1, 0):
         for p in thomae.enumerate_partitions_trig(2, "deriv2", infinity_in=loc):
-            rep = thomae.verify_thomae_deriv_trig_t2(c, pd, aref, p, tol=1e-5)
+            rep = thomae.verify_thomae_deriv_trig_t2(c, pd, p, tol=1e-5)
             total += 1
             n_pass += rep.passed
             worst = max(worst, rep.spread, rep.tag.phase_residual)
@@ -286,8 +288,7 @@ def test_criterion_11_matrix_forms(hyp_g2, trig_q2):
                                           thomae.enumerate_partitions_hyp(2, 0)[0],
                                           tol=1e-6, det_tol=1e-9)
     c3, pd3 = trig_q2
-    aref = thomae.estimate_alpha([(c3, pd3)]).reference_for(0)
-    rep_t = thomae.verify_matrix_form_trig(c3, pd3, aref,
+    rep_t = thomae.verify_matrix_form_trig(c3, pd3,
                                            thomae.enumerate_partitions_trig(2, "constant")[0],
                                            tol=1e-5, zero_tol=1e-10)
     ok = rep_h.passed and rep_t.passed

@@ -67,6 +67,24 @@ def test_theta_bad_tau(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("tau", [
+    [[[0, 1]], [[0, 1], [0, 0]]], [[[0, 1], [0, 0]]], [], [[]],
+], ids=["ragged", "one-by-two", "empty", "one-by-zero"])
+def test_theta_tau_not_square_exits_2(tmp_path, capsys, tau):
+    from thetalab.cli import main
+    f = write(tmp_path / "t.json", {"tau": tau})
+    assert main(["theta", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed theta input") and err.count("\n") == 1
+
+
+def test_theta_asymmetric_tau_exits_3(tmp_path, capsys):
+    from thetalab.cli import main
+    f = write(tmp_path / "t.json", {"tau": [[[0, 1], [0, 0.5]], [[0, 0], [0, 1]]]})
+    assert main(["theta", f]) == 3
+    assert capsys.readouterr().err.startswith("error: invalid Riemann matrix")
+
+
 @pytest.mark.parametrize("tol", ["x", -1, float("nan")], ids=["string", "negative", "nan"])
 def test_theta_bad_tolerance_exits_2(tmp_path, capsys, tol):
     from thetalab.cli import main
@@ -274,9 +292,9 @@ def test_verify_sampling_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_alpha_task_leaves_plan_alpha_alone(tmp_path, monkeypatch):
-    # an alpha_trig task with its own theta_tol must not change the alpha
-    # that the derivative tasks around it use; each pair of tolerances is
-    # estimated once
+    # an alpha_trig task with its own theta_tol must not change the
+    # derivative tasks around it, which use the closed-form alpha; only the
+    # alpha_trig task estimates alpha
     import thetalab.thomae
     from thetalab.cli import main
     estimate = thetalab.thomae.estimate_alpha
@@ -297,7 +315,44 @@ def test_verify_alpha_task_leaves_plan_alpha_alone(tmp_path, monkeypatch):
     assert [json.loads(l)["identity"] for l in lines] == [
         "thomae_deriv_trig_t1", "alpha_trig", "thomae_deriv_trig_t1"]
     assert lines[0] == lines[2]
-    assert sorted(calls) == [1e-10, 1e-2]
+    assert calls == [1e-2]
+
+
+def test_derivative_plan_computes_no_alpha_ratio(tmp_path, monkeypatch):
+    import thetalab.thomae
+    from thetalab.cli import main
+    ratio = thetalab.thomae.alpha_ratio
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ratio(*args, **kwargs)
+    monkeypatch.setattr(thetalab.thomae, "alpha_ratio", counted)
+    f = write(tmp_path / "plan.json", {"curve": TRIG_Q1, "tasks": [{"id": "deriv_trig_t1"}]})
+    assert main(["verify", f, "--out", str(tmp_path / "r.jsonl")]) == 0
+    assert calls == []
+
+
+def _raise_on_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("plan", [
+    {"curve": TRIG_Q1, "seed": 2,
+     "tasks": [{"id": t} for t in ("period_sanity", "alpha_trig", "deriv_trig_t1",
+                                   "deriv_trig_t2", "quotient_trig", "matrix_form_trig",
+                                   "simple_zeros_trig")]},
+    dict(PLAN_G1, tasks=PLAN_G1["tasks"] + [{"id": "matrix_form_hyp"}]),
+], ids=["trig", "hyp"])
+def test_verify_writes_strict_json(tmp_path, plan):
+    # no NaN or Infinity token on any line, so any RFC 8259 parser reads it;
+    # at q = 1 the trigonal matrix form has no zero blocks to check
+    from thetalab.cli import main
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", write(tmp_path / "plan.json", plan), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rows = [json.loads(line, parse_constant=_raise_on_constant) for line in lines]
+    assert any(row["rhs_modulus"] is None for row in rows)
 
 
 def _tasks(*tasks, curve=PLAN_G1["curve"], **plan):

@@ -21,7 +21,8 @@ from thetalab.jacobians import (TrigConfiguration, aj_jacobian_hyper_closed,
                                 aj_jacobian_trig_closed)
 from thetalab.periods import SurfacePoint
 from thetalab.thomae import (_hyp_deriv_rhs, _trig_deriv_rhs,
-                             enumerate_partitions_hyp, enumerate_partitions_trig)
+                             enumerate_partitions_hyp, enumerate_partitions_trig,
+                             trig_alpha)
 
 
 def stand_in_periods(g: int, seed: int) -> SimpleNamespace:
@@ -46,11 +47,11 @@ def test_hyp_deriv_rhs_matches_frozen_loop(g):
 def test_trig_deriv_rhs_matches_frozen_loop(q, kind):
     curve = random_curve(3, 3 * q - 1, 20 + q, box=3.0, min_gap=0.5)
     periods = stand_in_periods(curve.genus, 30 + q)
-    alpha_ref = 0.83 * np.exp(0.41j)
+    alpha = trig_alpha(curve.genus)
     for loc in (0, 1, 2):
         for p in enumerate_partitions_trig(q, kind, infinity_in=loc):
-            new = _trig_deriv_rhs(curve, periods, p, alpha_ref)
-            old = oracles.trig_deriv_rhs(curve, periods, p, alpha_ref)
+            new = _trig_deriv_rhs(curve, periods, p)
+            old = oracles.trig_deriv_rhs(curve, periods, p, alpha)
             assert new.tobytes() == old.tobytes(), p.label()
 
 

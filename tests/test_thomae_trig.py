@@ -1,10 +1,16 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from thetalab.algebra import INF, IndexSet
+from conftest import random_curve
+from thetalab.algebra import INF, IndexSet, classify_root_of_unity
+from thetalab.curves import CurveSpec
+from thetalab.periods import build_periods
 from thetalab.thomae import (TrigPartition, alpha_ratio, char_from_partition_trig,
                              derived_partitions_for_matrix, enumerate_partitions_trig,
-                             estimate_alpha, simple_zero_check,
+                             estimate_alpha, simple_zero_check, trig_alpha,
                              verify_matrix_form_trig, verify_quotient_trig,
                              verify_thomae_deriv_trig_t1, verify_thomae_deriv_trig_t2)
 
@@ -45,7 +51,7 @@ def test_alpha_estimate_single_curve(trig_q2):
     est = estimate_alpha([(c, pd)], tol=1e-6)
     assert est.spread < 1e-6
     assert len(est.phases) == 30
-    assert all(t.ok and t.order == 12 for t in est.phases)
+    assert all(t.ok and t.order == 144 for t in est.phases)
 
 
 def test_alpha_across_curves(trig_q2_batch):
@@ -63,33 +69,71 @@ def test_alpha_modulus_matches_q1_scalefree(trig_q1):
     assert len(est.phases) == 2
 
 
+def _assert_closed_form_alpha(curve, periods, parts):
+    """Each alpha_ratio is trig_alpha(g) times a 144th root of unity, to 1e-10."""
+    alpha = trig_alpha(curve.genus)
+    for p in parts:
+        r = alpha_ratio(curve, periods, p)
+        assert abs(abs(r) / alpha - 1.0) < 1e-10, p.label()
+        assert classify_root_of_unity(r / alpha, 144, 1e-10).ok, p.label()
+
+
+def test_alpha_closed_form_q1(trig_q1):
+    # all q=1 curves are the same elliptic curve (j = 0), so a few suffice
+    curves = [trig_q1] + [(c, build_periods(c)) for c in
+                          (random_curve(3, 2, seed) for seed in (5, 7))]
+    assert trig_alpha(1) == pytest.approx(0.347752218266, rel=1e-11)
+    for c, pd in curves:
+        _assert_closed_form_alpha(c, pd, enumerate_partitions_trig(1, "constant"))
+
+
+def _bench_trig_curve() -> CurveSpec:
+    """The q=2 curve of bench/workloads.trig_plan(1)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from bench.workloads import trig_plan
+    return CurveSpec.from_json(trig_plan(1)["curve"])
+
+
+def test_alpha_closed_form_q2(trig_q2_batch):
+    bench = _bench_trig_curve()
+    for c, pd in trig_q2_batch + [(bench, build_periods(bench))]:
+        _assert_closed_form_alpha(c, pd, enumerate_partitions_trig(2, "constant"))
+
+
+def test_alpha_closed_form_q3(trig_q3_g7):
+    # every 28th of the 560 constant partitions keeps this under a second
+    c, pd = trig_q3_g7
+    parts = enumerate_partitions_trig(3, "constant")
+    assert len(parts) == 560
+    _assert_closed_form_alpha(c, pd, parts[::28])
+
+
 def test_deriv_t1_all(trig_q2):
     c, pd = trig_q2
-    aref = estimate_alpha([(c, pd)]).reference_for(0)
     parts = enumerate_partitions_trig(2, "deriv1")
     assert len(parts) == 20
     for p in parts:
-        rep = verify_thomae_deriv_trig_t1(c, pd, aref, p, tol=1e-5)
+        rep = verify_thomae_deriv_trig_t1(c, pd, p, tol=1e-5)
         assert rep.passed, (p.label(), rep.spread, rep.tag)
-        assert rep.tag.order == 36
+        assert rep.tag.order == 144
 
 
 def test_deriv_t1_q1_degenerate(trig_q1):
     c, pd = trig_q1
-    aref = estimate_alpha([(c, pd)]).reference_for(0)
     (p,) = enumerate_partitions_trig(1, "deriv1")
-    rep = verify_thomae_deriv_trig_t1(c, pd, aref, p, tol=1e-6)
+    rep = verify_thomae_deriv_trig_t1(c, pd, p, tol=1e-6)
     assert rep.passed
 
 
 def test_deriv_t2_both_infinity_placements(trig_q2):
     c, pd = trig_q2
-    aref = estimate_alpha([(c, pd)]).reference_for(0)
     for loc in (1, 0):
         parts = enumerate_partitions_trig(2, "deriv2", infinity_in=loc)
         assert len(parts) == 10
         for p in parts:
-            rep = verify_thomae_deriv_trig_t2(c, pd, aref, p, tol=1e-5)
+            rep = verify_thomae_deriv_trig_t2(c, pd, p, tol=1e-5)
             assert rep.passed, (p.label(), rep.spread, rep.tag)
             # Lambda2 empty at q=2: single l = g term with sigma_0 = 1
             assert rep.details["zeros_ok"]
@@ -102,15 +146,15 @@ def test_deriv_rhs_uses_correct_rows(trig_q2):
     q = c.q
     p1 = enumerate_partitions_trig(2, "deriv1")[0]
     p2 = enumerate_partitions_trig(2, "deriv2", infinity_in=1)[0]
-    base1 = _trig_deriv_rhs(c, pd, p1, 1.0)
-    base2 = _trig_deriv_rhs(c, pd, p2, 1.0)
+    base1 = _trig_deriv_rhs(c, pd, p1)
+    base2 = _trig_deriv_rhs(c, pd, p2)
     pd2 = __import__("copy").copy(pd)
     Cmod = pd.C.copy()
     Cmod[2 * q - 1:, :] *= 7.0     # scale the second-family rows
     pd2.C = Cmod
     detfac = 7.0 ** ((q - 1) / 2.0)   # only through the sqrt(det C) prefactor
-    assert np.allclose(_trig_deriv_rhs(c, pd2, p1, 1.0), detfac * base1)
-    assert np.allclose(_trig_deriv_rhs(c, pd2, p2, 1.0), 7.0 * detfac * base2)
+    assert np.allclose(_trig_deriv_rhs(c, pd2, p1), detfac * base1)
+    assert np.allclose(_trig_deriv_rhs(c, pd2, p2), 7.0 * detfac * base2)
 
 
 def test_quotient_trig_all_k(trig_q2):
@@ -124,12 +168,11 @@ def test_quotient_trig_all_k(trig_q2):
 
 def test_matrix_form_trig(trig_q2):
     c, pd = trig_q2
-    aref = estimate_alpha([(c, pd)]).reference_for(0)
     p = enumerate_partitions_trig(2, "constant")[0]
     derived = derived_partitions_for_matrix(p, 2)
     assert len(derived) == 4
     assert [d.kind for d in derived] == ["deriv1", "deriv1", "deriv2", "deriv2"]
-    rep = verify_matrix_form_trig(c, pd, aref, p, tol=1e-5)
+    rep = verify_matrix_form_trig(c, pd, p, tol=1e-5)
     assert rep.passed, rep.details
     assert rep.details["zero_block_err"] < 1e-10
     assert rep.details["entrywise_rel_err"] < 1e-5
