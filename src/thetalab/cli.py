@@ -3,7 +3,7 @@
 Subcommands:
 
   thetalab periods <curve.json>        period data as JSON
-  thetalab theta <input.json>          theta value + gradient with bounds
+  thetalab theta <input.json>          theta value + gradient, both bounded by tol
   thetalab verify <plan.json>          run a verification plan; JSONL reports
 
 Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success /
@@ -34,7 +34,7 @@ from .periods import (K_VANISHING_CUT, QUAD_DRIFT_TARGET, PeriodData, PeriodErro
 from .homology import HomologyError
 from .quadrature import QuadratureError
 from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, ThetaError,
-                    theta_eval, theta_grad, truncation_radius)
+                    theta_grad, truncation_radius)
 from . import thomae
 from .algebra import INF, c2j
 
@@ -68,7 +68,7 @@ def cmd_periods(args) -> int:
         print(f"error: invalid curve spec: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BranchPointsNotDistinct) else 2
     try:
-        pd = build_periods(curve, quad_order=args.quad_order)
+        pd = build_periods(curve)
     except (PeriodError, HomologyError, QuadratureError, ThetaError) as exc:
         print(f"error: period construction failed: {exc}", file=sys.stderr)
         return 3
@@ -131,15 +131,14 @@ def cmd_theta(args) -> int:
         print(f"error: invalid Riemann matrix: {exc}", file=sys.stderr)
         return 3
     try:
-        val = theta_eval(char, np.array(zeta), tau, tol)
-        grad = theta_grad(char, np.array(zeta), tau, max(tol, 1e-8))
+        grad = theta_grad(char, np.array(zeta), tau, tol)
         radius = truncation_radius(tau, tol)
     except (ThetaError, ValueError) as exc:
         print(f"error: theta evaluation failed: {exc}", file=sys.stderr)
         return 3
     out = {
-        "value": c2j(val.value),
-        "truncation_bound": val.truncation_bound,
+        "value": c2j(grad.value),
+        "truncation_bound": grad.value_bound,
         "gradient": [c2j(x) for x in grad.values],
         "gradient_bound": grad.truncation_bound,
         "radius": radius,
@@ -194,7 +193,7 @@ class Plan:
         include_inf = bool(task.get("include_infinity", False))
         for p in thomae.enumerate_partitions_hyp(self.curve.genus, 1):
             if include_inf or INF not in p.I:
-                yield thomae.verify_thomae_deriv_hyp(self.curve, self.pd, p, tol, theta_tol)
+                yield thomae.verify_thomae_deriv_hyp(self.curve, self.pd, p, tol)
 
     def quotient(self, task, tol, theta_tol, seed):
         verify = (thomae.verify_quotient_hyp if self.curve.n == 2
@@ -223,14 +222,12 @@ class Plan:
 
     def deriv_trig_t1(self, task, tol, theta_tol, seed):
         for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv1"):
-            yield thomae.verify_thomae_deriv_trig_t1(
-                self.curve, self.pd, p, tol, theta_tol)
+            yield thomae.verify_thomae_deriv_trig_t1(self.curve, self.pd, p, tol)
 
     def deriv_trig_t2(self, task, tol, theta_tol, seed):
         for loc in task.get("infinity_in", [1, 0]):
             for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv2", infinity_in=loc):
-                yield thomae.verify_thomae_deriv_trig_t2(
-                    self.curve, self.pd, p, tol, theta_tol)
+                yield thomae.verify_thomae_deriv_trig_t2(self.curve, self.pd, p, tol)
 
     def matrix_form_trig(self, task, tol, theta_tol, seed):
         parts = thomae.enumerate_partitions_trig(self.curve.q, "constant")
@@ -278,7 +275,7 @@ def _bad_parameter(places: list[tuple[str, dict]], n: int):
     checks = {
         "ks": (lambda v: isinstance(v, list) and all(map(_int_in(1, n), v)),
                f"a list of branch indices in 1..{n}"),
-        "samples": positive, "count": positive, "quad_order": positive,
+        "samples": positive, "count": positive,
         "seed": (_int_in(-math.inf, math.inf), "an integer"),
         "infinity_in": (lambda v: isinstance(v, list) and all(map(_int_in(0, 2), v)),
                         "a list of parts among 0, 1, 2"),
@@ -328,11 +325,10 @@ def cmd_verify(args) -> int:
         print(bad, file=sys.stderr)
         return 2
     seed = int(args.seed if args.seed is not None else plan.get("seed", 0))
-    quad_order = int(args.quad_order or plan.get("quad_order", 64))
 
     t0 = time.time()
     try:
-        pd = build_periods(curve, quad_order=quad_order)
+        pd = build_periods(curve)
     except (PeriodError, HomologyError, CurveSpecError, QuadratureError,
             ThetaError) as exc:
         print(f"error: period construction failed: {exc}", file=sys.stderr)
@@ -386,20 +382,19 @@ def main(argv=None) -> int:
 
     p1 = sub.add_parser("periods", help="build period data for a curve")
     p1.add_argument("curve", help="curve spec JSON file")
-    p1.add_argument("--quad-order", type=int, default=64)
     p1.add_argument("--out", default=None)
     p1.set_defaults(func=cmd_periods)
 
     p2 = sub.add_parser("theta", help="evaluate theta and its gradient")
     p2.add_argument("input", help="JSON with tau, eps, delta, zeta")
-    p2.add_argument("--tol", type=float, default=1e-10)
+    p2.add_argument("--tol", type=float, default=1e-10,
+                    help="truncation bound of the value and of each gradient entry")
     p2.set_defaults(func=cmd_theta)
 
     p3 = sub.add_parser("verify", help="run a verification plan")
     p3.add_argument("plan", help="plan JSON file")
     p3.add_argument("--tol", type=float, default=None)
     p3.add_argument("--theta-tol", type=float, default=None)
-    p3.add_argument("--quad-order", type=int, default=None)
     p3.add_argument("--seed", type=int, default=None)
     p3.add_argument("--out", default=None, help="JSONL output path")
     p3.set_defaults(func=cmd_verify)

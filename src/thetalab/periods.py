@@ -39,6 +39,7 @@ class PeriodError(RuntimeError):
 SNAP_DENOMINATOR = 6     # characteristic entries snap to p/6: covers 1,2,3,6
 SNAP_TOL = 1e-7          # largest coordinate change a snap may make
 QUAD_DRIFT_TARGET = 1e-9  # relative period change between quadrature orders
+QUAD_START_ORDER = 64    # the drift-doubling loop starts from this order
 QUAD_MAX_ORDER = 1024
 DIRECT_NODES = 40        # Gauss-Legendre nodes per polyline segment, a-period re-check
 DIRECT_REL_TOL = 1e-10   # agreement the re-check asks of the a_1-periods
@@ -244,10 +245,10 @@ def _direct_cycle_integrals(curve: CurveSpec, cycle: CyclePolyline,
                for i in range(len(pts) - 1))
 
 
-def build_periods(curve: CurveSpec, quad_order: int = 64) -> PeriodData:
+def build_periods(curve: CurveSpec) -> PeriodData:
     """Construct the full analytic package for a curve.
 
-    The quadrature order doubles from ``quad_order`` until the periods move
+    The quadrature order doubles from QUAD_START_ORDER until the periods move
     by less than QUAD_DRIFT_TARGET, up to QUAD_MAX_ORDER.  The branch images
     u(P_k) take one route from infinity, to the outermost branch point k0,
     and from there running sums of C^{-1} E over the chain edges.  K comes
@@ -276,11 +277,9 @@ def build_periods(curve: CurveSpec, quad_order: int = 64) -> PeriodData:
         raise HomologyError(f"cycle construction failed after retries: {last_err}")
     S = symplectic_transform(M)
 
-    E = _edge_raw_integrals(curve, chain, diffs, quad_order)
+    order = QUAD_START_ORDER
+    E = _edge_raw_integrals(curve, chain, diffs, order)
     Pi = _cycle_periods(curve, chain, cycles, E, diffs)
-
-    order = quad_order
-    drift = np.inf
     while True:
         E2 = _edge_raw_integrals(curve, chain, diffs, 2 * order)
         Pi2 = _cycle_periods(curve, chain, cycles, E2, diffs)

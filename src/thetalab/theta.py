@@ -27,7 +27,9 @@ a Rankin bound: for 0 < s < 1 and every offset xi,
 
 Proof of the last step: only row 0 of U holds m_0, and a sum over k of
 exp(-a (k+c)^2) is at most its largest term plus its integral, 1 + sqrt(pi/a);
-summing out m_0, m_1, ... in turn gives one factor per diagonal entry.  Each
+summing out m_0, m_1, ... in turn gives one factor per diagonal entry.  A
+gradient evaluation returns the value as well, summed once at the larger of
+the value and gradient radii, so both bounds are below tol.  Each
 evaluation enumerates the ellipsoid centred on its own offset; nothing is
 cached per matrix but log P on a fixed grid of s.  The points come from a
 breadth-first Fincke-Pohst enumeration, one numpy pass per coordinate, with
@@ -268,17 +270,15 @@ def _radius(tau: RiemannMatrix, tol: float, weight: float,
     return R, float(w[i] * math.exp(tau.log_p[i] - expo[i] * R * R))
 
 
-def truncation_radius(tau: RiemannMatrix, tol: float, deriv_order: int = 0) -> float:
+def truncation_radius(tau: RiemannMatrix, tol: float) -> float:
     """Radius R such that the omitted tail of the theta series beyond
     ||U(m + offset)|| > R is below tol for any offset, at unit amplitude:
     an evaluation whose reduced argument has Y^{-1} Im zeta' = c multiplies
     every term by exp(pi c^t Y c) and so needs a larger R.  This is the
-    radius that `thetalab theta` prints.  With deriv_order 1 the terms carry
-    the gradient weight 2 pi (||U^{-1}|| ||v|| + sqrt(g)/2 + 1)."""
+    radius that `thetalab theta` prints."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    grad = (tau.Uinv_norm, math.sqrt(tau.g) / 2.0 + 1.0) if deriv_order >= 1 else None
-    return _radius(tau, tol, 2 * np.pi if grad else 1.0, grad)[0]
+    return _radius(tau, tol, 1.0)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -293,8 +293,11 @@ class ThetaValue:
 
 @dataclass(frozen=True)
 class ThetaGradient:
+    """The gradient and the value summed over the same lattice points."""
     values: np.ndarray
     truncation_bound: float
+    value: complex
+    value_bound: float
 
 
 def _range_reduce(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix):
@@ -329,12 +332,13 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
     n0norm = float(np.linalg.norm(n0)) if n0.size else 0.0
 
     # each term is amp * exp(-||v||^2), v = U(m + xi); the gradient weighs it
-    # by 2 pi |n - n0| <= 2 pi (||U^{-1}|| ||v|| + |c| + |n0|), as n = U^{-1} v - c
+    # by 2 pi |n - n0| <= 2 pi (||U^{-1}|| ||v|| + |c| + |n0|), as n = U^{-1} v - c.
+    # A gradient sums at the larger radius, so both of its bounds hold.
+    R, tail = _radius(tau, tol_red, amp)
     if want_grad:
-        R, tail = _radius(tau, tol_red, 2 * np.pi * amp,
-                          (tau.Uinv_norm, cnorm + n0norm))
-    else:
-        R, tail = _radius(tau, tol_red, amp)
+        R_grad, tail_grad = _radius(tau, tol_red, 2 * np.pi * amp,
+                                    (tau.Uinv_norm, cnorm + n0norm))
+        R = max(R, R_grad)
 
     n = tau.lattice_points(xi, R) + a  # m + eps/2
     # exponent: i*pi n^t tau n + 2*pi*i n^t (zr + b)
@@ -343,12 +347,14 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
     lin = n @ (zr + b)
     terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
     val_red = terms.sum()
+    value = complex(phase0 * pref * val_red)
     bound = float(abs(pref) * tail)
     if not want_grad:
-        return ThetaValue(complex(phase0 * pref * val_red), bound)
+        return ThetaValue(value, bound)
     grad_red = 2j * np.pi * (n.T @ terms)
     grad = phase0 * pref * (grad_red - 2j * np.pi * n0 * val_red)
-    return ThetaGradient(np.asarray(grad, dtype=complex), bound)
+    return ThetaGradient(np.asarray(grad, dtype=complex), float(abs(pref) * tail_grad),
+                         value, bound)
 
 
 def theta_eval(char: Characteristic, zeta, tau: RiemannMatrix,
@@ -359,7 +365,9 @@ def theta_eval(char: Characteristic, zeta, tau: RiemannMatrix,
 
 def theta_grad(char: Characteristic, zeta, tau: RiemannMatrix,
                tol: float = 1e-8) -> ThetaGradient:
-    """Componentwise d/d zeta_s of theta[char] at zeta, term-differentiated."""
+    """Componentwise d/d zeta_s of theta[char] at zeta, term-differentiated,
+    and theta[char](zeta) itself, from one lattice sum; both bounds are below
+    tol."""
     return _theta_core(char, zeta, tau, tol, want_grad=True)
 
 

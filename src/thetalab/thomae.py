@@ -30,7 +30,7 @@ So the trigonal identities are absolute, as the hyperelliptic ones are with
 
 Derivative right-hand sides contract algebra.sigma_row with C through
 algebra.sigma_contract; every derivative report, matrix-form rows included,
-comes from one verifier, _verify_deriv.
+comes from one verifier, _verify_deriv, its gradient bounded by GRAD_TOL.
 
 All fractional powers take principal branches; every ambiguity group divides
 the asserted root order, so classifications are branch-robust.  Ratios are
@@ -54,6 +54,11 @@ from .periods import PeriodData, PeriodError, _random_surface_points
 from .theta import Characteristic, invariant_abs, theta_eval, theta_grad
 
 SAMPLE_TRIES = 5   # divisors _sample_nonspecial draws before it gives up
+GRAD_TOL = 1e-9         # truncation bound of every derivative identity's gradient
+DET_SIGMA_TOL = 1e-9    # relative |det Sigma - Delta(I0)| of the hyperelliptic matrix form
+ZERO_BLOCK_TOL = 1e-10  # relative zero blocks of the trigonal matrix form's Sigma
+SIMPLE_ZERO_TOL = 1e-7  # |theta| below this times theta_scale is a zero
+GRAD_FLOOR = 1e-4       # a simple zero's |grad theta| is above this times theta_scale
 
 
 # ----------------------------------------------------------------------------
@@ -271,12 +276,11 @@ def _hyp_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: HypPartition) -> np
 
 def _verify_deriv(identity: str, order: int, periods: PeriodData,
                   ch: Characteristic, rhs: np.ndarray, experimental: bool,
-                  partition: str, tol: float, theta_tol: float,
-                  grad_tol: float) -> VerificationReport:
-    """grad theta[ch](0) against the RHS vector: one ratio per nonzero RHS
-    entry, their mean classified as an order-th root of unity."""
+                  partition: str, tol: float) -> VerificationReport:
+    """grad theta[ch](0) at GRAD_TOL against the RHS vector: one ratio per
+    nonzero RHS entry, their mean classified as an order-th root of unity."""
     g = periods.g
-    grad = theta_grad(ch, np.zeros(g), periods.tau, grad_tol).values
+    grad = theta_grad(ch, np.zeros(g), periods.tau, GRAD_TOL).values
     ratios, mean, spread, zeros_ok = _ratio_statistics(grad, rhs, tol)
     tag = classify_root_of_unity(mean, order, tol) if ratios else None
     passed = bool(ratios) and tag.ok and spread < tol and zeros_ok
@@ -284,22 +288,20 @@ def _verify_deriv(identity: str, order: int, periods: PeriodData,
         identity=identity, partition=partition, s_range=list(range(1, g + 1)),
         lhs=[complex(x) for x in grad], rhs_modulus=float(np.max(np.abs(rhs))),
         ratios=ratios, tag=tag, spread=spread, passed=passed,
-        tolerances={"tol": tol, "theta_tol": theta_tol, "grad_tol": grad_tol},
+        tolerances={"tol": tol, "grad_tol": GRAD_TOL},
         details={"char": ch.label(), "experimental": experimental,
                  "zeros_ok": zeros_ok})
 
 
 def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
-                            p: HypPartition, tol: float = 1e-6,
-                            theta_tol: float = 1e-10,
-                            grad_tol: float = 1e-9) -> VerificationReport:
+                            p: HypPartition, tol: float = 1e-6) -> VerificationReport:
     p.validate(curve.genus)
     if p.m != 1:
         raise ValueError("derivative identity needs an m=1 partition")
     return _verify_deriv("thomae_deriv_hyp", 8, periods,
                          char_from_partition_hyp(p, periods),
                          _hyp_deriv_rhs(curve, periods, p), INF in p.I,
-                         p.label(), tol, theta_tol, grad_tol)
+                         p.label(), tol)
 
 
 def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float,
@@ -368,8 +370,7 @@ def verify_quotient_hyp(curve: CurveSpec, periods: PeriodData, k: int,
 
 
 def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
-                           I0: HypPartition, tol: float = 1e-6,
-                           det_tol: float = 1e-9) -> VerificationReport:
+                           I0: HypPartition, tol: float = 1e-6) -> VerificationReport:
     """Matrix form of the derivative identity over the g single-element
     deletions of I0, plus det Sigma = Delta(I0)."""
     g = curve.genus
@@ -398,12 +399,12 @@ def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
     det_sigma = complex(np.linalg.det(sigma))
     delta_i0 = vandermonde_delta(I0.I, lam)
     det_err = abs(det_sigma - delta_i0) / abs(delta_i0)
-    passed = ok and ent_err < tol and det_err < det_tol
+    passed = ok and ent_err < tol and det_err < DET_SIGMA_TOL
     return VerificationReport(
         identity="matrix_form_hyp", partition=I0.label(),
         s_range=list(range(1, g + 1)), lhs=[], rhs_modulus=None,
         ratios=[], tag=None, spread=ent_err, passed=passed,
-        tolerances={"tol": tol, "det_tol": det_tol},
+        tolerances={"tol": tol, "det_tol": DET_SIGMA_TOL},
         details={"det_sigma_rel_err": det_err,
                  "entrywise_rel_err": ent_err,
                  "row_tags": [r.tag.index for r in rows]})
@@ -522,35 +523,29 @@ def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> 
 
 
 def _verify_thomae_deriv_trig(curve: CurveSpec, periods: PeriodData,
-                              p: TrigPartition, tol: float, theta_tol: float,
-                              grad_tol: float, identity: str) -> VerificationReport:
+                              p: TrigPartition, tol: float,
+                              identity: str) -> VerificationReport:
     p.validate(curve.q)
     # infinity in the sigma set is the experimental relocation
     experimental = INF in p.L2 or (p.kind == "deriv1" and INF in p.L1)
     return _verify_deriv(identity, TRIG_ROOT_ORDER, periods,
                          char_from_partition_trig(p, periods),
                          _trig_deriv_rhs(curve, periods, p), experimental,
-                         p.label(), tol, theta_tol, grad_tol)
+                         p.label(), tol)
 
 
 def verify_thomae_deriv_trig_t1(curve: CurveSpec, periods: PeriodData,
-                                p: TrigPartition, tol: float = 1e-5,
-                                theta_tol: float = 1e-10,
-                                grad_tol: float = 1e-9) -> VerificationReport:
+                                p: TrigPartition, tol: float = 1e-5) -> VerificationReport:
     if p.kind != "deriv1":
         raise ValueError("type-1 identity needs a deriv1 partition")
-    return _verify_thomae_deriv_trig(curve, periods, p, tol, theta_tol, grad_tol,
-                                     "thomae_deriv_trig_t1")
+    return _verify_thomae_deriv_trig(curve, periods, p, tol, "thomae_deriv_trig_t1")
 
 
 def verify_thomae_deriv_trig_t2(curve: CurveSpec, periods: PeriodData,
-                                p: TrigPartition, tol: float = 1e-5,
-                                theta_tol: float = 1e-10,
-                                grad_tol: float = 1e-9) -> VerificationReport:
+                                p: TrigPartition, tol: float = 1e-5) -> VerificationReport:
     if p.kind != "deriv2":
         raise ValueError("type-2 identity needs a deriv2 partition")
-    return _verify_thomae_deriv_trig(curve, periods, p, tol, theta_tol, grad_tol,
-                                     "thomae_deriv_trig_t2")
+    return _verify_thomae_deriv_trig(curve, periods, p, tol, "thomae_deriv_trig_t2")
 
 
 def verify_quotient_trig(curve: CurveSpec, periods: PeriodData, k: int,
@@ -588,9 +583,7 @@ def derived_partitions_for_matrix(p: TrigPartition, q: int) -> list[TrigPartitio
 
 
 def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
-                            p: TrigPartition,
-                            tol: float = 1e-5, zero_tol: float = 1e-10,
-                            theta_tol: float = 1e-10) -> VerificationReport:
+                            p: TrigPartition, tol: float = 1e-5) -> VerificationReport:
     """Matrix identity Grad = (alpha/3) D Sigma C for the degenerations of a
     constant-kind partition, including the structural zero blocks of Sigma."""
     q = curve.q
@@ -611,7 +604,7 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
         # the per-row phase comes from the row's own derivative identity
         verify = (verify_thomae_deriv_trig_t1 if pk.kind == "deriv1"
                   else verify_thomae_deriv_trig_t2)
-        rep = verify(curve, periods, pk, tol, theta_tol)
+        rep = verify(curve, periods, pk, tol)
         ok = ok and rep.passed
         tags.append(rep.tag)
         grads[kk] = np.array(rep.lhs)
@@ -631,35 +624,36 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     # at q = 1 (g = 1) Sigma has no zero blocks
     zero_err = float(np.max(np.abs(sigma_hat[zero_mask]), initial=0.0)
                      / np.max(np.abs(sigma_hat)))
-    passed = ok and ent_err < tol and zero_err < zero_tol
+    passed = ok and ent_err < tol and zero_err < ZERO_BLOCK_TOL
     return VerificationReport(
         identity="matrix_form_trig", partition=p.label(),
         s_range=list(range(1, g + 1)), lhs=[], rhs_modulus=None,
         ratios=[], tag=None, spread=ent_err, passed=passed,
-        tolerances={"tol": tol, "zero_tol": zero_tol, "theta_tol": theta_tol},
+        tolerances={"tol": tol, "zero_tol": ZERO_BLOCK_TOL},
         details={"entrywise_rel_err": ent_err, "zero_block_err": zero_err,
                  "row_tags": [t.index if t else None for t in tags]})
 
 
 def simple_zero_check(periods: PeriodData, p: TrigPartition,
-                      zero_tol: float = 1e-7, grad_floor: float = 1e-4,
                       theta_tol: float = 1e-10) -> VerificationReport:
     """theta[e_Lambda] vanishes with nonzero gradient exactly for the
-    deriv-kind partitions (simple zeros of theta)."""
+    deriv-kind partitions (simple zeros of theta); value and gradient come
+    from one lattice sum at theta_tol."""
     g = periods.g
     ch = char_from_partition_trig(p, periods)
-    val = abs(theta_eval(ch, np.zeros(g), periods.tau, theta_tol).value)
-    grad = float(np.linalg.norm(theta_grad(ch, np.zeros(g), periods.tau, 1e-9).values))
+    d = theta_grad(ch, np.zeros(g), periods.tau, theta_tol)
+    val = abs(d.value)
+    grad = float(np.linalg.norm(d.values))
     scale = periods.theta_scale(tol=theta_tol)
-    is_zero = val < zero_tol * scale
-    grad_ok = grad > grad_floor * scale
+    is_zero = val < SIMPLE_ZERO_TOL * scale
+    grad_ok = grad > GRAD_FLOOR * scale
     expected_zero = p.kind in ("deriv1", "deriv2")
     passed = (is_zero == expected_zero) and (grad_ok if expected_zero else True)
     return VerificationReport(
         identity="simple_zero_trig", partition=p.label(), s_range=[],
         lhs=[complex(val)], rhs_modulus=None, ratios=[], tag=None,
         spread=0.0, passed=passed,
-        tolerances={"zero_tol": zero_tol, "grad_floor": grad_floor},
+        tolerances={"zero_tol": SIMPLE_ZERO_TOL, "grad_floor": GRAD_FLOOR},
         details={"char": ch.label(), "theta_abs": val, "grad_norm": grad,
                  "scale": scale, "is_zero": bool(is_zero),
                  "grad_ok": bool(grad_ok), "expected_zero": expected_zero})

@@ -286,11 +286,11 @@ def test_criterion_11_matrix_forms(hyp_g2, trig_q2):
     c2, pd2 = hyp_g2
     rep_h = thomae.verify_matrix_form_hyp(c2, pd2,
                                           thomae.enumerate_partitions_hyp(2, 0)[0],
-                                          tol=1e-6, det_tol=1e-9)
+                                          tol=1e-6)
     c3, pd3 = trig_q2
     rep_t = thomae.verify_matrix_form_trig(c3, pd3,
                                            thomae.enumerate_partitions_trig(2, "constant")[0],
-                                           tol=1e-5, zero_tol=1e-10)
+                                           tol=1e-5)
     ok = rep_h.passed and rep_t.passed
     _report(11, "matrix forms of the derivative identities", ok,
             f"hyp det-sigma {rep_h.details['det_sigma_rel_err']:.1e} "

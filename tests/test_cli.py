@@ -318,6 +318,21 @@ def test_verify_alpha_task_leaves_plan_alpha_alone(tmp_path, monkeypatch):
     assert calls == [1e-2]
 
 
+@pytest.mark.parametrize("curve, task", [(TRIG_Q1, "deriv_trig_t1"),
+                                         (PLAN_G1["curve"], "thomae_deriv_hyp")],
+                         ids=["trig", "hyp"])
+def test_derivative_lines_do_not_depend_on_theta_tol(tmp_path, curve, task):
+    # derivative gradients run at thomae.GRAD_TOL, whatever --theta-tol says
+    from thetalab.cli import main
+    f = write(tmp_path / "plan.json", {"curve": curve, "tasks": [{"id": task}]})
+    outs = []
+    for extra in ([], ["--theta-tol", "1e-13"]):
+        out = tmp_path / f"r{len(outs)}.jsonl"
+        assert main(["verify", f, "--out", str(out)] + extra) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_derivative_plan_computes_no_alpha_ratio(tmp_path, monkeypatch):
     import thetalab.thomae
     from thetalab.cli import main
@@ -372,10 +387,9 @@ def _tasks(*tasks, curve=PLAN_G1["curve"], **plan):
     _tasks({"id": "period_sanity"}, tolerances={"theta_tol": float("nan")}),
     _tasks({"id": "period_sanity"}, tolerances="tight"),
     _tasks({"id": "period_sanity"}, seed="x"),
-    _tasks({"id": "period_sanity"}, quad_order=0),
 ], ids=["ks-99", "ks-0", "samples-x", "samples-0", "count-two", "infinity_in-5",
         "include_infinity-yes", "task-tol-x", "task-tol-negative", "plan-theta_tol-nan",
-        "plan-tolerances-string", "plan-seed-x", "plan-quad_order-0"])
+        "plan-tolerances-string", "plan-seed-x"])
 def test_verify_bad_parameter_exits_2(tmp_path, capsys, monkeypatch, plan):
     from thetalab.cli import main
 

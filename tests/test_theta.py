@@ -161,8 +161,6 @@ def test_truncation_radius_properties():
     r1 = truncation_radius(tau, 1e-8)
     r2 = truncation_radius(tau, 1e-14)
     assert r2 >= r1
-    r1g = truncation_radius(tau, 1e-8, deriv_order=1)
-    assert r1g >= r1
     with pytest.raises(ValueError):
         truncation_radius(tau, -1.0)
 
@@ -306,9 +304,11 @@ def _seeded_matrices(genera, seed, count=2):
     return [RiemannMatrix(random_riemann_matrix(g, rng)) for g in genera for _ in range(count)]
 
 
-def _grad_weight(tau):
-    """The gradient weight (A, B) of truncation_radius."""
-    return tau.Uinv_norm, math.sqrt(tau.g) / 2.0 + 1.0
+def _grad_weight(tau, offset=None):
+    """_theta_core's gradient weight (A, B) at an evaluation whose offset
+    norm |c| + |n0| is B, by default sqrt(g)/2 + 1."""
+    B = math.sqrt(tau.g) / 2.0 + 1.0 if offset is None else offset
+    return tau.Uinv_norm, B
 
 
 def test_poisson_sum_matches_direct_sum():
@@ -406,8 +406,12 @@ def test_radius_never_above_the_packing_radius():
     for tau in taus:
         for tol in (1e-8, 1e-12):
             assert truncation_radius(tau, tol) <= packing_radius(tau.U, tol)
-            assert (truncation_radius(tau, tol, deriv_order=1)
-                    <= packing_radius(tau.U, tol, 2 * np.pi, _grad_weight(tau)))
+            # the gradient at zeta = 0 (c = n0 = 0), as every derivative
+            # identity evaluates it, and at a range-reduced offset
+            for offset in (0.0, None):
+                grad = _grad_weight(tau, offset)
+                assert (_radius(tau, tol, 2 * np.pi, grad)[0]
+                        <= packing_radius(tau.U, tol, 2 * np.pi, grad))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -427,6 +431,8 @@ def test_theta_and_gradient_within_bound_of_mpmath_sum(g):
             assert abs(v.value - value) <= v.truncation_bound + 1e-14 * abs_sum
             d = theta_grad(ch, zeta, tau, tol)
             assert np.all(np.abs(d.values - grad) <= d.truncation_bound + 1e-14 * grad_abs)
+            assert abs(d.value - value) <= d.value_bound + 1e-14 * abs_sum
+            assert d.value_bound <= tol
 
 
 # ----------------------------------------------------------------------------

@@ -178,6 +178,26 @@ def test_matrix_form_trig(trig_q2):
     assert rep.details["entrywise_rel_err"] < 1e-5
 
 
+def test_simple_zero_check_sums_theta_once(trig_q2, monkeypatch):
+    # the value and the gradient come from one theta_grad call
+    import thetalab.thomae
+    calls = {"theta_eval": 0, "theta_grad": 0}
+
+    def counted(name):
+        f = getattr(thetalab.thomae, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(thetalab.thomae, name, counted(name))
+    c, pd = trig_q2
+    rep = simple_zero_check(pd, enumerate_partitions_trig(2, "deriv1")[0])
+    assert rep.passed
+    assert calls == {"theta_eval": 0, "theta_grad": 1}
+
+
 def test_simple_zeros(trig_q2):
     c, pd = trig_q2
     deriv = (enumerate_partitions_trig(2, "deriv1")
