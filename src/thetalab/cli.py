@@ -9,8 +9,8 @@ Subcommands:
 Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success /
 all verifications passed, 1 verification failure, 2 parse failure (also a
 curve spec with a bad degree or branch-point count), unknown task id, a
-task for the other cover degree or a bad task or plan parameter, 3
-invariant failure (branch points not distinct,
+task for the other cover degree, an unknown task or plan key or a bad task
+or plan parameter, 3 invariant failure (branch points not distinct,
 non-positive-definite Im tau), theta failure (truncation or point cap), sheet
 tracking failure (a path step or quadrature leg onto or through a branch
 point) or no non-special divisor found by sampling.
@@ -33,8 +33,7 @@ from .periods import (K_VANISHING_CUT, QUAD_DRIFT_TARGET, PeriodData, PeriodErro
                       build_periods)
 from .homology import HomologyError
 from .quadrature import QuadratureError
-from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, ThetaError,
-                    theta_grad, truncation_radius)
+from .theta import _SYMMETRY_TOL, Characteristic, RiemannMatrix, ThetaError, theta_grad
 from . import thomae
 from .algebra import INF, c2j
 
@@ -132,7 +131,6 @@ def cmd_theta(args) -> int:
         return 3
     try:
         grad = theta_grad(char, np.array(zeta), tau, tol)
-        radius = truncation_radius(tau, tol)
     except (ThetaError, ValueError) as exc:
         print(f"error: theta evaluation failed: {exc}", file=sys.stderr)
         return 3
@@ -141,7 +139,7 @@ def cmd_theta(args) -> int:
         "truncation_bound": grad.value_bound,
         "gradient": [c2j(x) for x in grad.values],
         "gradient_bound": grad.truncation_bound,
-        "radius": radius,
+        "radius": grad.radius,
     }
     print(json.dumps(out, indent=2))
     return 0
@@ -242,20 +240,23 @@ class Plan:
             yield thomae.simple_zero_check(self.pd, p, theta_tol=theta_tol)
 
 
-# task id -> (cover degree it applies to, None for either; Plan handler)
+# task id -> (cover degree it applies to, None for either; Plan handler;
+# the task's keys besides TASK_KEYS)
 TASKS = {
-    "period_sanity": (None, Plan.period_sanity),
-    "thomae_const_hyp": (2, Plan.thomae_const_hyp),
-    "thomae_deriv_hyp": (2, Plan.thomae_deriv_hyp),
-    "quotient_hyp": (2, Plan.quotient),
-    "matrix_form_hyp": (2, Plan.matrix_form_hyp),
-    "alpha_trig": (3, Plan.alpha_trig),
-    "deriv_trig_t1": (3, Plan.deriv_trig_t1),
-    "deriv_trig_t2": (3, Plan.deriv_trig_t2),
-    "quotient_trig": (3, Plan.quotient),
-    "matrix_form_trig": (3, Plan.matrix_form_trig),
-    "simple_zeros_trig": (3, Plan.simple_zeros_trig),
+    "period_sanity": (None, Plan.period_sanity, ()),
+    "thomae_const_hyp": (2, Plan.thomae_const_hyp, ()),
+    "thomae_deriv_hyp": (2, Plan.thomae_deriv_hyp, ("include_infinity",)),
+    "quotient_hyp": (2, Plan.quotient, ("ks", "samples")),
+    "matrix_form_hyp": (2, Plan.matrix_form_hyp, ("count",)),
+    "alpha_trig": (3, Plan.alpha_trig, ()),
+    "deriv_trig_t1": (3, Plan.deriv_trig_t1, ()),
+    "deriv_trig_t2": (3, Plan.deriv_trig_t2, ("infinity_in",)),
+    "quotient_trig": (3, Plan.quotient, ("ks", "samples")),
+    "matrix_form_trig": (3, Plan.matrix_form_trig, ("count",)),
+    "simple_zeros_trig": (3, Plan.simple_zeros_trig, ()),
 }
+TASK_KEYS = ("id", "tol", "theta_tol")
+PLAN_KEYS = ("curve", "curve_file", "seed", "tasks", "tolerances")
 
 
 def _int_in(lo, hi):
@@ -267,9 +268,10 @@ def _finite_positive(v) -> bool:
             and math.isfinite(v) and v > 0)
 
 
-def _bad_parameter(places: list[tuple[str, dict]], n: int):
-    """The error line for the first bad task or plan parameter, or None; n is
-    the number of branch points."""
+def _bad_parameter(places: list[tuple[str, dict, tuple]], n: int):
+    """The error line for the first unknown key or bad parameter of a task
+    or the plan, each place given with its known keys, or None; n is the
+    number of branch points."""
     positive = (_int_in(1, math.inf), "a positive integer")
     tolerance = (_finite_positive, "a finite positive number")
     checks = {
@@ -282,7 +284,10 @@ def _bad_parameter(places: list[tuple[str, dict]], n: int):
         "include_infinity": (lambda v: isinstance(v, bool), "true or false"),
         "tol": tolerance, "theta_tol": tolerance,
     }
-    for where, params in places:
+    for where, params, keys in places:
+        unknown = [key for key in params if key not in keys]
+        if unknown:
+            return f"error: {where}: unknown key {unknown[0]!r}"
         for key, (ok, what) in checks.items():
             if key in params and not ok(params[key]):
                 return f"error: {where}: {key} must be {what}, got {params[key]!r}"
@@ -319,8 +324,10 @@ def cmd_verify(args) -> int:
         defaults["tol"] = args.tol
     if args.theta_tol is not None:
         defaults["theta_tol"] = args.theta_tol
-    bad = _bad_parameter([("plan", plan), ("plan tolerances", defaults)]
-                         + [(f"task {t['id']!r}", t) for t in tasks], curve.num_branch)
+    bad = _bad_parameter([("plan", plan, PLAN_KEYS),
+                          ("plan tolerances", defaults, ("tol", "theta_tol"))]
+                         + [(f"task {t['id']!r}", t, TASK_KEYS + TASKS[t["id"]][2])
+                            for t in tasks], curve.num_branch)
     if bad:
         print(bad, file=sys.stderr)
         return 2

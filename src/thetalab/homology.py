@@ -286,61 +286,53 @@ def intersection_matrix(curve: CurveSpec, cycles: list[CyclePolyline]) -> np.nda
 def symplectic_transform(M: np.ndarray) -> np.ndarray:
     """Unimodular S with S M S^t = [[0, I], [-I, 0]] for skew integer M.
 
-    Fails (raises) when the form is degenerate or not unimodular, which for
-    our cycles would indicate a homology construction bug.
+    W = S M S^t is kept in step with S: each row operation on S is applied
+    to the matching row and column of W.  Fails (raises) when the form is
+    degenerate or not unimodular, which for our cycles would indicate a
+    homology construction bug.
     """
-    M0 = [[int(x) for x in row] for row in M]
-    m = len(M0)
+    M = np.asarray(M, dtype=np.int64)
+    m = len(M)
     if m % 2:
         raise HomologyError("odd rank skew form")
-    S = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    S = np.eye(m, dtype=np.int64)
+    W = M.copy()
 
-    def cur(i, j):
-        return sum(S[i][a] * M0[a][b] * S[j][b] for a in range(m) for b in range(m))
+    def subtract(k, q, i):
+        """Row k of S minus q times row i."""
+        S[k] -= q * S[i]
+        W[k] -= q * W[i]
+        W[:, k] -= q * W[:, i]
 
     remaining = list(range(m))
     pairs = []
     while remaining:
-        # locate the minimal nonzero entry of the remaining block
-        best = None
-        for i in remaining:
-            for j in remaining:
-                v = cur(i, j)
-                if v != 0 and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        if best is None:
+        # the first minimal nonzero entry of the remaining block, row by row
+        block = np.abs(W[np.ix_(remaining, remaining)])
+        if not block.any():
             raise HomologyError("degenerate intersection form")
-        i, j, v = best
+        flat = int(np.argmin(np.where(block > 0, block, np.iinfo(np.int64).max)))
+        i, j = remaining[flat // len(remaining)], remaining[flat % len(remaining)]
+        v = W[i, j]
         # euclidean sweep: clear column j and row i against the pivot
         clean = True
-        for k in list(remaining):
+        for k in remaining:
             if k in (i, j):
                 continue
-            vkj = cur(k, j)
-            if vkj % v != 0:
-                qk = vkj // v
-                S[k] = [S[k][t] - qk * S[i][t] for t in range(m)]
+            if W[k, j] % v:
+                subtract(k, W[k, j] // v, i)
                 clean = False
-            vik = cur(i, k)
-            if vik % v != 0:
-                qk = vik // v
-                S[k] = [S[k][t] - qk * S[j][t] for t in range(m)]
+            if W[i, k] % v:
+                subtract(k, W[i, k] // v, j)
                 clean = False
         if not clean:
             continue
         # now v divides its row and column; eliminate exactly
-        for k in list(remaining):
-            if k in (i, j):
-                continue
-            vkj = cur(k, j)
-            if vkj:
-                qk = vkj // v
-                S[k] = [S[k][t] - qk * S[i][t] for t in range(m)]
-            vik = cur(i, k)
-            if vik:
-                qk = vik // v
-                S[k] = [S[k][t] - qk * S[j][t] for t in range(m)]
-        v = cur(i, j)
+        for k in remaining:
+            if k not in (i, j):
+                subtract(k, W[k, j] // v, i)
+                subtract(k, W[i, k] // v, j)
+        v = W[i, j]
         if abs(v) != 1:
             raise HomologyError(f"intersection form not unimodular (pivot {v})")
         if v < 0:
@@ -348,12 +340,10 @@ def symplectic_transform(M: np.ndarray) -> np.ndarray:
         pairs.append((i, j))
         remaining = [k for k in remaining if k not in (i, j)]
 
-    rows = [S[i] for i, _ in pairs] + [S[j] for _, j in pairs]
-    Sm = np.array(rows, dtype=np.int64)
-    J = Sm @ np.array(M0, dtype=np.int64) @ Sm.T
+    Sm = S[[i for i, _ in pairs] + [j for _, j in pairs]]
     g = m // 2
     expect = np.block([[np.zeros((g, g)), np.eye(g)], [-np.eye(g), np.zeros((g, g))]])
-    if not np.array_equal(J, expect.astype(np.int64)):
+    if not np.array_equal(Sm @ M @ Sm.T, expect.astype(np.int64)):
         raise HomologyError("symplectic reduction failed to reach canonical form")
     return Sm
 

@@ -68,7 +68,6 @@ class PeriodData:
     K: np.ndarray
     K_char: Characteristic
     quad_order: int
-    drift: float
     diagnostics: dict = field(default_factory=dict)
     _theta_scales: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -252,8 +251,7 @@ def build_periods(curve: CurveSpec) -> PeriodData:
     by less than QUAD_DRIFT_TARGET, up to QUAD_MAX_ORDER.  The branch images
     u(P_k) take one route from infinity, to the outermost branch point k0,
     and from there running sums of C^{-1} E over the chain edges.  K comes
-    from the intersection matrix M and the symplectic transform S, after
-    the a/b swap when that runs.
+    from the intersection matrix M and the symplectic transform S.
 
     Raises PeriodError / HomologyError on invariant failures (these indicate
     ill-conditioned input or a construction bug, never a soft warning).
@@ -293,25 +291,17 @@ def build_periods(curve: CurveSpec) -> PeriodData:
         raise PeriodError(
             f"quadrature did not converge: drift {drift:.3e} at order {order}")
 
-    def assemble(Smat):
-        A = Smat[:g] @ Pi          # A[j, l] = a_j-period of differential l
-        B = Smat[g:] @ Pi
-        C = A.T
-        tau_m = np.linalg.solve(C, B.T)
-        return A, B, C, tau_m
-
-    A, B, C, tau_m = assemble(S)
+    A = S[:g] @ Pi          # A[j, l] = a_j-period of differential l
+    B = S[g:] @ Pi
+    C = A.T
+    tau_m = np.linalg.solve(C, B.T)
     asym = float(np.max(np.abs(tau_m - tau_m.T)))
     eigs = np.linalg.eigvalsh((np.imag(tau_m) + np.imag(tau_m).T) / 2.0)
+    # the cycles' orientation (counterclockwise arc at the edge start, the
+    # crossing sign of the strands) matches the complex structure, so by
+    # Riemann's bilinear relations Im tau > 0
     if eigs[0] <= 0:
-        if eigs[-1] < 0:
-            # intersection orientation opposite to the complex structure: swap a/b
-            S = np.vstack([S[g:], S[:g]])
-            A, B, C, tau_m = assemble(S)
-            asym = float(np.max(np.abs(tau_m - tau_m.T)))
-            eigs = np.linalg.eigvalsh((np.imag(tau_m) + np.imag(tau_m).T) / 2.0)
-        if eigs[0] <= 0:
-            raise PeriodError("Im tau is indefinite: homology reduction bug")
+        raise PeriodError("Im tau is indefinite: homology reduction bug")
     if asym > _SYMMETRY_TOL:
         raise PeriodError(f"tau asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
     tau = RiemannMatrix(tau_m)
@@ -330,7 +320,7 @@ def build_periods(curve: CurveSpec) -> PeriodData:
     data = PeriodData(curve=curve, chain=chain, C=C, Braw=B.T, tau=tau,
                       aj_branch=aj_branch, K=np.zeros(g, dtype=complex),
                       K_char=Characteristic.zero(g),
-                      quad_order=order, drift=drift)
+                      quad_order=order)
 
     # order-n property of branch images
     tau_scale = 1.0 + float(np.max(np.abs(tau_m)))

@@ -274,8 +274,8 @@ def truncation_radius(tau: RiemannMatrix, tol: float) -> float:
     """Radius R such that the omitted tail of the theta series beyond
     ||U(m + offset)|| > R is below tol for any offset, at unit amplitude:
     an evaluation whose reduced argument has Y^{-1} Im zeta' = c multiplies
-    every term by exp(pi c^t Y c) and so needs a larger R.  This is the
-    radius that `thetalab theta` prints."""
+    every term by exp(pi c^t Y c) and so needs a larger R, and a gradient
+    sums at a larger R still (ThetaGradient.radius)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     return _radius(tau, tol, 1.0)[0]
@@ -293,11 +293,13 @@ class ThetaValue:
 
 @dataclass(frozen=True)
 class ThetaGradient:
-    """The gradient and the value summed over the same lattice points."""
+    """The gradient and the value summed over the same lattice points, those
+    with ||U (m + xi)|| <= radius."""
     values: np.ndarray
     truncation_bound: float
     value: complex
     value_bound: float
+    radius: float
 
 
 def _range_reduce(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix):
@@ -354,7 +356,7 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
     grad_red = 2j * np.pi * (n.T @ terms)
     grad = phase0 * pref * (grad_red - 2j * np.pi * n0 * val_red)
     return ThetaGradient(np.asarray(grad, dtype=complex), float(abs(pref) * tail_grad),
-                         value, bound)
+                         value, bound, R)
 
 
 def theta_eval(char: Characteristic, zeta, tau: RiemannMatrix,

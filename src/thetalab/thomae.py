@@ -31,6 +31,8 @@ So the trigonal identities are absolute, as the hyperelliptic ones are with
 Derivative right-hand sides contract algebra.sigma_row with C through
 algebra.sigma_contract; every derivative report, matrix-form rows included,
 comes from one verifier, _verify_deriv, its gradient bounded by GRAD_TOL.
+A matrix form reads its rows' gradients, roots and right-hand sides from
+those reports (_verify_matrix_form) and adds only its structural check.
 
 All fractional powers take principal branches; every ambiguity group divides
 the asserted root order, so classifications are branch-robust.  Ratios are
@@ -293,15 +295,21 @@ def _verify_deriv(identity: str, order: int, periods: PeriodData,
                  "zeros_ok": zeros_ok})
 
 
-def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
-                            p: HypPartition, tol: float = 1e-6) -> VerificationReport:
+def _hyp_deriv_row(curve: CurveSpec, periods: PeriodData, p: HypPartition,
+                   tol: float) -> tuple[VerificationReport, np.ndarray]:
+    """The derivative identity on p: its report and the RHS it compared."""
     p.validate(curve.genus)
     if p.m != 1:
         raise ValueError("derivative identity needs an m=1 partition")
+    rhs = _hyp_deriv_rhs(curve, periods, p)
     return _verify_deriv("thomae_deriv_hyp", 8, periods,
-                         char_from_partition_hyp(p, periods),
-                         _hyp_deriv_rhs(curve, periods, p), INF in p.I,
-                         p.label(), tol)
+                         char_from_partition_hyp(p, periods), rhs, INF in p.I,
+                         p.label(), tol), rhs
+
+
+def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
+                            p: HypPartition, tol: float = 1e-6) -> VerificationReport:
+    return _hyp_deriv_row(curve, periods, p, tol)[0]
 
 
 def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float,
@@ -369,6 +377,28 @@ def verify_quotient_hyp(curve: CurveSpec, periods: PeriodData, k: int,
     return _verify_quotient(curve, periods, k, 2, seed, samples, tol, theta_tol)
 
 
+def _verify_matrix_form(identity: str, partition: str,
+                        rows: Sequence[tuple[VerificationReport, np.ndarray]],
+                        tol: float, check: tuple[str, float],
+                        bound: tuple[str, float]) -> VerificationReport:
+    """A matrix form stacked from its derivative rows, each a (report, RHS)
+    pair of _verify_deriv: every gradient row against its classified root
+    times that RHS, entrywise, plus the form's structural check, an error
+    named check[0] that must stay below the tolerance named bound[0]."""
+    grads = np.array([rep.lhs for rep, _ in rows])
+    predicted = np.array([rep.tag.value * rhs for rep, rhs in rows])
+    ent_err = float(np.max(np.abs(grads - predicted)) / np.max(np.abs(grads)))
+    passed = all(rep.passed for rep, _ in rows) and ent_err < tol and check[1] < bound[1]
+    # the two errors in name order, as the reports have always listed them
+    errors = dict(sorted([check, ("entrywise_rel_err", ent_err)]))
+    return VerificationReport(
+        identity=identity, partition=partition,
+        s_range=list(range(1, len(rows) + 1)), lhs=[], rhs_modulus=None,
+        ratios=[], tag=None, spread=ent_err, passed=passed,
+        tolerances={"tol": tol, bound[0]: bound[1]},
+        details=errors | {"row_tags": [rep.tag.index for rep, _ in rows]})
+
+
 def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
                            I0: HypPartition, tol: float = 1e-6) -> VerificationReport:
     """Matrix form of the derivative identity over the g single-element
@@ -376,38 +406,18 @@ def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
     g = curve.genus
     I0.validate(g)
     lam = curve.lam_map
-    xs = list(I0.I.finite)                      # g finite members, ascending
     symbols = list(I0.I) + list(I0.J)
     rows = []
     sigma = np.zeros((g, g), dtype=complex)
-    grads = np.zeros((g, g), dtype=complex)
-    predicted = np.zeros((g, g), dtype=complex)
-    pref = principal_power(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
-    ok = True
-    for kk, xk in enumerate(xs):
+    for kk, xk in enumerate(I0.I.finite):       # g finite members, ascending
         I1 = I0.I.without(INF, xk)
         J1 = IndexSet.of([s for s in symbols if s not in I1])
-        rep = verify_thomae_deriv_hyp(curve, periods, HypPartition(1, I1, J1), tol=tol)
-        ok = ok and rep.passed
-        rows.append(rep)
+        rows.append(_hyp_deriv_row(curve, periods, HypPartition(1, I1, J1), tol))
         sigma[kk] = list(sigma_row([lam[i] for i in I1.finite], range(1, g + 1)).values())
-        grads[kk] = np.array(rep.lhs)
-        eps_row = rep.tag.value if rep.tag else 1.0
-        dkk = eps_row * _delta_quarter_pair(I1, J1, lam)
-        predicted[kk] = pref * dkk * (sigma[kk] @ periods.C)
-    ent_err = float(np.max(np.abs(grads - predicted)) / np.max(np.abs(grads)))
-    det_sigma = complex(np.linalg.det(sigma))
     delta_i0 = vandermonde_delta(I0.I, lam)
-    det_err = abs(det_sigma - delta_i0) / abs(delta_i0)
-    passed = ok and ent_err < tol and det_err < DET_SIGMA_TOL
-    return VerificationReport(
-        identity="matrix_form_hyp", partition=I0.label(),
-        s_range=list(range(1, g + 1)), lhs=[], rhs_modulus=None,
-        ratios=[], tag=None, spread=ent_err, passed=passed,
-        tolerances={"tol": tol, "det_tol": DET_SIGMA_TOL},
-        details={"det_sigma_rel_err": det_err,
-                 "entrywise_rel_err": ent_err,
-                 "row_tags": [r.tag.index for r in rows]})
+    det_err = abs(complex(np.linalg.det(sigma)) - delta_i0) / abs(delta_i0)
+    return _verify_matrix_form("matrix_form_hyp", I0.label(), rows, tol,
+                               ("det_sigma_rel_err", det_err), ("det_tol", DET_SIGMA_TOL))
 
 
 # ----------------------------------------------------------------------------
@@ -492,10 +502,19 @@ def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
                          per_partition=per_partition)
 
 
-def _trig_sigma_row(p: TrigPartition, q: int, lam) -> tuple[dict[int, complex], int]:
-    """Sigma row and degree drop of a deriv-kind partition: rows l = 1..2q-1
-    of C with sigma over L1 u L2 (deriv1), rows l = 2q..3q-2 with sigma over
-    L2 (deriv2); infinity in the sigma set drops the degree by one."""
+def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> np.ndarray:
+    """RHS vector for the trigonal derivative identities, constant alpha/3,
+    on rows l = 1..2q-1 of C with sigma over L1 u L2 (deriv1) or rows
+    l = 2q..3q-2 with sigma over L2 (deriv2); infinity in the sigma set
+    drops the degree by one.
+
+    For deriv2 that halves the printed 2 alpha/3: near the double point the
+    cube root of the branch-value product is t * t', whose symmetrized
+    beta-derivative at the diagonal is -1/2 (phi_tt - phi_ts)/2 with
+    phi_tt = 0 (sign absorbed into the 144th root).  Confirmed numerically:
+    the plain ratio has modulus exactly 1/2 for every type-2 partition."""
+    q = curve.q
+    lam = curve.lam_map
     if p.kind == "deriv1":
         sig_set, rows = p.L1.finite + p.L2.finite, range(1, 2 * q)
         drop = int(INF in p.L1 or INF in p.L2)
@@ -503,49 +522,39 @@ def _trig_sigma_row(p: TrigPartition, q: int, lam) -> tuple[dict[int, complex], 
         sig_set, rows, drop = p.L2.finite, range(2 * q, 3 * q - 1), int(INF in p.L2)
     else:
         raise ValueError("derivative RHS needs a deriv-kind partition")
-    return sigma_row([lam[i] for i in sig_set], rows, drop), drop
-
-
-def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> np.ndarray:
-    """RHS vector for the trigonal derivative identities, constant alpha/3.
-
-    For deriv2 that halves the printed 2 alpha/3: near the double point the
-    cube root of the branch-value product is t * t', whose symmetrized
-    beta-derivative at the diagonal is -1/2 (phi_tt - phi_ts)/2 with
-    phi_tt = 0 (sign absorbed into the 144th root).  Confirmed numerically:
-    the plain ratio has modulus exactly 1/2 for every type-2 partition."""
-    lam = curve.lam_map
-    row, drop = _trig_sigma_row(p, curve.q, lam)
+    row = sigma_row([lam[i] for i in sig_set], rows, drop)
     pref = (_delta_product_trig(p, lam) * principal_power(np.linalg.det(periods.C), 0.5)
             * trig_alpha(curve.genus) / 3.0)
     # the trigonal sign (-1)^deg is (-1)^drop times the row's (-1)^(top-l)
     return sigma_contract(-pref if drop else pref, row, periods.C)
 
 
-def _verify_thomae_deriv_trig(curve: CurveSpec, periods: PeriodData,
-                              p: TrigPartition, tol: float,
-                              identity: str) -> VerificationReport:
+def _trig_deriv_row(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
+                    tol: float) -> tuple[VerificationReport, np.ndarray]:
+    """The type-1 or type-2 identity on p, by its kind: its report and the
+    RHS it compared."""
     p.validate(curve.q)
     # infinity in the sigma set is the experimental relocation
     experimental = INF in p.L2 or (p.kind == "deriv1" and INF in p.L1)
+    identity = "thomae_deriv_trig_t1" if p.kind == "deriv1" else "thomae_deriv_trig_t2"
+    rhs = _trig_deriv_rhs(curve, periods, p)
     return _verify_deriv(identity, TRIG_ROOT_ORDER, periods,
-                         char_from_partition_trig(p, periods),
-                         _trig_deriv_rhs(curve, periods, p), experimental,
-                         p.label(), tol)
+                         char_from_partition_trig(p, periods), rhs, experimental,
+                         p.label(), tol), rhs
 
 
 def verify_thomae_deriv_trig_t1(curve: CurveSpec, periods: PeriodData,
                                 p: TrigPartition, tol: float = 1e-5) -> VerificationReport:
     if p.kind != "deriv1":
         raise ValueError("type-1 identity needs a deriv1 partition")
-    return _verify_thomae_deriv_trig(curve, periods, p, tol, "thomae_deriv_trig_t1")
+    return _trig_deriv_row(curve, periods, p, tol)[0]
 
 
 def verify_thomae_deriv_trig_t2(curve: CurveSpec, periods: PeriodData,
                                 p: TrigPartition, tol: float = 1e-5) -> VerificationReport:
     if p.kind != "deriv2":
         raise ValueError("type-2 identity needs a deriv2 partition")
-    return _verify_thomae_deriv_trig(curve, periods, p, tol, "thomae_deriv_trig_t2")
+    return _trig_deriv_row(curve, periods, p, tol)[0]
 
 
 def verify_quotient_trig(curve: CurveSpec, periods: PeriodData, k: int,
@@ -588,35 +597,18 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     constant-kind partition, including the structural zero blocks of Sigma."""
     q = curve.q
     g = curve.genus
-    lam = curve.lam_map
     derived = derived_partitions_for_matrix(p, q)
     if len(derived) != g:
         raise ValueError("wrong number of derived partitions")
-    grads = np.zeros((g, g), dtype=complex)
-    sigma = np.zeros((g, g), dtype=complex)
-    dvec = np.zeros(g, dtype=complex)
-    tags = []
-    ok = True
-    # sqrt(det C) accompanies the row theorems; the compact matrix statement
-    # drops it from display but it is part of the identity
+    rows = [_trig_deriv_row(curve, periods, pk, tol) for pk in derived]
+    # Sigma reconstructed from the gradients with the classified per-row
+    # phases: its zero blocks must come out exactly.  sqrt(det C)
+    # accompanies the row theorems; the compact matrix statement drops it
+    # from display but it is part of the identity
     const = trig_alpha(g) * principal_power(np.linalg.det(periods.C), 0.5) / 3.0
-    for kk, pk in enumerate(derived):
-        # the per-row phase comes from the row's own derivative identity
-        verify = (verify_thomae_deriv_trig_t1 if pk.kind == "deriv1"
-                  else verify_thomae_deriv_trig_t2)
-        rep = verify(curve, periods, pk, tol)
-        ok = ok and rep.passed
-        tags.append(rep.tag)
-        grads[kk] = np.array(rep.lhs)
-        # no factor 2 on the double-subtraction rows; see _trig_deriv_rhs
-        row = _trig_sigma_row(pk, q, lam)[0]
-        sigma[kk, [l - 1 for l in row]] = list(row.values())
-        dvec[kk] = _delta_product_trig(pk, lam)
-    # entrywise identity with the classified per-row phases
-    rowfac = dvec * np.array([t.value for t in tags])
-    predicted = const * np.diag(rowfac) @ sigma @ periods.C
-    ent_err = float(np.max(np.abs(grads - predicted)) / np.max(np.abs(grads)))
-    # reconstructed Sigma: zero blocks must come out exactly
+    rowfac = (np.array([_delta_product_trig(pk, curve.lam_map) for pk in derived])
+              * np.array([rep.tag.value for rep, _ in rows]))
+    grads = np.array([rep.lhs for rep, _ in rows])
     sigma_hat = np.diag(1.0 / rowfac) @ grads @ np.linalg.inv(periods.C) / const
     zero_mask = np.zeros((g, g), dtype=bool)
     zero_mask[:q, 2 * q - 1:] = True
@@ -624,14 +616,8 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     # at q = 1 (g = 1) Sigma has no zero blocks
     zero_err = float(np.max(np.abs(sigma_hat[zero_mask]), initial=0.0)
                      / np.max(np.abs(sigma_hat)))
-    passed = ok and ent_err < tol and zero_err < ZERO_BLOCK_TOL
-    return VerificationReport(
-        identity="matrix_form_trig", partition=p.label(),
-        s_range=list(range(1, g + 1)), lhs=[], rhs_modulus=None,
-        ratios=[], tag=None, spread=ent_err, passed=passed,
-        tolerances={"tol": tol, "zero_tol": ZERO_BLOCK_TOL},
-        details={"entrywise_rel_err": ent_err, "zero_block_err": zero_err,
-                 "row_tags": [t.index if t else None for t in tags]})
+    return _verify_matrix_form("matrix_form_trig", p.label(), rows, tol,
+                               ("zero_block_err", zero_err), ("zero_tol", ZERO_BLOCK_TOL))
 
 
 def simple_zero_check(periods: PeriodData, p: TrigPartition,

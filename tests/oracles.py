@@ -11,8 +11,9 @@ intersection form against the half-period search and the hyperelliptic
 parity census that once found it, and the Thomae derivative right-hand
 sides and closed-form Jacobians against the contraction loops each once
 wrote out.  The truncation radius is checked against the packing bound it
-replaced, its product bound against Poisson summation, and theta itself
-against a 30-digit mpmath sum.
+replaced, its product bound against Poisson summation, theta itself
+against a 30-digit mpmath sum, and the symplectic reduction against the
+entry-by-entry triple sums it once recomputed.
 """
 
 import itertools
@@ -24,6 +25,7 @@ import numpy as np
 
 from thetalab.algebra import (INF, all_elementary_symmetric, derivative_at_root,
                               principal_power)
+from thetalab.homology import HomologyError
 from thetalab.quadrature import (build_avoiding_path, infinity_leg_integrals,
                                  polyline_integrals, refine_path_for_quadrature)
 from thetalab.periods import _random_surface_points
@@ -491,3 +493,69 @@ def aj_jacobian_trig_closed(curve, periods, config) -> tuple[np.ndarray, np.ndar
                 acc += (-1) ** (3 * q - 2 - l) * sig[3 * q - 2 - l] * periods.C[l - 1, s]
             d_beta[r, s] = coeff * acc
     return d_alpha, d_beta
+
+
+# ----------------------------------------------------------------------------
+# Symplectic reduction, frozen from homology.symplectic_transform as it was
+# before it kept S M S^t in step with S: every entry is a fresh triple sum
+# over Python integers.
+
+
+def symplectic_transform_by_sums(M: np.ndarray) -> np.ndarray:
+    """Unimodular S with S M S^t = [[0, I], [-I, 0]] for skew integer M."""
+    M0 = [[int(x) for x in row] for row in M]
+    m = len(M0)
+    if m % 2:
+        raise HomologyError("odd rank skew form")
+    S = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def cur(i, j):
+        return sum(S[i][a] * M0[a][b] * S[j][b] for a in range(m) for b in range(m))
+
+    remaining = list(range(m))
+    pairs = []
+    while remaining:
+        best = None
+        for i in remaining:
+            for j in remaining:
+                v = cur(i, j)
+                if v != 0 and (best is None or abs(v) < abs(best[2])):
+                    best = (i, j, v)
+        if best is None:
+            raise HomologyError("degenerate intersection form")
+        i, j, v = best
+        clean = True
+        for k in list(remaining):
+            if k in (i, j):
+                continue
+            vkj = cur(k, j)
+            if vkj % v != 0:
+                qk = vkj // v
+                S[k] = [S[k][t] - qk * S[i][t] for t in range(m)]
+                clean = False
+            vik = cur(i, k)
+            if vik % v != 0:
+                qk = vik // v
+                S[k] = [S[k][t] - qk * S[j][t] for t in range(m)]
+                clean = False
+        if not clean:
+            continue
+        for k in list(remaining):
+            if k in (i, j):
+                continue
+            vkj = cur(k, j)
+            if vkj:
+                qk = vkj // v
+                S[k] = [S[k][t] - qk * S[i][t] for t in range(m)]
+            vik = cur(i, k)
+            if vik:
+                qk = vik // v
+                S[k] = [S[k][t] - qk * S[j][t] for t in range(m)]
+        v = cur(i, j)
+        if abs(v) != 1:
+            raise HomologyError(f"intersection form not unimodular (pivot {v})")
+        if v < 0:
+            i, j = j, i
+        pairs.append((i, j))
+        remaining = [k for k in remaining if k not in (i, j)]
+    return np.array([S[i] for i, _ in pairs] + [S[j] for _, j in pairs], dtype=np.int64)

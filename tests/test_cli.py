@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -59,6 +60,20 @@ def test_theta_odd_char_zero(tmp_path):
     r = run_cli("theta", f)
     out = json.loads(r.stdout)
     assert abs(complex(out["value"][0], out["value"][1])) < 1e-9
+
+
+def test_theta_prints_the_radius_it_summed_at(tmp_path, capsys):
+    # the README input: a gradient sums beyond the unit-amplitude value radius
+    from thetalab.cli import main
+    from thetalab.theta import Characteristic, RiemannMatrix, theta_grad, truncation_radius
+    f = write(tmp_path / "t.json",
+              {"tau": [[[0.0, 1.0]]], "eps": [0], "delta": [0], "zeta": [[0.0, 0.0]]})
+    assert main(["theta", f]) == 0
+    radius = json.loads(capsys.readouterr().out)["radius"]
+    tau = RiemannMatrix([[1j]])
+    assert radius == theta_grad(Characteristic.zero(1), [0j], tau, 1e-10).radius
+    assert round(radius, 3) == 5.349
+    assert round(truncation_radius(tau, 1e-10), 3) == 5.062
 
 
 def test_theta_bad_tau(tmp_path):
@@ -401,3 +416,46 @@ def test_verify_bad_parameter_exits_2(tmp_path, capsys, monkeypatch, plan):
     assert main(["verify", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("plan, line", [
+    (dict(PLAN_G1, quad_order=0), "error: plan: unknown key 'quad_order'"),
+    (_tasks({"id": "quotient_hyp", "sample": 2}),
+     "error: task 'quotient_hyp': unknown key 'sample'"),
+    (_tasks({"id": "period_sanity"}, tolerances={"grad_tol": 1e-9}),
+     "error: plan tolerances: unknown key 'grad_tol'"),
+], ids=["plan-quad_order", "task-sample", "tolerances-grad_tol"])
+def test_verify_unknown_key_exits_2(tmp_path, capsys, monkeypatch, plan, line):
+    from thetalab.cli import main
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("periods built for a plan with an unknown key")
+    monkeypatch.setattr("thetalab.cli.build_periods", must_not_run)
+    assert main(["verify", write(tmp_path / "plan.json", plan)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+def _checked_in_plans() -> list[tuple[str, dict]]:
+    """The plans of tools/identity_digests.py (the 12 benchmark plans and the
+    README plan) and tools/trig-q3-g7.json."""
+    tools = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+    if tools not in sys.path:
+        sys.path.insert(0, tools)
+    from identity_digests import plans
+    with open(os.path.join(tools, "trig-q3-g7.json")) as fh:
+        return plans() + [("trig-q3-g7", json.load(fh))]
+
+
+def test_checked_in_plans_have_only_known_keys(tmp_path, monkeypatch):
+    # each plan gets past every parameter check to the period construction
+    from thetalab.cli import main
+
+    class Reached(Exception):
+        pass
+
+    def reached(curve):
+        raise Reached
+    monkeypatch.setattr("thetalab.cli.build_periods", reached)
+    for label, plan in _checked_in_plans():
+        with pytest.raises(Reached):
+            main(["verify", write(tmp_path / f"{label}.json", plan)])

@@ -5,6 +5,8 @@ from thetalab.curves import CurveSpec
 from thetalab.homology import (HomologyError, build_chain, build_cycles,
                                intersection_matrix, symplectic_transform)
 
+from oracles import symplectic_transform_by_sums
+
 
 def canonical_j(g):
     return np.block([[np.zeros((g, g), dtype=np.int64), np.eye(g, dtype=np.int64)],
@@ -36,6 +38,30 @@ def test_symplectic_transform_random_conjugates():
             M = U @ J @ U.T
             S = symplectic_transform(M)
             assert np.array_equal(S @ M @ S.T, J)
+
+
+@pytest.mark.parametrize("fixture", ["hyp_g1", "hyp_g2", "hyp_g2_batch", "hyp_g3", "trig_q1",
+                                     "trig_q2", "trig_q2_batch", "trig_q3_g7"])
+def test_symplectic_transform_matches_frozen_sums_on_curves(fixture, request):
+    value = request.getfixturevalue(fixture)
+    for _, pd in value if isinstance(value, list) else [value]:
+        M = np.array(pd.diagnostics["intersection_matrix"], dtype=np.int64)
+        assert np.array_equal(symplectic_transform(M), symplectic_transform_by_sums(M))
+
+
+def test_symplectic_transform_matches_frozen_sums_on_random_forms():
+    # conjugates with entries beyond +-1; a form whose least entry is above
+    # 1 in modulus cannot reduce without the euclidean sweep
+    rng = np.random.default_rng(1)
+    swept = 0
+    for g in (2, 3, 4):
+        J = canonical_j(g)
+        for _ in range(20):
+            U = _random_unimodular(2 * g, rng)
+            M = U @ J @ U.T
+            swept += int(np.min(np.abs(M[M != 0]))) > 1
+            assert np.array_equal(symplectic_transform(M), symplectic_transform_by_sums(M))
+    assert swept >= 10
 
 
 def test_symplectic_transform_rejects_non_unimodular():

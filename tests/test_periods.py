@@ -136,6 +136,18 @@ def test_genus_7_periods(trig_q3_g7):
     assert d["a1_direct_check"] <= 1e-10
 
 
+@pytest.mark.parametrize("n,lams", [(2, [0, 1, 2]), (2, [0, 1, 2, 3, 4]), (3, [0, 1])])
+def test_reversed_intersection_form_is_a_homology_bug(n, lams, monkeypatch):
+    # the cycles' orientation fixes Im tau > 0; a form of the opposite sign
+    # is not repaired by swapping a and b
+    import thetalab.periods
+    real = thetalab.periods.intersection_matrix
+    monkeypatch.setattr(thetalab.periods, "intersection_matrix",
+                        lambda curve, cycles: -real(curve, cycles))
+    with pytest.raises(PeriodError, match="Im tau is indefinite"):
+        build_periods(CurveSpec.of(n, lams))
+
+
 def test_direct_a1_check_accepts_spread_curve():
     # 10 nodes per polyline segment missed these a_1-periods by 3.0e-5
     c = random_curve(2, 7, 7004, box=4.1, min_gap=0.7)

@@ -129,6 +129,33 @@ def test_matrix_form(hyp_g2):
         assert rep.details["entrywise_rel_err"] < 1e-6
 
 
+def test_matrix_form_rows_are_the_derivative_reports(hyp_g2):
+    c, pd = hyp_g2
+    I0 = enumerate_partitions_hyp(2, 0)[1]
+    rep = verify_matrix_form_hyp(c, pd, I0, tol=1e-6)
+    symbols = list(I0.I) + list(I0.J)
+    alone = []
+    for xk in I0.I.finite:
+        I1 = I0.I.without(INF, xk)
+        J1 = IndexSet.of([s for s in symbols if s not in I1])
+        alone.append(verify_thomae_deriv_hyp(c, pd, HypPartition(1, I1, J1)))
+    assert rep.details["row_tags"] == [r.tag.index for r in alone]
+
+
+def test_matrix_form_fails_on_wrong_det_sigma(hyp_g2, monkeypatch):
+    # every row still holds, but det Sigma misses the negated Delta(I0)
+    import thetalab.thomae
+    c, pd = hyp_g2
+    I0 = enumerate_partitions_hyp(2, 0)[0]
+    real = thetalab.thomae.vandermonde_delta
+    monkeypatch.setattr(thetalab.thomae, "vandermonde_delta",
+                        lambda I, lam: -real(I, lam) if I == I0.I else real(I, lam))
+    rep = verify_matrix_form_hyp(c, pd, I0, tol=1e-6)
+    assert not rep.passed
+    assert rep.details["det_sigma_rel_err"] > thetalab.thomae.DET_SIGMA_TOL
+    assert rep.details["entrywise_rel_err"] < 1e-6
+
+
 def test_report_serialization(hyp_g2):
     import json
     c, pd = hyp_g2

@@ -178,6 +178,29 @@ def test_matrix_form_trig(trig_q2):
     assert rep.details["entrywise_rel_err"] < 1e-5
 
 
+def test_matrix_form_trig_rows_are_the_derivative_reports(trig_q2):
+    c, pd = trig_q2
+    p = enumerate_partitions_trig(2, "constant")[1]
+    rep = verify_matrix_form_trig(c, pd, p, tol=1e-5)
+    alone = [(verify_thomae_deriv_trig_t1 if pk.kind == "deriv1"
+              else verify_thomae_deriv_trig_t2)(c, pd, pk) for pk in
+             derived_partitions_for_matrix(p, 2)]
+    assert rep.details["row_tags"] == [r.tag.index for r in alone]
+
+
+def test_matrix_form_trig_fails_on_reordered_rows(trig_q2, monkeypatch):
+    # every row still holds, but Sigma's zero blocks land in the wrong place
+    import thetalab.thomae
+    real = thetalab.thomae.derived_partitions_for_matrix
+    monkeypatch.setattr(thetalab.thomae, "derived_partitions_for_matrix",
+                        lambda p, q: real(p, q)[::-1])
+    c, pd = trig_q2
+    rep = verify_matrix_form_trig(c, pd, enumerate_partitions_trig(2, "constant")[0], tol=1e-5)
+    assert not rep.passed
+    assert rep.details["zero_block_err"] > thetalab.thomae.ZERO_BLOCK_TOL
+    assert rep.details["entrywise_rel_err"] < 1e-5
+
+
 def test_simple_zero_check_sums_theta_once(trig_q2, monkeypatch):
     # the value and the gradient come from one theta_grad call
     import thetalab.thomae
