@@ -33,7 +33,8 @@ from .periods import (K_VANISHING_CUT, QUAD_DRIFT_TARGET, PeriodData, PeriodErro
                       build_periods)
 from .homology import HomologyError
 from .quadrature import QuadratureError
-from .theta import _SYMMETRY_TOL, Characteristic, RiemannMatrix, ThetaError, theta_grad
+from .theta import (_SYMMETRY_TOL, THETA_TOL, Characteristic, RiemannMatrix, ThetaError,
+                    theta_grad)
 from . import thomae
 from .algebra import INF, c2j
 
@@ -152,20 +153,18 @@ def cmd_theta(args) -> int:
 class Plan:
     """The curve and period data of one plan, and what its tasks share.
 
-    Each task handler takes (task entry, tol, theta_tol, seed) and yields
-    reports."""
+    Each task handler takes (task entry, tol, seed) and yields reports."""
 
     def __init__(self, curve: CurveSpec, pd: PeriodData, defaults: dict):
         self.curve = curve
         self.pd = pd
         self.defaults = defaults
 
-    def tolerances(self, task: dict) -> tuple[float, float]:
-        """(tol, theta_tol) of a task: its own, else the plan's, else the defaults."""
-        return (float(task.get("tol", self.defaults.get("tol", 1e-6))),
-                float(task.get("theta_tol", self.defaults.get("theta_tol", 1e-10))))
+    def tolerance(self, task: dict) -> float:
+        """The tol of a task: its own, else the plan's, else 1e-6."""
+        return float(task.get("tol", self.defaults.get("tol", 1e-6)))
 
-    def period_sanity(self, task, tol, theta_tol, seed):
+    def period_sanity(self, task, tol, seed):
         d = self.pd.diagnostics
         tau_scale = 1.0 + float(np.max(np.abs(self.pd.tau.matrix)))
         checks = {
@@ -183,61 +182,61 @@ class Plan:
             details={k: v for k, (v, t) in checks.items()}
             | {"im_tau_min_eig": d["im_tau_min_eig"]})
 
-    def thomae_const_hyp(self, task, tol, theta_tol, seed):
+    def thomae_const_hyp(self, task, tol, seed):
         for p in thomae.enumerate_partitions_hyp(self.curve.genus, 0):
-            yield thomae.verify_thomae_const_hyp(self.curve, self.pd, p, tol, theta_tol)
+            yield thomae.verify_thomae_const_hyp(self.curve, self.pd, p, tol)
 
-    def thomae_deriv_hyp(self, task, tol, theta_tol, seed):
+    def thomae_deriv_hyp(self, task, tol, seed):
         include_inf = bool(task.get("include_infinity", False))
         for p in thomae.enumerate_partitions_hyp(self.curve.genus, 1):
             if include_inf or INF not in p.I:
                 yield thomae.verify_thomae_deriv_hyp(self.curve, self.pd, p, tol)
 
-    def quotient(self, task, tol, theta_tol, seed):
+    def quotient(self, task, tol, seed):
         verify = (thomae.verify_quotient_hyp if self.curve.n == 2
                   else thomae.verify_quotient_trig)
         ks = task.get("ks", list(range(1, self.curve.num_branch + 1)))
         for i, k in enumerate(ks):
             yield verify(self.curve, self.pd, int(k), seed=seed + 977 * i,
-                         samples=int(task.get("samples", 3)), tol=tol, theta_tol=theta_tol)
+                         samples=int(task.get("samples", 3)), tol=tol)
 
-    def matrix_form_hyp(self, task, tol, theta_tol, seed):
+    def matrix_form_hyp(self, task, tol, seed):
         parts = thomae.enumerate_partitions_hyp(self.curve.genus, 0)
         for p in parts[:int(task.get("count", 1))]:
             yield thomae.verify_matrix_form_hyp(self.curve, self.pd, p, tol)
 
-    def alpha_trig(self, task, tol, theta_tol, seed):
-        est = thomae.estimate_alpha([(self.curve, self.pd)], tol=tol, theta_tol=theta_tol)
+    def alpha_trig(self, task, tol, seed):
+        est = thomae.estimate_alpha([(self.curve, self.pd)], tol=tol)
         yield thomae.VerificationReport(
             identity="alpha_trig", partition="all-constant-kind", s_range=[],
             lhs=[], rhs_modulus=None, ratios=[], tag=None,
             spread=est.spread, passed=all(t.ok for t in est.phases),
-            tolerances={"tol": tol, "theta_tol": theta_tol},
+            tolerances={"tol": tol, "theta_tol": THETA_TOL},
             details={"alpha_modulus": est.modulus,
                      "alpha_closed_form": thomae.trig_alpha(self.curve.genus),
                      "phase_indices": [t.index for t in est.phases],
                      "worst_phase_residual": max(t.phase_residual for t in est.phases)})
 
-    def deriv_trig_t1(self, task, tol, theta_tol, seed):
+    def deriv_trig_t1(self, task, tol, seed):
         for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv1"):
             yield thomae.verify_thomae_deriv_trig_t1(self.curve, self.pd, p, tol)
 
-    def deriv_trig_t2(self, task, tol, theta_tol, seed):
+    def deriv_trig_t2(self, task, tol, seed):
         for loc in task.get("infinity_in", [1, 0]):
             for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv2", infinity_in=loc):
                 yield thomae.verify_thomae_deriv_trig_t2(self.curve, self.pd, p, tol)
 
-    def matrix_form_trig(self, task, tol, theta_tol, seed):
+    def matrix_form_trig(self, task, tol, seed):
         parts = thomae.enumerate_partitions_trig(self.curve.q, "constant")
         for p in parts[:int(task.get("count", 1))]:
             yield thomae.verify_matrix_form_trig(self.curve, self.pd, p, tol)
 
-    def simple_zeros_trig(self, task, tol, theta_tol, seed):
+    def simple_zeros_trig(self, task, tol, seed):
         q = self.curve.q
         for p in (thomae.enumerate_partitions_trig(q, "deriv1")
                   + thomae.enumerate_partitions_trig(q, "deriv2", infinity_in=1)
                   + thomae.enumerate_partitions_trig(q, "constant")):
-            yield thomae.simple_zero_check(self.pd, p, theta_tol=theta_tol)
+            yield thomae.simple_zero_check(self.pd, p)
 
 
 # task id -> (cover degree it applies to, None for either; Plan handler;
@@ -255,7 +254,7 @@ TASKS = {
     "matrix_form_trig": (3, Plan.matrix_form_trig, ("count",)),
     "simple_zeros_trig": (3, Plan.simple_zeros_trig, ()),
 }
-TASK_KEYS = ("id", "tol", "theta_tol")
+TASK_KEYS = ("id", "tol")
 PLAN_KEYS = ("curve", "curve_file", "seed", "tasks", "tolerances")
 
 
@@ -273,7 +272,6 @@ def _bad_parameter(places: list[tuple[str, dict, tuple]], n: int):
     or the plan, each place given with its known keys, or None; n is the
     number of branch points."""
     positive = (_int_in(1, math.inf), "a positive integer")
-    tolerance = (_finite_positive, "a finite positive number")
     checks = {
         "ks": (lambda v: isinstance(v, list) and all(map(_int_in(1, n), v)),
                f"a list of branch indices in 1..{n}"),
@@ -282,7 +280,7 @@ def _bad_parameter(places: list[tuple[str, dict, tuple]], n: int):
         "infinity_in": (lambda v: isinstance(v, list) and all(map(_int_in(0, 2), v)),
                         "a list of parts among 0, 1, 2"),
         "include_infinity": (lambda v: isinstance(v, bool), "true or false"),
-        "tol": tolerance, "theta_tol": tolerance,
+        "tol": (_finite_positive, "a finite positive number"),
     }
     for where, params, keys in places:
         unknown = [key for key in params if key not in keys]
@@ -322,10 +320,8 @@ def cmd_verify(args) -> int:
             return 2
     if args.tol is not None:
         defaults["tol"] = args.tol
-    if args.theta_tol is not None:
-        defaults["theta_tol"] = args.theta_tol
     bad = _bad_parameter([("plan", plan, PLAN_KEYS),
-                          ("plan tolerances", defaults, ("tol", "theta_tol"))]
+                          ("plan tolerances", defaults, ("tol",))]
                          + [(f"task {t['id']!r}", t, TASK_KEYS + TASKS[t["id"]][2])
                             for t in tasks], curve.num_branch)
     if bad:
@@ -347,7 +343,7 @@ def cmd_verify(args) -> int:
     def run_task(ti: int, task: dict):
         t1 = time.time()
         handler = TASKS[task["id"]][1]
-        out = list(handler(ctx, task, *ctx.tolerances(task), seed + 104729 * ti))
+        out = list(handler(ctx, task, ctx.tolerance(task), seed + 104729 * ti))
         return out, time.time() - t1
 
     try:
@@ -401,7 +397,6 @@ def main(argv=None) -> int:
     p3 = sub.add_parser("verify", help="run a verification plan")
     p3.add_argument("plan", help="plan JSON file")
     p3.add_argument("--tol", type=float, default=None)
-    p3.add_argument("--theta-tol", type=float, default=None)
     p3.add_argument("--seed", type=int, default=None)
     p3.add_argument("--out", default=None, help="JSONL output path")
     p3.set_defaults(func=cmd_verify)

@@ -109,8 +109,8 @@ class CyclePolyline:
     w: np.ndarray                 # continued sheet values at the points
     radius: float
     offset: float
-    strand_out_mid: int = 0       # polyline index inside the outgoing strand
-    strand_back_mid: int = 0      # polyline index inside the returning strand
+    j_out: int                    # sheets of the outgoing and returning strands
+    j_back: int                   # relative to the edge anchor's principal branch
 
 
 def _perp(u: complex) -> complex:
@@ -204,11 +204,30 @@ def build_cycle(curve: CurveSpec, edge: ChainEdge, edge_index: int, shift: int,
     if abs(wvals[-1] - wvals[0]) > 1e-6 * max(1.0, abs(wvals[0])):
         raise HomologyError(
             f"cycle (edge {edge_index}, shift {shift}) does not close on the surface")
-    return CyclePolyline(edge_index, shift, arr, wvals, radius, offset,
-                         strand_out_mid=i_out_mid, strand_back_mid=i_back_mid)
+    # each strand's sheet relative to the principal branch at the edge's
+    # interior anchor vertex, where the edge integrals are anchored
+    za = path[len(path) // 2]
+    wa = curve.w_principal(za)
+    j_out, j_back = (_strand_sheet(curve, za, wa, arr[i], wvals[i])
+                     for i in (i_out_mid, i_back_mid))
+    if (j_out - j_back) % curve.n != 1:
+        raise HomologyError(
+            f"strand sheets inconsistent with monodromy: {j_out}, {j_back}")
+    return CyclePolyline(edge_index, shift, arr, wvals, radius, offset, j_out, j_back)
 
 
-def build_cycles(curve: CurveSpec, chain: Chain, attempt: int = 0) -> list[CyclePolyline]:
+def _strand_sheet(curve: CurveSpec, za: complex, wa: complex, z: complex,
+                  w: complex) -> int:
+    """The j with w = rho^j times the branch wa at za continued to z."""
+    rho = np.exp(2j * np.pi / curve.n)
+    w0 = track_w(curve, [za, z], wa)[-1]
+    j = int(np.argmin([abs(w - w0 * rho ** k) for k in range(curve.n)]))
+    if abs(w - w0 * rho ** j) > 1e-6 * max(1.0, abs(w)):
+        raise HomologyError("strand sheet identification failed")
+    return j
+
+
+def build_cycles(curve: CurveSpec, chain: Chain) -> list[CyclePolyline]:
     n = curve.n
     edge_lengths = [sum(abs(e.path[i + 1] - e.path[i]) for i in range(len(e.path) - 1))
                     for e in chain.edges]
@@ -220,8 +239,8 @@ def build_cycles(curve: CurveSpec, chain: Chain, attempt: int = 0) -> list[Cycle
     for ei, edge in enumerate(chain.edges):
         for k in range(n - 1):
             frac = (cid + 1) / (total + 1)
-            radius = base * (0.55 + 0.4 * ((frac * phi * (attempt + 3)) % 1.0))
-            offset = radius * (0.12 + 0.3 * ((frac + 0.371 * (attempt + 1)) % 0.5))
+            radius = base * (0.55 + 0.4 * ((frac * phi * 3) % 1.0))
+            offset = radius * (0.12 + 0.3 * ((frac + 0.371) % 0.5))
             cycles.append(build_cycle(curve, edge, ei, k, radius, offset))
             cid += 1
     return cycles

@@ -24,11 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .curves import CurveSpec, Differential
-from .homology import (Chain, CyclePolyline, HomologyError, build_chain,
-                       build_cycles, intersection_matrix, spin_form,
-                       symplectic_transform)
-from .quadrature import (infinity_leg_integrals, leg_integrals, polyline_integrals,
-                         refine_path_for_quadrature, track_w)
+from .homology import (Chain, CyclePolyline, build_chain, build_cycles,
+                       intersection_matrix, spin_form, symplectic_transform)
+from .quadrature import (infinity_leg_integrals, polyline_integrals,
+                         refine_path_for_quadrature)
 from .theta import _SYMMETRY_TOL, Characteristic, RiemannMatrix, theta_norm_abs
 
 
@@ -38,12 +37,10 @@ class PeriodError(RuntimeError):
 
 SNAP_DENOMINATOR = 6     # characteristic entries snap to p/6: covers 1,2,3,6
 SNAP_TOL = 1e-7          # largest coordinate change a snap may make
-QUAD_DRIFT_TARGET = 1e-9  # relative period change between quadrature orders
-QUAD_START_ORDER = 64    # the drift-doubling loop starts from this order
-QUAD_MAX_ORDER = 1024
-DIRECT_NODES = 40        # Gauss-Legendre nodes per polyline segment, a-period re-check
+QUAD_ORDER = 128         # Gauss-Legendre order of every period and Abel-Jacobi leg
+QUAD_DRIFT_TARGET = 1e-9  # largest relative period change from order QUAD_ORDER // 2
+DIRECT_NODES = 40        # Gauss-Legendre nodes per refined leg, a-period re-check
 DIRECT_REL_TOL = 1e-10   # agreement the re-check asks of the a_1-periods
-THETA_TOL = 1e-10        # theta tolerance of the Riemann-constant check
 K_CHECK_DIVISORS = 3     # seeded generic divisors the Riemann-constant check tests
 K_CHECK_SEED = 20240915  # seed of those divisors
 K_VANISHING_CUT = 1e-7   # the K check fails at theta(u(D) + K) / theta_scale >= this
@@ -69,7 +66,7 @@ class PeriodData:
     K_char: Characteristic
     quad_order: int
     diagnostics: dict = field(default_factory=dict)
-    _theta_scales: dict = field(default_factory=dict, init=False, repr=False)
+    _theta_scale: float | None = field(default=None, init=False, repr=False)
 
     # -- lattice helpers --------------------------------------------------
 
@@ -134,13 +131,12 @@ class PeriodData:
         eps, delta = self.lattice_coords(v)
         return v - (self.tau.matrix @ np.round(eps / 2.0) + np.round(delta / 2.0))
 
-    def theta_scale(self, tol: float = 1e-10) -> float:
+    def theta_scale(self) -> float:
         """max theta magnitude over seeded random arguments X + tau X'.
 
         Uses the lattice-invariant magnitude (theta_norm_abs); vanishing
-        thresholds elsewhere compare against this scale.  Computed once per
-        tol."""
-        if tol not in self._theta_scales:
+        thresholds elsewhere compare against this scale.  Computed once."""
+        if self._theta_scale is None:
             rng = np.random.default_rng(THETA_SCALE_SEED)
             ch0 = Characteristic.zero(self.g)
             best = 0.0
@@ -148,9 +144,9 @@ class PeriodData:
                 x = rng.random(self.g)
                 xp = rng.random(self.g)
                 zeta = x + self.tau.matrix @ xp
-                best = max(best, theta_norm_abs(ch0, zeta, self.tau, tol))
-            self._theta_scales[tol] = best
-        return self._theta_scales[tol]
+                best = max(best, theta_norm_abs(ch0, zeta, self.tau))
+            self._theta_scale = best
+        return self._theta_scale
 
 
 # ----------------------------------------------------------------------------
@@ -187,68 +183,38 @@ def _edge_raw_integrals(curve: CurveSpec, chain: Chain,
     return E
 
 
-def _cycle_sheet_factors(curve: CurveSpec, chain: Chain,
-                         cycles: list[CyclePolyline]) -> list[tuple[int, int]]:
-    """(j_out, j_back): sheets of each cycle's two strands relative to the
-    edge anchor branch; consistency j_out = j_back + 1 mod n is asserted."""
-    n = curve.n
-    rho = np.exp(2j * np.pi / n)
-    out = []
-    for c in cycles:
-        edge = chain.edges[c.edge_index]
-        path = edge.path
-        anchor = len(path) // 2
-        za = path[anchor]
-        w0a = curve.w_principal(za)
-        jj = []
-        for idx in (c.strand_out_mid, c.strand_back_mid):
-            zm = c.points[idx]
-            wm = c.w[idx]
-            w0m = track_w(curve, [za, zm], w0a)[-1]
-            j = int(np.argmin([abs(wm - w0m * rho ** k) for k in range(n)]))
-            err = abs(wm - w0m * rho ** j)
-            if err > 1e-6 * max(1.0, abs(wm)):
-                raise HomologyError("strand sheet identification failed")
-            jj.append(j)
-        j_out, j_back = jj
-        if (j_out - j_back) % n != 1:
-            raise HomologyError(
-                f"strand sheets inconsistent with monodromy: {j_out}, {j_back}")
-        out.append((j_out, j_back))
-    return out
-
-
-def _cycle_periods(curve: CurveSpec, chain: Chain, cycles: list[CyclePolyline],
+def _cycle_periods(curve: CurveSpec, cycles: list[CyclePolyline],
                    E: np.ndarray, diffs: Sequence[Differential]) -> np.ndarray:
+    """Each cycle's periods from its edge's E row: the strands' sheets
+    j_out, j_back give the factor rho^(-j_out m) - rho^(-j_back m)."""
     rho = np.exp(2j * np.pi / curve.n)
-    factors = _cycle_sheet_factors(curve, chain, cycles)
     Pi = np.zeros((len(cycles), len(diffs)), dtype=complex)
-    for ci, (c, (j_out, j_back)) in enumerate(zip(cycles, factors)):
+    for ci, c in enumerate(cycles):
         for li, d in enumerate(diffs):
-            Pi[ci, li] = (rho ** (-j_out * d.m) - rho ** (-j_back * d.m)) * E[c.edge_index, li]
+            Pi[ci, li] = (rho ** (-c.j_out * d.m) - rho ** (-c.j_back * d.m)) * E[c.edge_index, li]
     return Pi
 
 
 def _direct_cycle_integrals(curve: CurveSpec, cycle: CyclePolyline,
                             diffs: Sequence[Differential]) -> np.ndarray:
-    """Periods by Gauss-Legendre along the cycle polyline itself, each
-    segment anchored at its start's sheet value.
+    """Periods by Gauss-Legendre along the cycle polyline itself, anchored
+    at its start's sheet value.  Used to re-verify the closed-form edge
+    assembly.
 
-    The polyline hugs the branch points at distance ~radius; DIRECT_NODES
-    per segment still reach rounding level there (at most 1.6e-14 relative
-    on 56 seeded curves).  Used to re-verify the closed-form edge
-    assembly."""
-    pts, wv = cycle.points, cycle.w
-    return sum(leg_integrals(curve, pts[i], pts[i + 1], diffs, DIRECT_NODES,
-                             False, False, wv[i], False)
-               for i in range(len(pts) - 1))
+    The polyline hugs the branch points at distance ~radius, and on a curve
+    with one close pair its strand legs start within a radius of a branch
+    point; refine_path_for_quadrature splits those legs, so DIRECT_NODES
+    per leg reach rounding level there too."""
+    path = refine_path_for_quadrature(cycle.points, curve.lambdas)
+    return polyline_integrals(curve, path, diffs, DIRECT_NODES, sing_start=False,
+                              sing_end=False, w_anchor=cycle.w[0], anchor_index=0).values
 
 
 def build_periods(curve: CurveSpec) -> PeriodData:
     """Construct the full analytic package for a curve.
 
-    The quadrature order doubles from QUAD_START_ORDER until the periods move
-    by less than QUAD_DRIFT_TARGET, up to QUAD_MAX_ORDER.  The branch images
+    Every leg takes QUAD_ORDER nodes, and the periods must move by less
+    than QUAD_DRIFT_TARGET from order QUAD_ORDER // 2.  The branch images
     u(P_k) take one route from infinity, to the outermost branch point k0,
     and from there running sums of C^{-1} E over the chain edges.  K comes
     from the intersection matrix M and the symplectic transform S.
@@ -260,36 +226,19 @@ def build_periods(curve: CurveSpec) -> PeriodData:
     diffs = curve.differentials()
 
     chain = build_chain(curve)
-    cycles = None
-    last_err: Exception | None = None
-    M = None
-    for attempt in range(8):
-        try:
-            cycles = build_cycles(curve, chain, attempt)
-            M = intersection_matrix(curve, cycles)
-            break
-        except HomologyError as exc:
-            last_err = exc
-            cycles = None
-    if cycles is None:
-        raise HomologyError(f"cycle construction failed after retries: {last_err}")
+    cycles = build_cycles(curve, chain)
+    M = intersection_matrix(curve, cycles)
     S = symplectic_transform(M)
 
-    order = QUAD_START_ORDER
-    E = _edge_raw_integrals(curve, chain, diffs, order)
-    Pi = _cycle_periods(curve, chain, cycles, E, diffs)
-    while True:
-        E2 = _edge_raw_integrals(curve, chain, diffs, 2 * order)
-        Pi2 = _cycle_periods(curve, chain, cycles, E2, diffs)
-        scaleP = float(np.max(np.abs(Pi2)))
-        drift = float(np.max(np.abs(Pi2 - Pi) / np.maximum(np.abs(Pi2), 1e-3 * scaleP)))
-        E, Pi = E2, Pi2
-        order *= 2
-        if drift < QUAD_DRIFT_TARGET or order >= QUAD_MAX_ORDER:
-            break
+    Pi_half = _cycle_periods(curve, cycles,
+                             _edge_raw_integrals(curve, chain, diffs, QUAD_ORDER // 2), diffs)
+    E = _edge_raw_integrals(curve, chain, diffs, QUAD_ORDER)
+    Pi = _cycle_periods(curve, cycles, E, diffs)
+    scaleP = float(np.max(np.abs(Pi)))
+    drift = float(np.max(np.abs(Pi - Pi_half) / np.maximum(np.abs(Pi), 1e-3 * scaleP)))
     if drift >= QUAD_DRIFT_TARGET:
         raise PeriodError(
-            f"quadrature did not converge: drift {drift:.3e} at order {order}")
+            f"quadrature did not converge: drift {drift:.3e} at order {QUAD_ORDER}")
 
     A = S[:g] @ Pi          # A[j, l] = a_j-period of differential l
     B = S[g:] @ Pi
@@ -311,8 +260,9 @@ def build_periods(curve: CurveSpec) -> PeriodData:
     k0 = 1 + int(np.argmax(np.abs(curve.lambdas)))
     z_far = 2.0 * curve.lam(k0)
     w_far = curve.w_principal(z_far)
-    u_k0 = np.linalg.solve(C, infinity_leg_integrals(curve, z_far, w_far, diffs, max(order, 96))
-                           - branch_leg_integrals(curve, k0, SurfacePoint(z_far, w_far), order))
+    u_k0 = np.linalg.solve(C, infinity_leg_integrals(curve, z_far, w_far, diffs, QUAD_ORDER)
+                           - branch_leg_integrals(curve, k0, SurfacePoint(z_far, w_far),
+                                                  QUAD_ORDER))
     sums = np.concatenate([np.zeros((1, g)), np.cumsum(np.linalg.solve(C, E.T).T, axis=0)])
     sums += u_k0 - sums[chain.order.index(k0)]
     aj_branch = dict(sorted(zip(chain.order, sums)))
@@ -320,7 +270,7 @@ def build_periods(curve: CurveSpec) -> PeriodData:
     data = PeriodData(curve=curve, chain=chain, C=C, Braw=B.T, tau=tau,
                       aj_branch=aj_branch, K=np.zeros(g, dtype=complex),
                       K_char=Characteristic.zero(g),
-                      quad_order=order)
+                      quad_order=QUAD_ORDER)
 
     # order-n property of branch images
     tau_scale = 1.0 + float(np.max(np.abs(tau_m)))
@@ -377,12 +327,12 @@ def _riemann_vanishing_residual(data: PeriodData) -> float:
     of K_VANISHING_CUT or more raises."""
     g = data.g
     rng = np.random.default_rng(K_CHECK_SEED)
-    scale = data.theta_scale(tol=THETA_TOL)
+    scale = data.theta_scale()
     ch0 = Characteristic.zero(g)
     worst = 0.0
     for _ in range(K_CHECK_DIVISORS if g > 1 else 1):
         u = data.abel_jacobi_divisor(_random_surface_points(data, g - 1, rng))
-        worst = max(worst, theta_norm_abs(ch0, u + data.K, data.tau, THETA_TOL))
+        worst = max(worst, theta_norm_abs(ch0, u + data.K, data.tau))
     if worst >= K_VANISHING_CUT * scale:
         raise PeriodError(f"theta(u(D) + K) = {worst / scale:.3e} of its scale on a "
                           f"generic divisor: K = {data.K_char.label()} is not the "

@@ -59,6 +59,7 @@ class ThetaError(Exception):
 _RADIUS_CAP = 80.0
 _POINT_CAP = 8_000_000
 _SYMMETRY_TOL = 1e-8      # largest |tau - tau^t| entry a Riemann matrix may have
+THETA_TOL = 1e-10         # default truncation bound of theta values and gradients
 # the s of the Rankin bound (module docstring) that every radius is minimized over
 _S_GRID = np.geomspace(1e-3, 0.49, 64)
 
@@ -360,13 +361,13 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
 
 
 def theta_eval(char: Characteristic, zeta, tau: RiemannMatrix,
-               tol: float = 1e-10) -> ThetaValue:
+               tol: float = THETA_TOL) -> ThetaValue:
     """theta[char](zeta, tau) with omitted-tail bound below tol."""
     return _theta_core(char, zeta, tau, tol, want_grad=False)
 
 
 def theta_grad(char: Characteristic, zeta, tau: RiemannMatrix,
-               tol: float = 1e-8) -> ThetaGradient:
+               tol: float = THETA_TOL) -> ThetaGradient:
     """Componentwise d/d zeta_s of theta[char] at zeta, term-differentiated,
     and theta[char](zeta) itself, from one lattice sum; both bounds are below
     tol."""
@@ -374,7 +375,7 @@ def theta_grad(char: Characteristic, zeta, tau: RiemannMatrix,
 
 
 def theta_norm_abs(char: Characteristic, zeta, tau: RiemannMatrix,
-                   tol: float = 1e-10) -> float:
+                   tol: float = THETA_TOL) -> float:
     """Lattice-invariant magnitude |theta(zeta)| exp(-pi Im(zeta)^t Y^-1 Im(zeta)).
 
     Invariant under zeta -> zeta + tau n + l, so it is the meaningful O(1)

@@ -53,7 +53,7 @@ from .algebra import (INF, IndexSet, RootOfUnityTag, c2j, classify_root_of_unity
                       vandermonde_delta)
 from .curves import CurveSpec
 from .periods import PeriodData, PeriodError, _random_surface_points
-from .theta import Characteristic, invariant_abs, theta_eval, theta_grad
+from .theta import THETA_TOL, Characteristic, invariant_abs, theta_eval, theta_grad
 
 SAMPLE_TRIES = 5   # divisors _sample_nonspecial draws before it gives up
 GRAD_TOL = 1e-9         # truncation bound of every derivative identity's gradient
@@ -242,15 +242,14 @@ def _delta_quarter_pair(A: IndexSet, B: IndexSet, lam) -> complex:
 
 
 def verify_thomae_const_hyp(curve: CurveSpec, periods: PeriodData,
-                            p: HypPartition, tol: float = 1e-6,
-                            theta_tol: float = 1e-10) -> VerificationReport:
+                            p: HypPartition, tol: float = 1e-6) -> VerificationReport:
     g = curve.genus
     p.validate(g)
     if p.m != 0:
         raise ValueError("constant identity needs an m=0 partition")
     lam = curve.lam_map
     ch = char_from_partition_hyp(p, periods)
-    lhs = theta_eval(ch, np.zeros(g), periods.tau, theta_tol).value
+    lhs = theta_eval(ch, np.zeros(g), periods.tau).value
     rhs = (principal_power(np.linalg.det(periods.C) / (2.0 ** g * np.pi ** g), 0.5)
            * _delta_quarter_pair(p.I, p.J, lam))
     ratio = lhs / rhs
@@ -259,7 +258,7 @@ def verify_thomae_const_hyp(curve: CurveSpec, periods: PeriodData,
         identity="thomae_const_hyp", partition=p.label(), s_range=[],
         lhs=[lhs], rhs_modulus=abs(rhs), ratios=[ratio], tag=tag,
         spread=0.0, passed=tag.ok,
-        tolerances={"tol": tol, "theta_tol": theta_tol},
+        tolerances={"tol": tol, "theta_tol": THETA_TOL},
         details={"char": ch.label()})
 
 
@@ -312,17 +311,16 @@ def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
     return _hyp_deriv_row(curve, periods, p, tol)[0]
 
 
-def _sample_nonspecial(periods: PeriodData, count: int, rng, theta_tol: float,
-                       sign: int):
+def _sample_nonspecial(periods: PeriodData, count: int, rng, sign: int):
     """Random surface points whose divisor argument sign (sum u(Q_r) + K)
     keeps theta away from 0: (points, argument, theta there, resamples)."""
     ch0 = Characteristic.zero(periods.g)
-    scale = periods.theta_scale(tol=theta_tol)
+    scale = periods.theta_scale()
     tries = 0
     while True:
         pts = _random_surface_points(periods, count, rng)
         arg = sign * (periods.abel_jacobi_divisor(pts) + periods.K)
-        val = theta_eval(ch0, arg, periods.tau, theta_tol).value
+        val = theta_eval(ch0, arg, periods.tau).value
         if invariant_abs(val, arg, periods.tau) > 1e-4 * scale:
             return pts, arg, val, tries
         tries += 1
@@ -336,8 +334,7 @@ _QUOTIENT = {2: ("quotient_hyp", 4, 0.5, 1), 3: ("quotient_trig", 12, 1.0, -1)}
 
 
 def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
-                     seed: int, samples: int, tol: float,
-                     theta_tol: float) -> VerificationReport:
+                     seed: int, samples: int, tol: float) -> VerificationReport:
     """(theta[u(P_k)] / theta)^n at sign (sum u(Q_r) + K) over g random
     points Q_r against prod(lambda_k - z(Q_r)) / f'(lambda_k)^e, with sign
     and e from _QUOTIENT."""
@@ -352,9 +349,9 @@ def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
     ratios = []
     resamples = 0
     for _ in range(samples):
-        pts, arg, den, tries = _sample_nonspecial(periods, g, rng, theta_tol, sign)
+        pts, arg, den, tries = _sample_nonspecial(periods, g, rng, sign)
         resamples += tries
-        num = theta_eval(ch_k, arg, periods.tau, theta_tol).value
+        num = theta_eval(ch_k, arg, periods.tau).value
         lhs = (num / den) ** n
         rhs = np.prod([lam_k - p.z for p in pts]) / fp
         ratios.append(lhs / rhs)
@@ -366,15 +363,15 @@ def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
         identity=identity, partition=f"k={k}", s_range=[],
         lhs=[], rhs_modulus=None, ratios=[complex(r) for r in ratios],
         tag=tag, spread=spread, passed=passed,
-        tolerances={"tol": tol, "theta_tol": theta_tol},
+        tolerances={"tol": tol, "theta_tol": THETA_TOL},
         details={"char": ch_k.label(), "samples": samples, "resamples": resamples})
 
 
 def verify_quotient_hyp(curve: CurveSpec, periods: PeriodData, k: int,
-                        seed: int = 0, samples: int = 3, tol: float = 1e-6,
-                        theta_tol: float = 1e-10) -> VerificationReport:
+                        seed: int = 0, samples: int = 3,
+                        tol: float = 1e-6) -> VerificationReport:
     """Squared theta quotient at generic arguments vs the branch-value product."""
-    return _verify_quotient(curve, periods, k, 2, seed, samples, tol, theta_tol)
+    return _verify_quotient(curve, periods, k, 2, seed, samples, tol)
 
 
 def _verify_matrix_form(identity: str, partition: str,
@@ -455,8 +452,7 @@ class AlphaEstimate:
     per_partition: list[dict]
 
 
-def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
-                theta_tol: float = 1e-10) -> complex:
+def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> complex:
     """Normalized theta constant over the full Delta expression; equals
     trig_alpha(g) times a 144th root of unity when the identity holds.
 
@@ -471,7 +467,7 @@ def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
     p.validate(curve.q)
     ch = char_from_partition_trig(p, periods)
     g = curve.genus
-    lhs = theta_eval(ch, np.zeros(g), periods.tau, theta_tol).value
+    lhs = theta_eval(ch, np.zeros(g), periods.tau).value
     ed = sum(e * d for e, d in zip(ch.eps, ch.delta))
     lhs = lhs * np.exp(2j * np.pi * float(ed) / 4.0)
     rhs = (principal_power(np.linalg.det(periods.C), 0.5)
@@ -480,7 +476,7 @@ def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
 
 
 def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
-                   tol: float = 1e-6, theta_tol: float = 1e-10) -> AlphaEstimate:
+                   tol: float = 1e-6) -> AlphaEstimate:
     """alpha_ratio over all constant-kind partitions of all supplied curves,
     each classified against trig_alpha as a 144th root of unity."""
     moduli = []
@@ -489,7 +485,7 @@ def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
     for ci, (curve, periods) in enumerate(curves):
         alpha = trig_alpha(curve.genus)
         for p in enumerate_partitions_trig(curve.q, "constant"):
-            r = alpha_ratio(curve, periods, p, theta_tol)
+            r = alpha_ratio(curve, periods, p)
             tag = classify_root_of_unity(r / alpha, TRIG_ROOT_ORDER, tol)
             phases.append(tag)
             moduli.append(abs(r))
@@ -558,10 +554,10 @@ def verify_thomae_deriv_trig_t2(curve: CurveSpec, periods: PeriodData,
 
 
 def verify_quotient_trig(curve: CurveSpec, periods: PeriodData, k: int,
-                         seed: int = 0, samples: int = 3, tol: float = 1e-6,
-                         theta_tol: float = 1e-10) -> VerificationReport:
+                         seed: int = 0, samples: int = 3,
+                         tol: float = 1e-6) -> VerificationReport:
     """Cubed theta quotient at -sum u(Q_r) - K vs the branch-value product."""
-    return _verify_quotient(curve, periods, k, 3, seed, samples, tol, theta_tol)
+    return _verify_quotient(curve, periods, k, 3, seed, samples, tol)
 
 
 def derived_partitions_for_matrix(p: TrigPartition, q: int) -> list[TrigPartition]:
@@ -620,17 +616,16 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
                                ("zero_block_err", zero_err), ("zero_tol", ZERO_BLOCK_TOL))
 
 
-def simple_zero_check(periods: PeriodData, p: TrigPartition,
-                      theta_tol: float = 1e-10) -> VerificationReport:
+def simple_zero_check(periods: PeriodData, p: TrigPartition) -> VerificationReport:
     """theta[e_Lambda] vanishes with nonzero gradient exactly for the
     deriv-kind partitions (simple zeros of theta); value and gradient come
-    from one lattice sum at theta_tol."""
+    from one lattice sum at THETA_TOL."""
     g = periods.g
     ch = char_from_partition_trig(p, periods)
-    d = theta_grad(ch, np.zeros(g), periods.tau, theta_tol)
+    d = theta_grad(ch, np.zeros(g), periods.tau)
     val = abs(d.value)
     grad = float(np.linalg.norm(d.values))
-    scale = periods.theta_scale(tol=theta_tol)
+    scale = periods.theta_scale()
     is_zero = val < SIMPLE_ZERO_TOL * scale
     grad_ok = grad > GRAD_FLOOR * scale
     expected_zero = p.kind in ("deriv1", "deriv2")

@@ -19,6 +19,29 @@ def random_curve(n: int, count: int, seed: int, box: float = 2.0,
     return CurveSpec.of(n, lams)
 
 
+# trigonal q=2 curves with one close pair of branch points: every cycle's
+# radius shrinks with that gap, so strand legs start within a radius of a
+# branch point
+CLOSE_PAIR_LAMBDAS = {
+    "close-pair-1": [-903.839869 - 329.449957j, -1617.870426 + 283.905113j,
+                     110.6819 + 294.447725j, -339.531009 + 962.12855j,
+                     -350.530219 + 928.42158j],
+    "close-pair-2": [970.522895 + 724.01923j, 518.511481 + 917.624958j,
+                     532.587543 + 932.612403j, -357.798008 + 212.550986j,
+                     -223.2956 - 466.388093j],
+}
+# a trigonal q=2 cluster 0.03 across, 2.9 from the origin
+CLUSTER_LAMBDAS = [2.938652 - 0.002674j, 2.938034 - 0.003803j, 2.939832 - 0.015489j,
+                   2.934047 - 0.004639j, 2.912861 - 0.012501j]
+# trigonal q=2 curves whose dumbbells give a degenerate intersection form
+DEGENERATE_FORM_LAMBDAS = {
+    "spread": [272.768776 - 1732.134842j, -1233.328664 - 83.696193j,
+               -958.265205 - 1163.225973j, 1600.019089 - 629.288094j,
+               202.882441 - 488.005823j],
+    "cluster": [-0.385892 - 0.009807j, -0.375901 - 0.001732j, -0.371699 - 0.012894j,
+                -0.396428 + 0.000207j, -0.382565 - 0.000379j],
+}
+
 G7_PLAN = os.path.join(os.path.dirname(__file__), "..", "tools", "trig-q3-g7.json")
 
 

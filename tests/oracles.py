@@ -194,7 +194,7 @@ def searched_riemann_constant(data) -> Characteristic:
     n_div = 20 if g > 1 else 1
     divisors = [data.abel_jacobi_divisor(_random_surface_points(data, g - 1, rng))
                 for _ in range(n_div)]
-    scale = data.theta_scale(tol=theta_tol)
+    scale = data.theta_scale()
     ch0 = Characteristic.zero(g)
 
     def invariant_table(u, tol):

@@ -307,21 +307,21 @@ def test_verify_sampling_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_alpha_task_leaves_plan_alpha_alone(tmp_path, monkeypatch):
-    # an alpha_trig task with its own theta_tol must not change the
-    # derivative tasks around it, which use the closed-form alpha; only the
-    # alpha_trig task estimates alpha
+    # an alpha_trig task with its own tol must not change the derivative
+    # tasks around it, which use the closed-form alpha; only the alpha_trig
+    # task estimates alpha
     import thetalab.thomae
     from thetalab.cli import main
     estimate = thetalab.thomae.estimate_alpha
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["theta_tol"])
+        calls.append(kwargs["tol"])
         return estimate(*args, **kwargs)
     monkeypatch.setattr(thetalab.thomae, "estimate_alpha", counted)
     plan = {"curve": TRIG_Q1,
             "tasks": [{"id": "deriv_trig_t1"},
-                      {"id": "alpha_trig", "theta_tol": 1e-2},
+                      {"id": "alpha_trig", "tol": 1e-2},
                       {"id": "deriv_trig_t1"}]}
     f = write(tmp_path / "plan.json", plan)
     out = tmp_path / "r.jsonl"
@@ -333,19 +333,27 @@ def test_verify_alpha_task_leaves_plan_alpha_alone(tmp_path, monkeypatch):
     assert calls == [1e-2]
 
 
-@pytest.mark.parametrize("curve, task", [(TRIG_Q1, "deriv_trig_t1"),
-                                         (PLAN_G1["curve"], "thomae_deriv_hyp")],
-                         ids=["trig", "hyp"])
-def test_derivative_lines_do_not_depend_on_theta_tol(tmp_path, curve, task):
-    # derivative gradients run at thomae.GRAD_TOL, whatever --theta-tol says
+def test_verify_has_no_theta_tol_flag(tmp_path, capsys):
+    # every theta value sums at theta.THETA_TOL; there is nothing to set
     from thetalab.cli import main
+    f = write(tmp_path / "plan.json", PLAN_G1)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", f, "--theta-tol", "1e-13"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --theta-tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve, task", [(TRIG_Q1, "alpha_trig"),
+                                         (PLAN_G1["curve"], "thomae_const_hyp")],
+                         ids=["trig", "hyp"])
+def test_reports_record_the_fixed_theta_tol(tmp_path, curve, task):
+    from thetalab.cli import main
+    from thetalab.theta import THETA_TOL
+    out = tmp_path / "r.jsonl"
     f = write(tmp_path / "plan.json", {"curve": curve, "tasks": [{"id": task}]})
-    outs = []
-    for extra in ([], ["--theta-tol", "1e-13"]):
-        out = tmp_path / f"r{len(outs)}.jsonl"
-        assert main(["verify", f, "--out", str(out)] + extra) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] and outs[0] == outs[1]
+    assert main(["verify", f, "--out", str(out)]) == 0
+    for line in out.read_text().splitlines():
+        assert json.loads(line)["tolerances"]["theta_tol"] == THETA_TOL == 1e-10
 
 
 def test_derivative_plan_computes_no_alpha_ratio(tmp_path, monkeypatch):
@@ -424,7 +432,12 @@ def test_verify_bad_parameter_exits_2(tmp_path, capsys, monkeypatch, plan):
      "error: task 'quotient_hyp': unknown key 'sample'"),
     (_tasks({"id": "period_sanity"}, tolerances={"grad_tol": 1e-9}),
      "error: plan tolerances: unknown key 'grad_tol'"),
-], ids=["plan-quad_order", "task-sample", "tolerances-grad_tol"])
+    (_tasks({"id": "period_sanity"}, tolerances={"theta_tol": 1e-10}),
+     "error: plan tolerances: unknown key 'theta_tol'"),
+    (_tasks({"id": "thomae_const_hyp", "theta_tol": 1e-10}),
+     "error: task 'thomae_const_hyp': unknown key 'theta_tol'"),
+], ids=["plan-quad_order", "task-sample", "tolerances-grad_tol", "tolerances-theta_tol",
+        "task-theta_tol"])
 def test_verify_unknown_key_exits_2(tmp_path, capsys, monkeypatch, plan, line):
     from thetalab.cli import main
 
@@ -459,3 +472,19 @@ def test_checked_in_plans_have_only_known_keys(tmp_path, monkeypatch):
     for label, plan in _checked_in_plans():
         with pytest.raises(Reached):
             main(["verify", write(tmp_path / f"{label}.json", plan)])
+
+
+@pytest.mark.parametrize("label", ["close-pair-1", "close-pair-2"])
+def test_close_pair_trigonal_plans_pass(tmp_path, label):
+    # period construction failed on these curves before the a_1 re-check
+    # refined its legs against the branch points
+    from conftest import CLOSE_PAIR_LAMBDAS
+    from thetalab.cli import main
+    plan = {"curve": {"n": 3, "lambdas": [[z.real, z.imag] for z in CLOSE_PAIR_LAMBDAS[label]]},
+            "seed": 1,
+            "tasks": [{"id": t} for t in ("period_sanity", "alpha_trig", "deriv_trig_t1",
+                                          "deriv_trig_t2", "quotient_trig", "matrix_form_trig",
+                                          "simple_zeros_trig")]}
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", write(tmp_path / "plan.json", plan), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 108

@@ -5,6 +5,7 @@ from thetalab.curves import CurveSpec
 from thetalab.homology import (HomologyError, build_chain, build_cycles,
                                intersection_matrix, symplectic_transform)
 
+from conftest import DEGENERATE_FORM_LAMBDAS
 from oracles import symplectic_transform_by_sums
 
 
@@ -92,3 +93,15 @@ def test_cycles_close_and_intersections_unimodular(n, lams):
     assert abs(round(float(np.linalg.det(M)))) == 1
     S = symplectic_transform(M)
     assert np.array_equal(S @ M @ S.T, canonical_j(g))
+
+
+@pytest.mark.xfail(strict=True, raises=HomologyError,
+                   reason="each dumbbell's sheet shift counts from w_principal at its own "
+                          "start point, which moves with its radius and offset: two shifts "
+                          "of one edge can land on the same pair of sheets")
+@pytest.mark.parametrize("lambdas", list(DEGENERATE_FORM_LAMBDAS.values()),
+                         ids=list(DEGENERATE_FORM_LAMBDAS))
+def test_dumbbells_give_a_unimodular_form(lambdas):
+    c = CurveSpec.of(3, lambdas)
+    S = symplectic_transform(intersection_matrix(c, build_cycles(c, build_chain(c))))
+    assert len(S) == 2 * c.genus

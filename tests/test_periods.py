@@ -12,7 +12,7 @@ from thetalab.quadrature import (build_avoiding_path, polyline_integrals,
                                  refine_path_for_quadrature)
 from thetalab.theta import Characteristic, parity, theta_eval, theta_norm_abs
 
-from conftest import random_curve
+from conftest import CLOSE_PAIR_LAMBDAS, CLUSTER_LAMBDAS, random_curve
 from oracles import (branch_images_by_routes, census_riemann_constant, cross_ratio_j,
                      rotated_far_anchor, searched_riemann_constant)
 
@@ -117,7 +117,7 @@ def test_every_wrong_half_period_fails_the_check(fixture, request):
         if ch == pd.K_char:
             continue
         wrong = dataclasses.replace(pd, K=pd.char_to_vector(ch), K_char=ch, diagnostics={})
-        wrong._theta_scales.update(pd._theta_scales)
+        wrong._theta_scale = pd._theta_scale
         with pytest.raises(PeriodError, match="not the Riemann constant"):
             _riemann_vanishing_residual(wrong)
 
@@ -152,6 +152,44 @@ def test_direct_a1_check_accepts_spread_curve():
     # 10 nodes per polyline segment missed these a_1-periods by 3.0e-5
     c = random_curve(2, 7, 7004, box=4.1, min_gap=0.7)
     assert build_periods(c).diagnostics["a1_direct_check"] <= 1e-12
+
+
+@pytest.mark.parametrize("lambdas", list(CLOSE_PAIR_LAMBDAS.values()) + [CLUSTER_LAMBDAS],
+                         ids=list(CLOSE_PAIR_LAMBDAS) + ["cluster"])
+def test_direct_a1_check_resolves_close_branch_points(lambdas):
+    # 40 nodes per raw polyline segment missed these a_1-periods by 4e-9,
+    # 6e-8 and 5e-10 relative, and period construction failed; on legs
+    # refined against the branch points the re-check agrees to rounding
+    pd = build_periods(CurveSpec.of(3, lambdas))
+    assert pd.diagnostics["a1_direct_check"] <= 1e-13
+    assert pd.diagnostics["quad_drift"] < 1e-13
+
+
+@pytest.mark.xfail(strict=True, raises=PeriodError,
+                   reason="surface points are drawn around the origin, not the cluster")
+def test_cluster_samples_a_nonspecial_divisor():
+    from thetalab.thomae import verify_quotient_trig
+    c = CurveSpec.of(3, CLUSTER_LAMBDAS)
+    assert verify_quotient_trig(c, build_periods(c), 1, seed=1).passed
+
+
+def test_quadrature_drift_from_half_order_raises(monkeypatch):
+    # the periods at QUAD_ORDER // 2 are moved by 1e-8 relative, above
+    # QUAD_DRIFT_TARGET; no higher order is tried
+    import thetalab.periods
+    from thetalab.periods import QUAD_DRIFT_TARGET, QUAD_ORDER
+    real = thetalab.periods._edge_raw_integrals
+    orders = []
+
+    def perturbed(curve, chain, diffs, order):
+        orders.append(order)
+        E = real(curve, chain, diffs, order)
+        return E * (1 + 1e-8) if order == QUAD_ORDER // 2 else E
+    monkeypatch.setattr(thetalab.periods, "_edge_raw_integrals", perturbed)
+    assert QUAD_DRIFT_TARGET < 1e-8
+    with pytest.raises(PeriodError, match="quadrature did not converge"):
+        build_periods(CurveSpec.of(2, [0, 1, 2, 3, 4]))
+    assert orders == [QUAD_ORDER // 2, QUAD_ORDER]
 
 
 def _route_from_infinity(pd, pt):

@@ -157,7 +157,7 @@ def test_build_periods_tracks_no_quadrature_node(monkeypatch):
         cycle_points.append(list(out.points))
         return out
 
-    for module in (quadrature, homology, periods):
+    for module in (quadrature, homology):
         monkeypatch.setattr(module, "track_w", track)
     monkeypatch.setattr(periods, "polyline_integrals", polyline)
     monkeypatch.setattr(homology, "build_cycle", cycle)

@@ -107,15 +107,15 @@ def test_quotient_resample_path(hyp_g2, monkeypatch):
     calls = {"n": 0}
     orig = T.theta_eval
 
-    def fake(ch, arg, tau, tol):
+    def fake(ch, arg, tau):
         calls["n"] += 1
         if calls["n"] == 1:
-            return dataclasses.replace(orig(ch, arg, tau, tol), value=0j)
-        return orig(ch, arg, tau, tol)
+            return dataclasses.replace(orig(ch, arg, tau), value=0j)
+        return orig(ch, arg, tau)
 
     monkeypatch.setattr(T, "theta_eval", fake)
     rng = np.random.default_rng(5)
-    pts, arg, den, tries = _sample_nonspecial(pd, 2, rng, 1e-10, 1)
+    pts, arg, den, tries = _sample_nonspecial(pd, 2, rng, 1)
     assert tries == 1 and calls["n"] == 2
     assert den == orig(Characteristic.zero(2), arg, pd.tau, 1e-10).value
 
