@@ -8,10 +8,11 @@ Subcommands:
 
 Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success /
 all verifications passed, 1 verification failure, 2 parse failure (also a
-curve spec with a bad degree or branch-point count), unknown task id, a
-task for the other cover degree, an unknown task or plan key or a bad task
-or plan parameter, 3 invariant failure (branch points not distinct,
-non-positive-definite Im tau), theta failure (truncation or point cap), sheet
+curve spec with a bad degree or branch-point count, or a non-finite theta
+input), unknown task id, a task for the other cover degree, an unknown task
+or plan key or a bad task or plan parameter, 3 invariant failure (branch
+points not distinct, non-positive-definite Im tau), theta failure
+(truncation or point cap, or a lattice shift of 2**53 or more), sheet
 tracking failure (a path step or quadrature leg onto or through a branch
 point) or no non-special divisor found by sampling.
 Runs are deterministic for a fixed plan and seed; wall-clock timings appear
@@ -29,8 +30,8 @@ import time
 import numpy as np
 
 from .curves import BranchPointsNotDistinct, CurveSpec, CurveSpecError
-from .periods import (K_VANISHING_CUT, QUAD_DRIFT_TARGET, PeriodData, PeriodError,
-                      build_periods)
+from .periods import (K_VANISHING_CUT, QUAD_DRIFT_TARGET, QUAD_ORDER, PeriodData,
+                      PeriodError, build_periods)
 from .homology import HomologyError
 from .quadrature import QuadratureError
 from .theta import (_SYMMETRY_TOL, THETA_TOL, Characteristic, RiemannMatrix, ThetaError,
@@ -82,14 +83,10 @@ def cmd_periods(args) -> int:
         "K": [c2j(x) for x in pd.K],
         "K_characteristic": {"eps": [str(x) for x in pd.K_char.eps],
                              "delta": [str(x) for x in pd.K_char.delta]},
-        "quad_order": pd.quad_order,
-        "invariants": {
-            "tau_asymmetry": pd.diagnostics.get("tau_asymmetry"),
-            "im_tau_min_eig": pd.diagnostics.get("im_tau_min_eig"),
-            "quad_drift": pd.diagnostics.get("quad_drift"),
-            "order_n_lattice_dist": pd.diagnostics.get("order_n_lattice_dist"),
-            "a1_direct_check": pd.diagnostics.get("a1_direct_check"),
-        },
+        "quad_order": QUAD_ORDER,
+        "invariants": {key: pd.diagnostics.get(key) for key in (
+            "tau_asymmetry", "im_tau_min_eig", "quad_drift", "order_n_lattice_dist",
+            "a1_direct_check")},
     }
     text = json.dumps(out, indent=2)
     if args.out:
@@ -118,6 +115,8 @@ def cmd_theta(args) -> int:
         for name, v in (("eps", char.eps), ("delta", char.delta), ("zeta", zeta)):
             if len(v) != g:
                 raise ValueError(f"{name} has {len(v)} entries for a {g} x {g} tau")
+        if not (np.isfinite(tau_m).all() and np.isfinite(zeta).all()):
+            raise ValueError("tau and zeta entries must be finite")
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         print(f"error: malformed theta input: {exc}", file=sys.stderr)
         return 2

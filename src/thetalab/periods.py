@@ -6,6 +6,12 @@ normalized by a-periods, to the monomial basis), tau_{sj} is the b_j-period
 of v_s, and the Jacobian lattice is Z^g + tau Z^g.  The Abel-Jacobi base
 point is the single point over infinity.
 
+The branch images follow from Abel's theorem: div(z - lambda_k) = n P_k -
+n P_inf and div(w) = sum_k P_k - N P_inf, so n u(P_k) and sum_k u(P_k) are
+lattice vectors, and as gcd(n, N) = 1 the chain-edge sums d_k fix
+u(P_k) = d_k - (N^-1 mod n) sum_j d_j.  Each is snapped once to an exact
+characteristic (branch_char), from which PeriodData.characteristic sums.
+
 The Riemann constant K for that base point is the theta characteristic of
 the spin bundle O((g-1) P_inf), whose square is the divisor (2g-2) P_inf of
 dz/w^(n-1).  Its characteristic is [q(a_1..a_g); q(b_1..b_g)] for D.
@@ -19,15 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .curves import CurveSpec, Differential
 from .homology import (Chain, CyclePolyline, build_chain, build_cycles,
                        intersection_matrix, spin_form, symplectic_transform)
-from .quadrature import (infinity_leg_integrals, polyline_integrals,
-                         refine_path_for_quadrature)
+from .quadrature import polyline_integrals, refine_path_for_quadrature
 from .theta import _SYMMETRY_TOL, Characteristic, RiemannMatrix, theta_norm_abs
 
 
@@ -47,6 +52,8 @@ K_VANISHING_CUT = 1e-7   # the K check fails at theta(u(D) + K) / theta_scale >=
 THETA_SCALE_SEED = 1234  # seeded arguments of PeriodData.theta_scale
 THETA_SCALE_SAMPLES = 12
 
+_SNAP_ENTRIES = tuple(Fraction(i, SNAP_DENOMINATOR) for i in range(2 * SNAP_DENOMINATOR))
+
 
 @dataclass
 class SurfacePoint:
@@ -61,12 +68,13 @@ class PeriodData:
     C: np.ndarray                  # g x g, rows = differentials, cols = a-cycles
     Braw: np.ndarray               # g x g, rows = differentials, cols = b-cycles
     tau: RiemannMatrix
-    aj_branch: dict[int, np.ndarray]
+    branch_char: dict[int, Characteristic]   # u(P_k), exact
+    aj_branch: dict[int, np.ndarray]         # char_to_vector(branch_char[k])
     K: np.ndarray
     K_char: Characteristic
-    quad_order: int
     diagnostics: dict = field(default_factory=dict)
     _theta_scale: float | None = field(default=None, init=False, repr=False)
+    _units: dict | None = field(default=None, init=False, repr=False)  # see characteristic
 
     # -- lattice helpers --------------------------------------------------
 
@@ -93,19 +101,30 @@ class PeriodData:
         """Characteristic of v modulo the lattice, its coordinates rounded to
         the nearest multiples of 1/SNAP_DENOMINATOR, and the residual (max
         deviation before reduction); a residual above SNAP_TOL raises."""
-        eps, delta = self.lattice_coords(v)
-        d = SNAP_DENOMINATOR
-        eps_s = np.round(eps * d) / d
-        delta_s = np.round(delta * d) / d
-        residual = float(max(np.max(np.abs(eps - eps_s), initial=0.0),
-                             np.max(np.abs(delta - delta_s), initial=0.0)))
+        x = np.concatenate(self.lattice_coords(v)) * SNAP_DENOMINATOR
+        residual = float(np.max(np.abs(x - np.round(x)), initial=0.0)) / SNAP_DENOMINATOR
         if residual > SNAP_TOL:
             raise PeriodError(
                 f"characteristic snap residual {residual:.3e} exceeds {SNAP_TOL:.1e}")
-        ch = Characteristic.of(
-            [Fraction(int(round(x * d)), d) % 2 for x in eps_s],
-            [Fraction(int(round(x * d)), d) % 2 for x in delta_s])
-        return ch, residual
+        return self._char_of_units(np.round(x).astype(np.int64)), residual
+
+    def characteristic(self, counts: Mapping[int, int],
+                       plus_K: bool = True) -> Characteristic:
+        """Characteristic of sum_k counts[k] u(P_k), plus K unless plus_K is
+        False, summed exactly in units of 1/SNAP_DENOMINATOR; the units of
+        branch_char and K_char are read on the first call."""
+        if self._units is None:
+            self._units = {k: np.array([int(x * SNAP_DENOMINATOR) for x in ch.eps + ch.delta])
+                           for k, ch in dict(self.branch_char, K=self.K_char).items()}
+        total = self._units["K"] * int(plus_K)
+        for k, c in counts.items():
+            total = total + c * self._units[k]
+        return self._char_of_units(total)
+
+    def _char_of_units(self, units: np.ndarray) -> Characteristic:
+        """Entries units / SNAP_DENOMINATOR mod 2, eps first."""
+        entries = [_SNAP_ENTRIES[x] for x in (units % (2 * SNAP_DENOMINATOR)).tolist()]
+        return Characteristic(tuple(entries[:self.g]), tuple(entries[self.g:]))
 
     def char_to_vector(self, char: Characteristic) -> np.ndarray:
         return self.tau.matrix @ (char.eps_float() / 2.0) + char.delta_float() / 2.0
@@ -113,11 +132,11 @@ class PeriodData:
     # -- Abel-Jacobi ------------------------------------------------------
 
     def abel_jacobi_point(self, point: SurfacePoint) -> np.ndarray:
-        """u_{P_inf}(point) for a generic surface point (z, w), at quad_order:
+        """u_{P_inf}(point) for a generic surface point (z, w), at QUAD_ORDER:
         u(P_k) plus the integral from the nearest branch point lambda_k, so no
         other branch point lies on the leg (it would be nearer)."""
         k = 1 + int(np.argmin(np.abs(np.asarray(self.curve.lambdas) - point.z)))
-        leg = branch_leg_integrals(self.curve, k, point, self.quad_order)
+        leg = branch_leg_integrals(self.curve, k, point, QUAD_ORDER)
         return self.aj_branch[k] + np.linalg.solve(self.C, leg)
 
     def abel_jacobi_divisor(self, points: Sequence[SurfacePoint]) -> np.ndarray:
@@ -215,9 +234,10 @@ def build_periods(curve: CurveSpec) -> PeriodData:
 
     Every leg takes QUAD_ORDER nodes, and the periods must move by less
     than QUAD_DRIFT_TARGET from order QUAD_ORDER // 2.  The branch images
-    u(P_k) take one route from infinity, to the outermost branch point k0,
-    and from there running sums of C^{-1} E over the chain edges.  K comes
-    from the intersection matrix M and the symplectic transform S.
+    u(P_k) are the running sums of C^{-1} E over the chain edges, shifted
+    by Abel's theorem (see the module docstring), checked to be n-torsion
+    and snapped once to exact characteristics.  K comes from the
+    intersection matrix M and the symplectic transform S.
 
     Raises PeriodError / HomologyError on invariant failures (these indicate
     ill-conditioned input or a construction bug, never a soft warning).
@@ -255,30 +275,24 @@ def build_periods(curve: CurveSpec) -> PeriodData:
         raise PeriodError(f"tau asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
     tau = RiemannMatrix(tau_m)
 
-    # no other branch point lies on the ray through lambda_k0; on every chain
-    # edge i: a -> b, u(P_b) - u(P_a) - C^{-1} E_i is a lattice vector
-    k0 = 1 + int(np.argmax(np.abs(curve.lambdas)))
-    z_far = 2.0 * curve.lam(k0)
-    w_far = curve.w_principal(z_far)
-    u_k0 = np.linalg.solve(C, infinity_leg_integrals(curve, z_far, w_far, diffs, QUAD_ORDER)
-                           - branch_leg_integrals(curve, k0, SurfacePoint(z_far, w_far),
-                                                  QUAD_ORDER))
-    sums = np.concatenate([np.zeros((1, g)), np.cumsum(np.linalg.solve(C, E.T).T, axis=0)])
-    sums += u_k0 - sums[chain.order.index(k0)]
-    aj_branch = dict(sorted(zip(chain.order, sums)))
+    # on every chain edge i: a -> b, u(P_b) - u(P_a) - C^{-1} E_i is a
+    # lattice vector, and Abel's theorem fixes the common shift
+    d = np.concatenate([np.zeros((1, g)), np.cumsum(np.linalg.solve(C, E.T).T, axis=0)])
+    u = d - pow(curve.num_branch, -1, curve.n) * d.sum(axis=0)
 
     data = PeriodData(curve=curve, chain=chain, C=C, Braw=B.T, tau=tau,
-                      aj_branch=aj_branch, K=np.zeros(g, dtype=complex),
-                      K_char=Characteristic.zero(g),
-                      quad_order=QUAD_ORDER)
+                      branch_char={}, aj_branch={}, K=np.zeros(g, dtype=complex),
+                      K_char=Characteristic.zero(g))
 
-    # order-n property of branch images
+    # order-n property of branch images, then one snap each
     tau_scale = 1.0 + float(np.max(np.abs(tau_m)))
-    max_dist = max(data.lattice_distance(curve.n * aj_branch[k])
-                   for k in aj_branch)
+    max_dist = max(data.lattice_distance(curve.n * v) for v in u)
     if max_dist > 1e-8 * tau_scale:
         raise PeriodError(
             f"n * u(P_k) misses the lattice by {max_dist:.3e}: homology/AJ bug")
+    for k, v in sorted(zip(chain.order, u)):
+        data.branch_char[k] = data.lattice_reduce(v)[0]
+        data.aj_branch[k] = data.char_to_vector(data.branch_char[k])
     data.diagnostics["order_n_lattice_dist"] = max_dist
     data.diagnostics["tau_asymmetry"] = asym
     data.diagnostics["im_tau_min_eig"] = float(eigs[0])

@@ -43,6 +43,7 @@ practice) so that third- and sixth-period bookkeeping never drifts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,15 +305,19 @@ class ThetaGradient:
 
 
 def _range_reduce(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix):
-    """Shift zeta by lattice vectors; returns (zeta', prefactor, n0)."""
-    n0 = np.round(tau.Yinv @ np.imag(zeta)).astype(np.int64)
-    l0 = np.round(np.real(zeta) - np.real(tau.matrix) @ n0).astype(np.int64)
+    """Shift zeta by lattice vectors; returns (zeta', prefactor, n0, l0).
+    A shift of 2**53 or more, no longer an exact integer, raises."""
+    n0 = np.round(tau.Yinv @ np.imag(zeta))
+    l0 = np.round(np.real(zeta) - np.real(tau.matrix) @ n0)
+    if not (np.abs(np.concatenate([n0, l0])) < 2.0 ** 53).all():
+        raise ThetaError(f"argument {zeta} needs a lattice shift of 2**53 or more")
+    n0, l0 = n0.astype(np.int64), l0.astype(np.int64)
     zr = zeta - tau.matrix @ n0 - l0
     eps = char.eps_float()
     delta = char.delta_float()
     expo = (-n0 @ tau.matrix @ n0 / 2.0 - n0 @ zr
             + (l0 @ eps - n0 @ delta) / 2.0)
-    return zr, _efun(expo), n0
+    return zr, _efun(expo), n0, l0
 
 
 def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
@@ -321,7 +326,7 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
         raise ValueError("tol must be positive")
     zeta = np.asarray(zeta, dtype=complex).reshape(tau.g)
     char_red, phase0 = reduce_characteristic(char)
-    zr, pref, n0 = _range_reduce(char_red, zeta, tau)
+    zr, pref, n0, _ = _range_reduce(char_red, zeta, tau)
     scale = max(1.0, abs(pref))
     tol_red = tol / scale
 
@@ -409,7 +414,7 @@ def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarr
     """
     g = tau.g
     zeta = np.asarray(zeta, dtype=complex).reshape(g)
-    zr, pref, n0 = _range_reduce(Characteristic.zero(g), zeta, tau)
+    zr, pref, n0, l0 = _range_reduce(Characteristic.zero(g), zeta, tau)
     # the zero-characteristic range reduction is valid for every integral
     # characteristic up to a unimodular factor e((l0.eps - n0.delta)/2)
     c = tau.Yinv @ np.imag(zr)
@@ -427,7 +432,6 @@ def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarr
     walsh = 1.0 - 2.0 * (((((codes[:, None] & codes[None, :])[..., None] >> bits) & 1)
                           .sum(-1)) % 2)
     out = np.zeros((two, two), dtype=complex)
-    l0 = np.round(np.real(zeta) - np.real(tau.matrix) @ n0).astype(np.int64)
     for ecode in range(two):
         evec = (ecode >> bits) & 1
         a = evec / 2.0
@@ -449,18 +453,6 @@ def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarr
 
 def count_parities(g: int) -> tuple[int, int]:
     """(even, odd) counts over all 4^g integral characteristics mod 2."""
-    even = odd = 0
-    for code in range(4 ** g):
-        bits = code
-        eps, delta = [], []
-        for _ in range(g):
-            eps.append(bits & 1)
-            bits >>= 1
-            delta.append(bits & 1)
-            bits >>= 1
-        ch = Characteristic.of(eps, delta)
-        if parity(ch) == 0:
-            even += 1
-        else:
-            odd += 1
-    return even, odd
+    odd = sum(parity(Characteristic.of(bits[:g], bits[g:]))
+              for bits in itertools.product((0, 1), repeat=2 * g))
+    return 4 ** g - odd, odd

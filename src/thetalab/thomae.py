@@ -160,10 +160,7 @@ def enumerate_partitions_trig(q: int, kind: str, infinity_in: int = None) -> lis
 
 def char_from_partition_hyp(p: HypPartition, periods: PeriodData) -> Characteristic:
     """Characteristic of sum_{i in I_m} u(P_i) + K; integral by construction."""
-    v = periods.K.copy()
-    for i in p.I.finite:
-        v = v + periods.aj_branch[i]
-    ch, _ = periods.lattice_reduce(v)
+    ch = periods.characteristic({i: 1 for i in p.I.finite})
     if not ch.is_integral():
         raise ValueError(f"partition characteristic not integral: {ch.label()}")
     return ch
@@ -171,13 +168,8 @@ def char_from_partition_hyp(p: HypPartition, periods: PeriodData) -> Characteris
 
 def char_from_partition_trig(p: TrigPartition, periods: PeriodData) -> Characteristic:
     """Characteristic of sum_{L1} u + 2 sum_{L2} u + K (denominators 1,2,3,6)."""
-    v = periods.K.copy()
-    for i in p.L1.finite:
-        v = v + periods.aj_branch[i]
-    for i in p.L2.finite:
-        v = v + 2.0 * periods.aj_branch[i]
-    ch, _ = periods.lattice_reduce(v)
-    return ch
+    return periods.characteristic({i: c for c, part in ((1, p.L1), (2, p.L2))
+                                   for i in part.finite})
 
 
 # ----------------------------------------------------------------------------
@@ -341,7 +333,7 @@ def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
     identity, order, fp_exp, sign = _QUOTIENT[n]
     g = curve.genus
     rng = np.random.default_rng(seed)
-    ch_k, _ = periods.lattice_reduce(periods.aj_branch[k])
+    ch_k = periods.characteristic({k: 1}, plus_K=False)
     lam_k = curve.lam(k)
     fp = curve.f_prime_at_branch(k)
     if fp_exp != 1.0:

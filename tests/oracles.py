@@ -5,15 +5,17 @@ a plain full-box lattice sum, the elliptic j target comes from the
 branch-point cross-ratio, sheet tracking is checked against the scalar
 depth-first step rule, lattice enumeration against the depth-first
 Fincke-Pohst recursion, the infinity leg against its node-by-node
-continuation, the branch images summed along the chain edges against one
-route from infinity per branch point, the Riemann constant from the
+continuation, the branch images from the chain-edge sums and Abel's
+theorem against one route from infinity per branch point, the Riemann constant from the
 intersection form against the half-period search and the hyperelliptic
-parity census that once found it, and the Thomae derivative right-hand
-sides and closed-form Jacobians against the contraction loops each once
-wrote out.  The truncation radius is checked against the packing bound it
-replaced, its product bound against Poisson summation, theta itself
-against a 30-digit mpmath sum, and the symplectic reduction against the
-entry-by-entry triple sums it once recomputed.
+parity census that once found it, the exact partition characteristics
+against the float sums snapped once per partition that they replaced, and
+the Thomae derivative right-hand sides and closed-form Jacobians against
+the contraction loops each once wrote out.  The truncation radius is
+checked against the packing bound it replaced, its product bound against
+Poisson summation, theta itself against a 30-digit mpmath sum, and the
+symplectic reduction against the entry-by-entry triple sums it once
+recomputed.
 """
 
 import itertools
@@ -28,7 +30,7 @@ from thetalab.algebra import (INF, all_elementary_symmetric, derivative_at_root,
 from thetalab.homology import HomologyError
 from thetalab.quadrature import (build_avoiding_path, infinity_leg_integrals,
                                  polyline_integrals, refine_path_for_quadrature)
-from thetalab.periods import _random_surface_points
+from thetalab.periods import QUAD_ORDER, _random_surface_points
 from thetalab.theta import (Characteristic, ThetaError, parity, theta_halfint_table,
                             theta_norm_abs)
 from thetalab.thomae import _delta_product_trig, _delta_quarter_pair
@@ -148,8 +150,8 @@ def branch_images_by_routes(periods) -> dict:
     """u(P_k) of every branch point along its own route, frozen from
     thetalab's build_periods before it summed the chain edges: the infinity
     leg to the rotated z_far, then a polyline from z_far to lambda_k that
-    bends around the other branch points, both at the periods' order."""
-    curve, order = periods.curve, periods.quad_order
+    bends around the other branch points, both at QUAD_ORDER."""
+    curve, order = periods.curve, QUAD_ORDER
     z_far, w_far, inf_leg = rotated_far_anchor(curve, order)
     out = {}
     for k in range(1, curve.num_branch + 1):
@@ -161,6 +163,17 @@ def branch_images_by_routes(periods) -> dict:
                                  w_anchor=w_far, anchor_index=0)
         out[k] = np.linalg.solve(periods.C, inf_leg + res.values)
     return out
+
+
+def char_by_snap(periods, images, counts, plus_K=True) -> Characteristic:
+    """The characteristic of sum_k counts[k] images[k], plus K unless plus_K
+    is False, as thetalab took every partition's before it summed exact
+    characteristics: the float vectors summed and the total snapped by
+    lattice_reduce."""
+    v = periods.K.copy() if plus_K else np.zeros(periods.g, dtype=complex)
+    for k, c in counts.items():
+        v = v + c * images[k]
+    return periods.lattice_reduce(v)[0]
 
 
 def _branch_supported_divisors(data, count: int, rng) -> list:

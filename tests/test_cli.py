@@ -127,6 +127,33 @@ def test_theta_bad_characteristic_or_argument_exits_2(tmp_path, capsys, entry):
     assert err.startswith("error: malformed theta input") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", [
+    {"zeta": [[float("nan"), 0.0]]}, {"zeta": [[0.0, float("inf")]]},
+    {"tau": [[[float("nan"), 1.0]]]}, {"tau": [[[0.0, float("inf")]]]},
+], ids=["zeta-nan", "zeta-inf", "tau-nan", "tau-inf"])
+def test_theta_non_finite_input_exits_2(tmp_path, capsys, entry):
+    # NaN and Infinity as the tokens json writes for them; a NaN zeta once
+    # printed a NaN value, which is not strict JSON
+    from thetalab.cli import main
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps({"tau": [[[0.0, 1.0]]], **entry}))
+    assert main(["theta", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed theta input") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("zeta", [[1e300, 0.0], [0.0, 1e300]], ids=["real", "imaginary"])
+def test_theta_huge_argument_exits_3(tmp_path, capsys, zeta):
+    # the lattice shift back to the fundamental cell would overflow int64:
+    # Re zeta = 1e300 once printed 0.9456 for theta(0, i) = 1.0864
+    from thetalab.cli import main
+    f = write(tmp_path / "t.json", {"tau": [[[0.0, 1.0]]], "zeta": [zeta]})
+    assert main(["theta", f]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: theta evaluation failed") and "2**53" in err
+    assert err.count("\n") == 1
+
+
 def test_thetalab_imports_no_scipy():
     code = ("import sys, thetalab, thetalab.cli; "
             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")

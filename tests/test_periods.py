@@ -6,15 +6,18 @@ import pytest
 
 from thetalab.curves import CurveSpec, CurveSpecError
 from thetalab.modular import j_invariant
-from thetalab.periods import (PeriodError, SurfacePoint, _random_surface_points,
-                              _riemann_vanishing_residual, build_periods)
+from thetalab.periods import (QUAD_ORDER, PeriodError, SurfacePoint,
+                              _random_surface_points, _riemann_vanishing_residual,
+                              build_periods)
 from thetalab.quadrature import (build_avoiding_path, polyline_integrals,
                                  refine_path_for_quadrature)
 from thetalab.theta import Characteristic, parity, theta_eval, theta_norm_abs
+from thetalab.thomae import (char_from_partition_hyp, char_from_partition_trig,
+                             enumerate_partitions_hyp, enumerate_partitions_trig)
 
 from conftest import CLOSE_PAIR_LAMBDAS, CLUSTER_LAMBDAS, random_curve
-from oracles import (branch_images_by_routes, census_riemann_constant, cross_ratio_j,
-                     rotated_far_anchor, searched_riemann_constant)
+from oracles import (branch_images_by_routes, census_riemann_constant, char_by_snap,
+                     cross_ratio_j, rotated_far_anchor, searched_riemann_constant)
 
 
 def test_curve_spec_validation():
@@ -198,12 +201,12 @@ def _route_from_infinity(pd, pt):
     through a detour waypoint to pt, its sheet at z_far matched against
     w_far."""
     c = pd.curve
-    z_far, w_far, inf_leg = rotated_far_anchor(c, pd.quad_order)
+    z_far, w_far, inf_leg = rotated_far_anchor(c, QUAD_ORDER)
     mid = pt.z + 2.5 - 1.5j
     path1 = build_avoiding_path(z_far, mid, list(c.lambdas), 0.3)
     path2 = build_avoiding_path(mid, pt.z, list(c.lambdas), 0.3)
     path = refine_path_for_quadrature(path1[:-1] + path2, list(c.lambdas))
-    res = polyline_integrals(c, path, c.differentials(), pd.quad_order,
+    res = polyline_integrals(c, path, c.differentials(), QUAD_ORDER,
                              sing_start=False, sing_end=False,
                              w_anchor=pt.w, anchor_index=len(path) - 1)
     rho = np.exp(2j * np.pi / c.n)
@@ -247,6 +250,55 @@ def test_branch_images_match_one_route_each(fixture, request):
     assert sorted(pd.aj_branch) == sorted(routes)
     for k, u in pd.aj_branch.items():
         assert pd.lattice_distance(u - routes[k]) <= 1e-11
+
+
+def test_build_periods_takes_no_route_from_infinity(monkeypatch):
+    # Abel's theorem anchors the chain-edge sums: no leg from infinity
+    import thetalab.periods
+    import thetalab.quadrature
+    calls = []
+    real = thetalab.quadrature.infinity_leg_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(thetalab.quadrature, "infinity_leg_integrals", counted)
+    monkeypatch.setattr(thetalab.periods, "infinity_leg_integrals", counted, raising=False)
+    for c in (CurveSpec.of(2, [0, 1, 2, 3, 4]), random_curve(3, 5, 7)):
+        build_periods(c)
+    assert calls == []
+
+
+def _partition_characteristics(c, pd):
+    """(characteristic, branch multiplicities) of every partition of c: the
+    hyperelliptic ones of each index m, the trigonal ones of each kind with
+    infinity in each part."""
+    if c.n == 2:
+        for m in range((c.genus + 1) // 2 + 1):
+            for p in enumerate_partitions_hyp(c.genus, m):
+                yield char_from_partition_hyp(p, pd), {i: 1 for i in p.I.finite}
+    else:
+        for kind in ("constant", "deriv1", "deriv2"):
+            for loc in (0, 1, 2):
+                for p in enumerate_partitions_trig(c.q, kind, loc):
+                    yield (char_from_partition_trig(p, pd),
+                           {i: mult for mult, part in ((1, p.L1), (2, p.L2))
+                            for i in part.finite})
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_CURVES + ["trig_q3_g7"])
+def test_exact_characteristics_match_the_float_snap(fixture, request):
+    # each branch point's characteristic and every partition's, against
+    # the float sums snapped once per partition that they replaced, here
+    # summed from one independent route per branch point
+    for c, pd in _fixture_periods(fixture, request):
+        routes = branch_images_by_routes(pd)
+        for k in routes:
+            assert pd.branch_char[k] == pd.characteristic({k: 1}, plus_K=False) \
+                == char_by_snap(pd, routes, {k: 1}, plus_K=False)
+        for ch, counts in _partition_characteristics(c, pd):
+            assert ch == char_by_snap(pd, routes, counts)
 
 
 @pytest.mark.parametrize("fixture", ["hyp_g2_batch", "trig_q2_batch"])

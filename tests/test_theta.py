@@ -388,6 +388,20 @@ def test_radius_cap_raises():
         _radius(tau, 1e-10, float("nan"))
 
 
+def test_lattice_shift_of_2_to_53_raises():
+    # below 2**53 a rounded shift is an exact integer, and theta is
+    # 1-periodic; from 2**53 on (or on NaN) the shift raises, where its
+    # int64 cast once overflowed into a wrong value
+    tau = RiemannMatrix([[1j]])
+    ch0 = Characteristic.zero(1)
+    assert theta_eval(ch0, [2.0 ** 52], tau).value == theta_eval(ch0, [0.0], tau).value
+    for zeta in ([2.0 ** 53], [2.0 ** 53 * 1j], [1e300], [float("nan")]):
+        with pytest.raises(ThetaError, match=r"2\*\*53"):
+            theta_eval(ch0, zeta, tau)
+        with pytest.raises(ThetaError, match=r"2\*\*53"):
+            theta_halfint_table(zeta, tau)
+
+
 def _bench_taus():
     """tau of the 12 benchmark curves (the plans of tools/identity_digests.py)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
