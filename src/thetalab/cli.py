@@ -181,15 +181,28 @@ class Plan:
             details={k: v for k, (v, t) in checks.items()}
             | {"im_tau_min_eig": d["im_tau_min_eig"]})
 
+    def _sum_constants(self, parts, grad: bool):
+        """Fill the plan's theta table for all of a task's partitions at
+        once: values at THETA_TOL, or gradients at GRAD_TOL, as the
+        identities read them."""
+        char = (thomae.char_from_partition_hyp if self.curve.n == 2
+                else thomae.char_from_partition_trig)
+        self.pd.theta_constants([char(p, self.pd) for p in parts],
+                                thomae.GRAD_TOL if grad else THETA_TOL, grad)
+
     def thomae_const_hyp(self, task, tol, seed):
-        for p in thomae.enumerate_partitions_hyp(self.curve.genus, 0):
+        parts = thomae.enumerate_partitions_hyp(self.curve.genus, 0)
+        self._sum_constants(parts, False)
+        for p in parts:
             yield thomae.verify_thomae_const_hyp(self.curve, self.pd, p, tol)
 
     def thomae_deriv_hyp(self, task, tol, seed):
         include_inf = bool(task.get("include_infinity", False))
-        for p in thomae.enumerate_partitions_hyp(self.curve.genus, 1):
-            if include_inf or INF not in p.I:
-                yield thomae.verify_thomae_deriv_hyp(self.curve, self.pd, p, tol)
+        parts = [p for p in thomae.enumerate_partitions_hyp(self.curve.genus, 1)
+                 if include_inf or INF not in p.I]
+        self._sum_constants(parts, True)
+        for p in parts:
+            yield thomae.verify_thomae_deriv_hyp(self.curve, self.pd, p, tol)
 
     def quotient(self, task, tol, seed):
         verify = (thomae.verify_quotient_hyp if self.curve.n == 2
@@ -200,8 +213,10 @@ class Plan:
                          samples=int(task.get("samples", 3)), tol=tol)
 
     def matrix_form_hyp(self, task, tol, seed):
-        parts = thomae.enumerate_partitions_hyp(self.curve.genus, 0)
-        for p in parts[:int(task.get("count", 1))]:
+        parts = thomae.enumerate_partitions_hyp(self.curve.genus, 0)[:int(task.get("count", 1))]
+        self._sum_constants([p1 for p in parts for p1 in thomae.derived_partitions_hyp(p)],
+                            True)
+        for p in parts:
             yield thomae.verify_matrix_form_hyp(self.curve, self.pd, p, tol)
 
     def alpha_trig(self, task, tol, seed):
@@ -217,24 +232,34 @@ class Plan:
                      "worst_phase_residual": max(t.phase_residual for t in est.phases)})
 
     def deriv_trig_t1(self, task, tol, seed):
-        for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv1"):
+        parts = thomae.enumerate_partitions_trig(self.curve.q, "deriv1")
+        self._sum_constants(parts, True)
+        for p in parts:
             yield thomae.verify_thomae_deriv_trig_t1(self.curve, self.pd, p, tol)
 
     def deriv_trig_t2(self, task, tol, seed):
-        for loc in task.get("infinity_in", [1, 0]):
-            for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv2", infinity_in=loc):
-                yield thomae.verify_thomae_deriv_trig_t2(self.curve, self.pd, p, tol)
+        parts = [p for loc in task.get("infinity_in", [1, 0])
+                 for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv2",
+                                                           infinity_in=loc)]
+        self._sum_constants(parts, True)
+        for p in parts:
+            yield thomae.verify_thomae_deriv_trig_t2(self.curve, self.pd, p, tol)
 
     def matrix_form_trig(self, task, tol, seed):
-        parts = thomae.enumerate_partitions_trig(self.curve.q, "constant")
-        for p in parts[:int(task.get("count", 1))]:
+        q = self.curve.q
+        parts = thomae.enumerate_partitions_trig(q, "constant")[:int(task.get("count", 1))]
+        self._sum_constants([pk for p in parts
+                             for pk in thomae.derived_partitions_for_matrix(p, q)], True)
+        for p in parts:
             yield thomae.verify_matrix_form_trig(self.curve, self.pd, p, tol)
 
     def simple_zeros_trig(self, task, tol, seed):
         q = self.curve.q
-        for p in (thomae.enumerate_partitions_trig(q, "deriv1")
-                  + thomae.enumerate_partitions_trig(q, "deriv2", infinity_in=1)
-                  + thomae.enumerate_partitions_trig(q, "constant")):
+        parts = (thomae.enumerate_partitions_trig(q, "deriv1")
+                 + thomae.enumerate_partitions_trig(q, "deriv2", infinity_in=1)
+                 + thomae.enumerate_partitions_trig(q, "constant"))
+        self._sum_constants(parts, True)
+        for p in parts:
             yield thomae.simple_zero_check(self.pd, p)
 
 

@@ -33,7 +33,8 @@ from .curves import CurveSpec, Differential
 from .homology import (Chain, CyclePolyline, build_chain, build_cycles,
                        intersection_matrix, spin_form, symplectic_transform)
 from .quadrature import polyline_integrals, refine_path_for_quadrature
-from .theta import _SYMMETRY_TOL, Characteristic, RiemannMatrix, theta_norm_abs
+from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, theta_constants,
+                    theta_norm_abs)
 
 
 class PeriodError(RuntimeError):
@@ -75,6 +76,8 @@ class PeriodData:
     diagnostics: dict = field(default_factory=dict)
     _theta_scale: float | None = field(default=None, init=False, repr=False)
     _units: dict | None = field(default=None, init=False, repr=False)  # see characteristic
+    _chars: dict = field(default_factory=dict, init=False, repr=False)        # see characteristic
+    _theta_table: dict = field(default_factory=dict, init=False, repr=False)  # see theta_constants
 
     # -- lattice helpers --------------------------------------------------
 
@@ -112,14 +115,19 @@ class PeriodData:
                        plus_K: bool = True) -> Characteristic:
         """Characteristic of sum_k counts[k] u(P_k), plus K unless plus_K is
         False, summed exactly in units of 1/SNAP_DENOMINATOR; the units of
-        branch_char and K_char are read on the first call."""
-        if self._units is None:
-            self._units = {k: np.array([int(x * SNAP_DENOMINATOR) for x in ch.eps + ch.delta])
-                           for k, ch in dict(self.branch_char, K=self.K_char).items()}
-        total = self._units["K"] * int(plus_K)
-        for k, c in counts.items():
-            total = total + c * self._units[k]
-        return self._char_of_units(total)
+        branch_char and K_char are read on the first call.  Each result is
+        kept, so the tasks that read one partition share one object, which
+        the theta table finds by identity."""
+        key = (frozenset(counts.items()), plus_K)
+        if key not in self._chars:
+            if self._units is None:
+                self._units = {k: np.array([int(x * SNAP_DENOMINATOR) for x in ch.eps + ch.delta])
+                               for k, ch in dict(self.branch_char, K=self.K_char).items()}
+            total = self._units["K"] * int(plus_K)
+            for k, c in counts.items():
+                total = total + c * self._units[k]
+            self._chars[key] = self._char_of_units(total)
+        return self._chars[key]
 
     def _char_of_units(self, units: np.ndarray) -> Characteristic:
         """Entries units / SNAP_DENOMINATOR mod 2, eps first."""
@@ -149,6 +157,18 @@ class PeriodData:
         """v moved by a lattice vector into the cell |eps/2|, |delta/2| <= 1/2."""
         eps, delta = self.lattice_coords(v)
         return v - (self.tau.matrix @ np.round(eps / 2.0) + np.round(delta / 2.0))
+
+    def theta_constants(self, chars: Sequence[Characteristic], tol: float,
+                        grad: bool) -> list:
+        """theta[char](0), or with grad its gradient and value, for each char
+        from the plan's one theta table: an entry per (char, tol, grad),
+        the missing ones summed together by one theta.theta_constants call."""
+        table = self._theta_table
+        missing = list(dict.fromkeys(ch for ch in chars if (ch, tol, grad) not in table))
+        if missing:
+            for ch, res in zip(missing, theta_constants(missing, self.tau, tol, grad)):
+                table[ch, tol, grad] = res
+        return [table[ch, tol, grad] for ch in chars]
 
     def theta_scale(self) -> float:
         """max theta magnitude over seeded random arguments X + tau X'.

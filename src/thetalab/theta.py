@@ -29,13 +29,18 @@ Proof of the last step: only row 0 of U holds m_0, and a sum over k of
 exp(-a (k+c)^2) is at most its largest term plus its integral, 1 + sqrt(pi/a);
 summing out m_0, m_1, ... in turn gives one factor per diagonal entry.  A
 gradient evaluation returns the value as well, summed once at the larger of
-the value and gradient radii, so both bounds are below tol.  Each
-evaluation enumerates the ellipsoid centred on its own offset; nothing is
-cached per matrix but log P on a fixed grid of s.  The points come from a
-breadth-first Fincke-Pohst enumeration, one numpy pass per coordinate, with
-the point cap checked on each level's candidates before they are allocated.
+the value and gradient radii, so both bounds are below tol.  An
+evaluation enumerates the ellipsoid centred on its own offset;
+theta_constants sums many characteristics at zeta = 0, where they share
+one radius, over one enumeration per block of centres (the evaluation
+scheme of Deconinck, Heil, Bobenko, van Hoeij and Schmies, Math. Comp. 73,
+2004).  Nothing is cached per matrix but log P on a fixed grid of s.  The
+points come from a breadth-first Fincke-Pohst enumeration (Math. Comp. 44,
+1985) of one or several centres, one numpy pass per coordinate, with the
+point cap checked on each level's candidates before they are allocated.
 The argument is first range-reduced by integer lattice shifts (tracking the
-periodicity prefactor) to keep exponents bounded.
+periodicity prefactor) to keep exponents bounded; a prefactor beyond the
+float range raises ThetaError.
 
 Characteristics are stored as exact rationals (denominators 1, 2, 3, 6 in
 practice) so that third- and sixth-period bookkeeping never drifts.
@@ -45,10 +50,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +69,10 @@ _SYMMETRY_TOL = 1e-8      # largest |tau - tau^t| entry a Riemann matrix may hav
 THETA_TOL = 1e-10         # default truncation bound of theta values and gradients
 # the s of the Rankin bound (module docstring) that every radius is minimized over
 _S_GRID = np.geomspace(1e-3, 0.49, 64)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# estimated lattice points of one theta_constants enumeration; the centres
+# of a block share its arrays, so this bounds what a block holds
+_BLOCK_POINTS = 4096
 
 
 def _efun(x: complex) -> complex:
@@ -95,6 +105,14 @@ class Characteristic:
 
     eps: tuple[Fraction, ...]
     delta: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        # hashed once: every reduce_characteristic and theta table look-up
+        # hashes it, and rehashing 2g Fractions costs microseconds each time
+        object.__setattr__(self, "_hash", hash((self.eps, self.delta)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, eps: Iterable, delta: Iterable) -> "Characteristic":
@@ -198,29 +216,39 @@ class RiemannMatrix:
 
     def lattice_points(self, center: np.ndarray, radius: float) -> np.ndarray:
         """All integer m with ||U (m + center)|| <= radius; nothing is kept."""
-        return _enumerate_ellipsoid(self.U, center, radius)
+        return _enumerate_ellipsoid(self.U, np.reshape(center, (1, self.g)), radius)[0]
 
 
-def _enumerate_ellipsoid(U: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """All integer m with ||U (m + center)|| <= radius, U upper triangular.
+def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray,
+                         radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(points, owner): every integer m with ||U (m + centers[j])|| <= radius
+    for some row j, and that j, U upper triangular.
 
     Fincke-Pohst enumeration, breadth-first: one array pass per coordinate,
-    from m_{g-1} down to m_0.  A frontier node holds its chosen coordinates,
-    the partial linear form (the rows still needed) and the remaining squared
-    norm; its children are the k in [lo, hi] with budget - (u (k + off))^2 >=
-    -1e-12.  Children are expanded in parent order with k ascending, so the
-    rows come out in lexicographic order on (m_{g-1}, ..., m_0).  ThetaError
-    is raised as soon as any level has more than _POINT_CAP candidates, before
-    they are allocated; with an uneven diagonal of U an intermediate level can
-    hold several times as many candidates as there are points.
+    from m_{g-1} down to m_0, over the ellipsoids of all centres at once.  A
+    frontier node holds its centre, its chosen coordinates, the partial
+    linear form (the rows still needed) and the remaining squared norm; its
+    children are the k in [lo, hi] with budget - (u (k + off))^2 >= -1e-12.
+    Children are expanded in parent order with k ascending, so the rows come
+    out grouped by centre in ascending order, each group in lexicographic
+    order on (m_{g-1}, ..., m_0) and computed with the same arithmetic as
+    for its centre alone.  ThetaError is raised as soon as any level has
+    more than _POINT_CAP candidates, before they are allocated; with an
+    uneven diagonal of U an intermediate level can hold several times as
+    many candidates as there are points.
     """
     g = U.shape[0]
-    chosen = np.zeros((1, 0), dtype=np.int64)   # columns m_{level+1} .. m_{g-1}
-    partial = np.zeros((1, g))
-    budget = np.array([radius * radius])
+    # a single centre, that of every single evaluation, needs no owner per
+    # node: its coordinates stay scalars, as they broadcast the same
+    track = len(centers) > 1
+    owner = np.arange(len(centers))
+    chosen = np.zeros((len(centers), 0), dtype=np.int64)   # columns m_{level+1} .. m_{g-1}
+    partial = np.zeros((len(centers), g))
+    budget = np.full(len(centers), radius * radius)
     for level in range(g - 1, -1, -1):
         u = U[level, level]
-        off = center[level] + partial[:, level] / u
+        center = centers[owner, level] if track else centers[0, level]
+        off = center + partial[:, level] / u
         half = np.sqrt(budget) / abs(u)
         lo = np.ceil(-off - half - 1e-12).astype(np.int64)
         hi = np.floor(-off + half + 1e-12).astype(np.int64)
@@ -234,10 +262,12 @@ def _enumerate_ellipsoid(U: np.ndarray, center: np.ndarray, radius: float) -> np
         rem = budget[parent] - t * t
         keep = rem >= -1e-12
         parent, k = parent[keep], k[keep]
+        if track:
+            owner, center = owner[parent], center[parent]
         chosen = np.column_stack([k, chosen[parent]])
-        partial = partial[parent, :level] + U[:level, level] * (k + center[level])[:, None]
+        partial = partial[parent, :level] + U[:level, level] * (k + center)[:, None]
         budget = np.maximum(rem[keep], 0.0)
-    return chosen
+    return chosen, owner if track else np.zeros(len(chosen), dtype=np.int64)
 
 
 # ----------------------------------------------------------------------------
@@ -306,7 +336,8 @@ class ThetaGradient:
 
 def _range_reduce(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix):
     """Shift zeta by lattice vectors; returns (zeta', prefactor, n0, l0).
-    A shift of 2**53 or more, no longer an exact integer, raises."""
+    A shift of 2**53 or more, no longer an exact integer, raises, and so
+    does a prefactor beyond the float range, before exp overflows."""
     n0 = np.round(tau.Yinv @ np.imag(zeta))
     l0 = np.round(np.real(zeta) - np.real(tau.matrix) @ n0)
     if not (np.abs(np.concatenate([n0, l0])) < 2.0 ** 53).all():
@@ -317,23 +348,41 @@ def _range_reduce(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix):
     delta = char.delta_float()
     expo = (-n0 @ tau.matrix @ n0 / 2.0 - n0 @ zr
             + (l0 @ eps - n0 @ delta) / 2.0)
+    log_pref = -2.0 * np.pi * expo.imag
+    if log_pref > _LOG_FLOAT_MAX:
+        raise ThetaError(f"theta at argument {zeta} is beyond the float range: "
+                         f"its lattice prefactor is exp({log_pref:.6g})")
     return zr, _efun(expo), n0, l0
 
 
-def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
-                want_grad: bool):
+class _Sum(NamedTuple):
+    """One theta sum before its lattice points: the reduced characteristic,
+    its phase and eps/2, the range-reduced argument and its prefactor and
+    shift, the centre xi and radius R of the ellipsoid and the tail bounds
+    at R."""
+    char: Characteristic
+    phase: complex
+    a: np.ndarray
+    zr: np.ndarray
+    pref: complex
+    n0: np.ndarray
+    xi: np.ndarray
+    R: float
+    tail: float
+    tail_grad: float | None
+
+
+def _theta_setup(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix,
+                 tol: float, want_grad: bool) -> _Sum:
     if tol <= 0:
         raise ValueError("tol must be positive")
-    zeta = np.asarray(zeta, dtype=complex).reshape(tau.g)
     char_red, phase0 = reduce_characteristic(char)
     zr, pref, n0, _ = _range_reduce(char_red, zeta, tau)
     scale = max(1.0, abs(pref))
     tol_red = tol / scale
 
     a = char_red.eps_float() / 2.0
-    b = char_red.delta_float() / 2.0
     c = tau.Yinv @ np.imag(zr)
-    xi = a + c
     amp = math.exp(np.pi * c @ tau.Y @ c)
     cnorm = float(np.linalg.norm(c))
 
@@ -343,26 +392,45 @@ def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
     # by 2 pi |n - n0| <= 2 pi (||U^{-1}|| ||v|| + |c| + |n0|), as n = U^{-1} v - c.
     # A gradient sums at the larger radius, so both of its bounds hold.
     R, tail = _radius(tau, tol_red, amp)
+    tail_grad = None
     if want_grad:
         R_grad, tail_grad = _radius(tau, tol_red, 2 * np.pi * amp,
                                     (tau.Uinv_norm, cnorm + n0norm))
         R = max(R, R_grad)
+    return _Sum(char_red, phase0, a, zr, pref, n0, a + c, R, tail, tail_grad)
 
-    n = tau.lattice_points(xi, R) + a  # m + eps/2
-    # exponent: i*pi n^t tau n + 2*pi*i n^t (zr + b)
+
+def _quadratic_form(n: np.ndarray, tau: RiemannMatrix) -> np.ndarray:
+    """n^t tau n of each row n = m + eps/2: the part of the terms that the
+    characteristics of one eps share."""
     tn = n @ tau.matrix
-    quad = np.einsum("ij,ij->i", tn, n)
-    lin = n @ (zr + b)
+    return np.einsum("ij,ij->i", tn, n)
+
+
+def _theta_sum(s: _Sum, n: np.ndarray, quad: np.ndarray, want_grad: bool):
+    """The sum s over n = m + eps/2 with quadratic form quad, with its
+    gradient if wanted."""
+    b = s.char.delta_float() / 2.0
+    # exponent: i*pi n^t tau n + 2*pi*i n^t (zr + b)
+    lin = n @ (s.zr + b)
     terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
     val_red = terms.sum()
-    value = complex(phase0 * pref * val_red)
-    bound = float(abs(pref) * tail)
+    value = complex(s.phase * s.pref * val_red)
+    bound = float(abs(s.pref) * s.tail)
     if not want_grad:
         return ThetaValue(value, bound)
     grad_red = 2j * np.pi * (n.T @ terms)
-    grad = phase0 * pref * (grad_red - 2j * np.pi * n0 * val_red)
-    return ThetaGradient(np.asarray(grad, dtype=complex), float(abs(pref) * tail_grad),
-                         value, bound, R)
+    grad = s.phase * s.pref * (grad_red - 2j * np.pi * s.n0 * val_red)
+    return ThetaGradient(np.asarray(grad, dtype=complex), float(abs(s.pref) * s.tail_grad),
+                         value, bound, s.R)
+
+
+def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
+                want_grad: bool):
+    zeta = np.asarray(zeta, dtype=complex).reshape(tau.g)
+    s = _theta_setup(char, zeta, tau, tol, want_grad)
+    n = tau.lattice_points(s.xi, s.R) + s.a  # m + eps/2
+    return _theta_sum(s, n, _quadratic_form(n, tau), want_grad)
 
 
 def theta_eval(char: Characteristic, zeta, tau: RiemannMatrix,
@@ -377,6 +445,52 @@ def theta_grad(char: Characteristic, zeta, tau: RiemannMatrix,
     and theta[char](zeta) itself, from one lattice sum; both bounds are below
     tol."""
     return _theta_core(char, zeta, tau, tol, want_grad=True)
+
+
+def theta_constants(chars: Sequence[Characteristic], tau: RiemannMatrix,
+                    tol: float = THETA_TOL, grad: bool = False) -> list:
+    """theta_eval, or with grad theta_grad, of each characteristic at zeta = 0,
+    bit for bit, from as few lattice enumerations as the block budget allows.
+
+    At zeta = 0 the range reduction does not depend on the characteristic
+    (no lattice shift, prefactor 1) and every term has unit amplitude, so
+    one set-up, and so one radius R, serves every sum with its own reduced
+    characteristic; those whose reduced eps agree share the centre eps/2,
+    its points and their quadratic form.  The distinct centres go in blocks
+    of an estimated _BLOCK_POINTS points or fewer (V_g R^g / prod diag U per
+    centre, V_g the volume of the unit g-ball); each block is one
+    multi-centre enumeration, and each of its characteristics is summed over
+    its centre's points with the term expression of a single evaluation
+    before the next block is enumerated.
+    """
+    base = _theta_setup(Characteristic.zero(tau.g), np.zeros(tau.g, dtype=complex),
+                        tau, tol, grad)
+    classes: dict[tuple[Fraction, ...], list[tuple[int, _Sum]]] = {}
+    for i, ch in enumerate(chars):
+        red, phase = reduce_characteristic(ch)
+        a = red.eps_float() / 2.0
+        s = base._replace(char=red, phase=phase, a=a, xi=a + base.xi)
+        classes.setdefault(red.eps, []).append((i, s))
+    groups = list(classes.values())
+    ball = math.pi ** (tau.g / 2) / math.gamma(tau.g / 2 + 1)
+    per_centre = ball * base.R ** tau.g / float(np.prod(np.diag(tau.U)))
+    per_block = max(1, int(_BLOCK_POINTS / per_centre))
+    out = [None] * len(chars)
+    for start in range(0, len(groups), per_block):
+        block = groups[start:start + per_block]
+        points, owner = _enumerate_ellipsoid(
+            tau.U, np.array([members[0][1].xi for members in block]), base.R)
+        ends = np.cumsum(np.bincount(owner, minlength=len(block)))
+        # m + eps/2 of each centre, and the block's points dropped before
+        # any term is evaluated
+        ns = [points[lo:hi] + members[0][1].a
+              for members, lo, hi in zip(block, np.concatenate([[0], ends[:-1]]), ends)]
+        del points, owner
+        for members, n in zip(block, ns):
+            quad = _quadratic_form(n, tau)
+            for i, s in members:
+                out[i] = _theta_sum(s, n, quad, grad)
+    return out
 
 
 def theta_norm_abs(char: Characteristic, zeta, tau: RiemannMatrix,

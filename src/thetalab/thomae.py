@@ -53,7 +53,7 @@ from .algebra import (INF, IndexSet, RootOfUnityTag, c2j, classify_root_of_unity
                       vandermonde_delta)
 from .curves import CurveSpec
 from .periods import PeriodData, PeriodError, _random_surface_points
-from .theta import THETA_TOL, Characteristic, invariant_abs, theta_eval, theta_grad
+from .theta import THETA_TOL, Characteristic, invariant_abs, theta_eval
 
 SAMPLE_TRIES = 5   # divisors _sample_nonspecial draws before it gives up
 GRAD_TOL = 1e-9         # truncation bound of every derivative identity's gradient
@@ -241,7 +241,7 @@ def verify_thomae_const_hyp(curve: CurveSpec, periods: PeriodData,
         raise ValueError("constant identity needs an m=0 partition")
     lam = curve.lam_map
     ch = char_from_partition_hyp(p, periods)
-    lhs = theta_eval(ch, np.zeros(g), periods.tau).value
+    lhs = periods.theta_constants([ch], THETA_TOL, False)[0].value
     rhs = (principal_power(np.linalg.det(periods.C) / (2.0 ** g * np.pi ** g), 0.5)
            * _delta_quarter_pair(p.I, p.J, lam))
     ratio = lhs / rhs
@@ -270,10 +270,11 @@ def _hyp_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: HypPartition) -> np
 def _verify_deriv(identity: str, order: int, periods: PeriodData,
                   ch: Characteristic, rhs: np.ndarray, experimental: bool,
                   partition: str, tol: float) -> VerificationReport:
-    """grad theta[ch](0) at GRAD_TOL against the RHS vector: one ratio per
-    nonzero RHS entry, their mean classified as an order-th root of unity."""
+    """grad theta[ch](0) at GRAD_TOL, read from the plan's theta table,
+    against the RHS vector: one ratio per nonzero RHS entry, their mean
+    classified as an order-th root of unity."""
     g = periods.g
-    grad = theta_grad(ch, np.zeros(g), periods.tau, GRAD_TOL).values
+    grad = periods.theta_constants([ch], GRAD_TOL, True)[0].values
     ratios, mean, spread, zeros_ok = _ratio_statistics(grad, rhs, tol)
     tag = classify_root_of_unity(mean, order, tol) if ratios else None
     passed = bool(ratios) and tag.ok and spread < tol and zeros_ok
@@ -388,6 +389,17 @@ def _verify_matrix_form(identity: str, partition: str,
         details=errors | {"row_tags": [rep.tag.index for rep, _ in rows]})
 
 
+def derived_partitions_hyp(I0: HypPartition) -> list[HypPartition]:
+    """The m=1 partitions of the matrix form on I0: infinity and one finite
+    member of I0 moved to J, for each of its g finite members in turn."""
+    symbols = list(I0.I) + list(I0.J)
+    out = []
+    for xk in I0.I.finite:                      # g finite members, ascending
+        I1 = I0.I.without(INF, xk)
+        out.append(HypPartition(1, I1, IndexSet.of([s for s in symbols if s not in I1])))
+    return out
+
+
 def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
                            I0: HypPartition, tol: float = 1e-6) -> VerificationReport:
     """Matrix form of the derivative identity over the g single-element
@@ -395,14 +407,11 @@ def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
     g = curve.genus
     I0.validate(g)
     lam = curve.lam_map
-    symbols = list(I0.I) + list(I0.J)
     rows = []
     sigma = np.zeros((g, g), dtype=complex)
-    for kk, xk in enumerate(I0.I.finite):       # g finite members, ascending
-        I1 = I0.I.without(INF, xk)
-        J1 = IndexSet.of([s for s in symbols if s not in I1])
-        rows.append(_hyp_deriv_row(curve, periods, HypPartition(1, I1, J1), tol))
-        sigma[kk] = list(sigma_row([lam[i] for i in I1.finite], range(1, g + 1)).values())
+    for kk, p1 in enumerate(derived_partitions_hyp(I0)):
+        rows.append(_hyp_deriv_row(curve, periods, p1, tol))
+        sigma[kk] = list(sigma_row([lam[i] for i in p1.I.finite], range(1, g + 1)).values())
     delta_i0 = vandermonde_delta(I0.I, lam)
     det_err = abs(complex(np.linalg.det(sigma)) - delta_i0) / abs(delta_i0)
     return _verify_matrix_form("matrix_form_hyp", I0.label(), rows, tol,
@@ -458,8 +467,7 @@ def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> comp
     """
     p.validate(curve.q)
     ch = char_from_partition_trig(p, periods)
-    g = curve.genus
-    lhs = theta_eval(ch, np.zeros(g), periods.tau).value
+    lhs = periods.theta_constants([ch], THETA_TOL, False)[0].value
     ed = sum(e * d for e, d in zip(ch.eps, ch.delta))
     lhs = lhs * np.exp(2j * np.pi * float(ed) / 4.0)
     rhs = (principal_power(np.linalg.det(periods.C), 0.5)
@@ -476,7 +484,10 @@ def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
     per_partition = []
     for ci, (curve, periods) in enumerate(curves):
         alpha = trig_alpha(curve.genus)
-        for p in enumerate_partitions_trig(curve.q, "constant"):
+        parts = enumerate_partitions_trig(curve.q, "constant")
+        periods.theta_constants([char_from_partition_trig(p, periods) for p in parts],
+                                THETA_TOL, False)
+        for p in parts:
             r = alpha_ratio(curve, periods, p)
             tag = classify_root_of_unity(r / alpha, TRIG_ROOT_ORDER, tol)
             phases.append(tag)
@@ -610,11 +621,11 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
 
 def simple_zero_check(periods: PeriodData, p: TrigPartition) -> VerificationReport:
     """theta[e_Lambda] vanishes with nonzero gradient exactly for the
-    deriv-kind partitions (simple zeros of theta); value and gradient come
-    from one lattice sum at THETA_TOL."""
-    g = periods.g
+    deriv-kind partitions (simple zeros of theta); value and gradient are
+    the plan's theta table entry at GRAD_TOL, the one the derivative
+    identities read."""
     ch = char_from_partition_trig(p, periods)
-    d = theta_grad(ch, np.zeros(g), periods.tau)
+    d = periods.theta_constants([ch], GRAD_TOL, True)[0]
     val = abs(d.value)
     grad = float(np.linalg.norm(d.values))
     scale = periods.theta_scale()

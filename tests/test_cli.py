@@ -154,6 +154,18 @@ def test_theta_huge_argument_exits_3(tmp_path, capsys, zeta):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("im", [30.0, 1e10])
+def test_theta_beyond_float_range_exits_3(tmp_path, im):
+    # theta(30 i, i) is about exp(900 pi): the lattice prefactor once
+    # overflowed with a numpy warning and the run died on "math domain error"
+    f = write(tmp_path / "t.json", {"tau": [[[0.0, 1.0]]], "zeta": [[0.0, im]]})
+    r = run_cli("theta", f)
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: theta evaluation failed")
+    assert "beyond the float range" in r.stderr and r.stderr.count("\n") == 1
+    assert "Warning" not in r.stderr and r.stdout == ""
+
+
 def test_thetalab_imports_no_scipy():
     code = ("import sys, thetalab, thetalab.cli; "
             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
@@ -280,7 +292,7 @@ def test_verify_task_on_wrong_cover_degree(tmp_path, capsys, curve, task):
 
 
 @pytest.mark.parametrize("target", ["thetalab.periods.theta_norm_abs",
-                                    "thetalab.thomae.theta_grad"])
+                                    "thetalab.periods.theta_constants"])
 def test_verify_theta_failure_exits_3(tmp_path, capsys, monkeypatch, target):
     from thetalab.cli import main
     from thetalab.theta import ThetaError

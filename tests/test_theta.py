@@ -4,6 +4,8 @@ import sys
 import time
 import tracemalloc
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,8 @@ from thetalab.periods import build_periods
 from thetalab.theta import (_S_GRID, Characteristic, RiemannMatrix, ThetaError,
                             _enumerate_ellipsoid, _radius, apply_transchar,
                             count_parities, parity, reduce_characteristic,
-                            theta_eval, theta_grad, theta_halfint_table,
-                            theta_norm_abs, truncation_radius)
+                            theta_constants, theta_eval, theta_grad,
+                            theta_halfint_table, theta_norm_abs, truncation_radius)
 
 from conftest import random_riemann_matrix
 from oracles import (THETA_AT_I, gaussian_lattice_sum, mp_theta, naive_theta,
@@ -453,8 +455,15 @@ def test_theta_and_gradient_within_bound_of_mpmath_sum(g):
 # Lattice enumeration: the breadth-first pass against the frozen recursion
 
 
+def enumerate_one(U, center, radius):
+    """The points of one centre's ellipsoid: the enumerator's one-centre case."""
+    points, owner = _enumerate_ellipsoid(U, np.reshape(center, (1, len(U))), radius)
+    assert not owner.any()
+    return points
+
+
 def assert_same_points(U, center, radius):
-    got = _enumerate_ellipsoid(U, center, radius)
+    got = enumerate_one(U, center, radius)
     want = recursive_enumerate(U, center, radius)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape
@@ -521,36 +530,36 @@ def test_point_cap_is_checked_on_each_level(monkeypatch):
     # diagonal U, zero centre: every node keeps its k = 0 child and no
     # candidate is rejected, so the leaf level holds the most candidates
     U = np.diag([1.0, 1.3, 0.8])
-    full = _enumerate_ellipsoid(U, np.zeros(3), 2.5)
+    full = enumerate_one(U, np.zeros(3), 2.5)
     monkeypatch.setattr(thetalab.theta, "_POINT_CAP", len(full))
-    assert np.array_equal(_enumerate_ellipsoid(U, np.zeros(3), 2.5), full)
+    assert np.array_equal(enumerate_one(U, np.zeros(3), 2.5), full)
     monkeypatch.setattr(thetalab.theta, "_POINT_CAP", len(full) - 1)
     with pytest.raises(ThetaError, match="point cap"):
-        _enumerate_ellipsoid(U, np.zeros(3), 2.5)
+        enumerate_one(U, np.zeros(3), 2.5)
 
 
 def test_point_cap_counts_intermediate_levels(monkeypatch):
     # uneven diagonal: the m_1 level has 21 candidates (k = -10..10) but
     # only 3 of them have an m_0 child, so a cap of 20 fires on 3 points
     U, radius = np.array([[100.0, 37.0], [0.0, 1.0]]), 10.0
-    full = _enumerate_ellipsoid(U, np.zeros(2), radius)
+    full = enumerate_one(U, np.zeros(2), radius)
     assert full.tolist() == [[3, -8], [0, 0], [-3, 8]]
     monkeypatch.setattr(thetalab.theta, "_POINT_CAP", 21)
-    assert np.array_equal(_enumerate_ellipsoid(U, np.zeros(2), radius), full)
+    assert np.array_equal(enumerate_one(U, np.zeros(2), radius), full)
     monkeypatch.setattr(thetalab.theta, "_POINT_CAP", 20)
     with pytest.raises(ThetaError, match="point cap"):
-        _enumerate_ellipsoid(U, np.zeros(2), radius)
+        enumerate_one(U, np.zeros(2), radius)
 
 
 def test_point_cap_fails_fast(monkeypatch):
     U, radius = np.eye(6), 5.0
-    assert len(_enumerate_ellipsoid(U, np.zeros(6), radius)) == 84_769
+    assert len(enumerate_one(U, np.zeros(6), radius)) == 84_769
     monkeypatch.setattr(thetalab.theta, "_POINT_CAP", 10_000)
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
         with pytest.raises(ThetaError, match="point cap"):
-            _enumerate_ellipsoid(U, np.zeros(6), radius)
+            enumerate_one(U, np.zeros(6), radius)
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -559,3 +568,75 @@ def test_point_cap_fails_fast(monkeypatch):
     # the whole enumeration peaks at about 11 MiB; stopping at the first
     # level past the cap never holds more than about 10,000 nodes
     assert peak < 4 * 2 ** 20
+
+
+# ----------------------------------------------------------------------------
+# Several centres at once and the batched theta constants
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3, 4])
+def test_enumeration_of_several_centres_is_each_centre_in_turn(g):
+    rng = np.random.default_rng(60 + g)
+    U = RiemannMatrix(random_riemann_matrix(g, rng)).U if g else np.zeros((0, 0))
+    centers = rng.uniform(-1.0, 1.0, (5, g))
+    centers[3] = centers[1]
+    points, owner = _enumerate_ellipsoid(U, centers, 2.2)
+    assert np.array_equal(owner, np.sort(owner))
+    for j, center in enumerate(centers):
+        assert np.array_equal(points[owner == j], enumerate_one(U, center, 2.2))
+
+
+def _seeded_characteristics(g, rng):
+    """Sixth-integral characteristics, half of them sharing an eps class
+    with another (a different delta), half with an eps of their own."""
+    def entries():
+        return [Fraction(int(k), 6) for k in rng.integers(-12, 12, g)]
+    chars = [Characteristic.of(entries(), entries()) for _ in range(4)]
+    chars += [Characteristic.of(ch.eps, entries()) for ch in chars]
+    return chars + [chars[0]]
+
+
+@pytest.mark.parametrize("budget", [1, thetalab.theta._BLOCK_POINTS, 1e9])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_theta_constants_equal_single_evaluations_bit_for_bit(monkeypatch, g, budget):
+    monkeypatch.setattr(thetalab.theta, "_BLOCK_POINTS", budget)
+    rng = np.random.default_rng(70 + g)
+    tau = RiemannMatrix(random_riemann_matrix(g, rng))
+    chars = _seeded_characteristics(g, rng)
+    assert theta_constants(chars, tau, 1e-10) == [theta_eval(ch, np.zeros(g), tau, 1e-10)
+                                                  for ch in chars]
+    for got, ch in zip(theta_constants(chars, tau, 1e-9, grad=True), chars):
+        want = theta_grad(ch, np.zeros(g), tau, 1e-9)
+        assert np.array_equal(got.values, want.values)
+        assert ((got.value, got.value_bound, got.truncation_bound, got.radius)
+                == (want.value, want.value_bound, want.truncation_bound, want.radius))
+
+
+@pytest.mark.parametrize("budget", [1, 1e9])
+def test_theta_constants_point_cap_counts_intermediate_levels(monkeypatch, budget):
+    # the skewed U of test_point_cap_counts_intermediate_levels: a cap at the
+    # points one block returns still fires on its m_1 level
+    monkeypatch.setattr(thetalab.theta, "_BLOCK_POINTS", budget)
+    U = np.array([[100.0, 37.0], [0.0, 1.0]])
+    tau = RiemannMatrix(1j * (U.T @ U) / np.pi)
+    chars = [Characteristic.of(eps, [0, 1]) for eps in ([0, 0], [1, 0], [0, 1], [1, 1])]
+    want = [theta_eval(ch, np.zeros(2), tau) for ch in chars]
+    assert theta_constants(chars, tau) == want
+    R = truncation_radius(tau, thetalab.theta.THETA_TOL)
+    centers = np.array([ch.eps_float() / 2.0 for ch in chars])
+    blocks = [centers] if budget > 1 else [c[None] for c in centers]
+    cap = max(len(_enumerate_ellipsoid(tau.U, c, R)[0]) for c in blocks)
+    monkeypatch.setattr(thetalab.theta, "_POINT_CAP", cap)
+    with pytest.raises(ThetaError, match="point cap"):
+        theta_constants(chars, tau)
+
+
+def test_characteristic_hash_is_computed_once_and_equal_for_equal_entries():
+    a = Characteristic.of([Fraction(1, 3), 1], [0, Fraction(5, 6)])
+    b = Characteristic.of([Fraction(2, 6), 1.0], [0.0, Fraction(10, 12)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Characteristic.of([Fraction(1, 3), 1], [0, Fraction(1, 6)])
+    reduce_characteristic(a)
+    hits = reduce_characteristic.cache_info().hits
+    assert reduce_characteristic(b) == reduce_characteristic(a)
+    assert reduce_characteristic.cache_info().hits == hits + 2

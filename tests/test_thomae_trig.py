@@ -202,23 +202,46 @@ def test_matrix_form_trig_fails_on_reordered_rows(trig_q2, monkeypatch):
 
 
 def test_simple_zero_check_sums_theta_once(trig_q2, monkeypatch):
-    # the value and the gradient come from one theta_grad call
-    import thetalab.thomae
-    calls = {"theta_eval": 0, "theta_grad": 0}
+    # the value and the gradient come from one table entry, summed by one
+    # kernel call the first time and read back after that
+    import thetalab.periods
+    summed = []
+    kernel = thetalab.periods.theta_constants
 
-    def counted(name):
-        f = getattr(thetalab.thomae, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-    for name in calls:
-        monkeypatch.setattr(thetalab.thomae, name, counted(name))
+    def counted(chars, *args, **kwargs):
+        summed.append(list(chars))
+        return kernel(chars, *args, **kwargs)
+    monkeypatch.setattr(thetalab.periods, "theta_constants", counted)
     c, pd = trig_q2
-    rep = simple_zero_check(pd, enumerate_partitions_trig(2, "deriv1")[0])
-    assert rep.passed
-    assert calls == {"theta_eval": 0, "theta_grad": 1}
+    monkeypatch.setattr(pd, "_theta_table", {})
+    p = enumerate_partitions_trig(2, "deriv1")[0]
+    first = simple_zero_check(pd, p)
+    again = simple_zero_check(pd, p)
+    assert first.passed and again.jsonl() == first.jsonl()
+    assert summed == [[char_from_partition_trig(p, pd)]]
+
+
+def test_q2_plan_sums_each_theta_constant_once(trig_q2, monkeypatch):
+    # every trigonal task of a plan on one curve: the derivative tasks, the
+    # matrix form and the simple zeros share their gradient sums, and no
+    # (characteristic, tol, grad) reaches the kernel twice
+    import thetalab.periods
+    from thetalab.cli import TASKS, Plan
+    summed = []
+    kernel = thetalab.periods.theta_constants
+
+    def counted(chars, tau, tol, grad):
+        summed.extend((ch, tol, grad) for ch in chars)
+        return kernel(chars, tau, tol, grad)
+    monkeypatch.setattr(thetalab.periods, "theta_constants", counted)
+    c, pd = trig_q2
+    monkeypatch.setattr(pd, "_theta_table", {})
+    plan = Plan(c, pd, {})
+    for task_id, (degree, handler, _) in TASKS.items():
+        if degree in (None, 3):
+            assert all(rep.passed for rep in handler(plan, {"id": task_id}, 1e-5, 0))
+    # 30 constant values; gradients of 20 deriv1, 20 deriv2 and 30 constant
+    assert len(set(summed)) == len(summed) == 100
 
 
 def test_simple_zeros(trig_q2):
