@@ -76,7 +76,6 @@ class PeriodData:
     diagnostics: dict = field(default_factory=dict)
     _theta_scale: float | None = field(default=None, init=False, repr=False)
     _units: dict | None = field(default=None, init=False, repr=False)  # see characteristic
-    _chars: dict = field(default_factory=dict, init=False, repr=False)        # see characteristic
     _theta_table: dict = field(default_factory=dict, init=False, repr=False)  # see theta_constants
 
     # -- lattice helpers --------------------------------------------------
@@ -115,19 +114,14 @@ class PeriodData:
                        plus_K: bool = True) -> Characteristic:
         """Characteristic of sum_k counts[k] u(P_k), plus K unless plus_K is
         False, summed exactly in units of 1/SNAP_DENOMINATOR; the units of
-        branch_char and K_char are read on the first call.  Each result is
-        kept, so the tasks that read one partition share one object, which
-        the theta table finds by identity."""
-        key = (frozenset(counts.items()), plus_K)
-        if key not in self._chars:
-            if self._units is None:
-                self._units = {k: np.array([int(x * SNAP_DENOMINATOR) for x in ch.eps + ch.delta])
-                               for k, ch in dict(self.branch_char, K=self.K_char).items()}
-            total = self._units["K"] * int(plus_K)
-            for k, c in counts.items():
-                total = total + c * self._units[k]
-            self._chars[key] = self._char_of_units(total)
-        return self._chars[key]
+        branch_char and K_char are read on the first call."""
+        if self._units is None:
+            self._units = {k: np.array([int(x * SNAP_DENOMINATOR) for x in ch.eps + ch.delta])
+                           for k, ch in dict(self.branch_char, K=self.K_char).items()}
+        total = self._units["K"] * int(plus_K)
+        for k, c in counts.items():
+            total = total + c * self._units[k]
+        return self._char_of_units(total)
 
     def _char_of_units(self, units: np.ndarray) -> Characteristic:
         """Entries units / SNAP_DENOMINATOR mod 2, eps first."""

@@ -238,16 +238,13 @@ def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray,
     many candidates as there are points.
     """
     g = U.shape[0]
-    # a single centre, that of every single evaluation, needs no owner per
-    # node: its coordinates stay scalars, as they broadcast the same
-    track = len(centers) > 1
     owner = np.arange(len(centers))
     chosen = np.zeros((len(centers), 0), dtype=np.int64)   # columns m_{level+1} .. m_{g-1}
     partial = np.zeros((len(centers), g))
     budget = np.full(len(centers), radius * radius)
     for level in range(g - 1, -1, -1):
         u = U[level, level]
-        center = centers[owner, level] if track else centers[0, level]
+        center = centers[owner, level]
         off = center + partial[:, level] / u
         half = np.sqrt(budget) / abs(u)
         lo = np.ceil(-off - half - 1e-12).astype(np.int64)
@@ -262,12 +259,11 @@ def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray,
         rem = budget[parent] - t * t
         keep = rem >= -1e-12
         parent, k = parent[keep], k[keep]
-        if track:
-            owner, center = owner[parent], center[parent]
+        owner, center = owner[parent], center[parent]
         chosen = np.column_stack([k, chosen[parent]])
         partial = partial[parent, :level] + U[:level, level] * (k + center)[:, None]
         budget = np.maximum(rem[keep], 0.0)
-    return chosen, owner if track else np.zeros(len(chosen), dtype=np.int64)
+    return chosen, owner
 
 
 # ----------------------------------------------------------------------------
@@ -481,12 +477,8 @@ def theta_constants(chars: Sequence[Characteristic], tau: RiemannMatrix,
         points, owner = _enumerate_ellipsoid(
             tau.U, np.array([members[0][1].xi for members in block]), base.R)
         ends = np.cumsum(np.bincount(owner, minlength=len(block)))
-        # m + eps/2 of each centre, and the block's points dropped before
-        # any term is evaluated
-        ns = [points[lo:hi] + members[0][1].a
-              for members, lo, hi in zip(block, np.concatenate([[0], ends[:-1]]), ends)]
-        del points, owner
-        for members, n in zip(block, ns):
+        for members, lo, hi in zip(block, np.concatenate([[0], ends[:-1]]), ends):
+            n = points[lo:hi] + members[0][1].a  # m + eps/2
             quad = _quadratic_form(n, tau)
             for i, s in members:
                 out[i] = _theta_sum(s, n, quad, grad)

@@ -631,11 +631,21 @@ def test_theta_constants_point_cap_counts_intermediate_levels(monkeypatch, budge
         theta_constants(chars, tau)
 
 
-def test_characteristic_hash_is_computed_once_and_equal_for_equal_entries():
+def test_characteristic_hash_is_computed_once_and_equal_for_equal_entries(monkeypatch):
     a = Characteristic.of([Fraction(1, 3), 1], [0, Fraction(5, 6)])
     b = Characteristic.of([Fraction(2, 6), 1.0], [0.0, Fraction(10, 12)])
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a != Characteristic.of([Fraction(1, 3), 1], [0, Fraction(1, 6)])
+    want = hash((a.eps, a.delta))
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__",
+                        lambda x: calls.append(x) or fraction_hash(x))
+    # after construction no hash rehashes an entry; a new one hashes its 2g once
+    assert hash(a) == hash(a) == hash(b) == want and not calls
+    c = Characteristic.of([Fraction(1, 3), 1], [0, Fraction(1, 6)])
+    assert len(calls) == 4 and hash(c) == hash(c) and len(calls) == 4
+    monkeypatch.undo()
+    assert a is not b and a == b
+    assert a != c
     reduce_characteristic(a)
     hits = reduce_characteristic.cache_info().hits
     assert reduce_characteristic(b) == reduce_characteristic(a)
