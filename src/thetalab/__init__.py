@@ -6,8 +6,8 @@ from .algebra import (INF, IndexSet, RootOfUnityTag, classify_root_of_unity,
                       vandermonde_delta)
 from .curves import CurveSpec, CurveSpecError, Differential
 from .theta import (Characteristic, RiemannMatrix, ThetaError, ThetaValue,
-                    apply_transchar, parity, reduce_characteristic, theta_constants,
-                    theta_eval, theta_grad, theta_norm_abs, truncation_radius)
+                    apply_transchar, parity, reduce_characteristic, theta_eval,
+                    theta_grad, theta_norm_abs, theta_sums, truncation_radius)
 from .periods import (PeriodData, PeriodError, SurfacePoint, build_periods)
 from .homology import HomologyError
 from .jacobians import (TrigConfiguration, aj_jacobian_hyper,

@@ -183,12 +183,10 @@ class Plan:
 
     def _sum_constants(self, parts, grad: bool):
         """Fill the plan's theta table for all of a task's partitions at
-        once: values at THETA_TOL, or gradients at GRAD_TOL, as the
-        identities read them."""
+        once: values, or gradients, as the identities read them."""
         char = (thomae.char_from_partition_hyp if self.curve.n == 2
                 else thomae.char_from_partition_trig)
-        self.pd.theta_constants([char(p, self.pd) for p in parts],
-                                thomae.GRAD_TOL if grad else THETA_TOL, grad)
+        self.pd.theta_constants([char(p, self.pd) for p in parts], grad)
 
     def thomae_const_hyp(self, task, tol, seed):
         parts = thomae.enumerate_partitions_hyp(self.curve.genus, 0)

@@ -8,6 +8,7 @@ there is exactly one point over infinity.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +51,8 @@ class CurveSpec:
             if N < 2 or N % 3 != 2:
                 raise CurveSpecError(
                     f"trigonal curve needs 3q-1 branch values (q >= 1), got {N}")
+        if not all(cmath.isfinite(x) for x in self.lambdas):
+            raise CurveSpecError("branch points must be finite")
         scale = max(1.0, max(abs(x) for x in self.lambdas))
         for i in range(N):
             for j in range(i + 1, N):

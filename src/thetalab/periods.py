@@ -33,8 +33,8 @@ from .curves import CurveSpec, Differential
 from .homology import (Chain, CyclePolyline, build_chain, build_cycles,
                        intersection_matrix, spin_form, symplectic_transform)
 from .quadrature import polyline_integrals, refine_path_for_quadrature
-from .theta import (_SYMMETRY_TOL, Characteristic, RiemannMatrix, theta_constants,
-                    theta_norm_abs)
+from .theta import (_SYMMETRY_TOL, GRAD_TOL, THETA_TOL, Characteristic, RiemannMatrix,
+                    theta_norm_abs, theta_sums)
 
 
 class PeriodError(RuntimeError):
@@ -152,17 +152,18 @@ class PeriodData:
         eps, delta = self.lattice_coords(v)
         return v - (self.tau.matrix @ np.round(eps / 2.0) + np.round(delta / 2.0))
 
-    def theta_constants(self, chars: Sequence[Characteristic], tol: float,
-                        grad: bool) -> list:
-        """theta[char](0), or with grad its gradient and value, for each char
-        from the plan's one theta table: an entry per (char, tol, grad),
-        the missing ones summed together by one theta.theta_constants call."""
+    def theta_constants(self, chars: Sequence[Characteristic], grad: bool) -> list:
+        """theta[char](0) at THETA_TOL, or with grad its gradient and value at
+        GRAD_TOL, for each char from the plan's one theta table: an entry per
+        (char, grad), the missing ones summed together by one theta_sums call."""
         table = self._theta_table
-        missing = list(dict.fromkeys(ch for ch in chars if (ch, tol, grad) not in table))
+        missing = list(dict.fromkeys(ch for ch in chars if (ch, grad) not in table))
         if missing:
-            for ch, res in zip(missing, theta_constants(missing, self.tau, tol, grad)):
-                table[ch, tol, grad] = res
-        return [table[ch, tol, grad] for ch in chars]
+            zero = np.zeros(self.g, dtype=complex)
+            for ch, res in zip(missing, theta_sums(missing, zero, self.tau,
+                                                   GRAD_TOL if grad else THETA_TOL, grad)):
+                table[ch, grad] = res
+        return [table[ch, grad] for ch in chars]
 
     def theta_scale(self) -> float:
         """max theta magnitude over seeded random arguments X + tau X'.

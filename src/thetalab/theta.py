@@ -29,18 +29,21 @@ Proof of the last step: only row 0 of U holds m_0, and a sum over k of
 exp(-a (k+c)^2) is at most its largest term plus its integral, 1 + sqrt(pi/a);
 summing out m_0, m_1, ... in turn gives one factor per diagonal entry.  A
 gradient evaluation returns the value as well, summed once at the larger of
-the value and gradient radii, so both bounds are below tol.  An
-evaluation enumerates the ellipsoid centred on its own offset;
-theta_constants sums many characteristics at zeta = 0, where they share
-one radius, over one enumeration per block of centres (the evaluation
-scheme of Deconinck, Heil, Bobenko, van Hoeij and Schmies, Math. Comp. 73,
-2004).  Nothing is cached per matrix but log P on a fixed grid of s.  The
+the value and gradient radii, so both bounds are below tol.
+
+Every sum goes through one kernel, theta_sums: many characteristics at one
+argument.  The argument is first range-reduced by integer lattice shifts
+(tracking the periodicity prefactor) to keep exponents bounded; a prefactor
+beyond the float range raises ThetaError.  The shift, the amplitude of the
+terms and the modulus of the prefactor do not depend on the characteristic,
+so every sum at one argument has one radius, and those with one reduced
+eps share one centre; the centres go through one enumeration per block
+(the evaluation scheme of Deconinck, Heil, Bobenko, van Hoeij and Schmies,
+Math. Comp. 73, 2004).  theta_eval and theta_grad are its one-characteristic
+case.  Nothing is cached per matrix but log P on a fixed grid of s.  The
 points come from a breadth-first Fincke-Pohst enumeration (Math. Comp. 44,
 1985) of one or several centres, one numpy pass per coordinate, with the
 point cap checked on each level's candidates before they are allocated.
-The argument is first range-reduced by integer lattice shifts (tracking the
-periodicity prefactor) to keep exponents bounded; a prefactor beyond the
-float range raises ThetaError.
 
 Characteristics are stored as exact rationals (denominators 1, 2, 3, 6 in
 practice) so that third- and sixth-period bookkeeping never drifts.
@@ -54,7 +57,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,13 +69,14 @@ class ThetaError(Exception):
 _RADIUS_CAP = 80.0
 _POINT_CAP = 8_000_000
 _SYMMETRY_TOL = 1e-8      # largest |tau - tau^t| entry a Riemann matrix may have
-THETA_TOL = 1e-10         # default truncation bound of theta values and gradients
+THETA_TOL = 1e-10         # truncation bound of every theta value
+GRAD_TOL = 1e-9           # truncation bound of every theta constant's gradient
 # the s of the Rankin bound (module docstring) that every radius is minimized over
 _S_GRID = np.geomspace(1e-3, 0.49, 64)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# estimated lattice points of one theta_constants enumeration; the centres
+# estimated lattice points of one theta_sums enumeration; the centres
 # of a block share its arrays, so this bounds what a block holds
-_BLOCK_POINTS = 4096
+_BLOCK_POINTS = 8192
 
 
 def _efun(x: complex) -> complex:
@@ -213,6 +217,9 @@ class RiemannMatrix:
         self.Uinv_norm = float(np.linalg.norm(np.linalg.inv(self.U), 2))
         # log P(s) of the Rankin bound on _S_GRID
         self.log_p = np.log1p(np.sqrt(np.pi / _S_GRID)[:, None] / np.diag(self.U)).sum(axis=1)
+        # lattice points per unit R^g in a ball of radius R: V_g / prod diag U
+        self.ball_per_cell = (math.pi ** (self.g / 2) / math.gamma(self.g / 2 + 1)
+                              / float(np.prod(np.diag(self.U))))
 
     def lattice_points(self, center: np.ndarray, radius: float) -> np.ndarray:
         """All integer m with ||U (m + center)|| <= radius; nothing is kept."""
@@ -260,7 +267,7 @@ def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray,
         keep = rem >= -1e-12
         parent, k = parent[keep], k[keep]
         owner, center = owner[parent], center[parent]
-        chosen = np.column_stack([k, chosen[parent]])
+        chosen = np.concatenate([k[:, None], chosen[parent]], axis=1)
         partial = partial[parent, :level] + U[:level, level] * (k + center)[:, None]
         budget = np.maximum(rem[keep], 0.0)
     return chosen, owner
@@ -330,8 +337,12 @@ class ThetaGradient:
     radius: float
 
 
-def _range_reduce(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix):
-    """Shift zeta by lattice vectors; returns (zeta', prefactor, n0, l0).
+def _range_reduce(zeta: np.ndarray, tau: RiemannMatrix):
+    """Shift zeta by lattice vectors: (zeta', n0, l0, expo) with
+    zeta = zeta' + tau n0 + l0 and, for every characteristic,
+
+        theta[eps;delta](zeta) = e(expo + (l0.eps - n0.delta)/2) theta[eps;delta](zeta').
+
     A shift of 2**53 or more, no longer an exact integer, raises, and so
     does a prefactor beyond the float range, before exp overflows."""
     n0 = np.round(tau.Yinv @ np.imag(zeta))
@@ -340,99 +351,97 @@ def _range_reduce(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix):
         raise ThetaError(f"argument {zeta} needs a lattice shift of 2**53 or more")
     n0, l0 = n0.astype(np.int64), l0.astype(np.int64)
     zr = zeta - tau.matrix @ n0 - l0
-    eps = char.eps_float()
-    delta = char.delta_float()
-    expo = (-n0 @ tau.matrix @ n0 / 2.0 - n0 @ zr
-            + (l0 @ eps - n0 @ delta) / 2.0)
+    expo = -n0 @ tau.matrix @ n0 / 2.0 - n0 @ zr
     log_pref = -2.0 * np.pi * expo.imag
     if log_pref > _LOG_FLOAT_MAX:
         raise ThetaError(f"theta at argument {zeta} is beyond the float range: "
                          f"its lattice prefactor is exp({log_pref:.6g})")
-    return zr, _efun(expo), n0, l0
+    return zr, n0, l0, expo
 
 
-class _Sum(NamedTuple):
-    """One theta sum before its lattice points: the reduced characteristic,
-    its phase and eps/2, the range-reduced argument and its prefactor and
-    shift, the centre xi and radius R of the ellipsoid and the tail bounds
-    at R."""
-    char: Characteristic
-    phase: complex
-    a: np.ndarray
-    zr: np.ndarray
-    pref: complex
-    n0: np.ndarray
-    xi: np.ndarray
-    R: float
-    tail: float
-    tail_grad: float | None
+def theta_sums(chars: Sequence[Characteristic], zeta, tau: RiemannMatrix,
+               tol: float = THETA_TOL, grad: bool = False) -> list:
+    """theta[char](zeta, tau) of each characteristic at one argument: a
+    ThetaValue each, or with grad a ThetaGradient each; every bound is below
+    tol.
 
-
-def _theta_setup(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix,
-                 tol: float, want_grad: bool) -> _Sum:
+    The range reduction, the amplitude of the terms and the modulus
+    exp(-2 pi Im expo) of the prefactors do not depend on the characteristic,
+    so one set-up, and so one radius R, serves every sum.  Each keeps its
+    reduction phase, its prefactor e(expo + (l0.eps - n0.delta)/2) and its
+    bounds |prefactor| * tail.  Those whose reduced eps agree share the
+    centre eps/2 + Y^-1 Im zeta', its points and their quadratic form.  The
+    distinct centres go in blocks of an estimated _BLOCK_POINTS points or
+    fewer (V_g R^g / prod diag U per centre, V_g the volume of the unit
+    g-ball); each block is one multi-centre enumeration, summed before the
+    next block is enumerated.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    char_red, phase0 = reduce_characteristic(char)
-    zr, pref, n0, _ = _range_reduce(char_red, zeta, tau)
-    scale = max(1.0, abs(pref))
-    tol_red = tol / scale
-
-    a = char_red.eps_float() / 2.0
+    zeta = np.asarray(zeta, dtype=complex).reshape(tau.g)
+    zr, n0, l0, expo = _range_reduce(zeta, tau)
+    tol_red = tol / max(1.0, math.exp(-2.0 * np.pi * expo.imag))
     c = tau.Yinv @ np.imag(zr)
     amp = math.exp(np.pi * c @ tau.Y @ c)
-    cnorm = float(np.linalg.norm(c))
-
-    n0norm = float(np.linalg.norm(n0)) if n0.size else 0.0
-
     # each term is amp * exp(-||v||^2), v = U(m + xi); the gradient weighs it
     # by 2 pi |n - n0| <= 2 pi (||U^{-1}|| ||v|| + |c| + |n0|), as n = U^{-1} v - c.
     # A gradient sums at the larger radius, so both of its bounds hold.
     R, tail = _radius(tau, tol_red, amp)
-    tail_grad = None
-    if want_grad:
+    if grad:
         R_grad, tail_grad = _radius(tau, tol_red, 2 * np.pi * amp,
-                                    (tau.Uinv_norm, cnorm + n0norm))
+                                    (tau.Uinv_norm,
+                                     float(np.linalg.norm(c)) + float(np.linalg.norm(n0))))
         R = max(R, R_grad)
-    return _Sum(char_red, phase0, a, zr, pref, n0, a + c, R, tail, tail_grad)
+    classes: dict[tuple[Fraction, ...], list] = {}
+    for i, ch in enumerate(chars):
+        red, phase = reduce_characteristic(ch)
+        classes.setdefault(red.eps, []).append((i, red.delta_float(), phase))
+    groups = list(classes.items())
+    per_block = max(1, int(_BLOCK_POINTS / (tau.ball_per_cell * R ** tau.g)))
+    out = [None] * len(chars)
 
+    def sum_block(block):
+        # one multi-centre enumeration; its arrays go when this returns,
+        # before the next block is enumerated
+        eps = np.array([[float(x) for x in key] for key, _ in block])
+        a = eps / 2.0
+        points, owner = _enumerate_ellipsoid(tau.U, a + c, R)
+        ends = owner.searchsorted(np.arange(1, len(block) + 1)).tolist()
+        del owner
+        # each centre's rows become its n = m + eps/2 in place, so that one
+        # array of points is held while the block is summed
+        points = points.astype(float)
+        lo = 0
+        for (_, members), e, a_j, hi in zip(block, eps, a, ends):
+            n = points[lo:hi]
+            n += a_j
+            lo = hi
+            quad = np.einsum("ij,ij->i", n @ tau.matrix, n)   # n^t tau n, shared by the class
+            l0_eps = l0 @ e
+            for i, delta, phase in members:
+                # exponent: i*pi n^t tau n + 2*pi*i n^t (zr + delta/2)
+                terms = np.exp(1j * np.pi * quad + 2j * np.pi * (n @ (zr + delta / 2.0)))
+                val_red = terms.sum()
+                pref = _efun(expo + (l0_eps - n0 @ delta) / 2.0)
+                value = complex(phase * pref * val_red)
+                bound = float(abs(pref) * tail)
+                if not grad:
+                    out[i] = ThetaValue(value, bound)
+                    continue
+                grad_red = 2j * np.pi * (n.T @ terms)
+                values = phase * pref * (grad_red - 2j * np.pi * n0 * val_red)
+                out[i] = ThetaGradient(np.asarray(values, dtype=complex),
+                                       float(abs(pref) * tail_grad), value, bound, R)
 
-def _quadratic_form(n: np.ndarray, tau: RiemannMatrix) -> np.ndarray:
-    """n^t tau n of each row n = m + eps/2: the part of the terms that the
-    characteristics of one eps share."""
-    tn = n @ tau.matrix
-    return np.einsum("ij,ij->i", tn, n)
-
-
-def _theta_sum(s: _Sum, n: np.ndarray, quad: np.ndarray, want_grad: bool):
-    """The sum s over n = m + eps/2 with quadratic form quad, with its
-    gradient if wanted."""
-    b = s.char.delta_float() / 2.0
-    # exponent: i*pi n^t tau n + 2*pi*i n^t (zr + b)
-    lin = n @ (s.zr + b)
-    terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
-    val_red = terms.sum()
-    value = complex(s.phase * s.pref * val_red)
-    bound = float(abs(s.pref) * s.tail)
-    if not want_grad:
-        return ThetaValue(value, bound)
-    grad_red = 2j * np.pi * (n.T @ terms)
-    grad = s.phase * s.pref * (grad_red - 2j * np.pi * s.n0 * val_red)
-    return ThetaGradient(np.asarray(grad, dtype=complex), float(abs(s.pref) * s.tail_grad),
-                         value, bound, s.R)
-
-
-def _theta_core(char: Characteristic, zeta, tau: RiemannMatrix, tol: float,
-                want_grad: bool):
-    zeta = np.asarray(zeta, dtype=complex).reshape(tau.g)
-    s = _theta_setup(char, zeta, tau, tol, want_grad)
-    n = tau.lattice_points(s.xi, s.R) + s.a  # m + eps/2
-    return _theta_sum(s, n, _quadratic_form(n, tau), want_grad)
+    for start in range(0, len(groups), per_block):
+        sum_block(groups[start:start + per_block])
+    return out
 
 
 def theta_eval(char: Characteristic, zeta, tau: RiemannMatrix,
                tol: float = THETA_TOL) -> ThetaValue:
     """theta[char](zeta, tau) with omitted-tail bound below tol."""
-    return _theta_core(char, zeta, tau, tol, want_grad=False)
+    return theta_sums([char], zeta, tau, tol)[0]
 
 
 def theta_grad(char: Characteristic, zeta, tau: RiemannMatrix,
@@ -440,49 +449,7 @@ def theta_grad(char: Characteristic, zeta, tau: RiemannMatrix,
     """Componentwise d/d zeta_s of theta[char] at zeta, term-differentiated,
     and theta[char](zeta) itself, from one lattice sum; both bounds are below
     tol."""
-    return _theta_core(char, zeta, tau, tol, want_grad=True)
-
-
-def theta_constants(chars: Sequence[Characteristic], tau: RiemannMatrix,
-                    tol: float = THETA_TOL, grad: bool = False) -> list:
-    """theta_eval, or with grad theta_grad, of each characteristic at zeta = 0,
-    bit for bit, from as few lattice enumerations as the block budget allows.
-
-    At zeta = 0 the range reduction does not depend on the characteristic
-    (no lattice shift, prefactor 1) and every term has unit amplitude, so
-    one set-up, and so one radius R, serves every sum with its own reduced
-    characteristic; those whose reduced eps agree share the centre eps/2,
-    its points and their quadratic form.  The distinct centres go in blocks
-    of an estimated _BLOCK_POINTS points or fewer (V_g R^g / prod diag U per
-    centre, V_g the volume of the unit g-ball); each block is one
-    multi-centre enumeration, and each of its characteristics is summed over
-    its centre's points with the term expression of a single evaluation
-    before the next block is enumerated.
-    """
-    base = _theta_setup(Characteristic.zero(tau.g), np.zeros(tau.g, dtype=complex),
-                        tau, tol, grad)
-    classes: dict[tuple[Fraction, ...], list[tuple[int, _Sum]]] = {}
-    for i, ch in enumerate(chars):
-        red, phase = reduce_characteristic(ch)
-        a = red.eps_float() / 2.0
-        s = base._replace(char=red, phase=phase, a=a, xi=a + base.xi)
-        classes.setdefault(red.eps, []).append((i, s))
-    groups = list(classes.values())
-    ball = math.pi ** (tau.g / 2) / math.gamma(tau.g / 2 + 1)
-    per_centre = ball * base.R ** tau.g / float(np.prod(np.diag(tau.U)))
-    per_block = max(1, int(_BLOCK_POINTS / per_centre))
-    out = [None] * len(chars)
-    for start in range(0, len(groups), per_block):
-        block = groups[start:start + per_block]
-        points, owner = _enumerate_ellipsoid(
-            tau.U, np.array([members[0][1].xi for members in block]), base.R)
-        ends = np.cumsum(np.bincount(owner, minlength=len(block)))
-        for members, lo, hi in zip(block, np.concatenate([[0], ends[:-1]]), ends):
-            n = points[lo:hi] + members[0][1].a  # m + eps/2
-            quad = _quadratic_form(n, tau)
-            for i, s in members:
-                out[i] = _theta_sum(s, n, quad, grad)
-    return out
+    return theta_sums([char], zeta, tau, tol, grad=True)[0]
 
 
 def theta_norm_abs(char: Characteristic, zeta, tau: RiemannMatrix,
@@ -520,9 +487,8 @@ def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarr
     """
     g = tau.g
     zeta = np.asarray(zeta, dtype=complex).reshape(g)
-    zr, pref, n0, l0 = _range_reduce(Characteristic.zero(g), zeta, tau)
-    # the zero-characteristic range reduction is valid for every integral
-    # characteristic up to a unimodular factor e((l0.eps - n0.delta)/2)
+    zr, n0, l0, expo = _range_reduce(zeta, tau)
+    pref = _efun(expo)
     c = tau.Yinv @ np.imag(zr)
     amp = math.exp(np.pi * c @ tau.Y @ c)
     scale = max(1.0, abs(pref))

@@ -53,10 +53,11 @@ from .algebra import (INF, IndexSet, RootOfUnityTag, c2j, classify_root_of_unity
                       vandermonde_delta)
 from .curves import CurveSpec
 from .periods import PeriodData, PeriodError, _random_surface_points
-from .theta import THETA_TOL, Characteristic, invariant_abs, theta_eval
+# theta_eval is not called here; bench/test_checks.py reads it from this module
+from .theta import (GRAD_TOL, THETA_TOL, Characteristic, invariant_abs,  # noqa: F401
+                    theta_eval, theta_sums)
 
 SAMPLE_TRIES = 5   # divisors _sample_nonspecial draws before it gives up
-GRAD_TOL = 1e-9         # truncation bound of every derivative identity's gradient
 DET_SIGMA_TOL = 1e-9    # relative |det Sigma - Delta(I0)| of the hyperelliptic matrix form
 ZERO_BLOCK_TOL = 1e-10  # relative zero blocks of the trigonal matrix form's Sigma
 SIMPLE_ZERO_TOL = 1e-7  # |theta| below this times theta_scale is a zero
@@ -241,7 +242,7 @@ def verify_thomae_const_hyp(curve: CurveSpec, periods: PeriodData,
         raise ValueError("constant identity needs an m=0 partition")
     lam = curve.lam_map
     ch = char_from_partition_hyp(p, periods)
-    lhs = periods.theta_constants([ch], THETA_TOL, False)[0].value
+    lhs = periods.theta_constants([ch], False)[0].value
     rhs = (principal_power(np.linalg.det(periods.C) / (2.0 ** g * np.pi ** g), 0.5)
            * _delta_quarter_pair(p.I, p.J, lam))
     ratio = lhs / rhs
@@ -274,7 +275,7 @@ def _verify_deriv(identity: str, order: int, periods: PeriodData,
     against the RHS vector: one ratio per nonzero RHS entry, their mean
     classified as an order-th root of unity."""
     g = periods.g
-    grad = periods.theta_constants([ch], GRAD_TOL, True)[0].values
+    grad = periods.theta_constants([ch], True)[0].values
     ratios, mean, spread, zeros_ok = _ratio_statistics(grad, rhs, tol)
     tag = classify_root_of_unity(mean, order, tol) if ratios else None
     passed = bool(ratios) and tag.ok and spread < tol and zeros_ok
@@ -304,18 +305,20 @@ def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
     return _hyp_deriv_row(curve, periods, p, tol)[0]
 
 
-def _sample_nonspecial(periods: PeriodData, count: int, rng, sign: int):
+def _sample_nonspecial(periods: PeriodData, count: int, rng, sign: int,
+                       ch: Characteristic):
     """Random surface points whose divisor argument sign (sum u(Q_r) + K)
-    keeps theta away from 0: (points, argument, theta there, resamples)."""
+    keeps theta away from 0: (points, argument, theta there, theta[ch]
+    there, resamples), both values from one theta_sums call."""
     ch0 = Characteristic.zero(periods.g)
     scale = periods.theta_scale()
     tries = 0
     while True:
         pts = _random_surface_points(periods, count, rng)
         arg = sign * (periods.abel_jacobi_divisor(pts) + periods.K)
-        val = theta_eval(ch0, arg, periods.tau).value
-        if invariant_abs(val, arg, periods.tau) > 1e-4 * scale:
-            return pts, arg, val, tries
+        val, val_ch = theta_sums([ch0, ch], arg, periods.tau)
+        if invariant_abs(val.value, arg, periods.tau) > 1e-4 * scale:
+            return pts, arg, val.value, val_ch.value, tries
         tries += 1
         if tries >= SAMPLE_TRIES:
             raise PeriodError("could not sample a non-special divisor")
@@ -342,9 +345,8 @@ def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
     ratios = []
     resamples = 0
     for _ in range(samples):
-        pts, arg, den, tries = _sample_nonspecial(periods, g, rng, sign)
+        pts, arg, den, num, tries = _sample_nonspecial(periods, g, rng, sign, ch_k)
         resamples += tries
-        num = theta_eval(ch_k, arg, periods.tau).value
         lhs = (num / den) ** n
         rhs = np.prod([lam_k - p.z for p in pts]) / fp
         ratios.append(lhs / rhs)
@@ -467,7 +469,7 @@ def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> comp
     """
     p.validate(curve.q)
     ch = char_from_partition_trig(p, periods)
-    lhs = periods.theta_constants([ch], THETA_TOL, False)[0].value
+    lhs = periods.theta_constants([ch], False)[0].value
     ed = sum(e * d for e, d in zip(ch.eps, ch.delta))
     lhs = lhs * np.exp(2j * np.pi * float(ed) / 4.0)
     rhs = (principal_power(np.linalg.det(periods.C), 0.5)
@@ -485,8 +487,7 @@ def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
     for ci, (curve, periods) in enumerate(curves):
         alpha = trig_alpha(curve.genus)
         parts = enumerate_partitions_trig(curve.q, "constant")
-        periods.theta_constants([char_from_partition_trig(p, periods) for p in parts],
-                                THETA_TOL, False)
+        periods.theta_constants([char_from_partition_trig(p, periods) for p in parts], False)
         for p in parts:
             r = alpha_ratio(curve, periods, p)
             tag = classify_root_of_unity(r / alpha, TRIG_ROOT_ORDER, tol)
@@ -625,7 +626,7 @@ def simple_zero_check(periods: PeriodData, p: TrigPartition) -> VerificationRepo
     the plan's theta table entry at GRAD_TOL, the one the derivative
     identities read."""
     ch = char_from_partition_trig(p, periods)
-    d = periods.theta_constants([ch], GRAD_TOL, True)[0]
+    d = periods.theta_constants([ch], True)[0]
     val = abs(d.value)
     grad = float(np.linalg.norm(d.values))
     scale = periods.theta_scale()

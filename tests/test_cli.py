@@ -254,6 +254,28 @@ def test_coincident_branch_points_exit_3(tmp_path, capsys, command):
     assert err.startswith("error:") and "not distinct" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["verify", "curve_file", "periods"])
+def test_non_finite_branch_point_exits_2(tmp_path, capsys, command, value):
+    # NaN and Infinity as the tokens json writes for them; both once passed
+    # the curve spec and exited 3 on "could not find a rotation separating
+    # branch points"
+    from thetalab.cli import main
+    curve = {"n": 2, "lambdas": [[0, 0], [1, 0], [2, value]]}
+    if command == "periods":
+        f = write(tmp_path / "c.json", curve)
+    elif command == "curve_file":
+        plan = dict(PLAN_G1, curve_file=write(tmp_path / "c.json", curve))
+        del plan["curve"]
+        f = write(tmp_path / "plan.json", plan)
+    else:
+        f = write(tmp_path / "plan.json", dict(PLAN_G1, curve=curve))
+    assert main(["periods" if command == "periods" else "verify", f]) == 2
+    err = capsys.readouterr().err
+    assert (err.startswith("error: invalid") and "branch points must be finite" in err
+            and err.count("\n") == 1)
+
+
 def test_verify_parse_failure(tmp_path):
     f = tmp_path / "plan.json"
     f.write_text("{]")
@@ -292,7 +314,7 @@ def test_verify_task_on_wrong_cover_degree(tmp_path, capsys, curve, task):
 
 
 @pytest.mark.parametrize("target", ["thetalab.periods.theta_norm_abs",
-                                    "thetalab.periods.theta_constants"])
+                                    "thetalab.periods.theta_sums"])
 def test_verify_theta_failure_exits_3(tmp_path, capsys, monkeypatch, target):
     from thetalab.cli import main
     from thetalab.theta import ThetaError

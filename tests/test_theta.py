@@ -14,10 +14,10 @@ import thetalab.theta
 from thetalab.curves import CurveSpec
 from thetalab.periods import build_periods
 from thetalab.theta import (_S_GRID, Characteristic, RiemannMatrix, ThetaError,
-                            _enumerate_ellipsoid, _radius, apply_transchar,
-                            count_parities, parity, reduce_characteristic,
-                            theta_constants, theta_eval, theta_grad,
-                            theta_halfint_table, theta_norm_abs, truncation_radius)
+                            _enumerate_ellipsoid, _radius, _range_reduce, apply_transchar,
+                            count_parities, parity, reduce_characteristic, theta_eval,
+                            theta_grad, theta_halfint_table, theta_norm_abs, theta_sums,
+                            truncation_radius)
 
 from conftest import random_riemann_matrix
 from oracles import (THETA_AT_I, gaussian_lattice_sum, mp_theta, naive_theta,
@@ -307,7 +307,7 @@ def _seeded_matrices(genera, seed, count=2):
 
 
 def _grad_weight(tau, offset=None):
-    """_theta_core's gradient weight (A, B) at an evaluation whose offset
+    """theta_sums' gradient weight (A, B) at an evaluation whose offset
     norm |c| + |n0| is B, by default sqrt(g)/2 + 1."""
     B = math.sqrt(tau.g) / 2.0 + 1.0 if offset is None else offset
     return tau.Uinv_norm, B
@@ -596,20 +596,78 @@ def _seeded_characteristics(g, rng):
     return chars + [chars[0]]
 
 
-@pytest.mark.parametrize("budget", [1, thetalab.theta._BLOCK_POINTS, 1e9])
+def _beyond_the_cell(tau, g):
+    """A seeded argument tau (x + e_0) + l one period beyond the cell, with
+    x_0 near -1/2, so that its prefactor has a modulus near 1 and the last
+    bits of that modulus can reach the radius."""
+    rng = np.random.default_rng([70 + g, _ULP_APART_DRAW[g]])
+    x = rng.uniform(-0.5, 0.5, g)
+    x[0] = rng.uniform(-0.5, -0.4)
+    return tau.matrix @ (x + np.eye(g)[0]) + rng.integers(-2, 3, g)
+
+
+# the first draw of _beyond_the_cell at which _own_prefactor_radii differ
+_ULP_APART_DRAW = {1: 6, 2: 37, 3: 50, 4: 115}
+
+
+def _own_prefactor_radii(chars, zeta, tau, tol, grad):
+    """The radii that sizing each sum from its characteristic's own
+    |prefactor| would give, in place of exp(-2 pi Im expo)."""
+    zr, n0, l0, expo = _range_reduce(zeta, tau)
+    c = tau.Yinv @ np.imag(zr)
+    amp = math.exp(np.pi * c @ tau.Y @ c)
+    radii = set()
+    for ch in chars:
+        red = reduce_characteristic(ch)[0]
+        pref = thetalab.theta._efun(expo + (l0 @ red.eps_float() - n0 @ red.delta_float()) / 2.0)
+        tol_red = tol / max(1.0, abs(pref))
+        R = _radius(tau, tol_red, amp)[0]
+        if grad:
+            offset = float(np.linalg.norm(c)) + float(np.linalg.norm(n0))
+            R = max(R, _radius(tau, tol_red, 2 * np.pi * amp, _grad_weight(tau, offset))[0])
+        radii.add(R)
+    return radii
+
+
+@pytest.mark.parametrize("budget", [1, 4096, thetalab.theta._BLOCK_POINTS, 1e9])
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_theta_constants_equal_single_evaluations_bit_for_bit(monkeypatch, g, budget):
+    # theta_sums gives every characteristic's single evaluation bit for bit
+    # at zeta = 0, at a generic point of the cell and at a point that needs a
+    # lattice shift (|prefactor| != 1), and every sum at one argument is
+    # enumerated at one radius, even where the characteristics' own
+    # |prefactor|s would size radii an ulp apart
     monkeypatch.setattr(thetalab.theta, "_BLOCK_POINTS", budget)
+    radii = []
+    enumerate_all = thetalab.theta._enumerate_ellipsoid
+
+    def recorded(U, centers, radius):
+        radii.append(radius)
+        return enumerate_all(U, centers, radius)
+    monkeypatch.setattr(thetalab.theta, "_enumerate_ellipsoid", recorded)
     rng = np.random.default_rng(70 + g)
     tau = RiemannMatrix(random_riemann_matrix(g, rng))
     chars = _seeded_characteristics(g, rng)
-    assert theta_constants(chars, tau, 1e-10) == [theta_eval(ch, np.zeros(g), tau, 1e-10)
-                                                  for ch in chars]
-    for got, ch in zip(theta_constants(chars, tau, 1e-9, grad=True), chars):
-        want = theta_grad(ch, np.zeros(g), tau, 1e-9)
-        assert np.array_equal(got.values, want.values)
-        assert ((got.value, got.value_bound, got.truncation_bound, got.radius)
-                == (want.value, want.value_bound, want.truncation_bound, want.radius))
+    cell = tau.matrix @ rng.uniform(-0.5, 0.5, g) + rng.uniform(-0.5, 0.5, g)
+    shifted = _beyond_the_cell(tau, g)
+    cases = ((1e-10, False), (1e-9, True))
+    assert _range_reduce(shifted, tau)[3].imag != 0.0
+    assert any(len(_own_prefactor_radii(chars, shifted, tau, tol, grad)) > 1
+               for tol, grad in cases)
+    for zeta in (np.zeros(g), cell, shifted):
+        for tol, grad in cases:
+            radii.clear()
+            got = theta_sums(chars, zeta, tau, tol, grad)
+            assert len(set(radii)) == 1
+            radius = radii[0]
+            for res, ch in zip(got, chars):
+                radii.clear()
+                want = (theta_grad if grad else theta_eval)(ch, zeta, tau, tol)
+                assert radii == [radius]
+                assert (res.value, res.truncation_bound) == (want.value, want.truncation_bound)
+                if grad:
+                    assert np.array_equal(res.values, want.values)
+                    assert (res.value_bound, res.radius) == (want.value_bound, radius)
 
 
 @pytest.mark.parametrize("budget", [1, 1e9])
@@ -621,14 +679,14 @@ def test_theta_constants_point_cap_counts_intermediate_levels(monkeypatch, budge
     tau = RiemannMatrix(1j * (U.T @ U) / np.pi)
     chars = [Characteristic.of(eps, [0, 1]) for eps in ([0, 0], [1, 0], [0, 1], [1, 1])]
     want = [theta_eval(ch, np.zeros(2), tau) for ch in chars]
-    assert theta_constants(chars, tau) == want
+    assert theta_sums(chars, np.zeros(2), tau) == want
     R = truncation_radius(tau, thetalab.theta.THETA_TOL)
     centers = np.array([ch.eps_float() / 2.0 for ch in chars])
     blocks = [centers] if budget > 1 else [c[None] for c in centers]
     cap = max(len(_enumerate_ellipsoid(tau.U, c, R)[0]) for c in blocks)
     monkeypatch.setattr(thetalab.theta, "_POINT_CAP", cap)
     with pytest.raises(ThetaError, match="point cap"):
-        theta_constants(chars, tau)
+        theta_sums(chars, np.zeros(2), tau)
 
 
 def test_characteristic_hash_is_computed_once_and_equal_for_equal_entries(monkeypatch):

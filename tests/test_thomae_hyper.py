@@ -105,19 +105,43 @@ def test_quotient_resample_path(hyp_g2, monkeypatch):
     import thetalab.thomae as T
     c, pd = hyp_g2
     calls = {"n": 0}
-    orig = T.theta_eval
+    orig = T.theta_sums
 
-    def fake(ch, arg, tau):
+    def fake(chars, arg, tau):
         calls["n"] += 1
         if calls["n"] == 1:
-            return dataclasses.replace(orig(ch, arg, tau), value=0j)
-        return orig(ch, arg, tau)
+            return [dataclasses.replace(v, value=0j) for v in orig(chars, arg, tau)]
+        return orig(chars, arg, tau)
 
-    monkeypatch.setattr(T, "theta_eval", fake)
+    monkeypatch.setattr(T, "theta_sums", fake)
     rng = np.random.default_rng(5)
-    pts, arg, den, tries = _sample_nonspecial(pd, 2, rng, 1)
+    ch = pd.characteristic({1: 1}, plus_K=False)
+    pts, arg, den, num, tries = _sample_nonspecial(pd, 2, rng, 1, ch)
     assert tries == 1 and calls["n"] == 2
-    assert den == orig(Characteristic.zero(2), arg, pd.tau, 1e-10).value
+    assert den == theta_eval(Characteristic.zero(2), arg, pd.tau, 1e-10).value
+    assert num == theta_eval(ch, arg, pd.tau, 1e-10).value
+
+
+@pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])
+def test_quotient_enumerates_once_per_argument(fixture, request, monkeypatch):
+    # numerator and denominator share one lattice enumeration at each drawn
+    # argument, resampled ones included
+    import thetalab.theta
+    from thetalab.thomae import _verify_quotient
+    c, pd = request.getfixturevalue(fixture)
+    pd.theta_scale()
+    calls = []
+    enumerate_all = thetalab.theta._enumerate_ellipsoid
+
+    def counted(U, centers, radius):
+        calls.append(len(centers))
+        return enumerate_all(U, centers, radius)
+    monkeypatch.setattr(thetalab.theta, "_enumerate_ellipsoid", counted)
+    for k in (1, 2):
+        calls.clear()
+        rep = _verify_quotient(c, pd, k, c.n, seed=3 + k, samples=3, tol=1e-6)
+        assert rep.passed
+        assert len(calls) == 3 + rep.details["resamples"]
 
 
 def test_matrix_form(hyp_g2):

@@ -206,12 +206,12 @@ def test_simple_zero_check_sums_theta_once(trig_q2, monkeypatch):
     # kernel call the first time and read back after that
     import thetalab.periods
     summed = []
-    kernel = thetalab.periods.theta_constants
+    kernel = thetalab.periods.theta_sums
 
     def counted(chars, *args, **kwargs):
         summed.append(list(chars))
         return kernel(chars, *args, **kwargs)
-    monkeypatch.setattr(thetalab.periods, "theta_constants", counted)
+    monkeypatch.setattr(thetalab.periods, "theta_sums", counted)
     c, pd = trig_q2
     monkeypatch.setattr(pd, "_theta_table", {})
     p = enumerate_partitions_trig(2, "deriv1")[0]
@@ -228,12 +228,13 @@ def test_q2_plan_sums_each_theta_constant_once(trig_q2, monkeypatch):
     import thetalab.periods
     from thetalab.cli import TASKS, Plan
     summed = []
-    kernel = thetalab.periods.theta_constants
+    kernel = thetalab.periods.theta_sums
 
-    def counted(chars, tau, tol, grad):
+    def counted(chars, zeta, tau, tol, grad):
+        assert not np.any(zeta)
         summed.extend((ch, tol, grad) for ch in chars)
-        return kernel(chars, tau, tol, grad)
-    monkeypatch.setattr(thetalab.periods, "theta_constants", counted)
+        return kernel(chars, zeta, tau, tol, grad)
+    monkeypatch.setattr(thetalab.periods, "theta_sums", counted)
     c, pd = trig_q2
     monkeypatch.setattr(pd, "_theta_table", {})
     plan = Plan(c, pd, {})
