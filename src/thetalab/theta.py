@@ -217,23 +217,23 @@ class RiemannMatrix:
         self.Uinv_norm = float(np.linalg.norm(np.linalg.inv(self.U), 2))
         # log P(s) of the Rankin bound on _S_GRID
         self.log_p = np.log1p(np.sqrt(np.pi / _S_GRID)[:, None] / np.diag(self.U)).sum(axis=1)
-        # lattice points per unit R^g in a ball of radius R: V_g / prod diag U
-        self.ball_per_cell = (math.pi ** (self.g / 2) / math.gamma(self.g / 2 + 1)
-                              / float(np.prod(np.diag(self.U))))
 
-    def lattice_points(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """All integer m with ||U (m + center)|| <= radius; nothing is kept."""
-        return _enumerate_ellipsoid(self.U, np.reshape(center, (1, self.g)), radius)[0]
+    def lattice_points(self, centers: np.ndarray, radius: float) -> np.ndarray:
+        """Rows (m_0, ..., m_{g-1}, j): every integer m with
+        ||U (m + centers[j])|| <= radius, for each row j of centers (or for
+        one centre given as a g-vector, j = 0), grouped by j in ascending
+        order; nothing is kept."""
+        return _enumerate_ellipsoid(self.U, np.reshape(centers, (-1, self.g)), radius)
 
 
-def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray,
-                         radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """(points, owner): every integer m with ||U (m + centers[j])|| <= radius
-    for some row j, and that j, U upper triangular.
+def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
+    """Rows (m_0, ..., m_{g-1}, j): every integer m with
+    ||U (m + centers[j])|| <= radius for some row j, and that j, U upper
+    triangular.
 
     Fincke-Pohst enumeration, breadth-first: one array pass per coordinate,
     from m_{g-1} down to m_0, over the ellipsoids of all centres at once.  A
-    frontier node holds its centre, its chosen coordinates, the partial
+    frontier node holds its chosen coordinates and its centre's j, the partial
     linear form (the rows still needed) and the remaining squared norm; its
     children are the k in [lo, hi] with budget - (u (k + off))^2 >= -1e-12.
     Children are expanded in parent order with k ascending, so the rows come
@@ -245,13 +245,13 @@ def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray,
     many candidates as there are points.
     """
     g = U.shape[0]
-    owner = np.arange(len(centers))
-    chosen = np.zeros((len(centers), 0), dtype=np.int64)   # columns m_{level+1} .. m_{g-1}
+    # columns m_{level+1} .. m_{g-1} and the owner j
+    chosen = np.arange(len(centers))[:, None]
     partial = np.zeros((len(centers), g))
     budget = np.full(len(centers), radius * radius)
     for level in range(g - 1, -1, -1):
         u = U[level, level]
-        center = centers[owner, level]
+        center = centers[chosen[:, -1], level]
         off = center + partial[:, level] / u
         half = np.sqrt(budget) / abs(u)
         lo = np.ceil(-off - half - 1e-12).astype(np.int64)
@@ -266,11 +266,11 @@ def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray,
         rem = budget[parent] - t * t
         keep = rem >= -1e-12
         parent, k = parent[keep], k[keep]
-        owner, center = owner[parent], center[parent]
-        chosen = np.concatenate([k[:, None], chosen[parent]], axis=1)
+        center = center[parent]
+        chosen = np.column_stack([k, chosen[parent]])
         partial = partial[parent, :level] + U[:level, level] * (k + center)[:, None]
         budget = np.maximum(rem[keep], 0.0)
-    return chosen, owner
+    return chosen
 
 
 # ----------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def theta_sums(chars: Sequence[Characteristic], zeta, tau: RiemannMatrix,
     centre eps/2 + Y^-1 Im zeta', its points and their quadratic form.  The
     distinct centres go in blocks of an estimated _BLOCK_POINTS points or
     fewer (V_g R^g / prod diag U per centre, V_g the volume of the unit
-    g-ball); each block is one multi-centre enumeration, summed before the
+    g-ball); each block is one tau.lattice_points call, summed before the
     next block is enumerated.
     """
     if tol <= 0:
@@ -397,7 +397,9 @@ def theta_sums(chars: Sequence[Characteristic], zeta, tau: RiemannMatrix,
         red, phase = reduce_characteristic(ch)
         classes.setdefault(red.eps, []).append((i, red.delta_float(), phase))
     groups = list(classes.items())
-    per_block = max(1, int(_BLOCK_POINTS / (tau.ball_per_cell * R ** tau.g)))
+    ball = math.pi ** (tau.g / 2) / math.gamma(tau.g / 2 + 1)
+    per_centre = ball * R ** tau.g / math.prod(tau.U.diagonal().tolist())
+    per_block = max(1, int(_BLOCK_POINTS / per_centre))
     out = [None] * len(chars)
 
     def sum_block(block):
@@ -405,12 +407,12 @@ def theta_sums(chars: Sequence[Characteristic], zeta, tau: RiemannMatrix,
         # before the next block is enumerated
         eps = np.array([[float(x) for x in key] for key, _ in block])
         a = eps / 2.0
-        points, owner = _enumerate_ellipsoid(tau.U, a + c, R)
-        ends = owner.searchsorted(np.arange(1, len(block) + 1)).tolist()
-        del owner
+        rows = tau.lattice_points(a + c, R)
+        ends = rows[:, -1].searchsorted(np.arange(1, len(block) + 1)).tolist()
         # each centre's rows become its n = m + eps/2 in place, so that one
         # array of points is held while the block is summed
-        points = points.astype(float)
+        points = rows[:, :-1].astype(float)
+        del rows
         lo = 0
         for (_, members), e, a_j, hi in zip(block, eps, a, ends):
             n = points[lo:hi]
@@ -507,7 +509,7 @@ def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarr
     for ecode in range(two):
         evec = (ecode >> bits) & 1
         a = evec / 2.0
-        pts = tau.lattice_points(a + c, R)
+        pts = tau.lattice_points(a + c, R)[:, :-1]
         n = pts + a
         tn = n @ tau.matrix
         quad = np.einsum("ij,ij->i", tn, n)

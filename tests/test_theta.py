@@ -320,8 +320,8 @@ def test_poisson_sum_matches_direct_sum():
     for tau in _seeded_matrices((1, 2, 3), 48) + list(_skewed_matrices()):
         xi = rng.uniform(-0.5, 0.5, tau.g)
         s = np.array([0.1, 0.25, 0.49])
-        r2 = np.sum(((tau.lattice_points(xi, math.sqrt(40.0 / s[0])) + xi) @ tau.U.T) ** 2,
-                    axis=1)
+        pts = tau.lattice_points(xi, math.sqrt(40.0 / s[0]))[:, :-1]
+        r2 = np.sum(((pts + xi) @ tau.U.T) ** 2, axis=1)
         direct = np.exp(-s[:, None] * r2).sum(axis=1)
         assert np.all(np.abs(gaussian_lattice_sum(tau.U, xi, s) - direct) <= 1e-12 * direct)
 
@@ -340,7 +340,7 @@ def _enumerated_tail(tau, xi, R, weight, grad, extra):
     """weight * sum of f(||v||) exp(-||v||^2) over R < ||v||, v = U(m + xi),
     out to ||v||^2 = R^2 + extra, past which each term is below e^-extra of
     the largest omitted one."""
-    pts = tau.lattice_points(xi, math.sqrt(R * R + extra))
+    pts = tau.lattice_points(xi, math.sqrt(R * R + extra))[:, :-1]
     r = np.linalg.norm((pts + xi) @ tau.U.T, axis=1)
     r = r[r > R]
     f = 1.0 if grad is None else grad[0] * r + grad[1]
@@ -457,9 +457,9 @@ def test_theta_and_gradient_within_bound_of_mpmath_sum(g):
 
 def enumerate_one(U, center, radius):
     """The points of one centre's ellipsoid: the enumerator's one-centre case."""
-    points, owner = _enumerate_ellipsoid(U, np.reshape(center, (1, len(U))), radius)
-    assert not owner.any()
-    return points
+    rows = _enumerate_ellipsoid(U, np.reshape(center, (1, len(U))), radius)
+    assert not rows[:, -1].any()
+    return rows[:, :-1]
 
 
 def assert_same_points(U, center, radius):
@@ -580,10 +580,41 @@ def test_enumeration_of_several_centres_is_each_centre_in_turn(g):
     U = RiemannMatrix(random_riemann_matrix(g, rng)).U if g else np.zeros((0, 0))
     centers = rng.uniform(-1.0, 1.0, (5, g))
     centers[3] = centers[1]
-    points, owner = _enumerate_ellipsoid(U, centers, 2.2)
+    rows = _enumerate_ellipsoid(U, centers, 2.2)
+    points, owner = rows[:, :-1], rows[:, -1]
     assert np.array_equal(owner, np.sort(owner))
     for j, center in enumerate(centers):
         assert np.array_equal(points[owner == j], enumerate_one(U, center, 2.2))
+
+
+def test_every_sum_enumerates_through_lattice_points(monkeypatch):
+    # theta_sums reaches the enumerator only through RiemannMatrix.lattice_points,
+    # so a wrapper there sees every enumeration and every point of each
+    seen, enumerated = [], []
+    lattice_points = RiemannMatrix.lattice_points
+    enumerate_all = thetalab.theta._enumerate_ellipsoid
+
+    def wrapped(self, centers, radius):
+        rows = lattice_points(self, centers, radius)
+        seen.append(len(rows))
+        return rows
+
+    def counted(U, centers, radius):
+        rows = enumerate_all(U, centers, radius)
+        enumerated.append(len(rows))
+        return rows
+    monkeypatch.setattr(RiemannMatrix, "lattice_points", wrapped)
+    monkeypatch.setattr(thetalab.theta, "_enumerate_ellipsoid", counted)
+    rng = np.random.default_rng(65)
+    tau = RiemannMatrix(random_riemann_matrix(3, rng))
+    chars = _seeded_characteristics(3, rng)
+    zeta = rng.uniform(-0.5, 0.5, 3) + 1j * rng.uniform(-0.5, 0.5, 3)
+    theta_eval(chars[0], zeta, tau)
+    theta_grad(chars[1], zeta, tau)
+    theta_sums(chars, zeta, tau)
+    theta_sums(chars, np.zeros(3), tau, grad=True)
+    assert len(enumerated) >= 4 and min(enumerated) > 0
+    assert seen == enumerated
 
 
 def _seeded_characteristics(g, rng):
@@ -683,7 +714,7 @@ def test_theta_constants_point_cap_counts_intermediate_levels(monkeypatch, budge
     R = truncation_radius(tau, thetalab.theta.THETA_TOL)
     centers = np.array([ch.eps_float() / 2.0 for ch in chars])
     blocks = [centers] if budget > 1 else [c[None] for c in centers]
-    cap = max(len(_enumerate_ellipsoid(tau.U, c, R)[0]) for c in blocks)
+    cap = max(len(_enumerate_ellipsoid(tau.U, c, R)) for c in blocks)
     monkeypatch.setattr(thetalab.theta, "_POINT_CAP", cap)
     with pytest.raises(ThetaError, match="point cap"):
         theta_sums(chars, np.zeros(2), tau)
