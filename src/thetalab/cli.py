@@ -6,11 +6,14 @@ Subcommands:
   thetalab theta <input.json>          theta value + gradient, both bounded by tol
   thetalab verify <plan.json>          run a verification plan; JSONL reports
 
-Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success /
-all verifications passed, 1 verification failure, 2 parse failure (also a
-curve spec with a bad degree or branch-point count, or a non-finite theta
-input), unknown task id, a task for the other cover degree, an unknown task
-or plan key or a bad task or plan parameter, 3 invariant failure (branch
+A verify task's tol is its own, else --tol (default 1e-6).  A task handler
+(Plan) turns its task's parameters into partitions for a thomae verifier.
+
+Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success / all
+verifications passed, 1 verification failure, 2 parse failure (also a curve
+spec with a bad degree or branch-point count, or a non-finite theta input),
+unknown task id, a task for the other cover degree, an unknown task or plan
+key or a bad task or plan parameter or --tol, 3 invariant failure (branch
 points not distinct, non-positive-definite Im tau), theta failure
 (truncation or point cap, or a lattice shift of 2**53 or more), sheet
 tracking failure (a path step or quadrature leg onto or through a branch
@@ -150,18 +153,15 @@ def cmd_theta(args) -> int:
 
 
 class Plan:
-    """The curve and period data of one plan, and what its tasks share.
+    """The curve and period data of one plan, shared by its tasks.
 
-    Each task handler takes (task entry, tol, seed) and yields reports."""
+    Each task handler takes (task entry, tol, seed), turns the task's
+    parameters into partitions and gives its reports in order; the thomae
+    verifiers read the theta constants from the plan's table."""
 
-    def __init__(self, curve: CurveSpec, pd: PeriodData, defaults: dict):
+    def __init__(self, curve: CurveSpec, pd: PeriodData):
         self.curve = curve
         self.pd = pd
-        self.defaults = defaults
-
-    def tolerance(self, task: dict) -> float:
-        """The tol of a task: its own, else the plan's, else 1e-6."""
-        return float(task.get("tol", self.defaults.get("tol", 1e-6)))
 
     def period_sanity(self, task, tol, seed):
         d = self.pd.diagnostics
@@ -174,33 +174,20 @@ class Plan:
         }
         passed = all(v <= t for v, t in checks.values()) and d["im_tau_min_eig"] > 0
         yield thomae.VerificationReport(
-            identity="period_sanity", partition="", s_range=[], lhs=[],
-            rhs_modulus=None, ratios=[], tag=None, spread=0.0,
-            passed=passed,
+            identity="period_sanity", partition="", passed=passed,
             tolerances={k: t for k, (v, t) in checks.items()},
             details={k: v for k, (v, t) in checks.items()}
             | {"im_tau_min_eig": d["im_tau_min_eig"]})
 
-    def _sum_constants(self, parts, grad: bool):
-        """Fill the plan's theta table for all of a task's partitions at
-        once: values, or gradients, as the identities read them."""
-        char = (thomae.char_from_partition_hyp if self.curve.n == 2
-                else thomae.char_from_partition_trig)
-        self.pd.theta_constants([char(p, self.pd) for p in parts], grad)
-
     def thomae_const_hyp(self, task, tol, seed):
         parts = thomae.enumerate_partitions_hyp(self.curve.genus, 0)
-        self._sum_constants(parts, False)
-        for p in parts:
-            yield thomae.verify_thomae_const_hyp(self.curve, self.pd, p, tol)
+        return thomae.verify_thomae_const_hyp(self.curve, self.pd, parts, tol)
 
     def thomae_deriv_hyp(self, task, tol, seed):
         include_inf = bool(task.get("include_infinity", False))
         parts = [p for p in thomae.enumerate_partitions_hyp(self.curve.genus, 1)
                  if include_inf or INF not in p.I]
-        self._sum_constants(parts, True)
-        for p in parts:
-            yield thomae.verify_thomae_deriv_hyp(self.curve, self.pd, p, tol)
+        return thomae.verify_thomae_deriv_hyp(self.curve, self.pd, parts, tol)
 
     def quotient(self, task, tol, seed):
         verify = (thomae.verify_quotient_hyp if self.curve.n == 2
@@ -212,16 +199,12 @@ class Plan:
 
     def matrix_form_hyp(self, task, tol, seed):
         parts = thomae.enumerate_partitions_hyp(self.curve.genus, 0)[:int(task.get("count", 1))]
-        self._sum_constants([p1 for p in parts for p1 in thomae.derived_partitions_hyp(p)],
-                            True)
-        for p in parts:
-            yield thomae.verify_matrix_form_hyp(self.curve, self.pd, p, tol)
+        return thomae.verify_matrix_form_hyp(self.curve, self.pd, parts, tol)
 
     def alpha_trig(self, task, tol, seed):
         est = thomae.estimate_alpha([(self.curve, self.pd)], tol=tol)
         yield thomae.VerificationReport(
-            identity="alpha_trig", partition="all-constant-kind", s_range=[],
-            lhs=[], rhs_modulus=None, ratios=[], tag=None,
+            identity="alpha_trig", partition="all-constant-kind",
             spread=est.spread, passed=all(t.ok for t in est.phases),
             tolerances={"tol": tol, "theta_tol": THETA_TOL},
             details={"alpha_modulus": est.modulus,
@@ -231,34 +214,25 @@ class Plan:
 
     def deriv_trig_t1(self, task, tol, seed):
         parts = thomae.enumerate_partitions_trig(self.curve.q, "deriv1")
-        self._sum_constants(parts, True)
-        for p in parts:
-            yield thomae.verify_thomae_deriv_trig_t1(self.curve, self.pd, p, tol)
+        return thomae.verify_thomae_deriv_trig_t1(self.curve, self.pd, parts, tol)
 
     def deriv_trig_t2(self, task, tol, seed):
         parts = [p for loc in task.get("infinity_in", [1, 0])
                  for p in thomae.enumerate_partitions_trig(self.curve.q, "deriv2",
                                                            infinity_in=loc)]
-        self._sum_constants(parts, True)
-        for p in parts:
-            yield thomae.verify_thomae_deriv_trig_t2(self.curve, self.pd, p, tol)
+        return thomae.verify_thomae_deriv_trig_t2(self.curve, self.pd, parts, tol)
 
     def matrix_form_trig(self, task, tol, seed):
         q = self.curve.q
         parts = thomae.enumerate_partitions_trig(q, "constant")[:int(task.get("count", 1))]
-        self._sum_constants([pk for p in parts
-                             for pk in thomae.derived_partitions_for_matrix(p, q)], True)
-        for p in parts:
-            yield thomae.verify_matrix_form_trig(self.curve, self.pd, p, tol)
+        return thomae.verify_matrix_form_trig(self.curve, self.pd, parts, tol)
 
     def simple_zeros_trig(self, task, tol, seed):
         q = self.curve.q
         parts = (thomae.enumerate_partitions_trig(q, "deriv1")
                  + thomae.enumerate_partitions_trig(q, "deriv2", infinity_in=1)
                  + thomae.enumerate_partitions_trig(q, "constant"))
-        self._sum_constants(parts, True)
-        for p in parts:
-            yield thomae.simple_zero_check(self.pd, p)
+        return thomae.simple_zero_check(self.pd, parts)
 
 
 # task id -> (cover degree it applies to, None for either; Plan handler;
@@ -277,7 +251,7 @@ TASKS = {
     "simple_zeros_trig": (3, Plan.simple_zeros_trig, ()),
 }
 TASK_KEYS = ("id", "tol")
-PLAN_KEYS = ("curve", "curve_file", "seed", "tasks", "tolerances")
+PLAN_KEYS = ("curve", "curve_file", "seed", "tasks")
 
 
 def _int_in(lo, hi):
@@ -290,9 +264,9 @@ def _finite_positive(v) -> bool:
 
 
 def _bad_parameter(places: list[tuple[str, dict, tuple]], n: int):
-    """The error line for the first unknown key or bad parameter of a task
-    or the plan, each place given with its known keys, or None; n is the
-    number of branch points."""
+    """The error line for the first unknown key or bad parameter of a task,
+    the plan or --tol, each place given with its known keys, or None; n is
+    the number of branch points."""
     positive = (_int_in(1, math.inf), "a positive integer")
     checks = {
         "ks": (lambda v: isinstance(v, list) and all(map(_int_in(1, n), v)),
@@ -327,7 +301,6 @@ def cmd_verify(args) -> int:
         tasks = plan["tasks"]
         if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
             raise KeyError("tasks")
-        defaults = dict(plan.get("tolerances", {}))
     except (KeyError, TypeError, ValueError, CurveSpecError) as exc:
         print(f"error: invalid plan: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BranchPointsNotDistinct) else 2
@@ -340,10 +313,7 @@ def cmd_verify(args) -> int:
             print(f"error: task {t['id']!r} needs a cover of degree {degree}, "
                   f"the curve has degree {curve.n}", file=sys.stderr)
             return 2
-    if args.tol is not None:
-        defaults["tol"] = args.tol
-    bad = _bad_parameter([("plan", plan, PLAN_KEYS),
-                          ("plan tolerances", defaults, ("tol",))]
+    bad = _bad_parameter([("plan", plan, PLAN_KEYS), ("--tol", {"tol": args.tol}, ("tol",))]
                          + [(f"task {t['id']!r}", t, TASK_KEYS + TASKS[t["id"]][2])
                             for t in tasks], curve.num_branch)
     if bad:
@@ -360,12 +330,12 @@ def cmd_verify(args) -> int:
         return 3
     t_periods = time.time() - t0
 
-    ctx = Plan(curve, pd, defaults)
+    ctx = Plan(curve, pd)
 
     def run_task(ti: int, task: dict):
         t1 = time.time()
         handler = TASKS[task["id"]][1]
-        out = list(handler(ctx, task, ctx.tolerance(task), seed + 104729 * ti))
+        out = list(handler(ctx, task, float(task.get("tol", args.tol)), seed + 104729 * ti))
         return out, time.time() - t1
 
     try:
@@ -418,7 +388,8 @@ def main(argv=None) -> int:
 
     p3 = sub.add_parser("verify", help="run a verification plan")
     p3.add_argument("plan", help="plan JSON file")
-    p3.add_argument("--tol", type=float, default=None)
+    p3.add_argument("--tol", type=float, default=1e-6,
+                    help="tolerance of every task without its own tol")
     p3.add_argument("--seed", type=int, default=None)
     p3.add_argument("--out", default=None, help="JSONL output path")
     p3.set_defaults(func=cmd_verify)

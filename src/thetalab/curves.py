@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import principal_power
+from .algebra import derivative_at_root, principal_power
+
+MIN_SEPARATION = 1e-8   # relative distance below which two branch points coincide
 
 
 class CurveSpecError(ValueError):
@@ -22,7 +24,7 @@ class CurveSpecError(ValueError):
 
 
 class BranchPointsNotDistinct(CurveSpecError):
-    """Two branch points closer than min_separation times their scale."""
+    """Two branch points closer than MIN_SEPARATION times their scale."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class Differential:
 class CurveSpec:
     n: int
     lambdas: tuple[complex, ...]
-    min_separation: float = 1e-8
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -56,10 +57,10 @@ class CurveSpec:
         scale = max(1.0, max(abs(x) for x in self.lambdas))
         for i in range(N):
             for j in range(i + 1, N):
-                if abs(self.lambdas[i] - self.lambdas[j]) < self.min_separation * scale:
+                if abs(self.lambdas[i] - self.lambdas[j]) < MIN_SEPARATION * scale:
                     raise BranchPointsNotDistinct(
                         f"branch points not distinct: lambda_{i+1} and lambda_{j+1} "
-                        f"closer than {self.min_separation:g} * scale")
+                        f"closer than {MIN_SEPARATION:g} * scale")
 
     @classmethod
     def of(cls, n: int, lambdas: Sequence[complex]) -> "CurveSpec":
@@ -97,12 +98,7 @@ class CurveSpec:
 
     def f_prime_at_branch(self, index: int) -> complex:
         """f'(lambda_k) as the exact product of differences (f is monic)."""
-        lk = self.lam(index)
-        out = 1.0 + 0.0j
-        for i, lam in enumerate(self.lambdas):
-            if i != index - 1:
-                out *= lk - lam
-        return out
+        return derivative_at_root(self.lambdas, index - 1)
 
     def w_values(self, z: complex) -> np.ndarray:
         """All n sheets of w = f(z)^{1/n} at a non-branch z."""

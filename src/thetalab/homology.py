@@ -50,9 +50,7 @@ ARC_SEGMENTS = 48   # polyline segments per far arc of a cycle
 
 @dataclass
 class ChainEdge:
-    start_index: int              # 1-based branch index
-    end_index: int
-    path: list[complex]           # polyline from lambda_start to lambda_end
+    path: list[complex]           # polyline between consecutive branch points of Chain.order
 
 
 @dataclass
@@ -93,7 +91,7 @@ def build_chain(curve: CurveSpec) -> Chain:
         if len(path) == 2:
             # interior vertex doubles as the branch anchor for edge integrals
             path = [path[0], (path[0] + path[1]) / 2.0, path[1]]
-        edges.append(ChainEdge(a, b, path))
+        edges.append(ChainEdge(path))
     return Chain(order1, edges, rot, gap)
 
 
@@ -104,11 +102,8 @@ def build_chain(curve: CurveSpec) -> Chain:
 @dataclass
 class CyclePolyline:
     edge_index: int               # which chain edge
-    shift: int                    # sheet shift k (0..n-2)
     points: np.ndarray            # closed polyline, points[0] == points[-1]
     w: np.ndarray                 # continued sheet values at the points
-    radius: float
-    offset: float
     j_out: int                    # sheets of the outgoing and returning strands
     j_back: int                   # relative to the edge anchor's principal branch
 
@@ -213,7 +208,7 @@ def build_cycle(curve: CurveSpec, edge: ChainEdge, edge_index: int, shift: int,
     if (j_out - j_back) % curve.n != 1:
         raise HomologyError(
             f"strand sheets inconsistent with monodromy: {j_out}, {j_back}")
-    return CyclePolyline(edge_index, shift, arr, wvals, radius, offset, j_out, j_back)
+    return CyclePolyline(edge_index, arr, wvals, j_out, j_back)
 
 
 def _strand_sheet(curve: CurveSpec, za: complex, wa: complex, z: complex,

@@ -83,7 +83,7 @@ def jacobi_inversion_newton(curve: CurveSpec, periods: PeriodData,
             leg = polyline_integrals(curve, [p.z, z_new], diffs, quad_order,
                                      sing_start=False, sing_end=False,
                                      w_anchor=p.w, anchor_index=0)
-            zeta = zeta + np.linalg.solve(periods.C, leg.values)
+            zeta = zeta + np.linalg.solve(periods.C, leg)
             pts[r] = SurfacePoint(z_new, track_w(curve, [p.z, z_new], p.w)[-1])
     raise RuntimeError("Jacobi inversion Newton did not converge")
 

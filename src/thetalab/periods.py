@@ -196,7 +196,7 @@ def branch_leg_integrals(curve: CurveSpec, k: int, point: SurfacePoint,
     path = refine_path_for_quadrature([curve.lam(k), point.z], others)
     return polyline_integrals(curve, path, curve.differentials(), order,
                               sing_start=True, sing_end=False, w_anchor=point.w,
-                              anchor_index=len(path) - 1).values
+                              anchor_index=len(path) - 1)
 
 
 def _edge_raw_integrals(curve: CurveSpec, chain: Chain,
@@ -210,10 +210,9 @@ def _edge_raw_integrals(curve: CurveSpec, chain: Chain,
         if anchor in (0, len(path) - 1):
             raise PeriodError("edge path lacks an interior anchor vertex")
         w0 = curve.w_principal(path[anchor])
-        res = polyline_integrals(curve, path, diffs, order,
-                                 sing_start=True, sing_end=True,
-                                 w_anchor=w0, anchor_index=anchor)
-        E[i] = res.values
+        E[i] = polyline_integrals(curve, path, diffs, order,
+                                  sing_start=True, sing_end=True,
+                                  w_anchor=w0, anchor_index=anchor)
     return E
 
 
@@ -241,7 +240,7 @@ def _direct_cycle_integrals(curve: CurveSpec, cycle: CyclePolyline,
     per leg reach rounding level there too."""
     path = refine_path_for_quadrature(cycle.points, curve.lambdas)
     return polyline_integrals(curve, path, diffs, DIRECT_NODES, sing_start=False,
-                              sing_end=False, w_anchor=cycle.w[0], anchor_index=0).values
+                              sing_end=False, w_anchor=cycle.w[0], anchor_index=0)
 
 
 def build_periods(curve: CurveSpec) -> PeriodData:

@@ -17,7 +17,6 @@ branch point raises QuadratureError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -184,18 +183,12 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
 # Polyline paths
 
 
-@dataclass
-class PathIntegralResult:
-    values: np.ndarray            # one integral per differential
-    w_start: complex              # branch value at the first non-singular vertex
-    w_end: complex                # branch value at the last non-singular vertex
-
-
 def polyline_integrals(curve: CurveSpec, points: Sequence[complex],
                        diffs: Sequence[Differential], order: int,
                        sing_start: bool, sing_end: bool,
-                       w_anchor: complex, anchor_index: int) -> PathIntegralResult:
-    """Integrate along the polyline points[0] -> points[-1].
+                       w_anchor: complex, anchor_index: int) -> np.ndarray:
+    """Integrate along the polyline points[0] -> points[-1]: one integral
+    per differential.
 
     Only the first or last vertex may be a branch point.  w_anchor is the
     sheet value at points[anchor_index], which must not be a singular end.
@@ -229,7 +222,7 @@ def polyline_integrals(curve: CurveSpec, points: Sequence[complex],
         else:
             total += leg_integrals(curve, pts[leg], pts[leg + 1], diffs, order,
                                    False, s1, wv[leg], False)
-    return PathIntegralResult(total, wv[lo], wv[hi])
+    return total
 
 
 def infinity_leg_integrals(curve: CurveSpec, z_far: complex, w_far: complex,

@@ -28,11 +28,17 @@ constant and derivative ratio is a root of unity whose order divides 144.
 So the trigonal identities are absolute, as the hyperelliptic ones are with
 (det C / (2 pi)^g)^{1/2}.
 
+Each verifier takes a task's partitions and returns one report (alpha_ratio:
+one ratio) per partition, in order: _table_entries validates and builds each
+characteristic once, then reads every theta constant from the plan's table
+in one PeriodData.theta_constants call.
+
 Derivative right-hand sides contract algebra.sigma_row with C through
 algebra.sigma_contract; every derivative report, matrix-form rows included,
 comes from one verifier, _verify_deriv, its gradient bounded by GRAD_TOL.
-A matrix form reads its rows' gradients, roots and right-hand sides from
-those reports (_verify_matrix_form) and adds only its structural check.
+A task's matrix forms take all their rows from one _hyp_deriv_rows or
+_trig_deriv_rows batch, read each row's gradient, root and right-hand side
+from it (_verify_matrix_form) and add only their structural check.
 
 All fractional powers take principal branches; every ambiguity group divides
 the asserted root order, so classifications are branch-robust.  Ratios are
@@ -160,7 +166,9 @@ def enumerate_partitions_trig(q: int, kind: str, infinity_in: int = None) -> lis
 
 
 def char_from_partition_hyp(p: HypPartition, periods: PeriodData) -> Characteristic:
-    """Characteristic of sum_{i in I_m} u(P_i) + K; integral by construction."""
+    """Characteristic of sum_{i in I_m} u(P_i) + K of a validated partition;
+    integral by construction."""
+    p.validate(periods.g)
     ch = periods.characteristic({i: 1 for i in p.I.finite})
     if not ch.is_integral():
         raise ValueError(f"partition characteristic not integral: {ch.label()}")
@@ -168,9 +176,19 @@ def char_from_partition_hyp(p: HypPartition, periods: PeriodData) -> Characteris
 
 
 def char_from_partition_trig(p: TrigPartition, periods: PeriodData) -> Characteristic:
-    """Characteristic of sum_{L1} u + 2 sum_{L2} u + K (denominators 1,2,3,6)."""
+    """Characteristic of sum_{L1} u + 2 sum_{L2} u + K (denominators 1,2,3,6)
+    of a validated partition."""
+    p.validate(periods.curve.q)
     return periods.characteristic({i: c for c, part in ((1, p.L1), (2, p.L2))
                                    for i in part.finite})
+
+
+def _table_entries(periods: PeriodData, parts: Sequence, char, grad: bool):
+    """(partition, characteristic, theta table entry) of each partition, in
+    order: every char(p, periods) validated and built first, then every
+    entry read by one PeriodData.theta_constants call."""
+    chars = [char(p, periods) for p in parts]
+    return zip(parts, chars, periods.theta_constants(chars, grad))
 
 
 # ----------------------------------------------------------------------------
@@ -181,14 +199,14 @@ def char_from_partition_trig(p: TrigPartition, periods: PeriodData) -> Character
 class VerificationReport:
     identity: str
     partition: str
-    s_range: list[int]
-    lhs: list[complex]
-    rhs_modulus: Optional[float]       # None (JSON null) without one RHS
-    ratios: list[complex]
-    tag: Optional[RootOfUnityTag]
-    spread: float
     passed: bool
     tolerances: dict
+    s_range: list[int] = field(default_factory=list)
+    lhs: list[complex] = field(default_factory=list)
+    rhs_modulus: Optional[float] = None     # None (JSON null) without one RHS
+    ratios: list[complex] = field(default_factory=list)
+    tag: Optional[RootOfUnityTag] = None
+    spread: float = 0.0
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -235,24 +253,26 @@ def _delta_quarter_pair(A: IndexSet, B: IndexSet, lam) -> complex:
 
 
 def verify_thomae_const_hyp(curve: CurveSpec, periods: PeriodData,
-                            p: HypPartition, tol: float = 1e-6) -> VerificationReport:
+                            parts: Sequence[HypPartition],
+                            tol: float = 1e-6) -> list[VerificationReport]:
+    """The constant identity on each m=0 partition."""
     g = curve.genus
-    p.validate(g)
-    if p.m != 0:
+    if any(p.m != 0 for p in parts):
         raise ValueError("constant identity needs an m=0 partition")
     lam = curve.lam_map
-    ch = char_from_partition_hyp(p, periods)
-    lhs = periods.theta_constants([ch], False)[0].value
-    rhs = (principal_power(np.linalg.det(periods.C) / (2.0 ** g * np.pi ** g), 0.5)
-           * _delta_quarter_pair(p.I, p.J, lam))
-    ratio = lhs / rhs
-    tag = classify_root_of_unity(ratio, 8, tol)
-    return VerificationReport(
-        identity="thomae_const_hyp", partition=p.label(), s_range=[],
-        lhs=[lhs], rhs_modulus=abs(rhs), ratios=[ratio], tag=tag,
-        spread=0.0, passed=tag.ok,
-        tolerances={"tol": tol, "theta_tol": THETA_TOL},
-        details={"char": ch.label()})
+    pref = principal_power(np.linalg.det(periods.C) / (2.0 ** g * np.pi ** g), 0.5)
+    reports = []
+    for p, ch, theta in _table_entries(periods, parts, char_from_partition_hyp, False):
+        lhs = theta.value
+        rhs = pref * _delta_quarter_pair(p.I, p.J, lam)
+        ratio = lhs / rhs
+        tag = classify_root_of_unity(ratio, 8, tol)
+        reports.append(VerificationReport(
+            identity="thomae_const_hyp", partition=p.label(), lhs=[lhs],
+            rhs_modulus=abs(rhs), ratios=[ratio], tag=tag, passed=tag.ok,
+            tolerances={"tol": tol, "theta_tol": THETA_TOL},
+            details={"char": ch.label()}))
+    return reports
 
 
 def _hyp_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: HypPartition) -> np.ndarray:
@@ -268,19 +288,17 @@ def _hyp_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: HypPartition) -> np
     return sigma_contract(pref, row, periods.C)
 
 
-def _verify_deriv(identity: str, order: int, periods: PeriodData,
-                  ch: Characteristic, rhs: np.ndarray, experimental: bool,
-                  partition: str, tol: float) -> VerificationReport:
-    """grad theta[ch](0) at GRAD_TOL, read from the plan's theta table,
-    against the RHS vector: one ratio per nonzero RHS entry, their mean
-    classified as an order-th root of unity."""
-    g = periods.g
-    grad = periods.theta_constants([ch], True)[0].values
+def _verify_deriv(identity: str, order: int, ch: Characteristic, grad: np.ndarray,
+                  rhs: np.ndarray, experimental: bool, partition: str,
+                  tol: float) -> VerificationReport:
+    """grad theta[ch](0), summed at GRAD_TOL, against the RHS vector: one
+    ratio per nonzero RHS entry, their mean classified as an order-th root
+    of unity."""
     ratios, mean, spread, zeros_ok = _ratio_statistics(grad, rhs, tol)
     tag = classify_root_of_unity(mean, order, tol) if ratios else None
     passed = bool(ratios) and tag.ok and spread < tol and zeros_ok
     return VerificationReport(
-        identity=identity, partition=partition, s_range=list(range(1, g + 1)),
+        identity=identity, partition=partition, s_range=list(range(1, len(grad) + 1)),
         lhs=[complex(x) for x in grad], rhs_modulus=float(np.max(np.abs(rhs))),
         ratios=ratios, tag=tag, spread=spread, passed=passed,
         tolerances={"tol": tol, "grad_tol": GRAD_TOL},
@@ -288,21 +306,24 @@ def _verify_deriv(identity: str, order: int, periods: PeriodData,
                  "zeros_ok": zeros_ok})
 
 
-def _hyp_deriv_row(curve: CurveSpec, periods: PeriodData, p: HypPartition,
-                   tol: float) -> tuple[VerificationReport, np.ndarray]:
-    """The derivative identity on p: its report and the RHS it compared."""
-    p.validate(curve.genus)
-    if p.m != 1:
+def _hyp_deriv_rows(curve: CurveSpec, periods: PeriodData, parts: Sequence[HypPartition],
+                    tol: float) -> list[tuple[VerificationReport, np.ndarray]]:
+    """The derivative identity on each m=1 partition: its report and the RHS
+    it compared."""
+    if any(p.m != 1 for p in parts):
         raise ValueError("derivative identity needs an m=1 partition")
-    rhs = _hyp_deriv_rhs(curve, periods, p)
-    return _verify_deriv("thomae_deriv_hyp", 8, periods,
-                         char_from_partition_hyp(p, periods), rhs, INF in p.I,
-                         p.label(), tol), rhs
+    rows = []
+    for p, ch, theta in _table_entries(periods, parts, char_from_partition_hyp, True):
+        rhs = _hyp_deriv_rhs(curve, periods, p)
+        rows.append((_verify_deriv("thomae_deriv_hyp", 8, ch, theta.values, rhs,
+                                   INF in p.I, p.label(), tol), rhs))
+    return rows
 
 
 def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
-                            p: HypPartition, tol: float = 1e-6) -> VerificationReport:
-    return _hyp_deriv_row(curve, periods, p, tol)[0]
+                            parts: Sequence[HypPartition],
+                            tol: float = 1e-6) -> list[VerificationReport]:
+    return [rep for rep, _ in _hyp_deriv_rows(curve, periods, parts, tol)]
 
 
 def _sample_nonspecial(periods: PeriodData, count: int, rng, sign: int,
@@ -355,8 +376,7 @@ def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
     tag = classify_root_of_unity(mean, order, tol)
     passed = tag.ok and spread < tol
     return VerificationReport(
-        identity=identity, partition=f"k={k}", s_range=[],
-        lhs=[], rhs_modulus=None, ratios=[complex(r) for r in ratios],
+        identity=identity, partition=f"k={k}", ratios=[complex(r) for r in ratios],
         tag=tag, spread=spread, passed=passed,
         tolerances={"tol": tol, "theta_tol": THETA_TOL},
         details={"char": ch_k.label(), "samples": samples, "resamples": resamples})
@@ -385,8 +405,7 @@ def _verify_matrix_form(identity: str, partition: str,
     errors = dict(sorted([check, ("entrywise_rel_err", ent_err)]))
     return VerificationReport(
         identity=identity, partition=partition,
-        s_range=list(range(1, len(rows) + 1)), lhs=[], rhs_modulus=None,
-        ratios=[], tag=None, spread=ent_err, passed=passed,
+        s_range=list(range(1, len(rows) + 1)), spread=ent_err, passed=passed,
         tolerances={"tol": tol, bound[0]: bound[1]},
         details=errors | {"row_tags": [rep.tag.index for rep, _ in rows]})
 
@@ -403,21 +422,26 @@ def derived_partitions_hyp(I0: HypPartition) -> list[HypPartition]:
 
 
 def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
-                           I0: HypPartition, tol: float = 1e-6) -> VerificationReport:
-    """Matrix form of the derivative identity over the g single-element
-    deletions of I0, plus det Sigma = Delta(I0)."""
+                           parts: Sequence[HypPartition],
+                           tol: float = 1e-6) -> list[VerificationReport]:
+    """Matrix form of the derivative identity on each I0, over its g
+    single-element deletions, plus det Sigma = Delta(I0)."""
     g = curve.genus
-    I0.validate(g)
+    for I0 in parts:
+        I0.validate(g)
     lam = curve.lam_map
-    rows = []
-    sigma = np.zeros((g, g), dtype=complex)
-    for kk, p1 in enumerate(derived_partitions_hyp(I0)):
-        rows.append(_hyp_deriv_row(curve, periods, p1, tol))
-        sigma[kk] = list(sigma_row([lam[i] for i in p1.I.finite], range(1, g + 1)).values())
-    delta_i0 = vandermonde_delta(I0.I, lam)
-    det_err = abs(complex(np.linalg.det(sigma)) - delta_i0) / abs(delta_i0)
-    return _verify_matrix_form("matrix_form_hyp", I0.label(), rows, tol,
-                               ("det_sigma_rel_err", det_err), ("det_tol", DET_SIGMA_TOL))
+    derived = [derived_partitions_hyp(I0) for I0 in parts]
+    rows = _hyp_deriv_rows(curve, periods, [p1 for d in derived for p1 in d], tol)
+    reports = []
+    for i, (I0, d) in enumerate(zip(parts, derived)):
+        sigma = np.array([list(sigma_row([lam[x] for x in p1.I.finite], range(1, g + 1)).values())
+                          for p1 in d], dtype=complex)
+        delta_i0 = vandermonde_delta(I0.I, lam)
+        det_err = abs(complex(np.linalg.det(sigma)) - delta_i0) / abs(delta_i0)
+        reports.append(_verify_matrix_form(
+            "matrix_form_hyp", I0.label(), rows[i * g:(i + 1) * g], tol,
+            ("det_sigma_rel_err", det_err), ("det_tol", DET_SIGMA_TOL)))
+    return reports
 
 
 # ----------------------------------------------------------------------------
@@ -455,9 +479,11 @@ class AlphaEstimate:
     per_partition: list[dict]
 
 
-def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> complex:
-    """Normalized theta constant over the full Delta expression; equals
-    trig_alpha(g) times a 144th root of unity when the identity holds.
+def alpha_ratio(curve: CurveSpec, periods: PeriodData,
+                parts: Sequence[TrigPartition]) -> list[complex]:
+    """Each partition's normalized theta constant over the full Delta
+    expression; equals trig_alpha(g) times a 144th root of unity when the
+    identity holds.
 
     The theta constant carries the normalization e(eps^t delta / 4).  For
     integral characteristics that factor is an 8th root of unity and invisible
@@ -467,14 +493,14 @@ def alpha_ratio(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> comp
     numerically via branch-free 12th powers of the plain ratios, whose
     relative phases are exact cube roots of unity.)
     """
-    p.validate(curve.q)
-    ch = char_from_partition_trig(p, periods)
-    lhs = periods.theta_constants([ch], False)[0].value
-    ed = sum(e * d for e, d in zip(ch.eps, ch.delta))
-    lhs = lhs * np.exp(2j * np.pi * float(ed) / 4.0)
-    rhs = (principal_power(np.linalg.det(periods.C), 0.5)
-           * _delta_product_trig(p, curve.lam_map))
-    return lhs / rhs
+    lam = curve.lam_map
+    det_root = principal_power(np.linalg.det(periods.C), 0.5)
+    ratios = []
+    for p, ch, theta in _table_entries(periods, parts, char_from_partition_trig, False):
+        ed = sum(e * d for e, d in zip(ch.eps, ch.delta))
+        lhs = theta.value * np.exp(2j * np.pi * float(ed) / 4.0)
+        ratios.append(lhs / (det_root * _delta_product_trig(p, lam)))
+    return ratios
 
 
 def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
@@ -487,9 +513,7 @@ def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
     for ci, (curve, periods) in enumerate(curves):
         alpha = trig_alpha(curve.genus)
         parts = enumerate_partitions_trig(curve.q, "constant")
-        periods.theta_constants([char_from_partition_trig(p, periods) for p in parts], False)
-        for p in parts:
-            r = alpha_ratio(curve, periods, p)
+        for p, r in zip(parts, alpha_ratio(curve, periods, parts)):
             tag = classify_root_of_unity(r / alpha, TRIG_ROOT_ORDER, tol)
             phases.append(tag)
             moduli.append(abs(r))
@@ -529,32 +553,36 @@ def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> 
     return sigma_contract(-pref if drop else pref, row, periods.C)
 
 
-def _trig_deriv_row(curve: CurveSpec, periods: PeriodData, p: TrigPartition,
-                    tol: float) -> tuple[VerificationReport, np.ndarray]:
-    """The type-1 or type-2 identity on p, by its kind: its report and the
-    RHS it compared."""
-    p.validate(curve.q)
-    # infinity in the sigma set is the experimental relocation
-    experimental = INF in p.L2 or (p.kind == "deriv1" and INF in p.L1)
-    identity = "thomae_deriv_trig_t1" if p.kind == "deriv1" else "thomae_deriv_trig_t2"
-    rhs = _trig_deriv_rhs(curve, periods, p)
-    return _verify_deriv(identity, TRIG_ROOT_ORDER, periods,
-                         char_from_partition_trig(p, periods), rhs, experimental,
-                         p.label(), tol), rhs
+def _trig_deriv_rows(curve: CurveSpec, periods: PeriodData, parts: Sequence[TrigPartition],
+                     tol: float) -> list[tuple[VerificationReport, np.ndarray]]:
+    """The type-1 or type-2 identity on each partition, by its kind: its
+    report and the RHS it compared."""
+    rhss = [_trig_deriv_rhs(curve, periods, p) for p in parts]   # raises on constant kind
+    rows = []
+    entries = _table_entries(periods, parts, char_from_partition_trig, True)
+    for (p, ch, theta), rhs in zip(entries, rhss):
+        # infinity in the sigma set is the experimental relocation
+        experimental = INF in p.L2 or (p.kind == "deriv1" and INF in p.L1)
+        identity = "thomae_deriv_trig_t1" if p.kind == "deriv1" else "thomae_deriv_trig_t2"
+        rows.append((_verify_deriv(identity, TRIG_ROOT_ORDER, ch, theta.values, rhs,
+                                   experimental, p.label(), tol), rhs))
+    return rows
 
 
 def verify_thomae_deriv_trig_t1(curve: CurveSpec, periods: PeriodData,
-                                p: TrigPartition, tol: float = 1e-5) -> VerificationReport:
-    if p.kind != "deriv1":
+                                parts: Sequence[TrigPartition],
+                                tol: float = 1e-5) -> list[VerificationReport]:
+    if any(p.kind != "deriv1" for p in parts):
         raise ValueError("type-1 identity needs a deriv1 partition")
-    return _trig_deriv_row(curve, periods, p, tol)[0]
+    return [rep for rep, _ in _trig_deriv_rows(curve, periods, parts, tol)]
 
 
 def verify_thomae_deriv_trig_t2(curve: CurveSpec, periods: PeriodData,
-                                p: TrigPartition, tol: float = 1e-5) -> VerificationReport:
-    if p.kind != "deriv2":
+                                parts: Sequence[TrigPartition],
+                                tol: float = 1e-5) -> list[VerificationReport]:
+    if any(p.kind != "deriv2" for p in parts):
         raise ValueError("type-2 identity needs a deriv2 partition")
-    return _trig_deriv_row(curve, periods, p, tol)[0]
+    return [rep for rep, _ in _trig_deriv_rows(curve, periods, parts, tol)]
 
 
 def verify_quotient_trig(curve: CurveSpec, periods: PeriodData, k: int,
@@ -592,53 +620,61 @@ def derived_partitions_for_matrix(p: TrigPartition, q: int) -> list[TrigPartitio
 
 
 def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
-                            p: TrigPartition, tol: float = 1e-5) -> VerificationReport:
-    """Matrix identity Grad = (alpha/3) D Sigma C for the degenerations of a
-    constant-kind partition, including the structural zero blocks of Sigma."""
+                            parts: Sequence[TrigPartition],
+                            tol: float = 1e-5) -> list[VerificationReport]:
+    """Matrix identity Grad = (alpha/3) D Sigma C for the degenerations of
+    each constant-kind partition, including the structural zero blocks of
+    Sigma."""
     q = curve.q
     g = curve.genus
-    derived = derived_partitions_for_matrix(p, q)
-    if len(derived) != g:
+    derived = [derived_partitions_for_matrix(p, q) for p in parts]
+    if any(len(d) != g for d in derived):
         raise ValueError("wrong number of derived partitions")
-    rows = [_trig_deriv_row(curve, periods, pk, tol) for pk in derived]
+    all_rows = _trig_deriv_rows(curve, periods, [pk for d in derived for pk in d], tol)
     # Sigma reconstructed from the gradients with the classified per-row
     # phases: its zero blocks must come out exactly.  sqrt(det C)
     # accompanies the row theorems; the compact matrix statement drops it
     # from display but it is part of the identity
     const = trig_alpha(g) * principal_power(np.linalg.det(periods.C), 0.5) / 3.0
-    rowfac = (np.array([_delta_product_trig(pk, curve.lam_map) for pk in derived])
-              * np.array([rep.tag.value for rep, _ in rows]))
-    grads = np.array([rep.lhs for rep, _ in rows])
-    sigma_hat = np.diag(1.0 / rowfac) @ grads @ np.linalg.inv(periods.C) / const
     zero_mask = np.zeros((g, g), dtype=bool)
     zero_mask[:q, 2 * q - 1:] = True
     zero_mask[q:, : 2 * q - 1] = True
-    # at q = 1 (g = 1) Sigma has no zero blocks
-    zero_err = float(np.max(np.abs(sigma_hat[zero_mask]), initial=0.0)
-                     / np.max(np.abs(sigma_hat)))
-    return _verify_matrix_form("matrix_form_trig", p.label(), rows, tol,
-                               ("zero_block_err", zero_err), ("zero_tol", ZERO_BLOCK_TOL))
+    reports = []
+    for i, (p, dk) in enumerate(zip(parts, derived)):
+        rows = all_rows[i * g:(i + 1) * g]
+        rowfac = (np.array([_delta_product_trig(pk, curve.lam_map) for pk in dk])
+                  * np.array([rep.tag.value for rep, _ in rows]))
+        grads = np.array([rep.lhs for rep, _ in rows])
+        sigma_hat = np.diag(1.0 / rowfac) @ grads @ np.linalg.inv(periods.C) / const
+        # at q = 1 (g = 1) Sigma has no zero blocks
+        zero_err = float(np.max(np.abs(sigma_hat[zero_mask]), initial=0.0)
+                         / np.max(np.abs(sigma_hat)))
+        reports.append(_verify_matrix_form(
+            "matrix_form_trig", p.label(), rows, tol,
+            ("zero_block_err", zero_err), ("zero_tol", ZERO_BLOCK_TOL)))
+    return reports
 
 
-def simple_zero_check(periods: PeriodData, p: TrigPartition) -> VerificationReport:
+def simple_zero_check(periods: PeriodData,
+                      parts: Sequence[TrigPartition]) -> list[VerificationReport]:
     """theta[e_Lambda] vanishes with nonzero gradient exactly for the
-    deriv-kind partitions (simple zeros of theta); value and gradient are
-    the plan's theta table entry at GRAD_TOL, the one the derivative
+    deriv-kind partitions (simple zeros of theta); values and gradients are
+    the plan's theta table entries at GRAD_TOL, the ones the derivative
     identities read."""
-    ch = char_from_partition_trig(p, periods)
-    d = periods.theta_constants([ch], True)[0]
-    val = abs(d.value)
-    grad = float(np.linalg.norm(d.values))
     scale = periods.theta_scale()
-    is_zero = val < SIMPLE_ZERO_TOL * scale
-    grad_ok = grad > GRAD_FLOOR * scale
-    expected_zero = p.kind in ("deriv1", "deriv2")
-    passed = (is_zero == expected_zero) and (grad_ok if expected_zero else True)
-    return VerificationReport(
-        identity="simple_zero_trig", partition=p.label(), s_range=[],
-        lhs=[complex(val)], rhs_modulus=None, ratios=[], tag=None,
-        spread=0.0, passed=passed,
-        tolerances={"zero_tol": SIMPLE_ZERO_TOL, "grad_floor": GRAD_FLOOR},
-        details={"char": ch.label(), "theta_abs": val, "grad_norm": grad,
-                 "scale": scale, "is_zero": bool(is_zero),
-                 "grad_ok": bool(grad_ok), "expected_zero": expected_zero})
+    reports = []
+    for p, ch, d in _table_entries(periods, parts, char_from_partition_trig, True):
+        val = abs(d.value)
+        grad = float(np.linalg.norm(d.values))
+        is_zero = val < SIMPLE_ZERO_TOL * scale
+        grad_ok = grad > GRAD_FLOOR * scale
+        expected_zero = p.kind in ("deriv1", "deriv2")
+        passed = (is_zero == expected_zero) and (grad_ok if expected_zero else True)
+        reports.append(VerificationReport(
+            identity="simple_zero_trig", partition=p.label(), lhs=[complex(val)],
+            passed=passed,
+            tolerances={"zero_tol": SIMPLE_ZERO_TOL, "grad_floor": GRAD_FLOOR},
+            details={"char": ch.label(), "theta_abs": val, "grad_norm": grad,
+                     "scale": scale, "is_zero": bool(is_zero),
+                     "grad_ok": bool(grad_ok), "expected_zero": expected_zero}))
+    return reports

@@ -19,6 +19,39 @@ def random_curve(n: int, count: int, seed: int, box: float = 2.0,
     return CurveSpec.of(n, lams)
 
 
+def run_plan_tasks(monkeypatch, curve, pd, tasks, task_tol):
+    """Every task handler of the curve's cover degree at task_tol on a fresh
+    theta table, each task entry tasks[id] or {"id": id}: all reports must
+    pass, and no task builds a partition's characteristic twice.  Returns
+    each (characteristic, tol, grad) that reached the kernel, in order."""
+    import thetalab.periods
+    import thetalab.thomae
+    from thetalab.cli import TASKS, Plan
+    name = "char_from_partition_hyp" if curve.n == 2 else "char_from_partition_trig"
+    summed, built = [], []
+    kernel, build = thetalab.periods.theta_sums, getattr(thetalab.thomae, name)
+
+    def counted(chars, zeta, tau, tol, grad):
+        assert not np.any(zeta)
+        summed.extend((ch, tol, grad) for ch in chars)
+        return kernel(chars, zeta, tau, tol, grad)
+
+    def building(p, periods):
+        built.append(p)
+        return build(p, periods)
+    monkeypatch.setattr(thetalab.periods, "theta_sums", counted)
+    monkeypatch.setattr(thetalab.thomae, name, building)
+    monkeypatch.setattr(pd, "_theta_table", {})
+    plan = Plan(curve, pd)
+    for task_id, (degree, handler, _) in TASKS.items():
+        if degree in (None, curve.n):
+            built.clear()
+            task = tasks.get(task_id, {"id": task_id})
+            assert all(rep.passed for rep in handler(plan, task, task_tol, 0))
+            assert len(set(built)) == len(built), task_id
+    return summed
+
+
 # trigonal q=2 curves with one close pair of branch points: every cycle's
 # radius shrinks with that gap, so strand legs start within a radius of a
 # branch point

@@ -161,7 +161,7 @@ def branch_images_by_routes(periods) -> dict:
         res = polyline_integrals(curve, path, curve.differentials(), order,
                                  sing_start=False, sing_end=True,
                                  w_anchor=w_far, anchor_index=0)
-        out[k] = np.linalg.solve(periods.C, inf_leg + res.values)
+        out[k] = np.linalg.solve(periods.C, inf_leg + res)
     return out
 
 

@@ -131,8 +131,8 @@ def test_criterion_04_thomae_constants_hyp(hyp_g2, hyp_g2_batch):
     total = 0
     worst = 0.0
     for c, pd in curves:
-        for p in thomae.enumerate_partitions_hyp(2, 0):
-            rep = thomae.verify_thomae_const_hyp(c, pd, p, tol=1e-6)
+        for rep in thomae.verify_thomae_const_hyp(c, pd, thomae.enumerate_partitions_hyp(2, 0),
+                                                  tol=1e-6):
             total += 1
             n_pass += rep.passed
             worst = max(worst, rep.tag.modulus_error, rep.tag.phase_residual)
@@ -147,8 +147,8 @@ def test_criterion_05_thomae_derivatives_hyp(hyp_g2, hyp_g2_batch, hyp_g3):
     total = 0
     worst = 0.0
     for c, pd in curves:
-        for p in thomae.enumerate_partitions_hyp(2, 1):
-            rep = thomae.verify_thomae_deriv_hyp(c, pd, p, tol=1e-6)
+        for rep in thomae.verify_thomae_deriv_hyp(c, pd, thomae.enumerate_partitions_hyp(2, 1),
+                                                  tol=1e-6):
             total += 1
             n_pass += rep.passed
             worst = max(worst, rep.spread,
@@ -157,8 +157,7 @@ def test_criterion_05_thomae_derivatives_hyp(hyp_g2, hyp_g2_batch, hyp_g3):
     # g=3 smoke run at 1e-5
     c3, pd3 = hyp_g3
     smoke = [p for p in thomae.enumerate_partitions_hyp(3, 1) if INF not in p.I][:3]
-    for p in smoke:
-        rep = thomae.verify_thomae_deriv_hyp(c3, pd3, p, tol=1e-5)
+    for rep in thomae.verify_thomae_deriv_hyp(c3, pd3, smoke, tol=1e-5):
         total += 1
         n_pass += rep.passed
         ok = ok and rep.passed
@@ -230,15 +229,15 @@ def test_criterion_08_trig_derivatives(trig_q2):
     c, pd = trig_q2
     n_pass = total = 0
     worst = 0.0
-    for p in thomae.enumerate_partitions_trig(2, "deriv1"):
-        rep = thomae.verify_thomae_deriv_trig_t1(c, pd, p, tol=1e-5)
+    for rep in thomae.verify_thomae_deriv_trig_t1(
+            c, pd, thomae.enumerate_partitions_trig(2, "deriv1"), tol=1e-5):
         total += 1
         n_pass += rep.passed
         worst = max(worst, rep.spread, rep.tag.phase_residual)
     assert total == 20
     for loc in (1, 0):
-        for p in thomae.enumerate_partitions_trig(2, "deriv2", infinity_in=loc):
-            rep = thomae.verify_thomae_deriv_trig_t2(c, pd, p, tol=1e-5)
+        for rep in thomae.verify_thomae_deriv_trig_t2(
+                c, pd, thomae.enumerate_partitions_trig(2, "deriv2", infinity_in=loc), tol=1e-5):
             total += 1
             n_pass += rep.passed
             worst = max(worst, rep.spread, rep.tag.phase_residual)
@@ -274,9 +273,9 @@ def test_criterion_10_simple_zero_census(trig_q2):
     deriv = (thomae.enumerate_partitions_trig(2, "deriv1")
              + thomae.enumerate_partitions_trig(2, "deriv2", infinity_in=1))
     const = thomae.enumerate_partitions_trig(2, "constant")
-    zero_pass = sum(thomae.simple_zero_check(pd, p).passed for p in deriv)
-    const_nonzero = sum(1 for p in const
-                        if not thomae.simple_zero_check(pd, p).details["is_zero"])
+    zero_pass = sum(rep.passed for rep in thomae.simple_zero_check(pd, deriv))
+    const_nonzero = sum(1 for rep in thomae.simple_zero_check(pd, const)
+                        if not rep.details["is_zero"])
     ok = zero_pass == 30 and const_nonzero == 30
     _report(10, "simple-zero census of the theta divisor", ok,
             f"deriv-kind zeros {zero_pass}/30, constant-kind nonzero {const_nonzero}/30")
@@ -284,13 +283,13 @@ def test_criterion_10_simple_zero_census(trig_q2):
 
 def test_criterion_11_matrix_forms(hyp_g2, trig_q2):
     c2, pd2 = hyp_g2
-    rep_h = thomae.verify_matrix_form_hyp(c2, pd2,
-                                          thomae.enumerate_partitions_hyp(2, 0)[0],
-                                          tol=1e-6)
+    (rep_h,) = thomae.verify_matrix_form_hyp(c2, pd2,
+                                             thomae.enumerate_partitions_hyp(2, 0)[:1],
+                                             tol=1e-6)
     c3, pd3 = trig_q2
-    rep_t = thomae.verify_matrix_form_trig(c3, pd3,
-                                           thomae.enumerate_partitions_trig(2, "constant")[0],
-                                           tol=1e-5)
+    (rep_t,) = thomae.verify_matrix_form_trig(c3, pd3,
+                                              thomae.enumerate_partitions_trig(2, "constant")[:1],
+                                              tol=1e-5)
     ok = rep_h.passed and rep_t.passed
     _report(11, "matrix forms of the derivative identities", ok,
             f"hyp det-sigma {rep_h.details['det_sigma_rel_err']:.1e} "

@@ -485,6 +485,31 @@ def test_verify_bad_parameter_exits_2(tmp_path, capsys, monkeypatch, plan):
     assert main(["verify", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    if "tolerances" in plan:
+        assert err == "error: plan: unknown key 'tolerances'\n"
+
+
+def test_verify_tol_is_the_tasks_else_the_flags(tmp_path):
+    from thetalab.cli import main
+    plan = _tasks({"id": "thomae_const_hyp"}, {"id": "thomae_const_hyp", "tol": 1e-3})
+    f = write(tmp_path / "plan.json", plan)
+    out = tmp_path / "r.jsonl"
+    for flags, first in (([], 1e-6), (["--tol", "1e-4"], 1e-4)):
+        assert main(["verify", f, "--out", str(out)] + flags) == 0
+        tols = [json.loads(line)["tolerances"]["tol"] for line in out.read_text().splitlines()]
+        assert tols == [first] * 3 + [1e-3] * 3
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_verify_bad_tol_flag_exits_2(tmp_path, capsys, monkeypatch, tol):
+    from thetalab.cli import main
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("periods built with a bad --tol")
+    monkeypatch.setattr("thetalab.cli.build_periods", must_not_run)
+    assert main(["verify", write(tmp_path / "plan.json", PLAN_G1), "--tol", tol]) == 2
+    assert capsys.readouterr().err == (f"error: --tol: tol must be a finite positive number, "
+                                       f"got {float(tol)!r}\n")
 
 
 @pytest.mark.parametrize("plan, line", [
@@ -492,9 +517,9 @@ def test_verify_bad_parameter_exits_2(tmp_path, capsys, monkeypatch, plan):
     (_tasks({"id": "quotient_hyp", "sample": 2}),
      "error: task 'quotient_hyp': unknown key 'sample'"),
     (_tasks({"id": "period_sanity"}, tolerances={"grad_tol": 1e-9}),
-     "error: plan tolerances: unknown key 'grad_tol'"),
+     "error: plan: unknown key 'tolerances'"),
     (_tasks({"id": "period_sanity"}, tolerances={"theta_tol": 1e-10}),
-     "error: plan tolerances: unknown key 'theta_tol'"),
+     "error: plan: unknown key 'tolerances'"),
     (_tasks({"id": "thomae_const_hyp", "theta_tol": 1e-10}),
      "error: task 'thomae_const_hyp': unknown key 'theta_tol'"),
 ], ids=["plan-quad_order", "task-sample", "tolerances-grad_tol", "tolerances-theta_tol",

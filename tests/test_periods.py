@@ -10,7 +10,7 @@ from thetalab.periods import (QUAD_ORDER, PeriodError, SurfacePoint,
                               _random_surface_points, _riemann_vanishing_residual,
                               build_periods)
 from thetalab.quadrature import (build_avoiding_path, polyline_integrals,
-                                 refine_path_for_quadrature)
+                                 refine_path_for_quadrature, track_w)
 from thetalab.theta import Characteristic, parity, theta_eval, theta_norm_abs
 from thetalab.thomae import (char_from_partition_hyp, char_from_partition_trig,
                              enumerate_partitions_hyp, enumerate_partitions_trig)
@@ -210,9 +210,10 @@ def _route_from_infinity(pd, pt):
                              sing_start=False, sing_end=False,
                              w_anchor=pt.w, anchor_index=len(path) - 1)
     rho = np.exp(2j * np.pi / c.n)
-    j = int(np.argmin([abs(res.w_start - w_far * rho ** k) for k in range(c.n)]))
+    w_start = track_w(c, path[::-1], pt.w)[-1]
+    j = int(np.argmin([abs(w_start - w_far * rho ** k) for k in range(c.n)]))
     diffs = c.differentials()
-    y = np.array([inf_leg[i] * rho ** (-j * d.m) for i, d in enumerate(diffs)]) + res.values
+    y = np.array([inf_leg[i] * rho ** (-j * d.m) for i, d in enumerate(diffs)]) + res
     return np.linalg.solve(pd.C, y)
 
 

@@ -48,8 +48,7 @@ def test_characteristic_parity_matches_m(hyp_g2):
 
 def test_thomae_constant_all_partitions(hyp_g2):
     c, pd = hyp_g2
-    for p in enumerate_partitions_hyp(2, 0):
-        rep = verify_thomae_const_hyp(c, pd, p, tol=1e-6)
+    for rep in verify_thomae_const_hyp(c, pd, enumerate_partitions_hyp(2, 0), tol=1e-6):
         assert rep.passed, rep.partition
         assert abs(abs(rep.ratios[0]) - 1.0) < 1e-6
 
@@ -71,8 +70,7 @@ def test_thomae_constant_negative_control(hyp_g2):
 def test_thomae_derivative_all_partitions(hyp_g2):
     c, pd = hyp_g2
     seen_experimental = False
-    for p in enumerate_partitions_hyp(2, 1):
-        rep = verify_thomae_deriv_hyp(c, pd, p, tol=1e-6)
+    for rep in verify_thomae_deriv_hyp(c, pd, enumerate_partitions_hyp(2, 1), tol=1e-6):
         assert rep.passed, rep.partition
         assert rep.spread < 1e-6
         seen_experimental = seen_experimental or rep.details["experimental"]
@@ -146,8 +144,7 @@ def test_quotient_enumerates_once_per_argument(fixture, request, monkeypatch):
 
 def test_matrix_form(hyp_g2):
     c, pd = hyp_g2
-    for p in enumerate_partitions_hyp(2, 0)[:3]:
-        rep = verify_matrix_form_hyp(c, pd, p, tol=1e-6)
+    for rep in verify_matrix_form_hyp(c, pd, enumerate_partitions_hyp(2, 0)[:3], tol=1e-6):
         assert rep.passed, rep.details
         assert rep.details["det_sigma_rel_err"] < 1e-9
         assert rep.details["entrywise_rel_err"] < 1e-6
@@ -156,13 +153,13 @@ def test_matrix_form(hyp_g2):
 def test_matrix_form_rows_are_the_derivative_reports(hyp_g2):
     c, pd = hyp_g2
     I0 = enumerate_partitions_hyp(2, 0)[1]
-    rep = verify_matrix_form_hyp(c, pd, I0, tol=1e-6)
+    (rep,) = verify_matrix_form_hyp(c, pd, [I0], tol=1e-6)
     symbols = list(I0.I) + list(I0.J)
     alone = []
     for xk in I0.I.finite:
         I1 = I0.I.without(INF, xk)
         J1 = IndexSet.of([s for s in symbols if s not in I1])
-        alone.append(verify_thomae_deriv_hyp(c, pd, HypPartition(1, I1, J1)))
+        alone += verify_thomae_deriv_hyp(c, pd, [HypPartition(1, I1, J1)])
     assert rep.details["row_tags"] == [r.tag.index for r in alone]
 
 
@@ -174,16 +171,45 @@ def test_matrix_form_fails_on_wrong_det_sigma(hyp_g2, monkeypatch):
     real = thetalab.thomae.vandermonde_delta
     monkeypatch.setattr(thetalab.thomae, "vandermonde_delta",
                         lambda I, lam: -real(I, lam) if I == I0.I else real(I, lam))
-    rep = verify_matrix_form_hyp(c, pd, I0, tol=1e-6)
+    (rep,) = verify_matrix_form_hyp(c, pd, [I0], tol=1e-6)
     assert not rep.passed
     assert rep.details["det_sigma_rel_err"] > thetalab.thomae.DET_SIGMA_TOL
     assert rep.details["entrywise_rel_err"] < 1e-6
 
 
+def test_g3_plan_sums_each_theta_constant_once(hyp_g3, monkeypatch):
+    # every hyperelliptic task of a plan on one curve: the matrix forms read
+    # the derivative task's gradients, and no (characteristic, tol, grad)
+    # reaches the kernel twice
+    from conftest import run_plan_tasks
+    tasks = {"thomae_deriv_hyp": {"id": "thomae_deriv_hyp", "include_infinity": True}}
+    summed = run_plan_tasks(monkeypatch, *hyp_g3, tasks, 1e-5)
+    # 35 m=0 values; gradients of 28 m=1 partitions, infinity in I1 included
+    assert len(set(summed)) == len(summed) == 63
+
+
+def test_verifiers_check_every_partition_before_any_sum(hyp_g2, monkeypatch):
+    import thetalab.periods
+    c, pd = hyp_g2
+
+    def must_not_sum(*args):
+        raise AssertionError("theta summed before every partition was checked")
+    monkeypatch.setattr(thetalab.periods, "theta_sums", must_not_sum)
+    monkeypatch.setattr(pd, "_theta_table", {})
+    m0, m1 = enumerate_partitions_hyp(2, 0), enumerate_partitions_hyp(2, 1)
+    no_inf = HypPartition(0, IndexSet.of([1, 2, 3]), IndexSet.of([4, 5, INF]))
+    for verify, parts, match in ((verify_thomae_const_hyp, m0 + [no_inf], "infinity in I"),
+                                 (verify_thomae_const_hyp, m0 + m1[:1], "m=0 partition"),
+                                 (verify_thomae_deriv_hyp, m1 + m0[:1], "m=1 partition"),
+                                 (verify_matrix_form_hyp, m0[:3] + [no_inf], "infinity in I")):
+        with pytest.raises(ValueError, match=match):
+            verify(c, pd, parts)
+
+
 def test_report_serialization(hyp_g2):
     import json
     c, pd = hyp_g2
-    rep = verify_thomae_const_hyp(c, pd, enumerate_partitions_hyp(2, 0)[0])
+    (rep,) = verify_thomae_const_hyp(c, pd, enumerate_partitions_hyp(2, 0)[:1])
     obj = json.loads(rep.jsonl())
     assert obj["identity"] == "thomae_const_hyp"
     assert obj["passed"] is True

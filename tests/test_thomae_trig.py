@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_curve
+from conftest import random_curve, run_plan_tasks
 from thetalab.algebra import INF, IndexSet, classify_root_of_unity
 from thetalab.curves import CurveSpec
 from thetalab.periods import build_periods
@@ -72,8 +72,7 @@ def test_alpha_modulus_matches_q1_scalefree(trig_q1):
 def _assert_closed_form_alpha(curve, periods, parts):
     """Each alpha_ratio is trig_alpha(g) times a 144th root of unity, to 1e-10."""
     alpha = trig_alpha(curve.genus)
-    for p in parts:
-        r = alpha_ratio(curve, periods, p)
+    for p, r in zip(parts, alpha_ratio(curve, periods, parts)):
         assert abs(abs(r) / alpha - 1.0) < 1e-10, p.label()
         assert classify_root_of_unity(r / alpha, 144, 1e-10).ok, p.label()
 
@@ -114,8 +113,7 @@ def test_deriv_t1_all(trig_q2):
     c, pd = trig_q2
     parts = enumerate_partitions_trig(2, "deriv1")
     assert len(parts) == 20
-    for p in parts:
-        rep = verify_thomae_deriv_trig_t1(c, pd, p, tol=1e-5)
+    for p, rep in zip(parts, verify_thomae_deriv_trig_t1(c, pd, parts, tol=1e-5)):
         assert rep.passed, (p.label(), rep.spread, rep.tag)
         assert rep.tag.order == 144
 
@@ -123,7 +121,7 @@ def test_deriv_t1_all(trig_q2):
 def test_deriv_t1_q1_degenerate(trig_q1):
     c, pd = trig_q1
     (p,) = enumerate_partitions_trig(1, "deriv1")
-    rep = verify_thomae_deriv_trig_t1(c, pd, p, tol=1e-6)
+    (rep,) = verify_thomae_deriv_trig_t1(c, pd, [p], tol=1e-6)
     assert rep.passed
 
 
@@ -132,8 +130,7 @@ def test_deriv_t2_both_infinity_placements(trig_q2):
     for loc in (1, 0):
         parts = enumerate_partitions_trig(2, "deriv2", infinity_in=loc)
         assert len(parts) == 10
-        for p in parts:
-            rep = verify_thomae_deriv_trig_t2(c, pd, p, tol=1e-5)
+        for p, rep in zip(parts, verify_thomae_deriv_trig_t2(c, pd, parts, tol=1e-5)):
             assert rep.passed, (p.label(), rep.spread, rep.tag)
             # Lambda2 empty at q=2: single l = g term with sigma_0 = 1
             assert rep.details["zeros_ok"]
@@ -172,7 +169,7 @@ def test_matrix_form_trig(trig_q2):
     derived = derived_partitions_for_matrix(p, 2)
     assert len(derived) == 4
     assert [d.kind for d in derived] == ["deriv1", "deriv1", "deriv2", "deriv2"]
-    rep = verify_matrix_form_trig(c, pd, p, tol=1e-5)
+    (rep,) = verify_matrix_form_trig(c, pd, [p], tol=1e-5)
     assert rep.passed, rep.details
     assert rep.details["zero_block_err"] < 1e-10
     assert rep.details["entrywise_rel_err"] < 1e-5
@@ -181,9 +178,9 @@ def test_matrix_form_trig(trig_q2):
 def test_matrix_form_trig_rows_are_the_derivative_reports(trig_q2):
     c, pd = trig_q2
     p = enumerate_partitions_trig(2, "constant")[1]
-    rep = verify_matrix_form_trig(c, pd, p, tol=1e-5)
+    (rep,) = verify_matrix_form_trig(c, pd, [p], tol=1e-5)
     alone = [(verify_thomae_deriv_trig_t1 if pk.kind == "deriv1"
-              else verify_thomae_deriv_trig_t2)(c, pd, pk) for pk in
+              else verify_thomae_deriv_trig_t2)(c, pd, [pk])[0] for pk in
              derived_partitions_for_matrix(p, 2)]
     assert rep.details["row_tags"] == [r.tag.index for r in alone]
 
@@ -195,7 +192,8 @@ def test_matrix_form_trig_fails_on_reordered_rows(trig_q2, monkeypatch):
     monkeypatch.setattr(thetalab.thomae, "derived_partitions_for_matrix",
                         lambda p, q: real(p, q)[::-1])
     c, pd = trig_q2
-    rep = verify_matrix_form_trig(c, pd, enumerate_partitions_trig(2, "constant")[0], tol=1e-5)
+    (rep,) = verify_matrix_form_trig(c, pd, enumerate_partitions_trig(2, "constant")[:1],
+                                     tol=1e-5)
     assert not rep.passed
     assert rep.details["zero_block_err"] > thetalab.thomae.ZERO_BLOCK_TOL
     assert rep.details["entrywise_rel_err"] < 1e-5
@@ -215,8 +213,8 @@ def test_simple_zero_check_sums_theta_once(trig_q2, monkeypatch):
     c, pd = trig_q2
     monkeypatch.setattr(pd, "_theta_table", {})
     p = enumerate_partitions_trig(2, "deriv1")[0]
-    first = simple_zero_check(pd, p)
-    again = simple_zero_check(pd, p)
+    (first,) = simple_zero_check(pd, [p])
+    (again,) = simple_zero_check(pd, [p])
     assert first.passed and again.jsonl() == first.jsonl()
     assert summed == [[char_from_partition_trig(p, pd)]]
 
@@ -225,24 +223,31 @@ def test_q2_plan_sums_each_theta_constant_once(trig_q2, monkeypatch):
     # every trigonal task of a plan on one curve: the derivative tasks, the
     # matrix form and the simple zeros share their gradient sums, and no
     # (characteristic, tol, grad) reaches the kernel twice
-    import thetalab.periods
-    from thetalab.cli import TASKS, Plan
-    summed = []
-    kernel = thetalab.periods.theta_sums
-
-    def counted(chars, zeta, tau, tol, grad):
-        assert not np.any(zeta)
-        summed.extend((ch, tol, grad) for ch in chars)
-        return kernel(chars, zeta, tau, tol, grad)
-    monkeypatch.setattr(thetalab.periods, "theta_sums", counted)
-    c, pd = trig_q2
-    monkeypatch.setattr(pd, "_theta_table", {})
-    plan = Plan(c, pd, {})
-    for task_id, (degree, handler, _) in TASKS.items():
-        if degree in (None, 3):
-            assert all(rep.passed for rep in handler(plan, {"id": task_id}, 1e-5, 0))
+    summed = run_plan_tasks(monkeypatch, *trig_q2, {}, 1e-5)
     # 30 constant values; gradients of 20 deriv1, 20 deriv2 and 30 constant
     assert len(set(summed)) == len(summed) == 100
+
+
+def test_verifiers_check_every_partition_before_any_sum(trig_q2, monkeypatch):
+    import thetalab.periods
+    c, pd = trig_q2
+
+    def must_not_sum(*args):
+        raise AssertionError("theta summed before every partition was checked")
+    monkeypatch.setattr(thetalab.periods, "theta_sums", must_not_sum)
+    monkeypatch.setattr(pd, "_theta_table", {})
+    const, d1 = enumerate_partitions_trig(2, "constant"), enumerate_partitions_trig(2, "deriv1")
+    d2 = enumerate_partitions_trig(2, "deriv2")
+    short = TrigPartition("deriv1", IndexSet.of([1, 2, INF]), IndexSet.of([3]),
+                          IndexSet.of([4, 5]))
+    for verify, parts, match in (
+            (verify_thomae_deriv_trig_t1, d1 + [short], "sizes"),
+            (verify_thomae_deriv_trig_t2, d2 + d1[:1], "deriv2 partition"),
+            (verify_matrix_form_trig, const[:2] + d1[:1], "constant-kind"),
+            (alpha_ratio, const + [short], "sizes"),
+            (lambda c, pd, parts: simple_zero_check(pd, parts), d1 + [short], "sizes")):
+        with pytest.raises(ValueError, match=match):
+            verify(c, pd, parts)
 
 
 def test_simple_zeros(trig_q2):
@@ -250,9 +255,7 @@ def test_simple_zeros(trig_q2):
     deriv = (enumerate_partitions_trig(2, "deriv1")
              + enumerate_partitions_trig(2, "deriv2", infinity_in=1))
     assert len(deriv) == 30
-    for p in deriv:
-        rep = simple_zero_check(pd, p)
+    for rep in simple_zero_check(pd, deriv):
         assert rep.passed and rep.details["is_zero"] and rep.details["grad_ok"]
-    for p in enumerate_partitions_trig(2, "constant")[:8]:
-        rep = simple_zero_check(pd, p)
+    for rep in simple_zero_check(pd, enumerate_partitions_trig(2, "constant")[:8]):
         assert rep.passed and not rep.details["is_zero"]
