@@ -166,7 +166,7 @@ def enumerate_partitions_trig(q: int, kind: str, infinity_in: int = None) -> lis
 
 
 def char_from_partition_hyp(p: HypPartition, periods: PeriodData) -> Characteristic:
-    """Characteristic of sum_{i in I_m} u(P_i) + K of a validated partition;
+    """Characteristic of sum_{i in I_m} u(P_i) + K, after validating p;
     integral by construction."""
     p.validate(periods.g)
     ch = periods.characteristic({i: 1 for i in p.I.finite})
@@ -176,8 +176,8 @@ def char_from_partition_hyp(p: HypPartition, periods: PeriodData) -> Characteris
 
 
 def char_from_partition_trig(p: TrigPartition, periods: PeriodData) -> Characteristic:
-    """Characteristic of sum_{L1} u + 2 sum_{L2} u + K (denominators 1,2,3,6)
-    of a validated partition."""
+    """Characteristic of sum_{L1} u + 2 sum_{L2} u + K (denominators 1,2,3,6),
+    after validating p."""
     p.validate(periods.curve.q)
     return periods.characteristic({i: c for c, part in ((1, p.L1), (2, p.L2))
                                    for i in part.finite})
