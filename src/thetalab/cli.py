@@ -11,9 +11,10 @@ A verify task's tol is its own, else --tol (default 1e-6).  A task handler
 
 Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success / all
 verifications passed, 1 verification failure, 2 parse failure (also a curve
-spec with a bad degree or branch-point count, or a non-finite theta input),
-unknown task id, a task for the other cover degree, an unknown task or plan
-key or a bad task or plan parameter or --tol, 3 invariant failure (branch
+spec outside w^n = f with n >= 2, deg f >= 2 and gcd(n, deg f) = 1, or a
+non-finite theta input), unknown task id, a task for another cover degree, a
+trigonal identity task on a curve without deg f = 3q-1, an unknown task or
+plan key or a bad task or plan parameter or --tol, 3 invariant failure (branch
 points not distinct, non-positive-definite Im tau), theta failure
 (truncation or point cap, or a lattice shift of 2**53 or more), sheet
 tracking failure (a path step or quadrature leg onto or through a branch
@@ -250,6 +251,9 @@ TASKS = {
     "matrix_form_trig": (3, Plan.matrix_form_trig, ("count",)),
     "simple_zeros_trig": (3, Plan.simple_zeros_trig, ()),
 }
+# the trigonal identity tasks: they enumerate the partitions of q (CurveSpec.q)
+Q_TASKS = ("alpha_trig", "deriv_trig_t1", "deriv_trig_t2", "matrix_form_trig",
+           "simple_zeros_trig")
 TASK_KEYS = ("id", "tol")
 PLAN_KEYS = ("curve", "curve_file", "seed", "tasks")
 
@@ -312,6 +316,10 @@ def cmd_verify(args) -> int:
         if degree not in (None, curve.n):
             print(f"error: task {t['id']!r} needs a cover of degree {degree}, "
                   f"the curve has degree {curve.n}", file=sys.stderr)
+            return 2
+        if t["id"] in Q_TASKS and curve.num_branch % 3 != 2:
+            print(f"error: task {t['id']!r} needs deg f ≡ 2 (mod 3), "
+                  f"the curve has deg f = {curve.num_branch}", file=sys.stderr)
             return 2
     bad = _bad_parameter([("plan", plan, PLAN_KEYS), ("--tol", {"tol": args.tol}, ("tol",))]
                          + [(f"task {t['id']!r}", t, TASK_KEYS + TASKS[t["id"]][2])

@@ -1,14 +1,15 @@
 """Superelliptic curve specifications w^n = f(z) and their differential bases.
 
-Supported covers: n = 2 with deg f = 2g+1 (hyperelliptic, branched over
-infinity) and n = 3 with deg f = 3q-1 (trigonal with total ramification over
-infinity).  In both cases every finite branch value is a simple root of f and
-there is exactly one point over infinity.
+Supported covers: n >= 2 and N = deg f >= 2 with gcd(n, N) = 1, of genus
+(n-1)(N-1)/2.  Every branch value is a simple root of f, and there is exactly
+one point over infinity; all of them are fully ramified.  The paper's
+identities need n = 2, or n = 3 with N = 3q-1 (CurveSpec.q).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,17 +42,11 @@ class CurveSpec:
     lambdas: tuple[complex, ...]
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise CurveSpecError(f"cover degree must be 2 or 3, got {self.n}")
         N = len(self.lambdas)
-        if self.n == 2:
-            if N < 3 or N % 2 == 0:
-                raise CurveSpecError(
-                    f"hyperelliptic curve needs an odd number >= 3 of branch values, got {N}")
-        else:
-            if N < 2 or N % 3 != 2:
-                raise CurveSpecError(
-                    f"trigonal curve needs 3q-1 branch values (q >= 1), got {N}")
+        if self.n < 2 or N < 2 or math.gcd(self.n, N) != 1:
+            raise CurveSpecError(
+                f"w^n = f needs n >= 2, deg f >= 2 and gcd(n, deg f) = 1, "
+                f"got n = {self.n} and {N} branch values")
         if not all(cmath.isfinite(x) for x in self.lambdas):
             raise CurveSpecError("branch points must be finite")
         scale = max(1.0, max(abs(x) for x in self.lambdas))
@@ -72,15 +67,13 @@ class CurveSpec:
 
     @property
     def q(self) -> int:
-        if self.n != 3:
-            raise CurveSpecError("q is defined for trigonal curves only")
+        if self.n != 3 or len(self.lambdas) % 3 != 2:
+            raise CurveSpecError("q is defined for w^3 = f with deg f = 3q-1 only")
         return (len(self.lambdas) + 1) // 3
 
     @property
     def genus(self) -> int:
-        if self.n == 2:
-            return (len(self.lambdas) - 1) // 2
-        return 3 * self.q - 2
+        return (self.n - 1) * (len(self.lambdas) - 1) // 2
 
     def lam(self, index: int) -> complex:
         """Branch value by 1-based index."""
@@ -119,19 +112,14 @@ class CurveSpec:
 
     def differentials(self) -> list[Differential]:
         """Holomorphic basis ordered so that row l of the period matrix C
-        corresponds to entry l-1 here.
-
-        n=2: z^{l-1} dz / w       for 1 <= l <= g
-        n=3: z^{l-1} dz / w^2     for 1 <= l <= 2q-1, then
-             z^{l-2q} dz / w      for 2q <= l <= 3q-2
-        (the second family's exponent is fixed by requiring holomorphy at
-        infinity; see local_order)."""
-        if self.n == 2:
-            return [Differential(a, 1) for a in range(self.genus)]
-        q = self.q
-        fam1 = [Differential(a, 2) for a in range(2 * q - 1)]
-        fam2 = [Differential(a, 1) for a in range(q - 1)]
-        return fam1 + fam2
+        corresponds to entry l-1 here: the z^a dz / w^m, 1 <= m < n, that
+        are holomorphic at infinity (local_order), m descending, then a
+        ascending; sum_m floor(m N / n) = g of them.  At n = 2 the
+        z^{l-1} dz / w; at n = 3, N = 3q-1 the z^{l-1} dz / w^2, l < 2q,
+        then the z^{l-2q} dz / w."""
+        cands = (Differential(a, m) for m in range(self.n - 1, 0, -1)
+                 for a in range(self.num_branch))
+        return [d for d in cands if self.local_order(d, "inf") >= 0]
 
     def local_order(self, diff: Differential, place) -> int:
         """Order of vanishing of z^a dz / w^m at a branch place.

@@ -10,7 +10,8 @@ The branch images follow from Abel's theorem: div(z - lambda_k) = n P_k -
 n P_inf and div(w) = sum_k P_k - N P_inf, so n u(P_k) and sum_k u(P_k) are
 lattice vectors, and as gcd(n, N) = 1 the chain-edge sums d_k fix
 u(P_k) = d_k - (N^-1 mod n) sum_j d_j.  Each is snapped once to an exact
-characteristic (branch_char), from which PeriodData.characteristic sums.
+characteristic (branch_char) with entries in (1/n)Z, and with K's integer
+entries PeriodData.characteristic sums every characteristic in units of 1/n.
 
 The Riemann constant K for that base point is the theta characteristic of
 the spin bundle O((g-1) P_inf), whose square is the divisor (2g-2) P_inf of
@@ -41,7 +42,6 @@ class PeriodError(RuntimeError):
     pass
 
 
-SNAP_DENOMINATOR = 6     # characteristic entries snap to p/6: covers 1,2,3,6
 SNAP_TOL = 1e-7          # largest coordinate change a snap may make
 QUAD_ORDER = 128         # Gauss-Legendre order of every period and Abel-Jacobi leg
 QUAD_DRIFT_TARGET = 1e-9  # largest relative period change from order QUAD_ORDER // 2
@@ -52,8 +52,6 @@ K_CHECK_SEED = 20240915  # seed of those divisors
 K_VANISHING_CUT = 1e-7   # the K check fails at theta(u(D) + K) / theta_scale >= this
 THETA_SCALE_SEED = 1234  # seeded arguments of PeriodData.theta_scale
 THETA_SCALE_SAMPLES = 12
-
-_SNAP_ENTRIES = tuple(Fraction(i, SNAP_DENOMINATOR) for i in range(2 * SNAP_DENOMINATOR))
 
 
 @dataclass
@@ -76,7 +74,11 @@ class PeriodData:
     diagnostics: dict = field(default_factory=dict)
     _theta_scale: float | None = field(default=None, init=False, repr=False)
     _units: dict | None = field(default=None, init=False, repr=False)  # see characteristic
+    _entries: tuple = field(init=False, repr=False)     # i/n for i < 2n, see _char_of_units
     _theta_table: dict = field(default_factory=dict, init=False, repr=False)  # see theta_constants
+
+    def __post_init__(self):
+        self._entries = tuple(Fraction(i, self.curve.n) for i in range(2 * self.curve.n))
 
     # -- lattice helpers --------------------------------------------------
 
@@ -101,10 +103,11 @@ class PeriodData:
 
     def lattice_reduce(self, v: np.ndarray) -> tuple[Characteristic, float]:
         """Characteristic of v modulo the lattice, its coordinates rounded to
-        the nearest multiples of 1/SNAP_DENOMINATOR, and the residual (max
-        deviation before reduction); a residual above SNAP_TOL raises."""
-        x = np.concatenate(self.lattice_coords(v)) * SNAP_DENOMINATOR
-        residual = float(np.max(np.abs(x - np.round(x)), initial=0.0)) / SNAP_DENOMINATOR
+        the nearest multiples of 1/n, and the residual (max deviation before
+        reduction); a residual above SNAP_TOL raises."""
+        n = self.curve.n
+        x = np.concatenate(self.lattice_coords(v)) * n
+        residual = float(np.max(np.abs(x - np.round(x)), initial=0.0)) / n
         if residual > SNAP_TOL:
             raise PeriodError(
                 f"characteristic snap residual {residual:.3e} exceeds {SNAP_TOL:.1e}")
@@ -113,10 +116,10 @@ class PeriodData:
     def characteristic(self, counts: Mapping[int, int],
                        plus_K: bool = True) -> Characteristic:
         """Characteristic of sum_k counts[k] u(P_k), plus K unless plus_K is
-        False, summed exactly in units of 1/SNAP_DENOMINATOR; the units of
-        branch_char and K_char are read on the first call."""
+        False, summed exactly in units of 1/n; the units of branch_char and
+        K_char are read on the first call."""
         if self._units is None:
-            self._units = {k: np.array([int(x * SNAP_DENOMINATOR) for x in ch.eps + ch.delta])
+            self._units = {k: np.array([int(x * self.curve.n) for x in ch.eps + ch.delta])
                            for k, ch in dict(self.branch_char, K=self.K_char).items()}
         total = self._units["K"] * int(plus_K)
         for k, c in counts.items():
@@ -124,8 +127,8 @@ class PeriodData:
         return self._char_of_units(total)
 
     def _char_of_units(self, units: np.ndarray) -> Characteristic:
-        """Entries units / SNAP_DENOMINATOR mod 2, eps first."""
-        entries = [_SNAP_ENTRIES[x] for x in (units % (2 * SNAP_DENOMINATOR)).tolist()]
+        """Entries units / n mod 2, eps first."""
+        entries = [self._entries[x] for x in (units % len(self._entries)).tolist()]
         return Characteristic(tuple(entries[:self.g]), tuple(entries[self.g:]))
 
     def char_to_vector(self, char: Characteristic) -> np.ndarray:

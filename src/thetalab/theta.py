@@ -45,8 +45,8 @@ points come from a breadth-first Fincke-Pohst enumeration (Math. Comp. 44,
 1985) of one or several centres, one numpy pass per coordinate, with the
 point cap checked on each level's candidates before they are allocated.
 
-Characteristics are stored as exact rationals (denominators 1, 2, 3, 6 in
-practice) so that third- and sixth-period bookkeeping never drifts.
+Characteristics are stored as exact rationals (entries in (1/n)Z on a curve
+w^n = f) so that n-th-period bookkeeping never drifts.
 """
 
 from __future__ import annotations

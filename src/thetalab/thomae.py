@@ -8,8 +8,6 @@ Hyperelliptic (w^2 = f, deg f = 2g+1):
   * derivative identity: grad theta[e(I1)](0) against the same shape with
     2^{g+2}, Delta(I1)^{1/4} Delta(J1)^{1/4} and sum_l C_{ls} (-1)^{g-l}
     sigma_{g-l}(I1), ratio an 8th root independent of s;
-  * square theta quotient at generic arguments, a 4th root times
-    prod(lambda_k - z(Q_r)) / sqrt(f'(lambda_k));
   * the g x g matrix form tying the derivative rows to D Sigma C with
     det Sigma = Delta(I0).
 
@@ -19,8 +17,12 @@ Trigonal (w^3 = f, deg f = 3q-1, g = 3q-2):
     alpha = (2 pi)^{-g/2} 3^{-g/8} (trig_alpha) and a 144th root;
   * derivative identities for the two divisor types (144th roots), using
     rows l <= 2q-1 resp. l >= 2q of C;
-  * cube theta quotient (12th root);
   * the matrix form with the two-block Sigma.
+
+Every cover w^n = f (n >= 2, gcd(n, deg f) = 1): the n-th power theta
+quotient (theta[u(P_k)] / theta)^n at -(sum_r u(Q_r) + K) over g generic
+points Q_r, against prod_r (lambda_k - z(Q_r)) / f'(lambda_k)^((n-1)/2), a
+root of unity of order lcm(4, 2n): 4 for quotient_hyp, 12 for quotient_trig.
 
 The closed form of alpha is observed, not derived: every constant-kind
 ratio divided by it has modulus 1 to 2e-12 at q = 1, 2, 3, and every
@@ -36,7 +38,7 @@ in one PeriodData.theta_constants call.
 Derivative right-hand sides contract algebra.sigma_row with C through
 algebra.sigma_contract; every derivative report, matrix-form rows included,
 comes from one verifier, _verify_deriv, its gradient bounded by GRAD_TOL.
-A task's matrix forms take all their rows from one _hyp_deriv_rows or
+A task's matrix forms take their distinct rows from one _hyp_deriv_rows or
 _trig_deriv_rows batch, read each row's gradient, root and right-hand side
 from it (_verify_matrix_form) and add only their structural check.
 
@@ -48,6 +50,7 @@ always classified, never either side alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
@@ -176,7 +179,7 @@ def char_from_partition_hyp(p: HypPartition, periods: PeriodData) -> Characteris
 
 
 def char_from_partition_trig(p: TrigPartition, periods: PeriodData) -> Characteristic:
-    """Characteristic of sum_{L1} u + 2 sum_{L2} u + K (denominators 1,2,3,6),
+    """Characteristic of sum_{L1} u + 2 sum_{L2} u + K (entries in thirds),
     after validating p."""
     p.validate(periods.curve.q)
     return periods.characteristic({i: c for c, part in ((1, p.L1), (2, p.L2))
@@ -326,17 +329,16 @@ def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
     return [rep for rep, _ in _hyp_deriv_rows(curve, periods, parts, tol)]
 
 
-def _sample_nonspecial(periods: PeriodData, count: int, rng, sign: int,
-                       ch: Characteristic):
-    """Random surface points whose divisor argument sign (sum u(Q_r) + K)
-    keeps theta away from 0: (points, argument, theta there, theta[ch]
+def _sample_nonspecial(periods: PeriodData, count: int, rng, ch: Characteristic):
+    """Random surface points whose divisor argument -(sum u(Q_r) + K) keeps
+    theta away from 0: (points, argument, theta there, theta[ch]
     there, resamples), both values from one theta_sums call."""
     ch0 = Characteristic.zero(periods.g)
     scale = periods.theta_scale()
     tries = 0
     while True:
         pts = _random_surface_points(periods, count, rng)
-        arg = sign * (periods.abel_jacobi_divisor(pts) + periods.K)
+        arg = -(periods.abel_jacobi_divisor(pts) + periods.K)
         val, val_ch = theta_sums([ch0, ch], arg, periods.tau)
         if invariant_abs(val.value, arg, periods.tau) > 1e-4 * scale:
             return pts, arg, val.value, val_ch.value, tries
@@ -345,35 +347,30 @@ def _sample_nonspecial(periods: PeriodData, count: int, rng, sign: int,
             raise PeriodError("could not sample a non-special divisor")
 
 
-# cover degree n -> (identity, root order, exponent of f'(lambda_k), sign of
-# the theta argument) of the n-th power theta quotient
-_QUOTIENT = {2: ("quotient_hyp", 4, 0.5, 1), 3: ("quotient_trig", 12, 1.0, -1)}
-
-
-def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, n: int,
+def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, identity: str,
                      seed: int, samples: int, tol: float) -> VerificationReport:
-    """(theta[u(P_k)] / theta)^n at sign (sum u(Q_r) + K) over g random
-    points Q_r against prod(lambda_k - z(Q_r)) / f'(lambda_k)^e, with sign
-    and e from _QUOTIENT."""
-    identity, order, fp_exp, sign = _QUOTIENT[n]
-    g = curve.genus
+    """(theta[u(P_k)] / theta)^n at -(sum u(Q_r) + K) over g random points
+    Q_r against prod(lambda_k - z(Q_r)) / f'(lambda_k)^((n-1)/2), classified
+    as a root of unity of order lcm(4, 2n)."""
+    n, g = curve.n, curve.genus
     rng = np.random.default_rng(seed)
     ch_k = periods.characteristic({k: 1}, plus_K=False)
     lam_k = curve.lam(k)
     fp = curve.f_prime_at_branch(k)
-    if fp_exp != 1.0:
-        fp = principal_power(fp, fp_exp)
+    # f'(lambda_k)^((n-1)/2): a fractional power only for even n, so odd n
+    # divides by a plain product
+    fp = fp ** ((n - 1) // 2) * (principal_power(fp, 0.5) if n % 2 == 0 else 1)
     ratios = []
     resamples = 0
     for _ in range(samples):
-        pts, arg, den, num, tries = _sample_nonspecial(periods, g, rng, sign, ch_k)
+        pts, arg, den, num, tries = _sample_nonspecial(periods, g, rng, ch_k)
         resamples += tries
         lhs = (num / den) ** n
         rhs = np.prod([lam_k - p.z for p in pts]) / fp
         ratios.append(lhs / rhs)
     mean = complex(np.mean(ratios))
     spread = float(np.max(np.abs(np.array(ratios) - mean)) / abs(mean))
-    tag = classify_root_of_unity(mean, order, tol)
+    tag = classify_root_of_unity(mean, math.lcm(4, 2 * n), tol)
     passed = tag.ok and spread < tol
     return VerificationReport(
         identity=identity, partition=f"k={k}", ratios=[complex(r) for r in ratios],
@@ -386,7 +383,7 @@ def verify_quotient_hyp(curve: CurveSpec, periods: PeriodData, k: int,
                         seed: int = 0, samples: int = 3,
                         tol: float = 1e-6) -> VerificationReport:
     """Squared theta quotient at generic arguments vs the branch-value product."""
-    return _verify_quotient(curve, periods, k, 2, seed, samples, tol)
+    return _verify_quotient(curve, periods, k, "quotient_hyp", seed, samples, tol)
 
 
 def _verify_matrix_form(identity: str, partition: str,
@@ -431,15 +428,16 @@ def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
         I0.validate(g)
     lam = curve.lam_map
     derived = [derived_partitions_hyp(I0) for I0 in parts]
-    rows = _hyp_deriv_rows(curve, periods, [p1 for d in derived for p1 in d], tol)
+    distinct = list(dict.fromkeys(p1 for d in derived for p1 in d))   # forms share rows
+    rows = dict(zip(distinct, _hyp_deriv_rows(curve, periods, distinct, tol)))
     reports = []
-    for i, (I0, d) in enumerate(zip(parts, derived)):
+    for I0, d in zip(parts, derived):
         sigma = np.array([list(sigma_row([lam[x] for x in p1.I.finite], range(1, g + 1)).values())
                           for p1 in d], dtype=complex)
         delta_i0 = vandermonde_delta(I0.I, lam)
         det_err = abs(complex(np.linalg.det(sigma)) - delta_i0) / abs(delta_i0)
         reports.append(_verify_matrix_form(
-            "matrix_form_hyp", I0.label(), rows[i * g:(i + 1) * g], tol,
+            "matrix_form_hyp", I0.label(), [rows[p1] for p1 in d], tol,
             ("det_sigma_rel_err", det_err), ("det_tol", DET_SIGMA_TOL)))
     return reports
 
@@ -588,8 +586,8 @@ def verify_thomae_deriv_trig_t2(curve: CurveSpec, periods: PeriodData,
 def verify_quotient_trig(curve: CurveSpec, periods: PeriodData, k: int,
                          seed: int = 0, samples: int = 3,
                          tol: float = 1e-6) -> VerificationReport:
-    """Cubed theta quotient at -sum u(Q_r) - K vs the branch-value product."""
-    return _verify_quotient(curve, periods, k, 3, seed, samples, tol)
+    """Cubed theta quotient at generic arguments vs the branch-value product."""
+    return _verify_quotient(curve, periods, k, "quotient_trig", seed, samples, tol)
 
 
 def derived_partitions_for_matrix(p: TrigPartition, q: int) -> list[TrigPartition]:
@@ -630,7 +628,8 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     derived = [derived_partitions_for_matrix(p, q) for p in parts]
     if any(len(d) != g for d in derived):
         raise ValueError("wrong number of derived partitions")
-    all_rows = _trig_deriv_rows(curve, periods, [pk for d in derived for pk in d], tol)
+    distinct = list(dict.fromkeys(pk for d in derived for pk in d))   # forms share rows
+    all_rows = dict(zip(distinct, _trig_deriv_rows(curve, periods, distinct, tol)))
     # Sigma reconstructed from the gradients with the classified per-row
     # phases: its zero blocks must come out exactly.  sqrt(det C)
     # accompanies the row theorems; the compact matrix statement drops it
@@ -640,8 +639,8 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     zero_mask[:q, 2 * q - 1:] = True
     zero_mask[q:, : 2 * q - 1] = True
     reports = []
-    for i, (p, dk) in enumerate(zip(parts, derived)):
-        rows = all_rows[i * g:(i + 1) * g]
+    for p, dk in zip(parts, derived):
+        rows = [all_rows[pk] for pk in dk]
         rowfac = (np.array([_delta_product_trig(pk, curve.lam_map) for pk in dk])
                   * np.array([rep.tag.value for rep, _ in rows]))
         grads = np.array([rep.lhs for rep, _ in rows])

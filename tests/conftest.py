@@ -136,6 +136,21 @@ def trig_q2_batch(trig_q2):
     return out
 
 
+# coprime covers w^n = f outside the paper's n = 2 and n = 3, deg f = 3q-1:
+# (n, deg f) of genus 3, 3, 4 and 3
+COPRIME_COVERS = [(3, 4), (4, 3), (5, 3), (7, 2)]
+
+
+@pytest.fixture(scope="session")
+def coprime_covers():
+    """A seeded random curve of each of COPRIME_COVERS with its periods."""
+    out = []
+    for n, N in COPRIME_COVERS:
+        c = random_curve(n, N, 7)
+        out.append((c, build_periods(c)))
+    return out
+
+
 def random_riemann_matrix(g: int, rng) -> np.ndarray:
     a = rng.normal(size=(g, g))
     y = a @ a.T + (0.4 + 0.6 * g) * np.eye(g)

@@ -304,6 +304,7 @@ TRIG_Q1 = {"n": 3, "lambdas": [[0, 0], [1, 0]]}
 @pytest.mark.parametrize("curve, task", [
     (PLAN_G1["curve"], "alpha_trig"),
     (TRIG_Q1, "thomae_const_hyp"),
+    ({"n": 5, "lambdas": [[0, 0], [1, 0], [2, 0]]}, "quotient_trig"),
 ])
 def test_verify_task_on_wrong_cover_degree(tmp_path, capsys, curve, task):
     from thetalab.cli import main
@@ -534,15 +535,20 @@ def test_verify_unknown_key_exits_2(tmp_path, capsys, monkeypatch, plan, line):
     assert capsys.readouterr().err == line + "\n"
 
 
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
 def _checked_in_plans() -> list[tuple[str, dict]]:
     """The plans of tools/identity_digests.py (the 12 benchmark plans and the
-    README plan) and tools/trig-q3-g7.json."""
-    tools = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
-    if tools not in sys.path:
-        sys.path.insert(0, tools)
+    README plan), tools/trig-q3-g7.json and tools/picard-g3.json."""
+    if TOOLS not in sys.path:
+        sys.path.insert(0, TOOLS)
     from identity_digests import plans
-    with open(os.path.join(tools, "trig-q3-g7.json")) as fh:
-        return plans() + [("trig-q3-g7", json.load(fh))]
+    out = plans()
+    for label in ("trig-q3-g7", "picard-g3"):
+        with open(os.path.join(TOOLS, f"{label}.json")) as fh:
+            out.append((label, json.load(fh)))
+    return out
 
 
 def test_checked_in_plans_have_only_known_keys(tmp_path, monkeypatch):
@@ -574,3 +580,52 @@ def test_close_pair_trigonal_plans_pass(tmp_path, label):
     out = tmp_path / "r.jsonl"
     assert main(["verify", write(tmp_path / "plan.json", plan), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 108
+
+
+@pytest.mark.parametrize("task", ["alpha_trig", "deriv_trig_t1", "deriv_trig_t2",
+                                  "matrix_form_trig", "simple_zeros_trig"])
+def test_trig_identity_task_on_a_picard_curve_exits_2(tmp_path, capsys, monkeypatch, task):
+    # a w^3 = f curve with deg f = 4 has no partitions of q: refused with
+    # the degree gate, before any periods are built
+    from thetalab.cli import main
+
+    def must_not_run(curve):
+        raise AssertionError("periods built before the task gate")
+    monkeypatch.setattr("thetalab.cli.build_periods", must_not_run)
+    with open(os.path.join(TOOLS, "picard-g3.json")) as fh:
+        plan = json.load(fh)
+    plan["tasks"].append({"id": task})
+    assert main(["verify", write(tmp_path / "plan.json", plan)]) == 2
+    err = capsys.readouterr().err
+    assert (err.startswith("error:") and repr(task) in err and "deg f \u2261 2 (mod 3)" in err
+            and err.count("\n") == 1)
+
+
+def test_picard_plan_passes(tmp_path):
+    # period_sanity and quotient_trig on w^3 = f with deg f = 4, genus 3
+    from thetalab.cli import main
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", os.path.join(TOOLS, "picard-g3.json"), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["identity"] for row in rows] == ["period_sanity"] + 4 * ["quotient_trig"]
+    assert all(row["passed"] for row in rows)
+    assert all(row["root_tag"]["order"] == 12 for row in rows[1:])
+
+
+def test_periods_of_a_coprime_cover(tmp_path):
+    from conftest import random_curve
+    c = random_curve(5, 3, 7)
+    r = run_cli("periods", write(tmp_path / "c.json", c.to_json()))
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["genus"] == 4 and len(out["tau"]) == 4
+
+
+def test_periods_beyond_the_point_cap_exit_3(tmp_path):
+    # genus 9, w^3 = f with deg f = 10: the theta sums of the K check end on
+    # the point cap, in about a second
+    from conftest import random_curve
+    c = random_curve(3, 10, 1, box=3.5, min_gap=0.9)
+    r = run_cli("periods", write(tmp_path / "c.json", c.to_json()))
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: period construction failed") and "point cap" in r.stderr

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from thetalab.curves import CurveSpec, CurveSpecError
+from thetalab.curves import CurveSpec, CurveSpecError, Differential
 from thetalab.modular import j_invariant
 from thetalab.periods import (QUAD_ORDER, PeriodError, SurfacePoint,
                               _random_surface_points, _riemann_vanishing_residual,
@@ -12,8 +13,9 @@ from thetalab.periods import (QUAD_ORDER, PeriodError, SurfacePoint,
 from thetalab.quadrature import (build_avoiding_path, polyline_integrals,
                                  refine_path_for_quadrature, track_w)
 from thetalab.theta import Characteristic, parity, theta_eval, theta_norm_abs
-from thetalab.thomae import (char_from_partition_hyp, char_from_partition_trig,
-                             enumerate_partitions_hyp, enumerate_partitions_trig)
+from thetalab.thomae import (_verify_quotient, char_from_partition_hyp,
+                             char_from_partition_trig, enumerate_partitions_hyp,
+                             enumerate_partitions_trig)
 
 from conftest import CLOSE_PAIR_LAMBDAS, CLUSTER_LAMBDAS, random_curve
 from oracles import (branch_images_by_routes, census_riemann_constant, char_by_snap,
@@ -22,30 +24,60 @@ from oracles import (branch_images_by_routes, census_riemann_constant, char_by_s
 
 def test_curve_spec_validation():
     with pytest.raises(CurveSpecError):
-        CurveSpec.of(2, [0, 1])               # even count
+        CurveSpec.of(2, [0, 1])               # gcd(n, N) = 2
     with pytest.raises(CurveSpecError):
-        CurveSpec.of(3, [0, 1, 2])            # 3q-1 violated
+        CurveSpec.of(4, [0, 1])               # gcd(n, N) = 2
+    with pytest.raises(CurveSpecError):
+        CurveSpec.of(3, [0, 1, 2])            # gcd(n, N) = 3
+    with pytest.raises(CurveSpecError):
+        CurveSpec.of(3, range(6))             # gcd(n, N) = 3
+    with pytest.raises(CurveSpecError):
+        CurveSpec.of(1, [0, 1, 2])            # n = 1
+    with pytest.raises(CurveSpecError):
+        CurveSpec.of(5, [0])                  # N < 2
     with pytest.raises(CurveSpecError):
         CurveSpec.of(2, [0, 1, 1 + 1e-12])    # coincident
+    assert CurveSpec.of(5, [0, 1, 2]).genus == 4
     with pytest.raises(CurveSpecError):
-        CurveSpec.of(5, [0, 1, 2])
+        CurveSpec.of(3, [0, 1, 2, 3]).q       # deg f = 4 is not 3q-1
 
 
-def test_differential_bases():
-    c2 = CurveSpec.of(2, [0, 1, 2, 3, 4])
-    assert [(d.a, d.m) for d in c2.differentials()] == [(0, 1), (1, 1)]
-    c3 = CurveSpec.of(3, [0, 1, 2, 3, 4])
-    assert [(d.a, d.m) for d in c3.differentials()] == \
-        [(0, 2), (1, 2), (2, 2), (0, 1)]
+COPRIME = [(n, N) for n in range(2, 12) for N in range(2, 14) if math.gcd(n, N) == 1]
+
+
+@pytest.mark.parametrize("n, N", COPRIME, ids=[f"n{n}-N{N}" for n, N in COPRIME])
+def test_differential_bases(n, N):
+    c = CurveSpec.of(n, range(N))
+    diffs = c.differentials()
+    assert len(set(diffs)) == len(diffs) == c.genus == (n - 1) * (N - 1) // 2
     # holomorphy: local orders nonnegative at every branch place and infinity
-    for c in (c2, c3):
-        for d in c.differentials():
-            orders = [c.local_order(d, k) for k in range(1, c.num_branch + 1)]
-            orders.append(c.local_order(d, "inf"))
-            assert min(orders) >= 0
-    # the canonical differential dz/w^2 on the trigonal curve: degree 2g-2 at inf
-    from thetalab.curves import Differential
-    assert c3.local_order(Differential(0, 2), "inf") == 2 * c3.genus - 2
+    for d in diffs:
+        orders = [c.local_order(d, k) for k in range(1, N + 1)]
+        orders.append(c.local_order(d, "inf"))
+        assert min(orders) >= 0
+    # the canonical differential dz/w^(n-1): degree 2g-2, all at infinity
+    assert c.local_order(Differential(0, n - 1), "inf") == 2 * c.genus - 2
+    # the closed forms the rule replaced
+    got = [(d.a, d.m) for d in diffs]
+    if n == 2:
+        assert got == [(a, 1) for a in range((N - 1) // 2)]
+    if n == 3 and N % 3 == 2:
+        q = c.q
+        assert got == [(a, 2) for a in range(2 * q - 1)] + [(a, 1) for a in range(q - 1)]
+
+
+def test_coprime_covers_pass_period_sanity_and_their_quotients(coprime_covers):
+    from thetalab.cli import Plan
+    for c, pd in coprime_covers:
+        (sanity,) = Plan(c, pd).period_sanity({"id": "period_sanity"}, 1e-6, 0)
+        assert sanity.passed, sanity.details
+        # every branch image is n-torsion, so it snaps on the grid of 1/n
+        assert all((c.n * x).denominator == 1
+                   for ch in pd.branch_char.values() for x in ch.eps + ch.delta)
+        for k in range(1, c.num_branch + 1):
+            rep = _verify_quotient(c, pd, k, "quotient", seed=5 + k, samples=3, tol=1e-6)
+            assert rep.passed, (c.n, c.num_branch, rep.to_json())
+            assert rep.tag.order == math.lcm(4, 2 * c.n)
 
 
 def test_j_invariant_hyperelliptic(hyp_g1):
@@ -103,7 +135,7 @@ def _fixture_periods(name, request):
     return value if isinstance(value, list) else [value]
 
 
-@pytest.mark.parametrize("fixture", FIXTURE_CURVES)
+@pytest.mark.parametrize("fixture", FIXTURE_CURVES + ["coprime_covers"])
 def test_riemann_constant_matches_search_and_census(fixture, request):
     for c, pd in _fixture_periods(fixture, request):
         assert pd.K_char == searched_riemann_constant(pd)
@@ -242,15 +274,16 @@ def test_abel_jacobi_path_independence(fixture, seed, request):
         assert pd.lattice_distance(pd.abel_jacobi_point(pt) - _route_from_infinity(pd, pt)) < 1e-9
 
 
-@pytest.mark.parametrize("fixture", ["hyp_g2", "hyp_g3", "trig_q1", "trig_q2"])
+@pytest.mark.parametrize("fixture", ["hyp_g2", "hyp_g3", "trig_q1", "trig_q2",
+                                     "coprime_covers"])
 def test_branch_images_match_one_route_each(fixture, request):
     # the chain-edge sums and the old per-branch-point routes may end on
     # different lifts, so they agree modulo the lattice
-    c, pd = request.getfixturevalue(fixture)
-    routes = branch_images_by_routes(pd)
-    assert sorted(pd.aj_branch) == sorted(routes)
-    for k, u in pd.aj_branch.items():
-        assert pd.lattice_distance(u - routes[k]) <= 1e-11
+    for c, pd in _fixture_periods(fixture, request):
+        routes = branch_images_by_routes(pd)
+        assert sorted(pd.aj_branch) == sorted(routes)
+        for k, u in pd.aj_branch.items():
+            assert pd.lattice_distance(u - routes[k]) <= 1e-11
 
 
 def test_build_periods_takes_no_route_from_infinity(monkeypatch):

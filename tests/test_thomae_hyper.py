@@ -114,7 +114,7 @@ def test_quotient_resample_path(hyp_g2, monkeypatch):
     monkeypatch.setattr(T, "theta_sums", fake)
     rng = np.random.default_rng(5)
     ch = pd.characteristic({1: 1}, plus_K=False)
-    pts, arg, den, num, tries = _sample_nonspecial(pd, 2, rng, 1, ch)
+    pts, arg, den, num, tries = _sample_nonspecial(pd, 2, rng, ch)
     assert tries == 1 and calls["n"] == 2
     assert den == theta_eval(Characteristic.zero(2), arg, pd.tau, 1e-10).value
     assert num == theta_eval(ch, arg, pd.tau, 1e-10).value
@@ -137,7 +137,7 @@ def test_quotient_enumerates_once_per_argument(fixture, request, monkeypatch):
     monkeypatch.setattr(thetalab.theta, "_enumerate_ellipsoid", counted)
     for k in (1, 2):
         calls.clear()
-        rep = _verify_quotient(c, pd, k, c.n, seed=3 + k, samples=3, tol=1e-6)
+        rep = _verify_quotient(c, pd, k, "quotient", seed=3 + k, samples=3, tol=1e-6)
         assert rep.passed
         assert len(calls) == 3 + rep.details["resamples"]
 
@@ -161,6 +161,26 @@ def test_matrix_form_rows_are_the_derivative_reports(hyp_g2):
         J1 = IndexSet.of([s for s in symbols if s not in I1])
         alone += verify_thomae_deriv_hyp(c, pd, [HypPartition(1, I1, J1)])
     assert rep.details["row_tags"] == [r.tag.index for r in alone]
+
+
+def test_matrix_forms_build_each_shared_row_once(hyp_g3, monkeypatch):
+    # the g=3 curve's 35 m=0 forms have 3 rows each, 105 in all, among
+    # only 21 distinct m=1 partitions; counted as run_plan_tasks counts
+    import thetalab.thomae
+    c, pd = hyp_g3
+    forms = enumerate_partitions_hyp(3, 0)
+    monkeypatch.setattr(pd, "_theta_table", {})
+    alone = [rep for I0 in forms for rep in verify_matrix_form_hyp(c, pd, [I0], tol=1e-5)]
+    built, build = [], thetalab.thomae.char_from_partition_hyp
+
+    def building(p, periods):
+        built.append(p)
+        return build(p, periods)
+    monkeypatch.setattr(thetalab.thomae, "char_from_partition_hyp", building)
+    reports = verify_matrix_form_hyp(c, pd, forms, tol=1e-5)
+    assert len(set(built)) == len(built) == 21
+    assert [rep.jsonl() for rep in reports] == [rep.jsonl() for rep in alone]
+    assert all(rep.passed for rep in reports)
 
 
 def test_matrix_form_fails_on_wrong_det_sigma(hyp_g2, monkeypatch):

@@ -185,6 +185,28 @@ def test_matrix_form_trig_rows_are_the_derivative_reports(trig_q2):
     assert rep.details["row_tags"] == [r.tag.index for r in alone]
 
 
+def test_matrix_forms_trig_build_each_shared_row_once(trig_q2, monkeypatch):
+    # the q=2 curve's 30 constant-kind forms have 4 rows each, shared among
+    # fewer distinct deriv-kind partitions
+    import thetalab.thomae
+    c, pd = trig_q2
+    forms = enumerate_partitions_trig(2, "constant")
+    distinct = {pk for p in forms for pk in derived_partitions_for_matrix(p, 2)}
+    assert len(distinct) < 4 * len(forms)
+    monkeypatch.setattr(pd, "_theta_table", {})
+    alone = [rep for p in forms for rep in verify_matrix_form_trig(c, pd, [p], tol=1e-5)]
+    built, build = [], thetalab.thomae.char_from_partition_trig
+
+    def building(p, periods):
+        built.append(p)
+        return build(p, periods)
+    monkeypatch.setattr(thetalab.thomae, "char_from_partition_trig", building)
+    reports = verify_matrix_form_trig(c, pd, forms, tol=1e-5)
+    assert len(set(built)) == len(built) == len(distinct)
+    assert [rep.jsonl() for rep in reports] == [rep.jsonl() for rep in alone]
+    assert all(rep.passed for rep in reports)
+
+
 def test_matrix_form_trig_fails_on_reordered_rows(trig_q2, monkeypatch):
     # every row still holds, but Sigma's zero blocks land in the wrong place
     import thetalab.thomae
