@@ -2,17 +2,13 @@
 functions with characteristics, Abel-Jacobi maps and Thomae-type identities."""
 
 from .algebra import (INF, IndexSet, RootOfUnityTag, classify_root_of_unity,
-                      elementary_symmetric, pair_delta, poly_from_roots,
-                      vandermonde_delta)
+                      pair_delta, vandermonde_delta)
 from .curves import CurveSpec, CurveSpecError, Differential
 from .theta import (Characteristic, RiemannMatrix, ThetaError, ThetaValue,
-                    apply_transchar, parity, reduce_characteristic, theta_eval,
-                    theta_grad, theta_norm_abs, theta_sums, truncation_radius)
+                    reduce_characteristic, theta_eval, theta_grad, theta_norm_abs,
+                    theta_sums, truncation_radius)
 from .periods import (PeriodData, PeriodError, SurfacePoint, build_periods)
 from .homology import HomologyError
-from .jacobians import (TrigConfiguration, aj_jacobian_hyper,
-                        aj_jacobian_hyper_closed, aj_jacobian_trig,
-                        aj_jacobian_trig_closed, sym_coord_derivatives)
 from .thomae import (AlphaEstimate, HypPartition, TrigPartition,
                      VerificationReport, char_from_partition_hyp,
                      char_from_partition_trig, enumerate_partitions_hyp,

@@ -137,19 +137,6 @@ def classify_root_of_unity(z: complex, order: int, tol: float) -> RootOfUnityTag
                           modulus_error=float(mod_err), ok=bool(ok))
 
 
-def elementary_symmetric(values: Sequence[complex], p: int) -> complex:
-    """Elementary symmetric function sigma_p of the inputs.
-
-    sigma_0 = 1 and sigma_p = 0 once p exceeds the number of inputs.
-    Computed by incremental product expansion, which is exact up to rounding
-    for the moderate degrees (<= 30) used here.
-    """
-    if p < 0:
-        raise ValueError("degree must be nonnegative")
-    sig = all_elementary_symmetric(values)
-    return complex(sig[p]) if p < len(sig) else 0.0 + 0.0j
-
-
 def all_elementary_symmetric(values: Sequence[complex]) -> np.ndarray:
     """All sigma_0..sigma_k of the inputs at once (k = len(values))."""
     vals = list(values)
@@ -205,23 +192,6 @@ def pair_delta(A: IndexSet, B: IndexSet, lam: Mapping[int, complex]) -> complex:
         for j in B.finite:
             out *= lam[i] - lam[j]
     return out
-
-
-def poly_from_roots(roots: Sequence[complex]) -> np.ndarray:
-    """Monic coefficients (descending powers) of prod (z - r)."""
-    coeffs = np.zeros(len(roots) + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for k, r in enumerate(roots):
-        coeffs[1:k + 2] = coeffs[1:k + 2] - r * coeffs[0:k + 1]
-    return coeffs
-
-
-def deleted_poly_from_roots(roots: Sequence[complex], r_index: int) -> np.ndarray:
-    """Coefficients of prod_{i != r} (z - root_i), i.e. the full product
-    with the r-th root deleted.  Coefficient of z^{n-1-p} is (-1)^p sigma_p
-    of the remaining roots."""
-    rest = [x for i, x in enumerate(roots) if i != r_index]
-    return poly_from_roots(rest)
 
 
 def derivative_at_root(roots: Sequence[complex], r_index: int) -> complex:

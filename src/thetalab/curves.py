@@ -15,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import derivative_at_root, principal_power
-
 MIN_SEPARATION = 1e-8   # relative distance below which two branch points coincide
 
 
@@ -82,23 +80,6 @@ class CurveSpec:
     @property
     def lam_map(self) -> dict[int, complex]:
         return {i + 1: v for i, v in enumerate(self.lambdas)}
-
-    def f(self, z: complex) -> complex:
-        out = 1.0 + 0.0j
-        for lam in self.lambdas:
-            out *= z - lam
-        return out
-
-    def f_prime_at_branch(self, index: int) -> complex:
-        """f'(lambda_k) as the exact product of differences (f is monic)."""
-        return derivative_at_root(self.lambdas, index - 1)
-
-    def w_values(self, z: complex) -> np.ndarray:
-        """All n sheets of w = f(z)^{1/n} at a non-branch z."""
-        fz = self.f(z)
-        base = principal_power(fz, 1.0 / self.n)
-        rots = np.exp(2j * np.pi * np.arange(self.n) / self.n)
-        return base * rots
 
     def w_principal(self, z: complex | np.ndarray) -> complex | np.ndarray:
         """Deterministic reference branch: exp(sum of principal logs / n), at

@@ -5,16 +5,17 @@ Conventions.  With e(x) = exp(2*pi*i*x), the characteristic theta function is
     theta[eps; delta](zeta, tau)
         = sum_{m in Z^g} e( (m+eps/2)^t (tau/2) (m+eps/2) + (m+eps/2)^t (zeta+delta/2) )
 
-for tau in the Siegel upper half-space.  Useful identities implemented here:
+for tau in the Siegel upper half-space.  Identities implemented here:
 
-    transchar:    theta[eps;delta](zeta) = e(eps^t tau eps/8 + (eps^t/2)(zeta+delta/2))
-                                           * theta(zeta + tau eps/2 + delta/2)
     periodicity:  theta[eps;delta](zeta + tau n + l)
                       = e(-n^t tau n/2 - n^t zeta + (l^t eps - n^t delta)/2)
                       * theta[eps;delta](zeta)
+                  (range reduction of the argument)
     char shift:   theta[eps+2n; delta+2l] = e(eps^t l / 2) theta[eps;delta]
-    parity:       theta[eps;delta](-zeta) = e(-eps^t delta/2) theta[eps;delta](zeta)
-                  for integral characteristics.
+                  (reduce_characteristic)
+
+The transchar shift and the parity of integral characteristics are checked
+by the tests against these sums (tests/oracles.py), not used here.
 
 Evaluation sums over the lattice points inside the ellipsoid
 ||U (m + xi)|| <= R, xi = eps/2 + Y^{-1} Im(zeta + delta/2), where U is upper
@@ -51,7 +52,6 @@ w^n = f) so that n-th-period bookkeeping never drifts.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -149,14 +149,6 @@ class Characteristic:
         return f"[{fmt(self.eps)}; {fmt(self.delta)}]"
 
 
-def parity(char: Characteristic) -> int:
-    """0 for even, 1 for odd; defined for integral characteristics only."""
-    if not char.is_integral():
-        raise ValueError("parity is defined only for integral characteristics")
-    s = sum(int(e) * int(d) for e, d in zip(char.eps, char.delta))
-    return s % 2
-
-
 @lru_cache(maxsize=512)
 def reduce_characteristic(char: Characteristic) -> tuple[Characteristic, complex]:
     """Reduce entries into [0, 2); theta(original) = phase * theta(reduced).
@@ -177,16 +169,6 @@ def reduce_characteristic(char: Characteristic) -> tuple[Characteristic, complex
     expo = sum(e * l for e, l in zip(eps_red, l_shift)) / 2
     phase = _efun(float(expo))
     return Characteristic(tuple(eps_red), tuple(delta_red)), phase
-
-
-def apply_transchar(char: Characteristic, zeta: np.ndarray, tau: "RiemannMatrix"):
-    """Shift and prefactor with theta[eps;delta](zeta) = prefactor * theta(zeta')."""
-    a = char.eps_float() / 2.0
-    b = char.delta_float() / 2.0
-    zeta = np.asarray(zeta, dtype=complex)
-    shifted = zeta + tau.matrix @ a + b
-    expo = a @ tau.matrix @ a / 2.0 + a @ (zeta + b)
-    return shifted, _efun(expo)
 
 
 # ----------------------------------------------------------------------------
@@ -523,10 +505,3 @@ def theta_halfint_table(zeta, tau: RiemannMatrix, tol: float = 1e-8) -> np.ndarr
         row_pref = np.exp(2j * np.pi * ((l0 @ evec) - dvecs @ n0) / 2.0)
         out[ecode] = pref * row_pref * dphase * theta_red
     return out
-
-
-def count_parities(g: int) -> tuple[int, int]:
-    """(even, odd) counts over all 4^g integral characteristics mod 2."""
-    odd = sum(parity(Characteristic.of(bits[:g], bits[g:]))
-              for bits in itertools.product((0, 1), repeat=2 * g))
-    return 4 ** g - odd, odd

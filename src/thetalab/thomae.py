@@ -58,8 +58,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (INF, IndexSet, RootOfUnityTag, c2j, classify_root_of_unity,
-                      pair_delta, principal_power, sigma_contract, sigma_row,
-                      vandermonde_delta)
+                      derivative_at_root, pair_delta, principal_power, sigma_contract,
+                      sigma_row, vandermonde_delta)
 from .curves import CurveSpec
 from .periods import PeriodData, PeriodError, _random_surface_points
 # theta_eval is not called here; bench/test_checks.py reads it from this module
@@ -77,6 +77,15 @@ GRAD_FLOOR = 1e-4       # a simple zero's |grad theta| is above this times theta
 # Partitions
 
 
+def _check_covers(parts: Sequence[IndexSet], N: int):
+    """Raise ValueError unless the parts are disjoint and cover {1..N, inf}."""
+    members = [x for part in parts for x in part]
+    if len(set(members)) != len(members):
+        raise ValueError("partition parts overlap")
+    if set(members) != set(range(1, N + 1)) | {INF}:
+        raise ValueError(f"partition does not cover all branch symbols {{1..{N}, inf}}")
+
+
 @dataclass(frozen=True)
 class HypPartition:
     m: int
@@ -91,6 +100,14 @@ class HypPartition:
             raise ValueError("partition cardinalities do not match the index m")
         if self.m == 0 and INF not in self.I:
             raise ValueError("m=0 requires infinity in I")
+        _check_covers((self.I, self.J), 2 * g + 1)
+
+
+def _trig_sizes(kind: str, q: int) -> tuple[int, int, int]:
+    """(|L0|, |L1|, |L2|) of a trigonal partition of {1..3q-1, inf} by kind."""
+    return {"constant": (q, q, q),
+            "deriv1": (q + 2, q - 1, q - 1),
+            "deriv2": (q + 1, q + 1, q - 2)}[kind]
 
 
 @dataclass(frozen=True)
@@ -105,14 +122,10 @@ class TrigPartition:
 
     def validate(self, q: int):
         sizes = (len(self.L0), len(self.L1), len(self.L2))
-        expect = {"constant": (q, q, q),
-                  "deriv1": (q + 2, q - 1, q - 1),
-                  "deriv2": (q + 1, q + 1, q - 2)}[self.kind]
+        expect = _trig_sizes(self.kind, q)
         if sizes != expect:
             raise ValueError(f"{self.kind} partition has sizes {sizes}, expected {expect}")
-        all_members = list(self.L0) + list(self.L1) + list(self.L2)
-        if len(all_members) != 3 * q:
-            raise ValueError("partition does not cover all branch symbols")
+        _check_covers((self.L0, self.L1, self.L2), 3 * q - 1)
 
 
 def enumerate_partitions_hyp(g: int, m: int) -> list[HypPartition]:
@@ -146,9 +159,7 @@ def enumerate_partitions_trig(q: int, kind: str, infinity_in: int = None) -> lis
     finite = list(range(1, 3 * q))
     defaults = {"constant": 2, "deriv1": 0, "deriv2": 1}
     loc = defaults[kind] if infinity_in is None else infinity_in
-    sizes = {"constant": [q, q, q], "deriv1": [q + 2, q - 1, q - 1],
-             "deriv2": [q + 1, q + 1, q - 2]}[kind]
-    fin_sizes = list(sizes)
+    fin_sizes = list(_trig_sizes(kind, q))
     fin_sizes[loc] -= 1
     if fin_sizes[loc] < 0:
         return []
@@ -356,7 +367,7 @@ def _verify_quotient(curve: CurveSpec, periods: PeriodData, k: int, identity: st
     rng = np.random.default_rng(seed)
     ch_k = periods.characteristic({k: 1}, plus_K=False)
     lam_k = curve.lam(k)
-    fp = curve.f_prime_at_branch(k)
+    fp = derivative_at_root(curve.lambdas, k - 1)
     # f'(lambda_k)^((n-1)/2): a fractional power only for even n, so odd n
     # divides by a plain product
     fp = fp ** ((n - 1) // 2) * (principal_power(fp, 0.5) if n % 2 == 0 else 1)
@@ -474,7 +485,6 @@ class AlphaEstimate:
     modulus: float                  # median |alpha_ratio|
     phases: list[RootOfUnityTag]    # alpha_ratio / trig_alpha as 144th roots
     spread: float
-    per_partition: list[dict]
 
 
 def alpha_ratio(curve: CurveSpec, periods: PeriodData,
@@ -507,21 +517,15 @@ def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
     each classified against trig_alpha as a 144th root of unity."""
     moduli = []
     phases = []
-    per_partition = []
-    for ci, (curve, periods) in enumerate(curves):
+    for curve, periods in curves:
         alpha = trig_alpha(curve.genus)
         parts = enumerate_partitions_trig(curve.q, "constant")
-        for p, r in zip(parts, alpha_ratio(curve, periods, parts)):
-            tag = classify_root_of_unity(r / alpha, TRIG_ROOT_ORDER, tol)
-            phases.append(tag)
+        for r in alpha_ratio(curve, periods, parts):
+            phases.append(classify_root_of_unity(r / alpha, TRIG_ROOT_ORDER, tol))
             moduli.append(abs(r))
-            per_partition.append({"curve": ci, "partition": p.label(),
-                                  "modulus": abs(r), "root_index": tag.index,
-                                  "phase_ok": tag.ok})
     med = float(np.median(moduli))
     spread = float((max(moduli) - min(moduli)) / med)
-    return AlphaEstimate(modulus=med, phases=phases, spread=spread,
-                         per_partition=per_partition)
+    return AlphaEstimate(modulus=med, phases=phases, spread=spread)
 
 
 def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> np.ndarray:

@@ -16,6 +16,9 @@ Two settings:
 
 Fractional powers of f'(lambda) use principal branches; the identities hold
 with any fixed consistent choice.
+
+Only the tests call this module: it re-derives the Jacobian lemma that the
+Thomae derivative formulae rest on, outside the library's verification paths.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import derivative_at_root, principal_power, sigma_contract, sigma_row
-from .curves import CurveSpec
-from .periods import PeriodData, SurfacePoint, branch_leg_integrals
-from .quadrature import polyline_integrals, track_w
+from thetalab.algebra import derivative_at_root, principal_power, sigma_contract, sigma_row
+from thetalab.curves import CurveSpec
+from thetalab.periods import PeriodData, SurfacePoint, branch_leg_integrals
+from thetalab.quadrature import polyline_integrals, track_w
 
 
 # ----------------------------------------------------------------------------
@@ -127,13 +130,13 @@ def trig_forward_block_matrix(curve: CurveSpec, config: TrigConfiguration) -> np
     M = np.zeros((g, g), dtype=complex)
     for r, a in enumerate(config.anchors):
         lam = curve.lam(a)
-        fp = curve.f_prime_at_branch(a)
+        fp = derivative_at_root(curve.lambdas, a - 1)
         c = 3.0 / principal_power(fp, 2.0 / 3.0)
         for l in range(1, 2 * q):
             M[l - 1, r] = c * lam ** (l - 1)
     for r, a in enumerate(config.doubled(q)):
         lam = curve.lam(a)
-        fp = curve.f_prime_at_branch(a)
+        fp = derivative_at_root(curve.lambdas, a - 1)
         c = 1.5 / principal_power(fp, 1.0 / 3.0)
         for l in range(2 * q, 3 * q - 1):
             M[l - 1, 2 * q - 1 + r] = c * lam ** (l - 2 * q)
@@ -162,7 +165,7 @@ def aj_jacobian_trig_closed(curve: CurveSpec, periods: PeriodData,
         zs = [curve.lam(a) for a in anchors]
         block = np.zeros((len(zs), curve.genus), dtype=complex)
         for r, a in enumerate(anchors):
-            coeff = (c * principal_power(curve.f_prime_at_branch(a), e)
+            coeff = (c * principal_power(derivative_at_root(curve.lambdas, a - 1), e)
                      / (3.0 * derivative_at_root(zs, r)))
             block[r] = sigma_contract(coeff, sigma_row(zs[:r] + zs[r + 1:], rows), periods.C)
         blocks.append(block)
@@ -172,10 +175,13 @@ def aj_jacobian_trig_closed(curve: CurveSpec, periods: PeriodData,
 def trig_point_on_local_branch(curve: CurveSpec, anchor: int, t: complex) -> SurfacePoint:
     """Surface point with z = lambda + t^3 on the sheet where w ~ t f'^{1/3}."""
     lam = curve.lam(anchor)
-    fp = curve.f_prime_at_branch(anchor)
+    fp = derivative_at_root(curve.lambdas, anchor - 1)
     z = lam + t ** 3
     target = t * principal_power(fp, 1.0 / 3.0)
-    cands = curve.w_values(z)
+    # the n sheets of w = f(z)^(1/n) at z
+    fz = np.prod([z - x for x in curve.lambdas])
+    cands = (principal_power(fz, 1.0 / curve.n)
+             * np.exp(2j * np.pi * np.arange(curve.n) / curve.n))
     w = cands[int(np.argmin(np.abs(cands - target)))]
     return SurfacePoint(z, w)
 

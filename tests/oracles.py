@@ -16,6 +16,12 @@ checked against the packing bound it replaced, its product bound against
 Poisson summation, theta itself against a 30-digit mpmath sum, and the
 symplectic reduction against the entry-by-entry triple sums it once
 recomputed.
+
+The genus-1 j-invariant (Eisenstein q-expansions after SL2(Z) reduction),
+the transchar shift and the parity of integral characteristics, and the
+elementary symmetric functions and polynomials from roots are here too: the
+tests check the library against them, and no library path uses them.  The
+Jacobian lemma of the Jacobi-inversion coordinates lives in jacobians.py.
 """
 
 import itertools
@@ -31,7 +37,7 @@ from thetalab.homology import HomologyError
 from thetalab.quadrature import (build_avoiding_path, infinity_leg_integrals,
                                  polyline_integrals, refine_path_for_quadrature)
 from thetalab.periods import QUAD_ORDER, _random_surface_points
-from thetalab.theta import (Characteristic, ThetaError, parity, theta_halfint_table,
+from thetalab.theta import (Characteristic, RiemannMatrix, ThetaError, theta_halfint_table,
                             theta_norm_abs)
 from thetalab.thomae import _delta_product_trig, _delta_quarter_pair
 
@@ -74,6 +80,39 @@ def cross_ratio_j(e1: complex, e2: complex, e3: complex) -> complex:
     """j-invariant of y^2 = (x-e1)(x-e2)(x-e3) via the modular lambda."""
     lam = (e3 - e1) / (e2 - e1)
     return 256.0 * (lam * lam - lam + 1.0) ** 3 / (lam * lam * (lam - 1.0) ** 2)
+
+
+def sl2_reduce(tau: complex, max_steps: int = 200) -> complex:
+    """Move tau into the standard fundamental domain |Re| <= 1/2, |tau| >= 1."""
+    t = complex(tau)
+    if t.imag <= 0:
+        raise ValueError("tau must lie in the upper half plane")
+    for _ in range(max_steps):
+        t = complex(t.real - round(t.real), t.imag)
+        if abs(t) < 1.0 - 1e-15:
+            t = -1.0 / t
+        else:
+            return t
+    return t
+
+
+def _sigma(k: int, n: int) -> int:
+    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def j_invariant(tau: complex, terms: int = 60) -> complex:
+    """Klein j from Eisenstein q-expansions after fundamental-domain reduction."""
+    t = sl2_reduce(tau)
+    q = np.exp(2j * np.pi * t)
+    e4 = 1.0 + 0.0j
+    e6 = 1.0 + 0.0j
+    qn = 1.0 + 0.0j
+    for n in range(1, terms + 1):
+        qn = qn * q
+        e4 += 240.0 * _sigma(3, n) * qn
+        e6 -= 504.0 * _sigma(5, n) * qn
+    disc = (e4 ** 3 - e6 ** 2) / 1728.0
+    return complex(e4 ** 3 / disc)
 
 
 def seg_distance(a: complex, b: complex, p: complex) -> float:
@@ -484,7 +523,7 @@ def aj_jacobian_trig_closed(curve, periods, config) -> tuple[np.ndarray, np.ndar
     d_alpha = np.zeros((2 * q - 1, g), dtype=complex)
     d_beta = np.zeros((q - 1, g), dtype=complex)
     for r, a in enumerate(config.anchors):
-        fp = curve.f_prime_at_branch(a)
+        fp = derivative_at_root(curve.lambdas, a - 1)
         others = [z for i, z in enumerate(zs_plus) if i != r]
         sig = all_elementary_symmetric(others)
         fplus_der = derivative_at_root(zs_plus, r)
@@ -495,7 +534,7 @@ def aj_jacobian_trig_closed(curve, periods, config) -> tuple[np.ndarray, np.ndar
                 acc += (-1) ** (2 * q - 1 - l) * sig[2 * q - 1 - l] * periods.C[l - 1, s]
             d_alpha[r, s] = coeff * acc
     for r, a in enumerate(config.doubled(q)):
-        fp = curve.f_prime_at_branch(a)
+        fp = derivative_at_root(curve.lambdas, a - 1)
         others = [z for i, z in enumerate(zs_minus) if i != r]
         sig = all_elementary_symmetric(others)
         fminus_der = derivative_at_root(zs_minus, r)
@@ -572,3 +611,63 @@ def symplectic_transform_by_sums(M: np.ndarray) -> np.ndarray:
         pairs.append((i, j))
         remaining = [k for k in remaining if k not in (i, j)]
     return np.array([S[i] for i, _ in pairs] + [S[j] for _, j in pairs], dtype=np.int64)
+
+
+# ----------------------------------------------------------------------------
+# Characteristic calculus and polynomials from roots: identities the tests
+# check the library against, which no library path uses.
+
+
+def parity(char: Characteristic) -> int:
+    """0 for even, 1 for odd; defined for integral characteristics only."""
+    if not char.is_integral():
+        raise ValueError("parity is defined only for integral characteristics")
+    s = sum(int(e) * int(d) for e, d in zip(char.eps, char.delta))
+    return s % 2
+
+
+def count_parities(g: int) -> tuple[int, int]:
+    """(even, odd) counts over all 4^g integral characteristics mod 2."""
+    odd = sum(parity(Characteristic.of(bits[:g], bits[g:]))
+              for bits in itertools.product((0, 1), repeat=2 * g))
+    return 4 ** g - odd, odd
+
+
+def apply_transchar(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix):
+    """Shift and prefactor with theta[eps;delta](zeta) = prefactor * theta(zeta'):
+    theta[eps;delta](zeta) = e(eps^t tau eps/8 + (eps^t/2)(zeta+delta/2))
+    * theta(zeta + tau eps/2 + delta/2)."""
+    a = char.eps_float() / 2.0
+    b = char.delta_float() / 2.0
+    zeta = np.asarray(zeta, dtype=complex)
+    shifted = zeta + tau.matrix @ a + b
+    expo = a @ tau.matrix @ a / 2.0 + a @ (zeta + b)
+    return shifted, complex(np.exp(2j * np.pi * expo))
+
+
+def elementary_symmetric(values, p: int) -> complex:
+    """Elementary symmetric function sigma_p of the inputs.
+
+    sigma_0 = 1 and sigma_p = 0 once p exceeds the number of inputs.
+    """
+    if p < 0:
+        raise ValueError("degree must be nonnegative")
+    sig = all_elementary_symmetric(values)
+    return complex(sig[p]) if p < len(sig) else 0.0 + 0.0j
+
+
+def poly_from_roots(roots) -> np.ndarray:
+    """Monic coefficients (descending powers) of prod (z - r)."""
+    coeffs = np.zeros(len(roots) + 1, dtype=complex)
+    coeffs[0] = 1.0
+    for k, r in enumerate(roots):
+        coeffs[1:k + 2] = coeffs[1:k + 2] - r * coeffs[0:k + 1]
+    return coeffs
+
+
+def deleted_poly_from_roots(roots, r_index: int) -> np.ndarray:
+    """Coefficients of prod_{i != r} (z - root_i), i.e. the full product
+    with the r-th root deleted.  Coefficient of z^{n-1-p} is (-1)^p sigma_p
+    of the remaining roots."""
+    rest = [x for i, x in enumerate(roots) if i != r_index]
+    return poly_from_roots(rest)

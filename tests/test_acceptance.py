@@ -12,19 +12,16 @@ import numpy as np
 import pytest
 
 from thetalab.algebra import INF, classify_root_of_unity
-from thetalab.jacobians import (TrigConfiguration, aj_jacobian_hyper,
-                                aj_jacobian_hyper_closed, aj_jacobian_trig,
-                                jacobi_inversion_newton, trig_forward_block_matrix,
-                                trig_forward_fd)
-from thetalab.modular import j_invariant
 from thetalab.periods import SurfacePoint
-from thetalab.theta import (Characteristic, RiemannMatrix, count_parities,
-                            reduce_characteristic, apply_transchar, theta_eval,
-                            theta_grad)
+from thetalab.theta import (Characteristic, RiemannMatrix, reduce_characteristic,
+                            theta_eval, theta_grad)
 from thetalab import thomae
 
 from conftest import random_riemann_matrix
-from oracles import cross_ratio_j
+from jacobians import (TrigConfiguration, aj_jacobian_hyper, aj_jacobian_hyper_closed,
+                       aj_jacobian_trig, jacobi_inversion_newton, trig_forward_block_matrix,
+                       trig_forward_fd)
+from oracles import apply_transchar, count_parities, cross_ratio_j, j_invariant
 
 
 def _report(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -210,8 +207,9 @@ def test_criterion_06_jacobian_oracles(hyp_g2, trig_q2):
 def test_criterion_07_alpha_global(trig_q2_batch):
     est = thomae.estimate_alpha(trig_q2_batch, tol=1e-6)
     per_curve = {}
-    for rec in est.per_partition:
-        per_curve.setdefault(rec["curve"], []).append(rec["modulus"])
+    for ci, (c, pd) in enumerate(trig_q2_batch):
+        parts = thomae.enumerate_partitions_trig(c.q, "constant")
+        per_curve[ci] = [abs(r) for r in thomae.alpha_ratio(c, pd, parts)]
     spreads = {ci: (max(v) - min(v)) / np.median(v) for ci, v in per_curve.items()}
     means = [np.median(v) for v in per_curve.values()]
     cross = (max(means) - min(means)) / np.median(means)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from thetalab.algebra import (INF, IndexSet, classify_root_of_unity,
-                              deleted_poly_from_roots, derivative_at_root,
-                              elementary_symmetric, pair_delta, poly_from_roots,
-                              vandermonde_delta)
+from thetalab.algebra import (INF, IndexSet, classify_root_of_unity, derivative_at_root,
+                              pair_delta, vandermonde_delta)
+
+from oracles import deleted_poly_from_roots, elementary_symmetric, poly_from_roots
 
 
 def test_elementary_symmetric_examples():

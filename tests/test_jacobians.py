@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from thetalab.jacobians import (TrigConfiguration, aj_jacobian_hyper,
-                                aj_jacobian_hyper_closed, aj_jacobian_trig,
-                                aj_jacobian_trig_closed, jacobi_inversion_newton,
-                                sym_coord_derivatives, trig_forward_block_matrix,
-                                trig_forward_fd)
+from jacobians import (TrigConfiguration, aj_jacobian_hyper, aj_jacobian_hyper_closed,
+                       aj_jacobian_trig, aj_jacobian_trig_closed, jacobi_inversion_newton,
+                       sym_coord_derivatives, trig_forward_block_matrix, trig_forward_fd)
 from thetalab.periods import SurfacePoint
 
 

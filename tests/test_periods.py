@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 from thetalab.curves import CurveSpec, CurveSpecError, Differential
-from thetalab.modular import j_invariant
 from thetalab.periods import (QUAD_ORDER, PeriodError, SurfacePoint,
                               _random_surface_points, _riemann_vanishing_residual,
                               build_periods)
 from thetalab.quadrature import (build_avoiding_path, polyline_integrals,
                                  refine_path_for_quadrature, track_w)
-from thetalab.theta import Characteristic, parity, theta_eval, theta_norm_abs
+from thetalab.theta import Characteristic, theta_eval, theta_norm_abs
 from thetalab.thomae import (_verify_quotient, char_from_partition_hyp,
                              char_from_partition_trig, enumerate_partitions_hyp,
                              enumerate_partitions_trig)
 
 from conftest import CLOSE_PAIR_LAMBDAS, CLUSTER_LAMBDAS, random_curve
 from oracles import (branch_images_by_routes, census_riemann_constant, char_by_snap,
-                     cross_ratio_j, rotated_far_anchor, searched_riemann_constant)
+                     cross_ratio_j, j_invariant, parity, rotated_far_anchor,
+                     searched_riemann_constant)
 
 
 def test_curve_spec_validation():

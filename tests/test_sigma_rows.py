@@ -17,8 +17,7 @@ import pytest
 import oracles
 from conftest import random_curve
 from thetalab.algebra import INF
-from thetalab.jacobians import (TrigConfiguration, aj_jacobian_hyper_closed,
-                                aj_jacobian_trig_closed)
+from jacobians import TrigConfiguration, aj_jacobian_hyper_closed, aj_jacobian_trig_closed
 from thetalab.periods import SurfacePoint
 from thetalab.thomae import (_hyp_deriv_rhs, _trig_deriv_rhs,
                              enumerate_partitions_hyp, enumerate_partitions_trig,

@@ -14,14 +14,15 @@ import thetalab.theta
 from thetalab.curves import CurveSpec
 from thetalab.periods import build_periods
 from thetalab.theta import (_S_GRID, Characteristic, RiemannMatrix, ThetaError,
-                            _enumerate_ellipsoid, _radius, _range_reduce, apply_transchar,
-                            count_parities, parity, reduce_characteristic, theta_eval,
+                            _enumerate_ellipsoid, _radius, _range_reduce,
+                            reduce_characteristic, theta_eval,
                             theta_grad, theta_halfint_table, theta_norm_abs, theta_sums,
                             truncation_radius)
 
 from conftest import random_riemann_matrix
-from oracles import (THETA_AT_I, gaussian_lattice_sum, mp_theta, naive_theta,
-                     naive_theta_grad, packing_radius, recursive_enumerate)
+from oracles import (THETA_AT_I, apply_transchar, count_parities, gaussian_lattice_sum,
+                     mp_theta, naive_theta, naive_theta_grad, packing_radius, parity,
+                     recursive_enumerate)
 
 
 def test_classical_value_at_i():

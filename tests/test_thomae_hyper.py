@@ -5,12 +5,14 @@ import pytest
 
 from thetalab.algebra import (INF, IndexSet, classify_root_of_unity, principal_power,
                               vandermonde_delta)
-from thetalab.theta import Characteristic, parity, theta_eval
+from thetalab.theta import Characteristic, theta_eval
 from thetalab.thomae import (HypPartition, char_from_partition_hyp,
-                             enumerate_partitions_hyp, verify_matrix_form_hyp,
+                             derived_partitions_hyp, enumerate_partitions_hyp, verify_matrix_form_hyp,
                              verify_quotient_hyp, verify_thomae_const_hyp,
                              verify_thomae_deriv_hyp, _delta_quarter_pair,
                              _sample_nonspecial)
+
+from oracles import parity
 
 
 def test_partition_counts_g2():
@@ -35,6 +37,26 @@ def test_partition_validation():
     p = HypPartition(0, IndexSet.of([1, 2]), IndexSet.of([3, 4, 5, INF]))
     with pytest.raises(ValueError):
         p.validate(2)
+
+
+@pytest.mark.parametrize("I, J", [
+    ([1, 2, INF], [1, 2, 3]),          # parts overlap; 4, 5 missing
+    ([1, 2, INF], [3, 4, 6]),          # 6 is not a branch point; 5 missing
+    ([1, 2, 3], [4, 5, INF]),          # m = 0 needs infinity in I
+], ids=["overlap", "outside", "inf-in-J"])
+def test_partition_must_split_the_branch_symbols(I, J):
+    with pytest.raises(ValueError):
+        HypPartition(0, IndexSet.of(I), IndexSet.of(J)).validate(2)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_enumerated_and_derived_partitions_validate(g):
+    for m in range((g + 1) // 2 + 1):
+        for p in enumerate_partitions_hyp(g, m):
+            p.validate(g)
+            if m == 0:
+                for p1 in derived_partitions_hyp(p):
+                    p1.validate(g)
 
 
 def test_characteristic_parity_matches_m(hyp_g2):

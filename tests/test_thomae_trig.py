@@ -39,6 +39,28 @@ def test_partition_shape_validation():
                       IndexSet.of([3, INF])).validate(2)
 
 
+@pytest.mark.parametrize("q, parts", [
+    (1, ([1], [1], [INF])),                    # parts overlap; 2 missing
+    (1, ([1], [3], [INF])),                    # 3 is not a branch point at q = 1
+    (2, ([1, 2], [2, 3], [4, INF])),           # parts overlap; 5 missing
+    (2, ([1, 2], [3, 4], [5, 6])),             # 6 in place of infinity
+], ids=["overlap-q1", "outside-q1", "overlap-q2", "no-inf-q2"])
+def test_partition_must_split_the_branch_symbols(q, parts):
+    with pytest.raises(ValueError):
+        TrigPartition("constant", *(IndexSet.of(x) for x in parts)).validate(q)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_enumerated_and_derived_partitions_validate(q):
+    for kind in ("constant", "deriv1", "deriv2"):
+        for loc in (0, 1, 2):
+            for p in enumerate_partitions_trig(q, kind, infinity_in=loc):
+                p.validate(q)
+    for p in enumerate_partitions_trig(q, "constant"):
+        for pk in derived_partitions_for_matrix(p, q):
+            pk.validate(q)
+
+
 def test_characteristics_are_sixth_periods(trig_q2):
     c, pd = trig_q2
     for p in enumerate_partitions_trig(2, "constant")[:6]:
@@ -57,8 +79,6 @@ def test_alpha_estimate_single_curve(trig_q2):
 def test_alpha_across_curves(trig_q2_batch):
     est = estimate_alpha(trig_q2_batch, tol=1e-6)
     assert est.spread < 1e-6
-    mods = [p["modulus"] for p in est.per_partition]
-    assert (max(mods) - min(mods)) / est.modulus < 1e-6
 
 
 def test_alpha_modulus_matches_q1_scalefree(trig_q1):
