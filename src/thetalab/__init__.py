@@ -9,8 +9,7 @@ from .theta import (Characteristic, RiemannMatrix, ThetaError, ThetaValue,
                     theta_sums, truncation_radius)
 from .periods import (PeriodData, PeriodError, SurfacePoint, build_periods)
 from .homology import HomologyError
-from .thomae import (AlphaEstimate, HypPartition, TrigPartition,
-                     VerificationReport, char_from_partition_hyp,
+from .thomae import (AlphaEstimate, Partition, VerificationReport, char_from_partition_hyp,
                      char_from_partition_trig, enumerate_partitions_hyp,
                      enumerate_partitions_trig, estimate_alpha,
                      simple_zero_check, trig_alpha, verify_matrix_form_hyp,

@@ -117,6 +117,15 @@ def c2j(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def j2c(pair) -> complex:
+    """The complex number of an [re, im] pair, the inverse of c2j; ValueError
+    unless pair holds exactly two numbers, neither of them a bool."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
+        raise ValueError(f"expected an [re, im] pair of numbers, got {pair!r}")
+    return complex(float(pair[0]), float(pair[1]))
+
+
 def classify_root_of_unity(z: complex, order: int, tol: float) -> RootOfUnityTag:
     """Classify ``z`` as the nearest ``order``-th root of unity.
 

@@ -9,9 +9,10 @@ Subcommands:
 A verify task's tol is its own, else --tol (default 1e-6).  A task handler
 (Plan) turns its task's parameters into partitions for a thomae verifier.
 
-Complex numbers are [re, im] pairs everywhere.  Exit codes: 0 success / all
-verifications passed, 1 verification failure, 2 parse failure (also a curve
-spec outside w^n = f with n >= 2, deg f >= 2 and gcd(n, deg f) = 1, or a
+Complex numbers are [re, im] pairs of two numbers everywhere (algebra.j2c).
+Exit codes: 0 success / all verifications passed, 1 verification failure, 2
+parse failure (also a curve spec whose n is not an integer, a curve spec
+outside w^n = f with n >= 2, deg f >= 2 and gcd(n, deg f) = 1, or a
 non-finite theta input), unknown task id, a task for another cover degree, a
 trigonal identity task on a curve without deg f = 3q-1, an unknown task or
 plan key or a bad task or plan parameter or --tol, 3 invariant failure (branch
@@ -41,15 +42,11 @@ from .quadrature import QuadratureError
 from .theta import (_SYMMETRY_TOL, THETA_TOL, Characteristic, RiemannMatrix, ThetaError,
                     theta_grad)
 from . import thomae
-from .algebra import INF, c2j
+from .algebra import INF, c2j, j2c
 
 
 def _mat2j(m) -> list:
     return [[c2j(x) for x in row] for row in np.asarray(m)]
-
-
-def _j2c(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
 
 
 def _load_json(path: str):
@@ -108,13 +105,13 @@ def cmd_periods(args) -> int:
 def cmd_theta(args) -> int:
     obj = _load_json(args.input)
     try:
-        tau_m = np.array([[_j2c(x) for x in row] for row in obj["tau"]], dtype=complex)
+        tau_m = np.array([[j2c(x) for x in row] for row in obj["tau"]], dtype=complex)
         if tau_m.ndim != 2 or tau_m.shape[0] != tau_m.shape[1]:
             raise ValueError(f"tau has shape {tau_m.shape}, not g x g")
         g = len(tau_m)
         eps = obj.get("eps", [0] * g)
         delta = obj.get("delta", [0] * g)
-        zeta = [_j2c(x) for x in obj.get("zeta", [[0.0, 0.0]] * g)]
+        zeta = [j2c(x) for x in obj.get("zeta", [[0.0, 0.0]] * g)]
         char = Characteristic.of(eps, delta)
         for name, v in (("eps", char.eps), ("delta", char.delta), ("zeta", zeta)):
             if len(v) != g:
@@ -187,7 +184,7 @@ class Plan:
     def thomae_deriv_hyp(self, task, tol, seed):
         include_inf = bool(task.get("include_infinity", False))
         parts = [p for p in thomae.enumerate_partitions_hyp(self.curve.genus, 1)
-                 if include_inf or INF not in p.I]
+                 if include_inf or INF not in p.parts[1]]
         return thomae.verify_thomae_deriv_hyp(self.curve, self.pd, parts, tol)
 
     def quotient(self, task, tol, seed):

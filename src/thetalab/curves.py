@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .algebra import c2j, j2c
+
 MIN_SEPARATION = 1e-8   # relative distance below which two branch points coincide
 
 
@@ -120,15 +122,16 @@ class CurveSpec:
         return ord_za + (self.n - 1) - m
 
     def to_json(self) -> dict:
-        return {"n": self.n,
-                "lambdas": [[float(np.real(x)), float(np.imag(x))] for x in self.lambdas]}
+        return {"n": self.n, "lambdas": [c2j(x) for x in self.lambdas]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CurveSpec":
         try:
-            n = int(obj["n"])
-            lambdas = [complex(float(p[0]), float(p[1])) for p in obj["lambdas"]]
-        except (KeyError, TypeError, IndexError) as exc:
+            n = obj["n"]
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise TypeError(f"n must be an integer, got {n!r}")
+            lambdas = [j2c(p) for p in obj["lambdas"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CurveSpecError(f"malformed curve spec: {exc}") from exc
         return cls.of(n, lambdas)
 

@@ -30,17 +30,17 @@ constant and derivative ratio is a root of unity whose order divides 144.
 So the trigonal identities are absolute, as the hyperelliptic ones are with
 (det C / (2 pi)^g)^{1/2}.
 
-Each verifier takes a task's partitions and returns one report (alpha_ratio:
-one ratio) per partition, in order: _table_entries validates and builds each
-characteristic once, then reads every theta constant from the plan's table
-in one PeriodData.theta_constants call.
-
-Derivative right-hand sides contract algebra.sigma_row with C through
-algebra.sigma_contract; every derivative report, matrix-form rows included,
-comes from one verifier, _verify_deriv, its gradient bounded by GRAD_TOL.
-A task's matrix forms take their distinct rows from one _hyp_deriv_rows or
-_trig_deriv_rows batch, read each row's gradient, root and right-hand side
-from it (_verify_matrix_form) and add only their structural check.
+One Partition type serves both cover degrees: parts L_0..L_{n-1}, with
+characteristic sum_j j sum_{k in L_j} u(P_k) + K.  Each verifier takes a
+task's partitions and returns one report (alpha_ratio: one ratio) per
+partition, in order: _table_entries validates and builds each characteristic
+once, then reads every theta constant from the plan's table in one
+PeriodData.theta_constants call.  Every derivative report, matrix-form rows
+included, comes from one _deriv_rows batch: one _deriv_rhs (algebra.sigma_row
+contracted with C by algebra.sigma_contract; only its constant depends on n)
+and one verifier, _verify_deriv, its gradient bounded by GRAD_TOL.  A matrix
+form reads its rows from that batch (_verify_matrix_form) and adds only its
+structural check.
 
 All fractional powers take principal branches; every ambiguity group divides
 the asserted root order, so classifications are branch-robust.  Ratios are
@@ -51,7 +51,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -71,6 +73,7 @@ DET_SIGMA_TOL = 1e-9    # relative |det Sigma - Delta(I0)| of the hyperelliptic 
 ZERO_BLOCK_TOL = 1e-10  # relative zero blocks of the trigonal matrix form's Sigma
 SIMPLE_ZERO_TOL = 1e-7  # |theta| below this times theta_scale is a zero
 GRAD_FLOOR = 1e-4       # a simple zero's |grad theta| is above this times theta_scale
+TRIG_ROOT_ORDER = 144   # every order seen of a trigonal constant or derivative ratio divides it
 
 
 # ----------------------------------------------------------------------------
@@ -86,115 +89,106 @@ def _check_covers(parts: Sequence[IndexSet], N: int):
         raise ValueError(f"partition does not cover all branch symbols {{1..{N}, inf}}")
 
 
-@dataclass(frozen=True)
-class HypPartition:
-    m: int
-    I: IndexSet
-    J: IndexSet
-
-    def label(self) -> str:
-        return f"m={self.m} I={self.I.label()}"
-
-    def validate(self, g: int):
-        if len(self.I) != g + 1 - 2 * self.m or len(self.J) != g + 1 + 2 * self.m:
-            raise ValueError("partition cardinalities do not match the index m")
-        if self.m == 0 and INF not in self.I:
-            raise ValueError("m=0 requires infinity in I")
-        _check_covers((self.I, self.J), 2 * g + 1)
-
-
-def _trig_sizes(kind: str, q: int) -> tuple[int, int, int]:
-    """(|L0|, |L1|, |L2|) of a trigonal partition of {1..3q-1, inf} by kind."""
-    return {"constant": (q, q, q),
-            "deriv1": (q + 2, q - 1, q - 1),
+def _sizes(kind: str, N: int) -> tuple[int, ...]:
+    """(|L_0|, .., |L_{n-1}|) of a kind's partitions of {1..N, inf}: (|J|, |I|)
+    for the hyperelliptic kinds "m=0", "m=1", ... (N = 2g+1), and by kind for
+    the trigonal ones (N = 3q-1)."""
+    g, q = N // 2, (N + 1) // 3
+    if kind.startswith("m="):
+        return (g + 1 + 2 * int(kind[2:]), g + 1 - 2 * int(kind[2:]))
+    return {"constant": (q, q, q), "deriv1": (q + 2, q - 1, q - 1),
             "deriv2": (q + 1, q + 1, q - 2)}[kind]
 
 
 @dataclass(frozen=True)
-class TrigPartition:
-    kind: str                  # "constant" | "deriv1" | "deriv2"
-    L0: IndexSet
-    L1: IndexSet
-    L2: IndexSet
+class Partition:
+    """A split of the branch symbols {1..N, inf} of w^n = f into parts
+    L_0..L_{n-1}, with characteristic sum_j j sum_{k in L_j} u(P_k) + K:
+    parts[j] holds the symbols that it counts j times.  Hyperelliptic
+    partitions are (J, I), of kind "m=0", "m=1", ...; trigonal ones are
+    (L0, L1, L2), of kind "constant", "deriv1" or "deriv2"."""
+
+    kind: str
+    parts: tuple[IndexSet, ...]
 
     def label(self) -> str:
-        return f"{self.kind} L0={self.L0.label()} L1={self.L1.label()} L2={self.L2.label()}"
+        if len(self.parts) == 2:
+            return f"{self.kind} I={self.parts[1].label()}"
+        return " ".join([self.kind] + [f"L{j}={L.label()}" for j, L in enumerate(self.parts)])
 
-    def validate(self, q: int):
-        sizes = (len(self.L0), len(self.L1), len(self.L2))
-        expect = _trig_sizes(self.kind, q)
+    def validate(self, N: int):
+        """Raise ValueError unless the parts split {1..N, inf} with the kind's
+        sizes (and an m=0 partition has infinity in I)."""
+        sizes, expect = tuple(map(len, self.parts)), _sizes(self.kind, N)
         if sizes != expect:
             raise ValueError(f"{self.kind} partition has sizes {sizes}, expected {expect}")
-        _check_covers((self.L0, self.L1, self.L2), 3 * q - 1)
+        if self.kind == "m=0" and INF not in self.parts[1]:
+            raise ValueError("m=0 requires infinity in I")
+        _check_covers(self.parts, N)
 
 
-def enumerate_partitions_hyp(g: int, m: int) -> list[HypPartition]:
-    """All (I_m, J_m) splits of {1..2g+1, inf}; for m=0 infinity sits in I."""
+def _splits(pool: Sequence, sizes: Sequence[int]):
+    """Every split of pool into parts of the given sizes, in order: each part
+    a combination of what the earlier parts left."""
+    if not sizes:
+        yield ()
+        return
+    for head in combinations(pool, sizes[0]):
+        rest = [x for x in pool if x not in head]
+        for tail in _splits(rest, sizes[1:]):
+            yield (head,) + tail
+
+
+def enumerate_partitions_hyp(g: int, m: int) -> list[Partition]:
+    """All (J, I) splits of {1..2g+1, inf} of index m, I chosen first; for
+    m=0 infinity sits in I."""
     if m < 0 or m > (g + 1) // 2:
         raise ValueError("index of speciality out of range")
+    kind = f"m={m}"
     finite = list(range(1, 2 * g + 2))
-    symbols = finite + [INF]
-    out = []
+    J_size, I_size = _sizes(kind, 2 * g + 1)
     if m == 0:
-        for comb in combinations(finite, g):
-            I = IndexSet.of(list(comb) + [INF])
-            J = IndexSet.of([s for s in symbols if s not in I])
-            out.append(HypPartition(0, I, J))
+        splits = ((I + (INF,), J) for I, J in _splits(finite, (I_size - 1, J_size)))
     else:
-        size = g + 1 - 2 * m
-        for comb in combinations(symbols, size):
-            I = IndexSet.of(comb)
-            J = IndexSet.of([s for s in symbols if s not in I])
-            out.append(HypPartition(m, I, J))
-    return out
+        splits = _splits(finite + [INF], (I_size, J_size))
+    return [Partition(kind, (IndexSet.of(J), IndexSet.of(I))) for I, J in splits]
 
 
-def enumerate_partitions_trig(q: int, kind: str, infinity_in: int = None) -> list[TrigPartition]:
-    """Partitions (L0, L1, L2) of {1..3q-1, inf} by kind.
+def enumerate_partitions_trig(q: int, kind: str, infinity_in: int = None) -> list[Partition]:
+    """Partitions (L0, L1, L2) of {1..3q-1, inf} by kind, L0 then L1 chosen first.
 
     Default infinity placement follows the theorems: L2 for constant, L0 for
     deriv1, L1 for deriv2; pass infinity_in = 0/1/2 to override (the
     non-theorem placements feed the experimental relocation checks).
     """
-    finite = list(range(1, 3 * q))
-    defaults = {"constant": 2, "deriv1": 0, "deriv2": 1}
-    loc = defaults[kind] if infinity_in is None else infinity_in
-    fin_sizes = list(_trig_sizes(kind, q))
-    fin_sizes[loc] -= 1
-    if fin_sizes[loc] < 0:
+    loc = {"constant": 2, "deriv1": 0, "deriv2": 1}[kind] if infinity_in is None else infinity_in
+    sizes = list(_sizes(kind, 3 * q - 1))
+    sizes[loc] -= 1                       # the finite members of each part
+    if min(sizes) < 0:
         return []
-    out = []
-    for c0 in combinations(finite, fin_sizes[0]):
-        rest1 = [x for x in finite if x not in c0]
-        for c1 in combinations(rest1, fin_sizes[1]):
-            c2 = tuple(x for x in rest1 if x not in c1)
-            if len(c2) != fin_sizes[2]:
-                continue
-            parts = [list(c0), list(c1), list(c2)]
-            parts[loc] = parts[loc] + [INF]
-            p = TrigPartition(kind, IndexSet.of(parts[0]), IndexSet.of(parts[1]),
-                              IndexSet.of(parts[2]))
-            p.validate(q)
-            out.append(p)
-    return out
+    return [Partition(kind, tuple(IndexSet.of(part + ((INF,) if j == loc else ()))
+                                  for j, part in enumerate(split)))
+            for split in _splits(list(range(1, 3 * q)), sizes)]
 
 
-def char_from_partition_hyp(p: HypPartition, periods: PeriodData) -> Characteristic:
-    """Characteristic of sum_{i in I_m} u(P_i) + K, after validating p;
-    integral by construction."""
-    p.validate(periods.g)
-    ch = periods.characteristic({i: 1 for i in p.I.finite})
+def char_from_partition(p: Partition, periods: PeriodData) -> Characteristic:
+    """Characteristic of sum_j j sum_{k in L_j} u(P_k) + K (entries in
+    1/n), after validating p."""
+    p.validate(periods.curve.num_branch)
+    return periods.characteristic({k: j for j, L in enumerate(p.parts) for k in L.finite})
+
+
+def char_from_partition_hyp(p: Partition, periods: PeriodData) -> Characteristic:
+    """char_from_partition of a hyperelliptic partition, sum_{i in I} u(P_i)
+    + K: integral by construction, and checked to be."""
+    ch = char_from_partition(p, periods)
     if not ch.is_integral():
         raise ValueError(f"partition characteristic not integral: {ch.label()}")
     return ch
 
 
-def char_from_partition_trig(p: TrigPartition, periods: PeriodData) -> Characteristic:
-    """Characteristic of sum_{L1} u + 2 sum_{L2} u + K (entries in thirds),
-    after validating p."""
-    p.validate(periods.curve.q)
-    return periods.characteristic({i: c for c, part in ((1, p.L1), (2, p.L2))
-                                   for i in part.finite})
+# the trigonal characteristic, in thirds, needs no check on top
+char_from_partition_trig = char_from_partition
 
 
 def _table_entries(periods: PeriodData, parts: Sequence, char, grad: bool):
@@ -258,27 +252,119 @@ def _ratio_statistics(lhs: np.ndarray, rhs: np.ndarray, tol: float):
 
 
 # ----------------------------------------------------------------------------
+# Delta products and derivative identities, for every cover degree
+
+
+# cover degree -> (power of each Delta(L_j), of each pair product Delta(L_j, L_{j+1}))
+_DELTA_POWERS = {2: (0.25, None), 3: (0.5, 1.0 / 6.0)}
+
+
+def _delta_product(p: Partition, lam) -> complex:
+    """prod_j Delta(L_j)^a times, where the cover degree has a pair power b,
+    the pair products Delta(L0, L1)^b Delta(L1, L2)^b Delta(L2, L0)^b:
+    Delta(J)^{1/4} Delta(I)^{1/4} at n = 2, Delta(L_j)^{1/2} and pair
+    products to the 1/6 at n = 3.  Principal branches, infinity skipped."""
+    n = len(p.parts)
+    own, pair = _DELTA_POWERS[n]
+    factors = [principal_power(vandermonde_delta(part, lam), own) for part in p.parts]
+    if pair:
+        factors += [principal_power(pair_delta(p.parts[j], p.parts[(j + 1) % n], lam), pair)
+                    for j in range(n)]
+    return reduce(operator.mul, factors)
+
+
+# derivative kind -> (first part s of its sigma set parts[s:], identity, root order)
+_DERIVS = {"m=1": (1, "thomae_deriv_hyp", 8),
+           "deriv1": (1, "thomae_deriv_trig_t1", TRIG_ROOT_ORDER),
+           "deriv2": (2, "thomae_deriv_trig_t2", TRIG_ROOT_ORDER)}
+
+
+def _deriv_rhs(curve: CurveSpec, periods: PeriodData, p: Partition) -> np.ndarray:
+    """RHS vector of a derivative identity (s-indexed), principal branches:
+    constant * Delta product * sum_l (-1)^(top-l) sigma_{top-l}(parts[s:])
+    C[l, :] over the rows l of C whose differential is z^a dz / w^(n-s).
+    Infinity in parts[s:] drops the degree by one (the relocation extension).
+
+    The constant is (det C / 2^(g+2) pi^g)^{1/2} at n = 2 and alpha/3
+    (det C)^{1/2} at n = 3.  For deriv2 that halves the printed 2 alpha/3:
+    near the double point the cube root of the branch-value product is
+    t * t', whose symmetrized beta-derivative at the diagonal is -1/2
+    (phi_tt - phi_ts)/2 with phi_tt = 0 (sign absorbed into the 144th root);
+    the plain ratio has modulus exactly 1/2 for every type-2 partition."""
+    if p.kind not in _DERIVS:
+        raise ValueError("derivative RHS needs a derivative-kind partition")
+    s = _DERIVS[p.kind][0]
+    n, g, lam = curve.n, curve.genus, curve.lam_map
+    drop = int(any(INF in part for part in p.parts[s:]))
+    rows = [l for l, d in enumerate(curve.differentials(), 1) if d.m == n - s]
+    row = sigma_row([lam[k] for part in p.parts[s:] for k in part.finite], rows, drop)
+    if n == 2:
+        pref = (principal_power(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
+                * _delta_product(p, lam))
+    else:
+        pref = (_delta_product(p, lam) * principal_power(np.linalg.det(periods.C), 0.5)
+                * trig_alpha(g) / 3.0)
+        # the trigonal sign (-1)^deg is (-1)^drop times the row's (-1)^(top-l)
+        pref = -pref if drop else pref
+    return sigma_contract(pref, row, periods.C)
+
+
+def _verify_deriv(p: Partition, ch: Characteristic, grad: np.ndarray, rhs: np.ndarray,
+                  tol: float) -> VerificationReport:
+    """grad theta[ch](0) of a derivative-kind partition, summed at GRAD_TOL,
+    against its RHS vector: one ratio per nonzero RHS entry, their mean
+    classified as a root of unity of the kind's order; infinity in the sigma
+    parts flags the report experimental."""
+    s, identity, order = _DERIVS[p.kind]
+    ratios, mean, spread, zeros_ok = _ratio_statistics(grad, rhs, tol)
+    tag = classify_root_of_unity(mean, order, tol) if ratios else None
+    passed = bool(ratios) and tag.ok and spread < tol and zeros_ok
+    return VerificationReport(
+        identity=identity, partition=p.label(), s_range=list(range(1, len(grad) + 1)),
+        lhs=[complex(x) for x in grad], rhs_modulus=float(np.max(np.abs(rhs))),
+        ratios=ratios, tag=tag, spread=spread, passed=passed,
+        tolerances={"tol": tol, "grad_tol": GRAD_TOL},
+        details={"char": ch.label(),
+                 "experimental": any(INF in part for part in p.parts[s:]),
+                 "zeros_ok": zeros_ok})
+
+
+def _deriv_rows(curve: CurveSpec, periods: PeriodData, parts: Sequence[Partition],
+                tol: float) -> list[tuple[VerificationReport, np.ndarray]]:
+    """The derivative identity of each partition's kind: its report and the
+    RHS it compared."""
+    rhss = [_deriv_rhs(curve, periods, p) for p in parts]   # raises on other kinds
+    char = char_from_partition_hyp if curve.n == 2 else char_from_partition_trig
+    entries = _table_entries(periods, parts, char, True)
+    return [(_verify_deriv(p, ch, theta.values, rhs, tol), rhs)
+            for (p, ch, theta), rhs in zip(entries, rhss)]
+
+
+def _deriv_reports(curve: CurveSpec, periods: PeriodData, parts: Sequence[Partition],
+                   kind: str, tol: float) -> list[VerificationReport]:
+    """The derivative reports of partitions that are all of one kind."""
+    if any(p.kind != kind for p in parts):
+        raise ValueError(f"{_DERIVS[kind][1]} needs {kind} partitions")
+    return [rep for rep, _ in _deriv_rows(curve, periods, parts, tol)]
+
+
+# ----------------------------------------------------------------------------
 # Hyperelliptic identities
 
 
-def _delta_quarter_pair(A: IndexSet, B: IndexSet, lam) -> complex:
-    return (principal_power(vandermonde_delta(A, lam), 0.25)
-            * principal_power(vandermonde_delta(B, lam), 0.25))
-
-
 def verify_thomae_const_hyp(curve: CurveSpec, periods: PeriodData,
-                            parts: Sequence[HypPartition],
+                            parts: Sequence[Partition],
                             tol: float = 1e-6) -> list[VerificationReport]:
     """The constant identity on each m=0 partition."""
     g = curve.genus
-    if any(p.m != 0 for p in parts):
+    if any(p.kind != "m=0" for p in parts):
         raise ValueError("constant identity needs an m=0 partition")
     lam = curve.lam_map
     pref = principal_power(np.linalg.det(periods.C) / (2.0 ** g * np.pi ** g), 0.5)
     reports = []
     for p, ch, theta in _table_entries(periods, parts, char_from_partition_hyp, False):
         lhs = theta.value
-        rhs = pref * _delta_quarter_pair(p.I, p.J, lam)
+        rhs = pref * _delta_product(p, lam)
         ratio = lhs / rhs
         tag = classify_root_of_unity(ratio, 8, tol)
         reports.append(VerificationReport(
@@ -289,55 +375,10 @@ def verify_thomae_const_hyp(curve: CurveSpec, periods: PeriodData,
     return reports
 
 
-def _hyp_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: HypPartition) -> np.ndarray:
-    """RHS vector of the derivative identity (s-indexed), principal branches.
-
-    With infinity inside I1 the symmetric functions are taken one degree lower
-    on the finite part (the relocation extension; flagged experimental)."""
-    g = curve.genus
-    lam = curve.lam_map
-    pref = (principal_power(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
-            * _delta_quarter_pair(p.I, p.J, lam))
-    row = sigma_row([lam[i] for i in p.I.finite], range(1, g + 1), int(INF in p.I))
-    return sigma_contract(pref, row, periods.C)
-
-
-def _verify_deriv(identity: str, order: int, ch: Characteristic, grad: np.ndarray,
-                  rhs: np.ndarray, experimental: bool, partition: str,
-                  tol: float) -> VerificationReport:
-    """grad theta[ch](0), summed at GRAD_TOL, against the RHS vector: one
-    ratio per nonzero RHS entry, their mean classified as an order-th root
-    of unity."""
-    ratios, mean, spread, zeros_ok = _ratio_statistics(grad, rhs, tol)
-    tag = classify_root_of_unity(mean, order, tol) if ratios else None
-    passed = bool(ratios) and tag.ok and spread < tol and zeros_ok
-    return VerificationReport(
-        identity=identity, partition=partition, s_range=list(range(1, len(grad) + 1)),
-        lhs=[complex(x) for x in grad], rhs_modulus=float(np.max(np.abs(rhs))),
-        ratios=ratios, tag=tag, spread=spread, passed=passed,
-        tolerances={"tol": tol, "grad_tol": GRAD_TOL},
-        details={"char": ch.label(), "experimental": experimental,
-                 "zeros_ok": zeros_ok})
-
-
-def _hyp_deriv_rows(curve: CurveSpec, periods: PeriodData, parts: Sequence[HypPartition],
-                    tol: float) -> list[tuple[VerificationReport, np.ndarray]]:
-    """The derivative identity on each m=1 partition: its report and the RHS
-    it compared."""
-    if any(p.m != 1 for p in parts):
-        raise ValueError("derivative identity needs an m=1 partition")
-    rows = []
-    for p, ch, theta in _table_entries(periods, parts, char_from_partition_hyp, True):
-        rhs = _hyp_deriv_rhs(curve, periods, p)
-        rows.append((_verify_deriv("thomae_deriv_hyp", 8, ch, theta.values, rhs,
-                                   INF in p.I, p.label(), tol), rhs))
-    return rows
-
-
 def verify_thomae_deriv_hyp(curve: CurveSpec, periods: PeriodData,
-                            parts: Sequence[HypPartition],
+                            parts: Sequence[Partition],
                             tol: float = 1e-6) -> list[VerificationReport]:
-    return [rep for rep, _ in _hyp_deriv_rows(curve, periods, parts, tol)]
+    return _deriv_reports(curve, periods, parts, "m=1", tol)
 
 
 def _sample_nonspecial(periods: PeriodData, count: int, rng, ch: Characteristic):
@@ -418,34 +459,36 @@ def _verify_matrix_form(identity: str, partition: str,
         details=errors | {"row_tags": [rep.tag.index for rep, _ in rows]})
 
 
-def derived_partitions_hyp(I0: HypPartition) -> list[HypPartition]:
+def derived_partitions_hyp(I0: Partition) -> list[Partition]:
     """The m=1 partitions of the matrix form on I0: infinity and one finite
     member of I0 moved to J, for each of its g finite members in turn."""
-    symbols = list(I0.I) + list(I0.J)
+    J, I = I0.parts
+    symbols = list(I) + list(J)
     out = []
-    for xk in I0.I.finite:                      # g finite members, ascending
-        I1 = I0.I.without(INF, xk)
-        out.append(HypPartition(1, I1, IndexSet.of([s for s in symbols if s not in I1])))
+    for xk in I.finite:                         # g finite members, ascending
+        I1 = I.without(INF, xk)
+        out.append(Partition("m=1", (IndexSet.of([s for s in symbols if s not in I1]), I1)))
     return out
 
 
 def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
-                           parts: Sequence[HypPartition],
+                           parts: Sequence[Partition],
                            tol: float = 1e-6) -> list[VerificationReport]:
     """Matrix form of the derivative identity on each I0, over its g
     single-element deletions, plus det Sigma = Delta(I0)."""
     g = curve.genus
     for I0 in parts:
-        I0.validate(g)
+        I0.validate(curve.num_branch)
     lam = curve.lam_map
     derived = [derived_partitions_hyp(I0) for I0 in parts]
     distinct = list(dict.fromkeys(p1 for d in derived for p1 in d))   # forms share rows
-    rows = dict(zip(distinct, _hyp_deriv_rows(curve, periods, distinct, tol)))
+    rows = dict(zip(distinct, _deriv_rows(curve, periods, distinct, tol)))
     reports = []
     for I0, d in zip(parts, derived):
-        sigma = np.array([list(sigma_row([lam[x] for x in p1.I.finite], range(1, g + 1)).values())
+        sigma = np.array([list(sigma_row([lam[x] for x in p1.parts[1].finite],
+                                         range(1, g + 1)).values())
                           for p1 in d], dtype=complex)
-        delta_i0 = vandermonde_delta(I0.I, lam)
+        delta_i0 = vandermonde_delta(I0.parts[1], lam)
         det_err = abs(complex(np.linalg.det(sigma)) - delta_i0) / abs(delta_i0)
         reports.append(_verify_matrix_form(
             "matrix_form_hyp", I0.label(), [rows[p1] for p1 in d], tol,
@@ -455,23 +498,6 @@ def verify_matrix_form_hyp(curve: CurveSpec, periods: PeriodData,
 
 # ----------------------------------------------------------------------------
 # Trigonal identities
-
-
-def _delta_product_trig(p: TrigPartition, lam) -> complex:
-    """Delta(L0)^{1/2} Delta(L1)^{1/2} Delta(L2)^{1/2} times the three pair
-    products to the 1/6, principal branches, infinity skipped."""
-    out = (principal_power(vandermonde_delta(p.L0, lam), 0.5)
-           * principal_power(vandermonde_delta(p.L1, lam), 0.5)
-           * principal_power(vandermonde_delta(p.L2, lam), 0.5))
-    out *= principal_power(pair_delta(p.L0, p.L1, lam), 1.0 / 6.0)
-    out *= principal_power(pair_delta(p.L1, p.L2, lam), 1.0 / 6.0)
-    out *= principal_power(pair_delta(p.L2, p.L0, lam), 1.0 / 6.0)
-    return out
-
-
-# every order seen so far of a trigonal constant or derivative ratio
-# divides this
-TRIG_ROOT_ORDER = 144
 
 
 def trig_alpha(g: int) -> float:
@@ -488,7 +514,7 @@ class AlphaEstimate:
 
 
 def alpha_ratio(curve: CurveSpec, periods: PeriodData,
-                parts: Sequence[TrigPartition]) -> list[complex]:
+                parts: Sequence[Partition]) -> list[complex]:
     """Each partition's normalized theta constant over the full Delta
     expression; equals trig_alpha(g) times a 144th root of unity when the
     identity holds.
@@ -507,7 +533,7 @@ def alpha_ratio(curve: CurveSpec, periods: PeriodData,
     for p, ch, theta in _table_entries(periods, parts, char_from_partition_trig, False):
         ed = sum(e * d for e, d in zip(ch.eps, ch.delta))
         lhs = theta.value * np.exp(2j * np.pi * float(ed) / 4.0)
-        ratios.append(lhs / (det_root * _delta_product_trig(p, lam)))
+        ratios.append(lhs / (det_root * _delta_product(p, lam)))
     return ratios
 
 
@@ -528,63 +554,16 @@ def estimate_alpha(curves: Sequence[tuple[CurveSpec, PeriodData]],
     return AlphaEstimate(modulus=med, phases=phases, spread=spread)
 
 
-def _trig_deriv_rhs(curve: CurveSpec, periods: PeriodData, p: TrigPartition) -> np.ndarray:
-    """RHS vector for the trigonal derivative identities, constant alpha/3,
-    on rows l = 1..2q-1 of C with sigma over L1 u L2 (deriv1) or rows
-    l = 2q..3q-2 with sigma over L2 (deriv2); infinity in the sigma set
-    drops the degree by one.
-
-    For deriv2 that halves the printed 2 alpha/3: near the double point the
-    cube root of the branch-value product is t * t', whose symmetrized
-    beta-derivative at the diagonal is -1/2 (phi_tt - phi_ts)/2 with
-    phi_tt = 0 (sign absorbed into the 144th root).  Confirmed numerically:
-    the plain ratio has modulus exactly 1/2 for every type-2 partition."""
-    q = curve.q
-    lam = curve.lam_map
-    if p.kind == "deriv1":
-        sig_set, rows = p.L1.finite + p.L2.finite, range(1, 2 * q)
-        drop = int(INF in p.L1 or INF in p.L2)
-    elif p.kind == "deriv2":
-        sig_set, rows, drop = p.L2.finite, range(2 * q, 3 * q - 1), int(INF in p.L2)
-    else:
-        raise ValueError("derivative RHS needs a deriv-kind partition")
-    row = sigma_row([lam[i] for i in sig_set], rows, drop)
-    pref = (_delta_product_trig(p, lam) * principal_power(np.linalg.det(periods.C), 0.5)
-            * trig_alpha(curve.genus) / 3.0)
-    # the trigonal sign (-1)^deg is (-1)^drop times the row's (-1)^(top-l)
-    return sigma_contract(-pref if drop else pref, row, periods.C)
-
-
-def _trig_deriv_rows(curve: CurveSpec, periods: PeriodData, parts: Sequence[TrigPartition],
-                     tol: float) -> list[tuple[VerificationReport, np.ndarray]]:
-    """The type-1 or type-2 identity on each partition, by its kind: its
-    report and the RHS it compared."""
-    rhss = [_trig_deriv_rhs(curve, periods, p) for p in parts]   # raises on constant kind
-    rows = []
-    entries = _table_entries(periods, parts, char_from_partition_trig, True)
-    for (p, ch, theta), rhs in zip(entries, rhss):
-        # infinity in the sigma set is the experimental relocation
-        experimental = INF in p.L2 or (p.kind == "deriv1" and INF in p.L1)
-        identity = "thomae_deriv_trig_t1" if p.kind == "deriv1" else "thomae_deriv_trig_t2"
-        rows.append((_verify_deriv(identity, TRIG_ROOT_ORDER, ch, theta.values, rhs,
-                                   experimental, p.label(), tol), rhs))
-    return rows
-
-
 def verify_thomae_deriv_trig_t1(curve: CurveSpec, periods: PeriodData,
-                                parts: Sequence[TrigPartition],
+                                parts: Sequence[Partition],
                                 tol: float = 1e-5) -> list[VerificationReport]:
-    if any(p.kind != "deriv1" for p in parts):
-        raise ValueError("type-1 identity needs a deriv1 partition")
-    return [rep for rep, _ in _trig_deriv_rows(curve, periods, parts, tol)]
+    return _deriv_reports(curve, periods, parts, "deriv1", tol)
 
 
 def verify_thomae_deriv_trig_t2(curve: CurveSpec, periods: PeriodData,
-                                parts: Sequence[TrigPartition],
+                                parts: Sequence[Partition],
                                 tol: float = 1e-5) -> list[VerificationReport]:
-    if any(p.kind != "deriv2" for p in parts):
-        raise ValueError("type-2 identity needs a deriv2 partition")
-    return [rep for rep, _ in _trig_deriv_rows(curve, periods, parts, tol)]
+    return _deriv_reports(curve, periods, parts, "deriv2", tol)
 
 
 def verify_quotient_trig(curve: CurveSpec, periods: PeriodData, k: int,
@@ -594,35 +573,28 @@ def verify_quotient_trig(curve: CurveSpec, periods: PeriodData, k: int,
     return _verify_quotient(curve, periods, k, "quotient_trig", seed, samples, tol)
 
 
-def derived_partitions_for_matrix(p: TrigPartition, q: int) -> list[TrigPartition]:
+def derived_partitions_for_matrix(p: Partition, q: int) -> list[Partition]:
     """The g partitions obtained from a constant-kind partition by the three
     single-branch-point degenerations (simple from L1, simple from L2,
     double from L2)."""
     if p.kind != "constant":
         raise ValueError("matrix form starts from a constant-kind partition")
-    l1 = list(p.L1.finite)
-    l2fin = list(p.L2.finite)
+    L0, L1, L2 = p.parts
     out = []
-    for i in l1:                                   # rows 1..q
-        out.append(TrigPartition("deriv1",
-                                 p.L0.union(IndexSet.of([i, INF])),
-                                 p.L1.without(i),
-                                 p.L2.without(INF)))
-    for i in l2fin:                                # rows q+1..2q-1
-        out.append(TrigPartition("deriv2",
-                                 p.L0.union(IndexSet.of([INF])),
-                                 p.L1.union(IndexSet.of([i])),
-                                 p.L2.without(i, INF)))
-    for i in l2fin:                                # rows 2q..3q-2
-        out.append(TrigPartition("deriv2",
-                                 p.L0.union(IndexSet.of([i])),
-                                 p.L1.union(IndexSet.of([INF])),
-                                 p.L2.without(i, INF)))
+    for i in L1.finite:                            # rows 1..q
+        out.append(Partition("deriv1", (L0.union(IndexSet.of([i, INF])), L1.without(i),
+                                        L2.without(INF))))
+    for i in L2.finite:                            # rows q+1..2q-1
+        out.append(Partition("deriv2", (L0.union(IndexSet.of([INF])),
+                                        L1.union(IndexSet.of([i])), L2.without(i, INF))))
+    for i in L2.finite:                            # rows 2q..3q-2
+        out.append(Partition("deriv2", (L0.union(IndexSet.of([i])),
+                                        L1.union(IndexSet.of([INF])), L2.without(i, INF))))
     return out
 
 
 def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
-                            parts: Sequence[TrigPartition],
+                            parts: Sequence[Partition],
                             tol: float = 1e-5) -> list[VerificationReport]:
     """Matrix identity Grad = (alpha/3) D Sigma C for the degenerations of
     each constant-kind partition, including the structural zero blocks of
@@ -633,7 +605,7 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     if any(len(d) != g for d in derived):
         raise ValueError("wrong number of derived partitions")
     distinct = list(dict.fromkeys(pk for d in derived for pk in d))   # forms share rows
-    all_rows = dict(zip(distinct, _trig_deriv_rows(curve, periods, distinct, tol)))
+    all_rows = dict(zip(distinct, _deriv_rows(curve, periods, distinct, tol)))
     # Sigma reconstructed from the gradients with the classified per-row
     # phases: its zero blocks must come out exactly.  sqrt(det C)
     # accompanies the row theorems; the compact matrix statement drops it
@@ -645,7 +617,7 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
     reports = []
     for p, dk in zip(parts, derived):
         rows = [all_rows[pk] for pk in dk]
-        rowfac = (np.array([_delta_product_trig(pk, curve.lam_map) for pk in dk])
+        rowfac = (np.array([_delta_product(pk, curve.lam_map) for pk in dk])
                   * np.array([rep.tag.value for rep, _ in rows]))
         grads = np.array([rep.lhs for rep, _ in rows])
         sigma_hat = np.diag(1.0 / rowfac) @ grads @ np.linalg.inv(periods.C) / const
@@ -659,7 +631,7 @@ def verify_matrix_form_trig(curve: CurveSpec, periods: PeriodData,
 
 
 def simple_zero_check(periods: PeriodData,
-                      parts: Sequence[TrigPartition]) -> list[VerificationReport]:
+                      parts: Sequence[Partition]) -> list[VerificationReport]:
     """theta[e_Lambda] vanishes with nonzero gradient exactly for the
     deriv-kind partitions (simple zeros of theta); values and gradients are
     the plan's theta table entries at GRAD_TOL, the ones the derivative

@@ -9,7 +9,8 @@ continuation, the branch images from the chain-edge sums and Abel's
 theorem against one route from infinity per branch point, the Riemann constant from the
 intersection form against the half-period search and the hyperelliptic
 parity census that once found it, the exact partition characteristics
-against the float sums snapped once per partition that they replaced, and
+against the float sums snapped once per partition that they replaced, the
+partition enumerators against the per-degree loops that they replaced, and
 the Thomae derivative right-hand sides and closed-form Jacobians against
 the contraction loops each once wrote out.  The truncation radius is
 checked against the packing bound it replaced, its product bound against
@@ -31,15 +32,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from thetalab.algebra import (INF, all_elementary_symmetric, derivative_at_root,
-                              principal_power)
+from thetalab.algebra import (INF, IndexSet, all_elementary_symmetric, derivative_at_root,
+                              pair_delta, principal_power, vandermonde_delta)
 from thetalab.homology import HomologyError
 from thetalab.quadrature import (build_avoiding_path, infinity_leg_integrals,
                                  polyline_integrals, refine_path_for_quadrature)
 from thetalab.periods import QUAD_ORDER, _random_surface_points
 from thetalab.theta import (Characteristic, RiemannMatrix, ThetaError, theta_halfint_table,
                             theta_norm_abs)
-from thetalab.thomae import _delta_product_trig, _delta_quarter_pair
 
 _POINT_CAP = 8_000_000
 
@@ -441,23 +441,103 @@ def mp_theta(eps, delta, zeta, tau, dps: int = 30, cut: float = 60.0):
 
 
 # ----------------------------------------------------------------------------
+# Partition enumeration, frozen from the loops thetalab wrote out per cover
+# degree before one split generator served both.  The report order of a plan
+# is this order.
+
+
+def hyp_partitions(g: int, m: int) -> list[tuple[int, IndexSet, IndexSet]]:
+    """(m, I, J) of every split of {1..2g+1, inf} of index m, in order."""
+    finite = list(range(1, 2 * g + 2))
+    symbols = finite + [INF]
+    out = []
+    if m == 0:
+        for comb in itertools.combinations(finite, g):
+            I = IndexSet.of(list(comb) + [INF])
+            J = IndexSet.of([s for s in symbols if s not in I])
+            out.append((0, I, J))
+    else:
+        size = g + 1 - 2 * m
+        for comb in itertools.combinations(symbols, size):
+            I = IndexSet.of(comb)
+            J = IndexSet.of([s for s in symbols if s not in I])
+            out.append((m, I, J))
+    return out
+
+
+def hyp_partition_label(m: int, I: IndexSet) -> str:
+    return f"m={m} I={I.label()}"
+
+
+def _trig_sizes(kind: str, q: int) -> tuple[int, int, int]:
+    return {"constant": (q, q, q),
+            "deriv1": (q + 2, q - 1, q - 1),
+            "deriv2": (q + 1, q + 1, q - 2)}[kind]
+
+
+def trig_partitions(q: int, kind: str, infinity_in=None) -> list[tuple]:
+    """(kind, L0, L1, L2) of every split of {1..3q-1, inf} of the kind, in
+    order, infinity in its theorem's part unless infinity_in says otherwise."""
+    finite = list(range(1, 3 * q))
+    defaults = {"constant": 2, "deriv1": 0, "deriv2": 1}
+    loc = defaults[kind] if infinity_in is None else infinity_in
+    fin_sizes = list(_trig_sizes(kind, q))
+    fin_sizes[loc] -= 1
+    if fin_sizes[loc] < 0:
+        return []
+    out = []
+    for c0 in itertools.combinations(finite, fin_sizes[0]):
+        rest1 = [x for x in finite if x not in c0]
+        for c1 in itertools.combinations(rest1, fin_sizes[1]):
+            c2 = tuple(x for x in rest1 if x not in c1)
+            if len(c2) != fin_sizes[2]:
+                continue
+            parts = [list(c0), list(c1), list(c2)]
+            parts[loc] = parts[loc] + [INF]
+            out.append((kind, IndexSet.of(parts[0]), IndexSet.of(parts[1]),
+                        IndexSet.of(parts[2])))
+    return out
+
+
+def trig_partition_label(kind: str, L0: IndexSet, L1: IndexSet, L2: IndexSet) -> str:
+    return f"{kind} L0={L0.label()} L1={L1.label()} L2={L2.label()}"
+
+
+# ----------------------------------------------------------------------------
 # Signed sigma-row contractions, frozen from the loops thetalab wrote out per
-# identity before they shared algebra.sigma_row / algebra.sigma_contract.
-# Each reads only `.C` of the periods.
+# identity before they shared algebra.sigma_row / algebra.sigma_contract,
+# with the Delta products they multiplied.  Each reads only `.C` of the
+# periods.
+
+
+def delta_quarter_pair(A, B, lam) -> complex:
+    return (principal_power(vandermonde_delta(A, lam), 0.25)
+            * principal_power(vandermonde_delta(B, lam), 0.25))
+
+
+def delta_product_trig(L0, L1, L2, lam) -> complex:
+    out = (principal_power(vandermonde_delta(L0, lam), 0.5)
+           * principal_power(vandermonde_delta(L1, lam), 0.5)
+           * principal_power(vandermonde_delta(L2, lam), 0.5))
+    out *= principal_power(pair_delta(L0, L1, lam), 1.0 / 6.0)
+    out *= principal_power(pair_delta(L1, L2, lam), 1.0 / 6.0)
+    out *= principal_power(pair_delta(L2, L0, lam), 1.0 / 6.0)
+    return out
 
 
 def hyp_deriv_rhs(curve, periods, p) -> np.ndarray:
     g = curve.genus
     lam = curve.lam_map
-    vals = [lam[i] for i in p.I.finite]
+    J, I = p.parts
+    vals = [lam[i] for i in I.finite]
     sig = all_elementary_symmetric(vals)
     pref = (principal_power(np.linalg.det(periods.C) / (2.0 ** (g + 2) * np.pi ** g), 0.5)
-            * _delta_quarter_pair(p.I, p.J, lam))
+            * delta_quarter_pair(I, J, lam))
     out = np.zeros(g, dtype=complex)
     for s in range(g):
         acc = 0.0 + 0.0j
         for l in range(1, g + 1):
-            deg = g - l - (1 if INF in p.I else 0)
+            deg = g - l - (1 if INF in I else 0)
             if deg < 0 or deg >= len(sig):
                 continue
             acc += (-1) ** (g - l) * sig[deg] * periods.C[l - 1, s]
@@ -469,16 +549,17 @@ def trig_deriv_rhs(curve, periods, p, alpha: float) -> np.ndarray:
     q = curve.q
     g = curve.genus
     lam = curve.lam_map
-    pref = _delta_product_trig(p, lam) * principal_power(np.linalg.det(periods.C), 0.5)
+    L0, L1, L2 = p.parts
+    pref = delta_product_trig(L0, L1, L2, lam) * principal_power(np.linalg.det(periods.C), 0.5)
     if p.kind == "deriv1":
-        sig_set = list(p.L1.finite) + list(p.L2.finite)
-        has_inf = INF in p.L1 or INF in p.L2
+        sig_set = list(L1.finite) + list(L2.finite)
+        has_inf = INF in L1 or INF in L2
         lrange = range(1, 2 * q)
         degree = lambda l: 2 * q - 1 - l - (1 if has_inf else 0)  # noqa: E731
         pref = pref * alpha / 3.0
     elif p.kind == "deriv2":
-        sig_set = list(p.L2.finite)
-        has_inf = INF in p.L2
+        sig_set = list(L2.finite)
+        has_inf = INF in L2
         lrange = range(2 * q, 3 * q - 1)
         degree = lambda l: 3 * q - 2 - l - (1 if has_inf else 0)  # noqa: E731
         pref = pref * alpha / 3.0

@@ -153,7 +153,7 @@ def test_criterion_05_thomae_derivatives_hyp(hyp_g2, hyp_g2_batch, hyp_g3):
     ok = n_pass == total == 24      # 5 theorem + 1 relocation partition per curve
     # g=3 smoke run at 1e-5
     c3, pd3 = hyp_g3
-    smoke = [p for p in thomae.enumerate_partitions_hyp(3, 1) if INF not in p.I][:3]
+    smoke = [p for p in thomae.enumerate_partitions_hyp(3, 1) if INF not in p.parts[1]][:3]
     for rep in thomae.verify_thomae_deriv_hyp(c3, pd3, smoke, tol=1e-5):
         total += 1
         n_pass += rep.passed

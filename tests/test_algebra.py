@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from thetalab.algebra import (INF, IndexSet, classify_root_of_unity, derivative_at_root,
-                              pair_delta, vandermonde_delta)
+from thetalab.algebra import (INF, IndexSet, c2j, classify_root_of_unity, derivative_at_root,
+                              j2c, pair_delta, vandermonde_delta)
 
 from oracles import deleted_poly_from_roots, elementary_symmetric, poly_from_roots
 
@@ -118,3 +118,13 @@ def test_classify_root_of_unity():
     t = classify_root_of_unity(1.1 * np.exp(2j * np.pi * 5 / 12), 12, 1e-9)
     assert t.index == 5 and not t.ok
     assert t.phase_residual <= np.pi / 12 + 1e-12
+
+
+def test_j2c_inverts_c2j_and_takes_only_number_pairs():
+    for z in (0j, 1.5 - 2j, complex(3, 1e-300)):
+        assert j2c(c2j(z)) == z
+    assert j2c([1, -2]) == 1 - 2j
+    for bad in ([0, 1, 7], [1], [True, 0], [0, False], ["1", 0], [None, 0], "ab", 1.0,
+                {"re": 0, "im": 1}):
+        with pytest.raises(ValueError):
+            j2c(bad)

@@ -276,6 +276,43 @@ def test_non_finite_branch_point_exits_2(tmp_path, capsys, command, value):
             and err.count("\n") == 1)
 
 
+LAMBDAS_G1 = [[0, 0], [1, 0], [2, 0]]
+
+
+@pytest.mark.parametrize("curve", [
+    {"n": 2, "lambdas": [["x", 0], [1, 0], [2, 0]]},
+    {"n": "two", "lambdas": LAMBDAS_G1},
+    {"n": 2.7, "lambdas": LAMBDAS_G1},
+    {"n": 2.0, "lambdas": LAMBDAS_G1},
+    {"n": 2, "lambdas": [[0, 1, 7], [1, 0], [2, 0]]},
+    {"n": 2, "lambdas": [[True, 0], [1, 0], [2, 0]]},
+    {"n": 2, "lambdas": [[0, 0], ["1", 0], [2, 0]]},
+], ids=["lambda-string", "n-string", "n-fraction", "n-float", "three-entries", "bool-entry",
+        "numeric-string"])
+@pytest.mark.parametrize("command", ["verify", "periods"])
+def test_curve_spec_takes_an_integer_n_and_number_pairs(tmp_path, capsys, command, curve):
+    # each once ended in a traceback with exit 1 (periods), ran as another
+    # curve (n = 2.7 as n = 2) or read a pair that is not one as a number
+    from thetalab.cli import main
+    f = write(tmp_path / "c.json", curve if command == "periods" else dict(PLAN_G1, curve=curve))
+    assert main([command, f]) == 2
+    err = capsys.readouterr().err
+    assert (err.startswith("error: invalid") and "malformed curve spec" in err
+            and err.count("\n") == 1)
+
+
+@pytest.mark.parametrize("entry", [
+    {"tau": [[[0.0, 1.0, 7.0]]]}, {"tau": [[[True, 1.0]]]}, {"tau": [[["0", 1.0]]]},
+    {"zeta": [[0.0, 0.0, 1.0]]}, {"zeta": [[False, 0.0]]},
+], ids=["tau-three-entries", "tau-bool", "tau-string", "zeta-three-entries", "zeta-bool"])
+def test_theta_pairs_are_two_numbers(tmp_path, capsys, entry):
+    from thetalab.cli import main
+    f = write(tmp_path / "t.json", {"tau": [[[0.0, 1.0]]], **entry})
+    assert main(["theta", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed theta input") and err.count("\n") == 1
+
+
 def test_verify_parse_failure(tmp_path):
     f = tmp_path / "plan.json"
     f.write_text("{]")
@@ -539,16 +576,13 @@ TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _checked_in_plans() -> list[tuple[str, dict]]:
-    """The plans of tools/identity_digests.py (the 12 benchmark plans and the
-    README plan), tools/trig-q3-g7.json and tools/picard-g3.json."""
+    """The plans of tools/identity_digests.py (the 12 benchmark plans, the
+    README plan and tools/picard-g3.json) and tools/trig-q3-g7.json."""
     if TOOLS not in sys.path:
         sys.path.insert(0, TOOLS)
     from identity_digests import plans
-    out = plans()
-    for label in ("trig-q3-g7", "picard-g3"):
-        with open(os.path.join(TOOLS, f"{label}.json")) as fh:
-            out.append((label, json.load(fh)))
-    return out
+    with open(os.path.join(TOOLS, "trig-q3-g7.json")) as fh:
+        return plans() + [("trig-q3-g7", json.load(fh))]
 
 
 def test_checked_in_plans_have_only_known_keys(tmp_path, monkeypatch):

@@ -311,13 +311,13 @@ def _partition_characteristics(c, pd):
     if c.n == 2:
         for m in range((c.genus + 1) // 2 + 1):
             for p in enumerate_partitions_hyp(c.genus, m):
-                yield char_from_partition_hyp(p, pd), {i: 1 for i in p.I.finite}
+                yield char_from_partition_hyp(p, pd), {i: 1 for i in p.parts[1].finite}
     else:
         for kind in ("constant", "deriv1", "deriv2"):
             for loc in (0, 1, 2):
                 for p in enumerate_partitions_trig(c.q, kind, loc):
                     yield (char_from_partition_trig(p, pd),
-                           {i: mult for mult, part in ((1, p.L1), (2, p.L2))
+                           {i: mult for mult, part in ((1, p.parts[1]), (2, p.parts[2]))
                             for i in part.finite})
 
 

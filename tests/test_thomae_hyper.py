@@ -6,19 +6,19 @@ import pytest
 from thetalab.algebra import (INF, IndexSet, classify_root_of_unity, principal_power,
                               vandermonde_delta)
 from thetalab.theta import Characteristic, theta_eval
-from thetalab.thomae import (HypPartition, char_from_partition_hyp,
+from thetalab.thomae import (Partition, char_from_partition_hyp,
                              derived_partitions_hyp, enumerate_partitions_hyp, verify_matrix_form_hyp,
                              verify_quotient_hyp, verify_thomae_const_hyp,
-                             verify_thomae_deriv_hyp, _delta_quarter_pair,
-                             _sample_nonspecial)
+                             verify_thomae_deriv_hyp, _sample_nonspecial)
 
-from oracles import parity
+import oracles
+from oracles import delta_quarter_pair, parity
 
 
 def test_partition_counts_g2():
     assert len(enumerate_partitions_hyp(2, 0)) == 10
     assert len(enumerate_partitions_hyp(2, 1)) == 6
-    assert sum(1 for p in enumerate_partitions_hyp(2, 1) if INF not in p.I) == 5
+    assert sum(1 for p in enumerate_partitions_hyp(2, 1) if INF not in p.parts[1]) == 5
     total = sum(len(enumerate_partitions_hyp(2, m)) for m in (0, 1))
     assert total == 4 ** 2
 
@@ -31,12 +31,22 @@ def test_partition_counts_g3():
     assert 35 + 28 + 1 == 4 ** 3
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_enumeration_keeps_the_frozen_order(g):
+    # the report order of a plan, and so its JSONL, is the enumeration order
+    for m in range((g + 1) // 2 + 1):
+        new = [(p.kind, p.label(), p.parts) for p in enumerate_partitions_hyp(g, m)]
+        old = [(f"m={m}", oracles.hyp_partition_label(m, I), (J, I))
+               for _, I, J in oracles.hyp_partitions(g, m)]
+        assert new == old
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         enumerate_partitions_hyp(2, 2)
-    p = HypPartition(0, IndexSet.of([1, 2]), IndexSet.of([3, 4, 5, INF]))
+    p = Partition("m=0", (IndexSet.of([3, 4, 5, INF]), IndexSet.of([1, 2])))
     with pytest.raises(ValueError):
-        p.validate(2)
+        p.validate(5)
 
 
 @pytest.mark.parametrize("I, J", [
@@ -46,17 +56,17 @@ def test_partition_validation():
 ], ids=["overlap", "outside", "inf-in-J"])
 def test_partition_must_split_the_branch_symbols(I, J):
     with pytest.raises(ValueError):
-        HypPartition(0, IndexSet.of(I), IndexSet.of(J)).validate(2)
+        Partition("m=0", (IndexSet.of(J), IndexSet.of(I))).validate(5)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_enumerated_and_derived_partitions_validate(g):
     for m in range((g + 1) // 2 + 1):
         for p in enumerate_partitions_hyp(g, m):
-            p.validate(g)
+            p.validate(2 * g + 1)
             if m == 0:
                 for p1 in derived_partitions_hyp(p):
-                    p1.validate(g)
+                    p1.validate(2 * g + 1)
 
 
 def test_characteristic_parity_matches_m(hyp_g2):
@@ -82,9 +92,10 @@ def test_thomae_constant_negative_control(hyp_g2):
     ch = char_from_partition_hyp(p, pd)
     lhs = theta_eval(ch, np.zeros(2), pd.tau, 1e-10).value
     lam = dict(c.lam_map)
-    lam[p.I.finite[0]] += 0.037        # RHS-only perturbation
+    J, I = p.parts
+    lam[I.finite[0]] += 0.037          # RHS-only perturbation
     rhs = (principal_power(np.linalg.det(pd.C) / (2.0 ** 2 * np.pi ** 2), 0.5)
-           * _delta_quarter_pair(p.I, p.J, lam))
+           * delta_quarter_pair(I, J, lam))
     tag = classify_root_of_unity(lhs / rhs, 8, 1e-6)
     assert not tag.ok
 
@@ -176,12 +187,13 @@ def test_matrix_form_rows_are_the_derivative_reports(hyp_g2):
     c, pd = hyp_g2
     I0 = enumerate_partitions_hyp(2, 0)[1]
     (rep,) = verify_matrix_form_hyp(c, pd, [I0], tol=1e-6)
-    symbols = list(I0.I) + list(I0.J)
+    J, I = I0.parts
+    symbols = list(I) + list(J)
     alone = []
-    for xk in I0.I.finite:
-        I1 = I0.I.without(INF, xk)
+    for xk in I.finite:
+        I1 = I.without(INF, xk)
         J1 = IndexSet.of([s for s in symbols if s not in I1])
-        alone += verify_thomae_deriv_hyp(c, pd, [HypPartition(1, I1, J1)])
+        alone += verify_thomae_deriv_hyp(c, pd, [Partition("m=1", (J1, I1))])
     assert rep.details["row_tags"] == [r.tag.index for r in alone]
 
 
@@ -212,7 +224,7 @@ def test_matrix_form_fails_on_wrong_det_sigma(hyp_g2, monkeypatch):
     I0 = enumerate_partitions_hyp(2, 0)[0]
     real = thetalab.thomae.vandermonde_delta
     monkeypatch.setattr(thetalab.thomae, "vandermonde_delta",
-                        lambda I, lam: -real(I, lam) if I == I0.I else real(I, lam))
+                        lambda I, lam: -real(I, lam) if I == I0.parts[1] else real(I, lam))
     (rep,) = verify_matrix_form_hyp(c, pd, [I0], tol=1e-6)
     assert not rep.passed
     assert rep.details["det_sigma_rel_err"] > thetalab.thomae.DET_SIGMA_TOL
@@ -239,7 +251,7 @@ def test_verifiers_check_every_partition_before_any_sum(hyp_g2, monkeypatch):
     monkeypatch.setattr(thetalab.periods, "theta_sums", must_not_sum)
     monkeypatch.setattr(pd, "_theta_table", {})
     m0, m1 = enumerate_partitions_hyp(2, 0), enumerate_partitions_hyp(2, 1)
-    no_inf = HypPartition(0, IndexSet.of([1, 2, 3]), IndexSet.of([4, 5, INF]))
+    no_inf = Partition("m=0", (IndexSet.of([4, 5, INF]), IndexSet.of([1, 2, 3])))
     for verify, parts, match in ((verify_thomae_const_hyp, m0 + [no_inf], "infinity in I"),
                                  (verify_thomae_const_hyp, m0 + m1[:1], "m=0 partition"),
                                  (verify_thomae_deriv_hyp, m1 + m0[:1], "m=1 partition"),

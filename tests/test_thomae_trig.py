@@ -4,11 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_curve, run_plan_tasks
 from thetalab.algebra import INF, IndexSet, classify_root_of_unity
 from thetalab.curves import CurveSpec
 from thetalab.periods import build_periods
-from thetalab.thomae import (TrigPartition, alpha_ratio, char_from_partition_trig,
+from thetalab.thomae import (Partition, alpha_ratio, char_from_partition_trig,
                              derived_partitions_for_matrix, enumerate_partitions_trig,
                              estimate_alpha, simple_zero_check, trig_alpha,
                              verify_matrix_form_trig, verify_quotient_trig,
@@ -28,15 +29,27 @@ def test_partition_counts_q1():
     assert len(enumerate_partitions_trig(1, "deriv2", infinity_in=1)) == 0
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["constant", "deriv1", "deriv2"])
+def test_enumeration_keeps_the_frozen_order(q, kind):
+    # the report order of a plan, and so its JSONL, is the enumeration order
+    for loc in (None, 0, 1, 2):
+        new = [(p.label(), p.kind, p.parts)
+               for p in enumerate_partitions_trig(q, kind, infinity_in=loc)]
+        old = [(oracles.trig_partition_label(*p), p[0], p[1:])
+               for p in oracles.trig_partitions(q, kind, infinity_in=loc)]
+        assert new == old
+
+
 def test_partition_shape_validation():
     # wrong cardinality pattern is rejected at type level (this is also how a
     # multiplicity >= 3 divisor would have to be encoded, which cannot exist)
     with pytest.raises(ValueError):
-        TrigPartition("deriv1", IndexSet.of([1, 2, INF]), IndexSet.of([3]),
-                      IndexSet.of([4, 5])).validate(2)
+        Partition("deriv1", (IndexSet.of([1, 2, INF]), IndexSet.of([3]),
+                             IndexSet.of([4, 5]))).validate(5)
     with pytest.raises(ValueError):
-        TrigPartition("constant", IndexSet.of([1]), IndexSet.of([2]),
-                      IndexSet.of([3, INF])).validate(2)
+        Partition("constant", (IndexSet.of([1]), IndexSet.of([2]),
+                               IndexSet.of([3, INF]))).validate(5)
 
 
 @pytest.mark.parametrize("q, parts", [
@@ -47,7 +60,7 @@ def test_partition_shape_validation():
 ], ids=["overlap-q1", "outside-q1", "overlap-q2", "no-inf-q2"])
 def test_partition_must_split_the_branch_symbols(q, parts):
     with pytest.raises(ValueError):
-        TrigPartition("constant", *(IndexSet.of(x) for x in parts)).validate(q)
+        Partition("constant", tuple(IndexSet.of(x) for x in parts)).validate(3 * q - 1)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -55,10 +68,10 @@ def test_enumerated_and_derived_partitions_validate(q):
     for kind in ("constant", "deriv1", "deriv2"):
         for loc in (0, 1, 2):
             for p in enumerate_partitions_trig(q, kind, infinity_in=loc):
-                p.validate(q)
+                p.validate(3 * q - 1)
     for p in enumerate_partitions_trig(q, "constant"):
         for pk in derived_partitions_for_matrix(p, q):
-            pk.validate(q)
+            pk.validate(3 * q - 1)
 
 
 def test_characteristics_are_sixth_periods(trig_q2):
@@ -158,20 +171,20 @@ def test_deriv_t2_both_infinity_placements(trig_q2):
 
 def test_deriv_rhs_uses_correct_rows(trig_q2):
     # type-1 involves only rows l <= 2q-1 of C, type-2 only l >= 2q
-    from thetalab.thomae import _trig_deriv_rhs
+    from thetalab.thomae import _deriv_rhs
     c, pd = trig_q2
     q = c.q
     p1 = enumerate_partitions_trig(2, "deriv1")[0]
     p2 = enumerate_partitions_trig(2, "deriv2", infinity_in=1)[0]
-    base1 = _trig_deriv_rhs(c, pd, p1)
-    base2 = _trig_deriv_rhs(c, pd, p2)
+    base1 = _deriv_rhs(c, pd, p1)
+    base2 = _deriv_rhs(c, pd, p2)
     pd2 = __import__("copy").copy(pd)
     Cmod = pd.C.copy()
     Cmod[2 * q - 1:, :] *= 7.0     # scale the second-family rows
     pd2.C = Cmod
     detfac = 7.0 ** ((q - 1) / 2.0)   # only through the sqrt(det C) prefactor
-    assert np.allclose(_trig_deriv_rhs(c, pd2, p1), detfac * base1)
-    assert np.allclose(_trig_deriv_rhs(c, pd2, p2), 7.0 * detfac * base2)
+    assert np.allclose(_deriv_rhs(c, pd2, p1), detfac * base1)
+    assert np.allclose(_deriv_rhs(c, pd2, p2), 7.0 * detfac * base2)
 
 
 def test_quotient_trig_all_k(trig_q2):
@@ -280,8 +293,8 @@ def test_verifiers_check_every_partition_before_any_sum(trig_q2, monkeypatch):
     monkeypatch.setattr(pd, "_theta_table", {})
     const, d1 = enumerate_partitions_trig(2, "constant"), enumerate_partitions_trig(2, "deriv1")
     d2 = enumerate_partitions_trig(2, "deriv2")
-    short = TrigPartition("deriv1", IndexSet.of([1, 2, INF]), IndexSet.of([3]),
-                          IndexSet.of([4, 5]))
+    short = Partition("deriv1", (IndexSet.of([1, 2, INF]), IndexSet.of([3]),
+                                 IndexSet.of([4, 5])))
     for verify, parts, match in (
             (verify_thomae_deriv_trig_t1, d1 + [short], "sizes"),
             (verify_thomae_deriv_trig_t2, d2 + d1[:1], "deriv2 partition"),

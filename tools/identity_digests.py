@@ -5,7 +5,8 @@
 Run from anywhere inside a source checkout; the program is run from that
 checkout's `src/` directory.  For each of the 12 benchmark plans
 (`trig_plan(s)` and `hyp_plan(s, g)` of bench/workloads.py, s = 1..3,
-g = 2..4) and the README example plan it writes the `thetalab verify --out`
+g = 2..4), the README example plan and tools/picard-g3.json (a Picard curve,
+w^3 = f with deg f = 4) it writes the `thetalab verify --out`
 JSONL and the `thetalab periods --out` JSON of the plan's curve, and it
 runs `thetalab theta` on the README input.  It prints one `sha256  name`
 line per output, so two checkouts give the same outputs exactly when
@@ -41,7 +42,8 @@ README_THETA = {"tau": [[[0.0, 1.0]]], "eps": [0], "delta": [0], "zeta": [[0.0, 
 def plans() -> list[tuple[str, dict]]:
     out = [(f"trig-q2-s{s}", trig_plan(s)) for s in (1, 2, 3)]
     out += [(f"hyp-g{g}-s{s}", hyp_plan(s, g)) for s in (1, 2, 3) for g in (2, 3, 4)]
-    return out + [("readme", README_PLAN)]
+    with open(os.path.join(ROOT, "tools", "picard-g3.json")) as fh:
+        return out + [("readme", README_PLAN), ("picard-g3", json.load(fh))]
 
 
 def run_thetalab(*args: str) -> bytes:

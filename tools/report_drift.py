@@ -3,8 +3,8 @@
     python3 tools/report_drift.py OLD NEW
 
 OLD and NEW are the roots of two source checkouts.  On each plan of
-tools/identity_digests.py (the 12 benchmark plans and the README example
-plan, taken from this script's own checkout) it runs `thetalab verify` and
+tools/identity_digests.py (the 12 benchmark plans, the README example plan
+and the Picard plan, taken from this script's own checkout) it runs `thetalab verify` and
 `thetalab periods` from both checkouts' `src/`, and `thetalab theta` on the
 README input.  For each plan it prints whether the outputs are byte for byte
 the same, the largest entry of |tau_NEW - tau_OLD|, and for each identity the
