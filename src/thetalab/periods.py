@@ -33,9 +33,9 @@ import numpy as np
 from .curves import CurveSpec, Differential
 from .homology import (Chain, CyclePolyline, build_chain, build_cycles,
                        intersection_matrix, spin_form, symplectic_transform)
-from .quadrature import polyline_integrals, refine_path_for_quadrature
+from .quadrature import path_integrals, polyline_legs, refine_path_for_quadrature
 from .theta import (_SYMMETRY_TOL, GRAD_TOL, THETA_TOL, Characteristic, RiemannMatrix,
-                    theta_norm_abs, theta_sums)
+                    invariant_abs, theta_sums)
 
 
 class PeriodError(RuntimeError):
@@ -136,19 +136,33 @@ class PeriodData:
 
     # -- Abel-Jacobi ------------------------------------------------------
 
-    def abel_jacobi_point(self, point: SurfacePoint) -> np.ndarray:
-        """u_{P_inf}(point) for a generic surface point (z, w), at QUAD_ORDER:
+    def _point_images(self, points: Sequence[SurfacePoint]) -> list[np.ndarray]:
+        """u_{P_inf}(point) for generic surface points (z, w), at QUAD_ORDER:
         u(P_k) plus the integral from the nearest branch point lambda_k, so no
-        other branch point lies on the leg (it would be nearer)."""
-        k = 1 + int(np.argmin(np.abs(np.asarray(self.curve.lambdas) - point.z)))
-        leg = branch_leg_integrals(self.curve, k, point, QUAD_ORDER)
-        return self.aj_branch[k] + np.linalg.solve(self.C, leg)
+        other branch point lies on the leg (it would be nearer); the legs of
+        every point in one branch_leg_integrals call."""
+        lams = np.asarray(self.curve.lambdas)
+        ks = [1 + int(np.argmin(np.abs(lams - p.z))) for p in points]
+        legs = branch_leg_integrals(self.curve, ks, points, QUAD_ORDER)
+        return [self.aj_branch[k] + np.linalg.solve(self.C, leg) for k, leg in zip(ks, legs)]
+
+    def abel_jacobi_point(self, point: SurfacePoint) -> np.ndarray:
+        """u_{P_inf}(point) for one generic surface point (_point_images)."""
+        return self._point_images([point])[0]
+
+    def abel_jacobi_divisors(self, groups: Sequence[Sequence[SurfacePoint]]
+                             ) -> list[np.ndarray]:
+        """For each group of points, the sum of their images in the cell of
+        to_cell, so that it does not depend on the routes the images were
+        integrated along; the images of every group from one
+        _point_images call."""
+        images = iter(self._point_images([p for group in groups for p in group]))
+        return [self.to_cell(sum((next(images) for _ in group),
+                                 np.zeros(self.g, dtype=complex))) for group in groups]
 
     def abel_jacobi_divisor(self, points: Sequence[SurfacePoint]) -> np.ndarray:
-        """Sum of the points' images in the cell of to_cell, so that it does
-        not depend on the routes the images were integrated along."""
-        return self.to_cell(sum((self.abel_jacobi_point(p) for p in points),
-                                np.zeros(self.g, dtype=complex)))
+        """abel_jacobi_divisors of one group."""
+        return self.abel_jacobi_divisors([points])[0]
 
     def to_cell(self, v: np.ndarray) -> np.ndarray:
         """v moved by a lattice vector into the cell |eps/2|, |delta/2| <= 1/2."""
@@ -172,17 +186,16 @@ class PeriodData:
         """max theta magnitude over seeded random arguments X + tau X'.
 
         Uses the lattice-invariant magnitude (theta_norm_abs); vanishing
-        thresholds elsewhere compare against this scale.  Computed once."""
+        thresholds elsewhere compare against this scale.  Computed once, by
+        one theta_sums call over all the arguments."""
         if self._theta_scale is None:
             rng = np.random.default_rng(THETA_SCALE_SEED)
-            ch0 = Characteristic.zero(self.g)
-            best = 0.0
+            zetas = []
             for _ in range(THETA_SCALE_SAMPLES):
                 x = rng.random(self.g)
                 xp = rng.random(self.g)
-                zeta = x + self.tau.matrix @ xp
-                best = max(best, theta_norm_abs(ch0, zeta, self.tau))
-            self._theta_scale = best
+                zetas.append(x + self.tau.matrix @ xp)
+            self._theta_scale = _max_invariant_abs(zetas, self.tau)
         return self._theta_scale
 
 
@@ -190,33 +203,37 @@ class PeriodData:
 # Construction
 
 
-def branch_leg_integrals(curve: CurveSpec, k: int, point: SurfacePoint,
-                         order: int) -> np.ndarray:
-    """Integrals of the monomial basis from the branch point lambda_k to a
-    surface point along the segment between them, split where another branch
-    point comes near; singular at the start, anchored at the point's w."""
-    others = [lam for i, lam in enumerate(curve.lambdas) if i + 1 != k]
-    path = refine_path_for_quadrature([curve.lam(k), point.z], others)
-    return polyline_integrals(curve, path, curve.differentials(), order,
-                              sing_start=True, sing_end=False, w_anchor=point.w,
-                              anchor_index=len(path) - 1)
+def branch_leg_integrals(curve: CurveSpec, ks: Sequence[int],
+                         points: Sequence[SurfacePoint], order: int) -> np.ndarray:
+    """Integrals of the monomial basis from the branch point lambda_{ks[i]}
+    to points[i] along the segment between them, split where another branch
+    point comes near; singular at the start, anchored at the point's w.  One
+    row per point; the legs of every point go through one leg_integrals
+    call."""
+    paths = []
+    for k, point in zip(ks, points):
+        others = [lam for i, lam in enumerate(curve.lambdas) if i + 1 != k]
+        path = refine_path_for_quadrature([curve.lam(k), point.z], others)
+        paths.append(polyline_legs(curve, path, sing_start=True, sing_end=False,
+                                   w_anchor=point.w, anchor_index=len(path) - 1))
+    return path_integrals(curve, paths, curve.differentials(), order)
 
 
 def _edge_raw_integrals(curve: CurveSpec, chain: Chain,
                         diffs: Sequence[Differential], order: int) -> np.ndarray:
     """E[i, l] = integral of differential l along chain edge i on the branch
-    anchored to the principal value at the edge's interior anchor vertex."""
-    E = np.zeros((len(chain.edges), len(diffs)), dtype=complex)
-    for i, edge in enumerate(chain.edges):
+    anchored to the principal value at the edge's interior anchor vertex;
+    the legs of every edge in one leg_integrals call."""
+    paths = []
+    for edge in chain.edges:
         path = edge.path
         anchor = len(path) // 2
         if anchor in (0, len(path) - 1):
             raise PeriodError("edge path lacks an interior anchor vertex")
-        w0 = curve.w_principal(path[anchor])
-        E[i] = polyline_integrals(curve, path, diffs, order,
-                                  sing_start=True, sing_end=True,
-                                  w_anchor=w0, anchor_index=anchor)
-    return E
+        paths.append(polyline_legs(curve, path, sing_start=True, sing_end=True,
+                                   w_anchor=curve.w_principal(path[anchor]),
+                                   anchor_index=anchor))
+    return path_integrals(curve, paths, diffs, order)
 
 
 def _cycle_periods(curve: CurveSpec, cycles: list[CyclePolyline],
@@ -231,19 +248,20 @@ def _cycle_periods(curve: CurveSpec, cycles: list[CyclePolyline],
     return Pi
 
 
-def _direct_cycle_integrals(curve: CurveSpec, cycle: CyclePolyline,
+def _direct_cycle_integrals(curve: CurveSpec, cycles: Sequence[CyclePolyline],
                             diffs: Sequence[Differential]) -> np.ndarray:
-    """Periods by Gauss-Legendre along the cycle polyline itself, anchored
-    at its start's sheet value.  Used to re-verify the closed-form edge
-    assembly.
+    """Periods by Gauss-Legendre along each cycle polyline itself, anchored
+    at its start's sheet value, one row per cycle from one leg_integrals
+    call.  Used to re-verify the closed-form edge assembly.
 
     The polyline hugs the branch points at distance ~radius, and on a curve
     with one close pair its strand legs start within a radius of a branch
     point; refine_path_for_quadrature splits those legs, so DIRECT_NODES
     per leg reach rounding level there too."""
-    path = refine_path_for_quadrature(cycle.points, curve.lambdas)
-    return polyline_integrals(curve, path, diffs, DIRECT_NODES, sing_start=False,
-                              sing_end=False, w_anchor=cycle.w[0], anchor_index=0)
+    paths = [polyline_legs(curve, refine_path_for_quadrature(cycle.points, curve.lambdas),
+                           sing_start=False, sing_end=False, w_anchor=cycle.w[0],
+                           anchor_index=0) for cycle in cycles]
+    return path_integrals(curve, paths, diffs, DIRECT_NODES)
 
 
 def build_periods(curve: CurveSpec) -> PeriodData:
@@ -323,11 +341,11 @@ def build_periods(curve: CurveSpec) -> PeriodData:
 
 def _verify_a_normalization(curve, cycles, S, A, diffs, data):
     """Re-verify one a-period row by direct integration along the polylines."""
-    row = S[0]
+    used = [(coeff, cyc) for coeff, cyc in zip(S[0], cycles) if coeff]
     direct = np.zeros(len(diffs), dtype=complex)
-    for coeff, cyc in zip(row, cycles):
-        if coeff:
-            direct += coeff * _direct_cycle_integrals(curve, cyc, diffs)
+    for (coeff, _), row in zip(used, _direct_cycle_integrals(
+            curve, [cyc for _, cyc in used], diffs)):
+        direct += coeff * row
     scale = float(np.max(np.abs(A[0])))
     err = float(np.max(np.abs(direct - A[0])))
     data.diagnostics["a1_direct_check"] = err / max(scale, 1e-300)
@@ -359,16 +377,24 @@ def _riemann_vanishing_residual(data: PeriodData) -> float:
     g = data.g
     rng = np.random.default_rng(K_CHECK_SEED)
     scale = data.theta_scale()
-    ch0 = Characteristic.zero(g)
-    worst = 0.0
-    for _ in range(K_CHECK_DIVISORS if g > 1 else 1):
-        u = data.abel_jacobi_divisor(_random_surface_points(data, g - 1, rng))
-        worst = max(worst, theta_norm_abs(ch0, u + data.K, data.tau))
+    divisors = [_random_surface_points(data, g - 1, rng)
+                for _ in range(K_CHECK_DIVISORS if g > 1 else 1)]
+    worst = _max_invariant_abs([u + data.K for u in data.abel_jacobi_divisors(divisors)],
+                               data.tau)
     if worst >= K_VANISHING_CUT * scale:
         raise PeriodError(f"theta(u(D) + K) = {worst / scale:.3e} of its scale on a "
                           f"generic divisor: K = {data.K_char.label()} is not the "
                           "Riemann constant")
     return worst / scale
+
+
+def _max_invariant_abs(zetas: Sequence[np.ndarray], tau: RiemannMatrix) -> float:
+    """The largest lattice-invariant |theta(zeta)| (theta_norm_abs) over the
+    arguments, from one theta_sums call."""
+    best = 0.0
+    for zeta, (val,) in zip(zetas, theta_sums([Characteristic.zero(tau.g)], zetas, tau)):
+        best = max(best, invariant_abs(val.value, zeta, tau))
+    return best
 
 
 def _random_surface_points(data: PeriodData, count: int, rng) -> list[SurfacePoint]:

@@ -12,7 +12,11 @@ root-of-unity shifts (track_w).  On a leg no node is tracked: w is one
 constant, fixed at the leg's anchor end, times a product of principal roots
 none of which meets its branch cut on the leg (after Molin & Neurohr, Math.
 Comp. 88, 2019); the infinity leg takes the same form.  A leg through a
-branch point raises QuadratureError.
+branch point raises QuadratureError.  Every finite leg goes through one
+kernel, leg_integrals, which takes many legs at once: those with the same
+singular side share their nodes, so each side's legs are one array pass,
+and a polyline (polyline_legs) or a set of paths (path_integrals) is one
+call.
 """
 
 from __future__ import annotations
@@ -90,16 +94,22 @@ def track_w(curve: CurveSpec, zs: Sequence[complex], w_start: complex) -> np.nda
     return out
 
 
+def _nearest_sheets(start: np.ndarray, base: np.ndarray, n: int):
+    """For each start value, with base one n-th root of w^n at its point:
+    the j for which base exp(2 pi i j / n) is nearest to start, and whether
+    start is separated from the other sheets (at most half as far from the
+    nearest root as from the next)."""
+    d = np.abs(base[:, None] * np.exp(2j * np.pi * np.arange(n) / n) - start[:, None])
+    d_sorted = np.sort(d, axis=1)
+    return np.argmin(d, axis=1), d_sorted[:, 0] <= 0.5 * d_sorted[:, 1]
+
+
 def _nearest_sheet(start: complex, base: complex, n: int, where) -> int:
-    """The j for which base exp(2 pi i j / n) is nearest to start, where base
-    is one n-th root of w^n at the start point; raises unless start is
-    separated from the other sheets (at most half as far from the nearest
-    root as from the next)."""
-    d = np.abs(base * np.exp(2j * np.pi * np.arange(n) / n) - start)
-    d_sorted = np.sort(d)
-    if not d_sorted[0] <= 0.5 * d_sorted[1]:
+    """_nearest_sheets of one start value; raises unless it is separated."""
+    j, separated = _nearest_sheets(np.array([start]), np.array([base]), n)
+    if not separated[0]:
         raise QuadratureError(f"sheet tracking lost separation near {where} (start value)")
-    return int(np.argmin(d))
+    return int(j[0])
 
 
 # ----------------------------------------------------------------------------
@@ -115,14 +125,15 @@ def _branch_index_at(curve: CurveSpec, z: complex) -> int:
     raise QuadratureError(f"singular endpoint {z} is not a branch point")
 
 
-def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
+def leg_integrals(curve: CurveSpec, z0: Sequence[complex], z1: Sequence[complex],
                   diffs: Sequence[Differential], order: int,
-                  sing0: bool, sing1: bool,
-                  w_anchor: complex, anchor_at_end: bool) -> np.ndarray:
-    """Integrals of z^a dz / w^m from z0 to z1 along the straight segment.
+                  sing0: Sequence[bool], sing1: Sequence[bool],
+                  w_anchor: Sequence[complex], anchor_at_end: Sequence[bool]) -> np.ndarray:
+    """Integrals of z^a dz / w^m along the straight legs z0[i] -> z1[i]: one
+    row per leg, one column per differential.
 
-    sing0/sing1 flag branch-point endpoints; the anchor value is w at the
-    non-singular end selected by anchor_at_end (False: z0, True: z1).
+    sing0[i]/sing1[i] flag branch-point endpoints; w_anchor[i] is w at the
+    non-singular end selected by anchor_at_end[i] (False: z0[i], True: z1[i]).
 
     With z = mid + x hv each factor z - lambda_k is hv (x - x_k).  The
     singular one is (1 +- x) hv exactly and goes into the weights of
@@ -131,51 +142,78 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
     over [-1, 1], so it never crosses the cut of the principal n-th root
     unless lambda_k lies on the leg, which raises.  So w is one constant,
     fixed by w_anchor, times a product of principal roots, evaluated once on
-    the nodes for every power m.
+    the nodes for every power m.  The legs of one singular side share its
+    rule and their number of other branch points, so their nodes go through
+    one array pass; each row is computed with the same arithmetic as for its
+    leg alone, and the constant factor of each integral stays a product of
+    scalars, which an array multiply could round differently.
     """
     n = curve.n
-    if sing0 and sing1:
-        raise QuadratureError("split both-singular legs at an interior anchor")
-    hv = (z1 - z0) / 2.0
-    mid = (z0 + z1) / 2.0
-    exclude = {_branch_index_at(curve, z) for z, s in ((z0, sing0), (z1, sing1)) if s}
-    xk = (np.array([lam for i, lam in enumerate(curve.lambdas) if i + 1 not in exclude])
-          - mid) / hv
-    # distance of x_k from [-1, 1], in half-leg lengths
-    off = np.abs(xk - np.clip(xk.real, -1.0, 1.0))
-    if not (off > 1e-8).all():
+    count = len(z0)
+    hv, mid, side, drop, k_fac, psi_scale, anchor_x, z_anchor = ([] for _ in range(8))
+    for a, b, s0, s1, end in zip(z0, z1, sing0, sing1, anchor_at_end):
+        if s0 and s1:
+            raise QuadratureError("split both-singular legs at an interior anchor")
+        hv.append((b - a) / 2.0)
+        mid.append((a + b) / 2.0)
+        side.append(-1 if s0 else 1 if s1 else 0)
+        drop.append(_branch_index_at(curve, a if s0 else b) - 1 if s0 or s1 else -1)
+        # the singular factors in the leg parameter: (1 +- x) hv = (1 +- x)^{1/n} k_fac
+        anchor_x.append(1.0 if end else -1.0)
+        k, afrac = 1.0 + 0.0j, 1.0
+        if s0:
+            k *= principal_power(hv[-1], 1.0 / n)
+            afrac *= 1.0 + anchor_x[-1]
+        if s1:
+            k *= principal_power(-hv[-1], 1.0 / n)
+            afrac *= 1.0 - anchor_x[-1]
+        k_fac.append(k)
+        psi_scale.append(afrac ** (1.0 / n) * k)
+        z_anchor.append(b if end else a)
+    side, drop, hv_a, mid_a = np.array(side), np.array(drop), np.array(hv), np.array(mid)
+
+    # per side: x_k of the other branch points, one row per leg
+    lams = np.asarray(curve.lambdas, dtype=complex)
+    groups, through = [], np.zeros(count, dtype=bool)
+    for s in (-1, 0, 1):
+        idx = np.flatnonzero(side == s)
+        if idx.size:
+            others = np.arange(len(lams) - abs(s))
+            if s:
+                others = others + (others >= drop[idx, None])
+            xk = (lams[others] - mid_a[idx, None]) / hv_a[idx, None]
+            # distance of x_k from [-1, 1], in half-leg lengths
+            off = np.abs(xk - np.clip(xk.real, -1.0, 1.0))
+            through[idx] = ~(off > 1e-8).all(axis=1)
+            groups.append((s, idx, xk, off))
+    _, separated = _nearest_sheets(np.asarray(w_anchor, dtype=complex),
+                                   curve.w_principal(np.array(z_anchor, dtype=complex)), n)
+    for i in np.flatnonzero(through | ~separated)[:1].tolist():
+        if not through[i]:
+            raise QuadratureError(
+                f"sheet tracking lost separation near {z_anchor[i]} (start value)")
+        _, idx, xk, off = next(grp for grp in groups if grp[0] == side[i])
+        r = int(np.searchsorted(idx, i))
         raise QuadratureError(
-            f"leg {z0} -> {z1} passes through the branch point "
-            f"{mid + hv * xk[np.argmin(off)]}")
+            f"leg {z0[i]} -> {z1[i]} passes through the branch point "
+            f"{mid[i] + hv[i] * xk[r][np.argmin(off[r])]}")
 
-    def log_roots(x):
+    out = np.empty((count, len(diffs)), dtype=complex)
+    for s, idx, xk, _ in groups:
+        rows = idx.tolist()
         # log of the product of the principal roots: the summed logs over n
-        return np.log(x[:, None] - xk).sum(axis=1) / n
-
-    # the singular factors in the leg parameter: (1 +- x) hv = (1 +- x)^{1/n} k_fac
-    anchor_x = 1.0 if anchor_at_end else -1.0
-    k_fac = 1.0 + 0.0j
-    afrac = 1.0
-    if sing0:
-        k_fac *= principal_power(hv, 1.0 / n)
-        afrac *= 1.0 + anchor_x
-    if sing1:
-        k_fac *= principal_power(-hv, 1.0 / n)
-        afrac *= 1.0 - anchor_x
-    z_anchor = z1 if anchor_at_end else z0
-    _nearest_sheet(w_anchor, curve.w_principal(z_anchor), n, z_anchor)
-    psi_anchor = w_anchor / (afrac ** (1.0 / n) * k_fac)
-    log_anchor = log_roots(np.array([anchor_x]))[0]
-
-    # the weights absorb (1 +- x)^{-m/n}
-    x, wts = _leg_rule(order, n, -1 if sing0 else 1 if sing1 else 0)
-    zs = mid + x * hv
-    psi = psi_anchor * np.exp(log_roots(x) - log_anchor)
-    smooth = {m: psi ** (-m) for m in {d.m for d in diffs}}
-    out = np.empty(len(diffs), dtype=complex)
-    for idx, d in enumerate(diffs):
-        vals = np.power(zs, d.a) if d.a else 1.0
-        out[idx] = hv * k_fac ** (-d.m) * np.sum(wts[d.m] * vals * smooth[d.m])
+        log_anchor = np.log(np.array(anchor_x)[idx, None] - xk).sum(axis=1) / n
+        psi_anchor = np.array([w_anchor[i] / psi_scale[i] for i in rows])
+        # the weights absorb (1 +- x)^{-m/n}
+        x, wts = _leg_rule(order, n, s)
+        zs = mid_a[idx, None] + x * hv_a[idx, None]
+        psi = psi_anchor[:, None] * np.exp(
+            np.log(x[:, None] - xk[:, None, :]).sum(axis=2) / n - log_anchor[:, None])
+        smooth = {m: psi ** (-m) for m in {d.m for d in diffs}}
+        sums = [np.sum(wts[d.m] * (np.power(zs, d.a) if d.a else 1.0) * smooth[d.m], axis=1)
+                for d in diffs]
+        for j, i in enumerate(rows):
+            out[i] = [hv[i] * k_fac[i] ** (-d.m) * col[j] for d, col in zip(diffs, sums)]
     return out
 
 
@@ -183,12 +221,11 @@ def leg_integrals(curve: CurveSpec, z0: complex, z1: complex,
 # Polyline paths
 
 
-def polyline_integrals(curve: CurveSpec, points: Sequence[complex],
-                       diffs: Sequence[Differential], order: int,
-                       sing_start: bool, sing_end: bool,
-                       w_anchor: complex, anchor_index: int) -> np.ndarray:
-    """Integrate along the polyline points[0] -> points[-1]: one integral
-    per differential.
+def polyline_legs(curve: CurveSpec, points: Sequence[complex],
+                  sing_start: bool, sing_end: bool,
+                  w_anchor: complex, anchor_index: int) -> list[tuple]:
+    """The legs of the polyline points[0] -> points[-1], each the
+    (z0, z1, sing0, sing1, w_anchor, anchor_at_end) of leg_integrals.
 
     Only the first or last vertex may be a branch point.  w_anchor is the
     sheet value at points[anchor_index], which must not be a singular end.
@@ -212,17 +249,37 @@ def polyline_integrals(curve: CurveSpec, points: Sequence[complex],
     if anchor_index > lo:
         wv.update(zip(range(anchor_index, lo - 1, -1),
                       track_w(curve, pts[lo:anchor_index + 1][::-1], w)))
-    total = np.zeros(len(diffs), dtype=complex)
-    for leg in range(M):
-        s0 = sing_start and leg == 0
-        s1 = sing_end and leg == M - 1
-        if s0:
-            total += leg_integrals(curve, pts[leg], pts[leg + 1], diffs, order,
-                                   True, False, wv[leg + 1], True)
-        else:
-            total += leg_integrals(curve, pts[leg], pts[leg + 1], diffs, order,
-                                   False, s1, wv[leg], False)
-    return total
+    # a singular start is anchored at the leg's end, every other leg at its start
+    legs = [(pts[0], pts[1], True, False, wv[1], True)] if sing_start else []
+    return legs + [(pts[leg], pts[leg + 1], False, sing_end and leg == M - 1, wv[leg], False)
+                   for leg in range(lo, M)]
+
+
+def path_integrals(curve: CurveSpec, paths: Sequence[Sequence[tuple]],
+                   diffs: Sequence[Differential], order: int) -> np.ndarray:
+    """One row per path, given as its polyline_legs: the integrals along
+    its legs summed in order, one per differential.  Every leg of every path
+    goes through one leg_integrals call."""
+    legs = [leg for path in paths for leg in path]
+    z0, z1, sing0, sing1, w_anchor, at_end = zip(*legs) if legs else [()] * 6
+    rows = leg_integrals(curve, z0, z1, diffs, order, sing0, sing1, w_anchor, at_end)
+    out = np.zeros((len(paths), len(diffs)), dtype=complex)
+    start = 0
+    for total, path in zip(out, paths):
+        for row in rows[start:start + len(path)]:
+            total += row
+        start += len(path)
+    return out
+
+
+def polyline_integrals(curve: CurveSpec, points: Sequence[complex],
+                       diffs: Sequence[Differential], order: int,
+                       sing_start: bool, sing_end: bool,
+                       w_anchor: complex, anchor_index: int) -> np.ndarray:
+    """Integrate along the polyline points[0] -> points[-1] (polyline_legs):
+    one integral per differential, from one leg_integrals call."""
+    legs = polyline_legs(curve, points, sing_start, sing_end, w_anchor, anchor_index)
+    return path_integrals(curve, [legs], diffs, order)[0]
 
 
 def infinity_leg_integrals(curve: CurveSpec, z_far: complex, w_far: complex,

@@ -32,19 +32,21 @@ summing out m_0, m_1, ... in turn gives one factor per diagonal entry.  A
 gradient evaluation returns the value as well, summed once at the larger of
 the value and gradient radii, so both bounds are below tol.
 
-Every sum goes through one kernel, theta_sums: many characteristics at one
-argument.  The argument is first range-reduced by integer lattice shifts
-(tracking the periodicity prefactor) to keep exponents bounded; a prefactor
-beyond the float range raises ThetaError.  The shift, the amplitude of the
-terms and the modulus of the prefactor do not depend on the characteristic,
-so every sum at one argument has one radius, and those with one reduced
-eps share one centre; the centres go through one enumeration per block
-(the evaluation scheme of Deconinck, Heil, Bobenko, van Hoeij and Schmies,
-Math. Comp. 73, 2004).  theta_eval and theta_grad are its one-characteristic
-case.  Nothing is cached per matrix but log P on a fixed grid of s.  The
-points come from a breadth-first Fincke-Pohst enumeration (Math. Comp. 44,
-1985) of one or several centres, one numpy pass per coordinate, with the
-point cap checked on each level's candidates before they are allocated.
+Every sum goes through one kernel, theta_sums: many characteristics at
+many arguments.  Each argument is first range-reduced by integer lattice
+shifts (tracking the periodicity prefactor) to keep exponents bounded; a
+prefactor beyond the float range raises ThetaError.  The shift, the
+amplitude of the terms and the modulus of the prefactor do not depend on
+the characteristic, so every sum at one argument has one radius, and those
+with one reduced eps share one centre; the centres of all the arguments go
+through one enumeration per block, each at its own argument's radius (the
+evaluation scheme of Deconinck, Heil, Bobenko, van Hoeij and Schmies, Math.
+Comp. 73, 2004).  theta_eval, theta_grad and theta_norm_abs are its
+one-characteristic, one-argument case.  Nothing is cached per matrix but
+log P on a fixed grid of s.  The points come from a breadth-first
+Fincke-Pohst enumeration (Math. Comp. 44, 1985) of one or several centres,
+one numpy pass per coordinate, with the point cap checked on each level's
+candidates before they are allocated.
 
 Characteristics are stored as exact rationals (entries in (1/n)Z on a curve
 w^n = f) so that n-th-period bookkeeping never drifts.
@@ -57,7 +59,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +93,9 @@ def _efun(x: complex) -> complex:
 def _to_fraction_vector(v) -> tuple[Fraction, ...]:
     out = []
     for x in v:
+        if isinstance(x, (bool, np.bool_)):
+            # a bool is an int to Python, but not a characteristic entry
+            raise TypeError(f"characteristic entries must be rational, got {type(x)}")
         if isinstance(x, Fraction):
             out.append(x)
         elif isinstance(x, (int, np.integer)):
@@ -200,37 +205,41 @@ class RiemannMatrix:
         # log P(s) of the Rankin bound on _S_GRID
         self.log_p = np.log1p(np.sqrt(np.pi / _S_GRID)[:, None] / np.diag(self.U)).sum(axis=1)
 
-    def lattice_points(self, centers: np.ndarray, radius: float) -> np.ndarray:
+    def lattice_points(self, centers: np.ndarray, radii) -> np.ndarray:
         """Rows (m_0, ..., m_{g-1}, j): every integer m with
-        ||U (m + centers[j])|| <= radius, for each row j of centers (or for
+        ||U (m + centers[j])|| <= radii[j], for each row j of centers (or for
         one centre given as a g-vector, j = 0), grouped by j in ascending
-        order; nothing is kept."""
-        return _enumerate_ellipsoid(self.U, np.reshape(centers, (-1, self.g)), radius)
+        order; one radius serves every centre; nothing is kept."""
+        return _enumerate_ellipsoid(self.U, np.reshape(centers, (-1, self.g)), radii)
 
 
-def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
+def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray, radii) -> np.ndarray:
     """Rows (m_0, ..., m_{g-1}, j): every integer m with
-    ||U (m + centers[j])|| <= radius for some row j, and that j, U upper
-    triangular.
+    ||U (m + centers[j])|| <= radii[j] for some row j (one radius may serve
+    every centre), and that j, U upper triangular.
 
     Fincke-Pohst enumeration, breadth-first: one array pass per coordinate,
     from m_{g-1} down to m_0, over the ellipsoids of all centres at once.  A
     frontier node holds its chosen coordinates and its centre's j, the partial
     linear form (the rows still needed) and the remaining squared norm; its
-    children are the k in [lo, hi] with budget - (u (k + off))^2 >= -1e-12.
-    Children are expanded in parent order with k ascending, so the rows come
-    out grouped by centre in ascending order, each group in lexicographic
-    order on (m_{g-1}, ..., m_0) and computed with the same arithmetic as
-    for its centre alone.  ThetaError is raised as soon as any level has
-    more than _POINT_CAP candidates, before they are allocated; with an
-    uneven diagonal of U an intermediate level can hold several times as
-    many candidates as there are points.
+    children are the k in [lo, hi] with budget - (u (k + off))^2 >= -1e-12,
+    and each level's rows are a fresh array, k first, filled in place from
+    the parents' rows.  Children are expanded in parent order with k
+    ascending, so the rows come out grouped by centre in ascending order,
+    each group in lexicographic order on (m_{g-1}, ..., m_0) and computed
+    with the same arithmetic as for its centre at its radius alone.
+    ThetaError is raised as soon as any level has more than _POINT_CAP
+    candidates, before they are allocated; with an uneven diagonal of U an
+    intermediate level can hold several times as many candidates as there
+    are points.
     """
     g = U.shape[0]
     # columns m_{level+1} .. m_{g-1} and the owner j
     chosen = np.arange(len(centers))[:, None]
     partial = np.zeros((len(centers), g))
-    budget = np.full(len(centers), radius * radius)
+    radii = np.asarray(radii, dtype=float)
+    budget = np.empty(len(centers))
+    budget[:] = radii * radii
     for level in range(g - 1, -1, -1):
         u = U[level, level]
         center = centers[chosen[:, -1], level]
@@ -248,10 +257,13 @@ def _enumerate_ellipsoid(U: np.ndarray, centers: np.ndarray, radius: float) -> n
         rem = budget[parent] - t * t
         keep = rem >= -1e-12
         parent, k = parent[keep], k[keep]
-        center = center[parent]
-        chosen = np.column_stack([k, chosen[parent]])
-        partial = partial[parent, :level] + U[:level, level] * (k + center)[:, None]
-        budget = np.maximum(rem[keep], 0.0)
+        rows = np.empty((len(k), chosen.shape[1] + 1), dtype=chosen.dtype)
+        rows[:, 0] = k
+        chosen.take(parent, axis=0, out=rows[:, 1:])
+        chosen = rows
+        if level:
+            partial = partial[parent, :level] + U[:level, level] * (k + center[parent])[:, None]
+            budget = np.maximum(rem[keep], 0.0)
     return chosen
 
 
@@ -343,24 +355,103 @@ def _range_reduce(zeta: np.ndarray, tau: RiemannMatrix):
 
 def theta_sums(chars: Sequence[Characteristic], zeta, tau: RiemannMatrix,
                tol: float = THETA_TOL, grad: bool = False) -> list:
-    """theta[char](zeta, tau) of each characteristic at one argument: a
-    ThetaValue each, or with grad a ThetaGradient each; every bound is below
-    tol.
+    """theta[char](zeta, tau) of each characteristic at each argument: for
+    one argument (a g-vector) a list with a ThetaValue per characteristic,
+    or with grad a ThetaGradient each, and for many (the rows of an A x g
+    array) one such list per argument; every bound is below tol.
 
-    The range reduction, the amplitude of the terms and the modulus
-    exp(-2 pi Im expo) of the prefactors do not depend on the characteristic,
-    so one set-up, and so one radius R, serves every sum.  Each keeps its
-    reduction phase, its prefactor e(expo + (l0.eps - n0.delta)/2) and its
-    bounds |prefactor| * tail.  Those whose reduced eps agree share the
-    centre eps/2 + Y^-1 Im zeta', its points and their quadratic form.  The
-    distinct centres go in blocks of an estimated _BLOCK_POINTS points or
-    fewer (V_g R^g / prod diag U per centre, V_g the volume of the unit
-    g-ball); each block is one tau.lattice_points call, summed before the
-    next block is enumerated.
+    At each argument the range reduction, the amplitude of the terms and
+    the modulus exp(-2 pi Im expo) of the prefactors do not depend on the
+    characteristic, so one set-up, and so one radius R, serves every sum
+    there.  Each sum keeps its reduction phase, its prefactor
+    e(expo + (l0.eps - n0.delta)/2) and its bounds |prefactor| * tail.  At
+    one argument those whose reduced eps agree share the centre
+    eps/2 + Y^-1 Im zeta', its points and their quadratic form.  The centres
+    of every argument, in turn, go in blocks of an estimated _BLOCK_POINTS
+    points or fewer (V_g R^g / prod diag U per centre, V_g the volume of the
+    unit g-ball; a larger centre is a block alone); each block is one
+    tau.lattice_points call, every centre at its own argument's radius,
+    summed before the next block is enumerated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    zeta = np.asarray(zeta, dtype=complex).reshape(tau.g)
+    many = np.ndim(zeta) == 2
+    zetas = np.asarray(zeta, dtype=complex).reshape(-1 if many else 1, tau.g)
+    args = [_argument_setup(z, tau, tol, grad) for z in zetas]
+    classes: dict[tuple[Fraction, ...], list] = {}
+    for i, ch in enumerate(chars):
+        red, phase = reduce_characteristic(ch)
+        classes.setdefault(red.eps, []).append((i, red.delta_float(), phase))
+    eps = np.array([[float(x) for x in key] for key in classes]).reshape(-1, tau.g)
+    half = eps / 2.0
+    members = list(classes.values())
+    ball = math.pi ** (tau.g / 2) / math.gamma(tau.g / 2 + 1)
+    volume = ball / math.prod(tau.U.diagonal().tolist())
+    out = [[None] * len(chars) for _ in args]
+
+    def sum_block(block):
+        # one multi-centre enumeration; its arrays go when this returns,
+        # before the next block is enumerated
+        rows = tau.lattice_points(np.array([half[j] + args[a].c for a, j in block]),
+                                  [args[a].R for a, _ in block])
+        ends = rows[:, -1].searchsorted(np.arange(1, len(block) + 1)).tolist()
+        # each centre's rows become its n = m + eps/2 in place, so that one
+        # array of points is held while the block is summed
+        points = rows[:, :-1].astype(float)
+        del rows
+        lo = 0
+        for (a, j), hi in zip(block, ends):
+            zr, n0, l0, expo, _, R, tail, tail_grad = args[a]
+            n = points[lo:hi]
+            n += half[j]
+            lo = hi
+            quad = np.einsum("ij,ij->i", n @ tau.matrix, n)   # n^t tau n, shared by the class
+            l0_eps = l0 @ eps[j]
+            for i, delta, phase in members[j]:
+                # exponent: i*pi n^t tau n + 2*pi*i n^t (zr + delta/2)
+                terms = np.exp(1j * np.pi * quad + 2j * np.pi * (n @ (zr + delta / 2.0)))
+                val_red = terms.sum()
+                pref = _efun(expo + (l0_eps - n0 @ delta) / 2.0)
+                value = complex(phase * pref * val_red)
+                bound = float(abs(pref) * tail)
+                if not grad:
+                    out[a][i] = ThetaValue(value, bound)
+                    continue
+                grad_red = 2j * np.pi * (n.T @ terms)
+                values = phase * pref * (grad_red - 2j * np.pi * n0 * val_red)
+                out[a][i] = ThetaGradient(np.asarray(values, dtype=complex),
+                                          float(abs(pref) * tail_grad), value, bound, R)
+
+    block, estimate = [], 0.0
+    for a, setup in enumerate(args):
+        per_centre = volume * setup.R ** tau.g
+        for j in range(len(members)):
+            if block and estimate + per_centre > _BLOCK_POINTS:
+                sum_block(block)
+                block, estimate = [], 0.0
+            block.append((a, j))
+            estimate += per_centre
+    if block:
+        sum_block(block)
+    return out if many else out[0]
+
+
+class _Argument(NamedTuple):
+    """theta_sums' set-up at one argument: its range reduction
+    (_range_reduce), the offset c = Y^-1 Im zr of its centres, its radius
+    and the tail bounds there (tail_grad None without grad)."""
+    zr: np.ndarray
+    n0: np.ndarray
+    l0: np.ndarray
+    expo: complex
+    c: np.ndarray
+    R: float
+    tail: float
+    tail_grad: float | None
+
+
+def _argument_setup(zeta: np.ndarray, tau: RiemannMatrix, tol: float,
+                    grad: bool) -> _Argument:
     zr, n0, l0, expo = _range_reduce(zeta, tau)
     tol_red = tol / max(1.0, math.exp(-2.0 * np.pi * expo.imag))
     c = tau.Yinv @ np.imag(zr)
@@ -369,57 +460,13 @@ def theta_sums(chars: Sequence[Characteristic], zeta, tau: RiemannMatrix,
     # by 2 pi |n - n0| <= 2 pi (||U^{-1}|| ||v|| + |c| + |n0|), as n = U^{-1} v - c.
     # A gradient sums at the larger radius, so both of its bounds hold.
     R, tail = _radius(tau, tol_red, amp)
+    tail_grad = None
     if grad:
         R_grad, tail_grad = _radius(tau, tol_red, 2 * np.pi * amp,
                                     (tau.Uinv_norm,
                                      float(np.linalg.norm(c)) + float(np.linalg.norm(n0))))
         R = max(R, R_grad)
-    classes: dict[tuple[Fraction, ...], list] = {}
-    for i, ch in enumerate(chars):
-        red, phase = reduce_characteristic(ch)
-        classes.setdefault(red.eps, []).append((i, red.delta_float(), phase))
-    groups = list(classes.items())
-    ball = math.pi ** (tau.g / 2) / math.gamma(tau.g / 2 + 1)
-    per_centre = ball * R ** tau.g / math.prod(tau.U.diagonal().tolist())
-    per_block = max(1, int(_BLOCK_POINTS / per_centre))
-    out = [None] * len(chars)
-
-    def sum_block(block):
-        # one multi-centre enumeration; its arrays go when this returns,
-        # before the next block is enumerated
-        eps = np.array([[float(x) for x in key] for key, _ in block])
-        a = eps / 2.0
-        rows = tau.lattice_points(a + c, R)
-        ends = rows[:, -1].searchsorted(np.arange(1, len(block) + 1)).tolist()
-        # each centre's rows become its n = m + eps/2 in place, so that one
-        # array of points is held while the block is summed
-        points = rows[:, :-1].astype(float)
-        del rows
-        lo = 0
-        for (_, members), e, a_j, hi in zip(block, eps, a, ends):
-            n = points[lo:hi]
-            n += a_j
-            lo = hi
-            quad = np.einsum("ij,ij->i", n @ tau.matrix, n)   # n^t tau n, shared by the class
-            l0_eps = l0 @ e
-            for i, delta, phase in members:
-                # exponent: i*pi n^t tau n + 2*pi*i n^t (zr + delta/2)
-                terms = np.exp(1j * np.pi * quad + 2j * np.pi * (n @ (zr + delta / 2.0)))
-                val_red = terms.sum()
-                pref = _efun(expo + (l0_eps - n0 @ delta) / 2.0)
-                value = complex(phase * pref * val_red)
-                bound = float(abs(pref) * tail)
-                if not grad:
-                    out[i] = ThetaValue(value, bound)
-                    continue
-                grad_red = 2j * np.pi * (n.T @ terms)
-                values = phase * pref * (grad_red - 2j * np.pi * n0 * val_red)
-                out[i] = ThetaGradient(np.asarray(values, dtype=complex),
-                                       float(abs(pref) * tail_grad), value, bound, R)
-
-    for start in range(0, len(groups), per_block):
-        sum_block(groups[start:start + per_block])
-    return out
+    return _Argument(zr, n0, l0, expo, c, R, tail, tail_grad)
 
 
 def theta_eval(char: Characteristic, zeta, tau: RiemannMatrix,

@@ -195,7 +195,7 @@ def trig_forward_fd(curve: CurveSpec, config: TrigConfiguration,
         if t == 0.0:
             return np.zeros(curve.genus, dtype=complex)
         pt = trig_point_on_local_branch(curve, anchor, t)
-        return branch_leg_integrals(curve, anchor, pt, order)
+        return branch_leg_integrals(curve, [anchor], [pt], order)[0]
 
     q = curve.q
     g = curve.genus

@@ -116,8 +116,9 @@ TAU_G2 = [[[0.1, 1.2], [0.2, 0.3]], [[0.2, 0.3], [-0.1, 0.9]]]
 @pytest.mark.parametrize("entry", [
     {"eps": ["a", 0]}, {"eps": [float("nan"), 0]}, {"eps": 1}, {"eps": [0]},
     {"delta": [0, 1, 0]}, {"zeta": [[0.0, 0.0]]}, {"zeta": [[0.0, 0.0], [1.0]]},
+    {"eps": [True, 0]}, {"delta": [0, True]},
 ], ids=["eps-string", "eps-nan", "eps-scalar", "eps-short", "delta-long", "zeta-short",
-        "zeta-not-a-pair"])
+        "zeta-not-a-pair", "eps-true", "delta-true"])
 def test_theta_bad_characteristic_or_argument_exits_2(tmp_path, capsys, entry):
     from thetalab.cli import main
     f = tmp_path / "t.json"
@@ -351,8 +352,12 @@ def test_verify_task_on_wrong_cover_degree(tmp_path, capsys, curve, task):
     assert err.startswith("error:") and task in err
 
 
-@pytest.mark.parametrize("target", ["thetalab.periods.theta_norm_abs",
-                                    "thetalab.periods.theta_sums"])
+# the lattice enumeration and the periods kernel fail in the first theta sum
+# of the build (theta_scale, for the K check); the theta constants fail only
+# inside a task
+@pytest.mark.parametrize("target", ["thetalab.theta.RiemannMatrix.lattice_points",
+                                    "thetalab.periods.theta_sums",
+                                    "thetalab.periods.PeriodData.theta_constants"])
 def test_verify_theta_failure_exits_3(tmp_path, capsys, monkeypatch, target):
     from thetalab.cli import main
     from thetalab.theta import ThetaError
@@ -373,7 +378,7 @@ def test_tracking_failure_exits_3(tmp_path, capsys, monkeypatch, command):
 
     def lose_sheet(*args, **kwargs):
         raise QuadratureError("sheet tracking lost separation near 0j")
-    monkeypatch.setattr("thetalab.periods.polyline_integrals", lose_sheet)
+    monkeypatch.setattr("thetalab.periods.path_integrals", lose_sheet)
     if command == "verify":
         f = write(tmp_path / "plan.json",
                   {"curve": TRIG_Q1, "tasks": [{"id": "period_sanity"}]})

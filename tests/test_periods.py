@@ -358,7 +358,32 @@ def test_abel_jacobi_point_is_one_leg(fixture, request, monkeypatch):
     for pt in _near_branch_points(pd, 5, 6):
         calls.clear()
         pd.abel_jacobi_point(pt)
-        assert len(calls) == 1 and calls[0][1] == pt.z
+        # one leg_integrals call, holding one leg, which ends at the point
+        assert len(calls) == 1 and list(calls[0][1]) == [pt.z]
+
+
+@pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])
+def test_divisor_images_equal_single_divisors_bit_for_bit(fixture, request, monkeypatch):
+    # the images of several groups, an empty one and one point among them,
+    # come from one leg_integrals call and equal abel_jacobi_divisor of each
+    # group alone bit for bit
+    import thetalab.quadrature
+    c, pd = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(23)
+    groups = [_random_surface_points(pd, c.genus, rng), [], _random_surface_points(pd, 1, rng),
+              _near_branch_points(pd, 7, 2), _random_surface_points(pd, c.genus + 1, rng)]
+    calls = []
+    leg = thetalab.quadrature.leg_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return leg(*args, **kwargs)
+    monkeypatch.setattr(thetalab.quadrature, "leg_integrals", counted)
+    got = pd.abel_jacobi_divisors(groups)
+    assert len(calls) == 1 and calls[0] >= sum(map(len, groups))
+    for u, group in zip(got, groups, strict=True):
+        assert u.tobytes() == pd.abel_jacobi_divisor(group).tobytes()
+    assert len(calls) == 1 + len(groups)
 
 
 @pytest.mark.parametrize("fixture", ["hyp_g2", "trig_q2"])

@@ -9,9 +9,10 @@ from thetalab import homology, periods, quadrature
 from thetalab.algebra import principal_power
 from thetalab.curves import CurveSpec
 from thetalab.quadrature import (QuadratureError, infinity_leg_integrals,
-                                 leg_integrals, track_w)
+                                 leg_integrals, polyline_legs, refine_path_for_quadrature,
+                                 track_w)
 
-from conftest import random_curve
+from conftest import COPRIME_COVERS, random_curve
 from oracles import infinity_leg_by_continuation, scalar_track, seg_distance
 
 CURVES = [CurveSpec.of(2, [0, 1, 2, 3, 4]),
@@ -94,9 +95,71 @@ def test_smooth_part_matches_scalar_sum(curve):
     z1 = 0.7 + 1.9j
     w1 = curve.w_principal(z1)
     for k in range(1, curve.num_branch + 1):
-        got = leg_integrals(curve, curve.lam(k), z1, curve.differentials(), 40,
-                            True, False, w1, True)
+        (got,) = leg_integrals(curve, [curve.lam(k)], [z1], curve.differentials(), 40,
+                               [True], [False], [w1], [True])
         assert rel_err(got, _scalar_leg_from_branch(curve, k, z1, w1, 40)) <= 1e-14
+
+
+def _legs_of_every_kind(curve, seed):
+    """Seeded legs from each branch point (singular start, anchored at the
+    end) and to it (singular end, anchored at the start), free legs anchored
+    at either end, on random sheets given as Python and numpy complexes,
+    and the legs of a refined path from a branch point past another one."""
+    rng = np.random.default_rng(seed)
+    scale = max(abs(x) for x in curve.lambdas) + 1.0
+
+    def point():
+        return complex(*rng.uniform(-1.5, 1.5, 2) * scale)
+
+    def sheet(z):
+        w = curve.w_principal(z) * np.exp(2j * np.pi * rng.integers(0, curve.n) / curve.n)
+        return w if rng.random() < 0.5 else complex(w)
+    legs = []
+    for lam in curve.lambdas:
+        z = point()
+        legs.append((lam, z, True, False, sheet(z), True))
+        z = point()
+        legs.append((z, lam, False, True, sheet(z), False))
+    for end in (False, True, False, True):
+        a, b = point(), point()
+        legs.append((a, b, False, False, sheet(b if end else a), end))
+    lam0, lam1 = curve.lambdas[:2]
+    far = lam0 + (lam1 - lam0) * (2.5 + 0.05j)
+    path = refine_path_for_quadrature([lam0, far], curve.lambdas[1:])
+    path_legs = polyline_legs(curve, path, True, False, sheet(far), len(path) - 1)
+    assert len(path_legs) > 2
+    return legs + path_legs
+
+
+@pytest.mark.parametrize("curve", [CURVES[0], CURVES[3], random_curve(*COPRIME_COVERS[2], 7)],
+                         ids=["hyp-g2", "trig-q2", "n5-N3"])
+@pytest.mark.parametrize("order", [40, 128])
+def test_batched_legs_equal_single_legs_bit_for_bit(curve, order):
+    # every singular side and both anchor ends, and the legs of a refined
+    # path, in one call give each leg's own call bit for bit
+    diffs = curve.differentials()
+    legs = _legs_of_every_kind(curve, 31)
+    z0, z1, sing0, sing1, w, end = zip(*legs)
+    rows = leg_integrals(curve, z0, z1, diffs, order, sing0, sing1, w, end)
+    assert rows.shape == (len(legs), len(diffs))
+    for row, (a, b, s0, s1, wa, e) in zip(rows, legs):
+        assert same_bits(row, leg_integrals(curve, [a], [b], diffs, order, [s0], [s1],
+                                            [wa], [e])[0])
+
+
+def test_batched_legs_report_the_first_bad_leg():
+    # a leg through a branch point and a lost sheet raise as the first leg
+    # at fault, in leg order, says
+    curve = CURVES[0]
+    diffs = curve.differentials()
+    good = (0.5 + 1j, 3.5 + 1j, False, False, curve.w_principal(0.5 + 1j), False)
+    through = (1.5, 2.5, False, False, curve.w_principal(1.5 + 0.5j), True)
+    lost = (0.5 + 1j, 3.5 + 1j, False, False, 0.0, False)
+    for legs, match in (([good, through, lost], r"leg 1.5 -> 2.5 passes through"),
+                        ([good, lost, through], "separation near")):
+        z0, z1, sing0, sing1, w, end = zip(*legs)
+        with pytest.raises(QuadratureError, match=match):
+            leg_integrals(curve, z0, z1, diffs, 16, sing0, sing1, w, end)
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (2, 3)])
@@ -132,7 +195,8 @@ def test_leg_through_a_branch_point_fails(z0, z1, sing0):
     curve = CURVES[0]
     w1 = curve.w_principal(z1 + 0.5j)
     with pytest.raises(QuadratureError, match="through the branch point"):
-        leg_integrals(curve, z0, z1, curve.differentials(), 16, sing0, False, w1, True)
+        leg_integrals(curve, [z0], [z1], curve.differentials(), 16, [sing0], [False], [w1],
+                      [True])
 
 
 def test_build_periods_tracks_no_quadrature_node(monkeypatch):
@@ -141,7 +205,7 @@ def test_build_periods_tracks_no_quadrature_node(monkeypatch):
     # nodes of every leg take their sheets from the leg's closed form
     curve = CURVES[2]
     tracked, vertices, cycle_points = [], [], []
-    real_track, real_polyline = quadrature.track_w, periods.polyline_integrals
+    real_track, real_polyline = quadrature.track_w, periods.polyline_legs
     real_cycle = homology.build_cycle
 
     def track(curve, zs, w_start):
@@ -159,7 +223,7 @@ def test_build_periods_tracks_no_quadrature_node(monkeypatch):
 
     for module in (quadrature, homology):
         monkeypatch.setattr(module, "track_w", track)
-    monkeypatch.setattr(periods, "polyline_integrals", polyline)
+    monkeypatch.setattr(periods, "polyline_legs", polyline)
     monkeypatch.setattr(homology, "build_cycle", cycle)
     periods.build_periods(curve)
     known = {z for pts in vertices + cycle_points for z in pts}
@@ -189,7 +253,8 @@ def test_branch_leg_tracks_nothing(curve, monkeypatch):
     diffs = curve.differentials()
     res = quadrature.polyline_integrals(curve, [lam, z], diffs, 24, True, False, w, 1)
     assert calls == []
-    assert same_bits(res, leg_integrals(curve, lam, z, diffs, 24, True, False, w, True))
+    assert same_bits(res, leg_integrals(curve, [lam], [z], diffs, 24, [True], [False], [w],
+                                        [True])[0])
     with pytest.raises(QuadratureError, match="separation"):
         quadrature.polyline_integrals(curve, [lam, z], diffs, 24, True, False, 0.0, 1)
     assert calls == []

@@ -666,15 +666,15 @@ def _own_prefactor_radii(chars, zeta, tau, tol, grad):
 def test_theta_constants_equal_single_evaluations_bit_for_bit(monkeypatch, g, budget):
     # theta_sums gives every characteristic's single evaluation bit for bit
     # at zeta = 0, at a generic point of the cell and at a point that needs a
-    # lattice shift (|prefactor| != 1), and every sum at one argument is
-    # enumerated at one radius, even where the characteristics' own
-    # |prefactor|s would size radii an ulp apart
+    # lattice shift (|prefactor| != 1), and every centre of the sums at one
+    # argument is enumerated at one radius, even where the characteristics'
+    # own |prefactor|s would size radii an ulp apart
     monkeypatch.setattr(thetalab.theta, "_BLOCK_POINTS", budget)
     radii = []
     enumerate_all = thetalab.theta._enumerate_ellipsoid
 
     def recorded(U, centers, radius):
-        radii.append(radius)
+        radii.extend(np.broadcast_to(radius, len(centers)).tolist())
         return enumerate_all(U, centers, radius)
     monkeypatch.setattr(thetalab.theta, "_enumerate_ellipsoid", recorded)
     rng = np.random.default_rng(70 + g)
@@ -700,6 +700,46 @@ def test_theta_constants_equal_single_evaluations_bit_for_bit(monkeypatch, g, bu
                 if grad:
                     assert np.array_equal(res.values, want.values)
                     assert (res.value_bound, res.radius) == (want.value_bound, radius)
+
+
+@pytest.mark.parametrize("budget", [1, 1e9])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_sums_at_many_arguments_equal_single_calls_bit_for_bit(monkeypatch, g, budget):
+    # one theta_sums call at a zero argument, one in the cell and one that
+    # needs a lattice shift gives each argument's own call bit for bit, values
+    # and gradients, and enumerates each centre at its own argument's radius
+    monkeypatch.setattr(thetalab.theta, "_BLOCK_POINTS", budget)
+    radii, blocks = [], []
+    enumerate_all = thetalab.theta._enumerate_ellipsoid
+
+    def recorded(U, centers, radius):
+        blocks.append(len(centers))
+        radii.extend(np.broadcast_to(radius, len(centers)).tolist())
+        return enumerate_all(U, centers, radius)
+    monkeypatch.setattr(thetalab.theta, "_enumerate_ellipsoid", recorded)
+    rng = np.random.default_rng(80 + g)
+    tau = RiemannMatrix(random_riemann_matrix(g, rng))
+    chars = _seeded_characteristics(g, rng)
+    cell = tau.matrix @ rng.uniform(-0.5, 0.5, g) + rng.uniform(-0.5, 0.5, g)
+    zetas = np.array([np.zeros(g), cell, _beyond_the_cell(tau, g)])
+    centres = len({reduce_characteristic(ch)[0].eps for ch in chars})
+    for tol, grad in ((1e-10, False), (1e-9, True)):
+        radii.clear()
+        blocks.clear()
+        got = theta_sums(chars, zetas, tau, tol, grad)
+        assert len(got) == len(zetas) and sum(blocks) == len(zetas) * centres
+        assert len(blocks) == (len(zetas) * centres if budget == 1 else 1)
+        batched = radii[:]
+        assert len(set(batched)) == len(zetas)
+        for a, zeta in enumerate(zetas):
+            radii.clear()
+            want = theta_sums(chars, zeta, tau, tol, grad)
+            assert batched[a * centres:(a + 1) * centres] == radii
+            for res, one in zip(got[a], want, strict=True):
+                assert (res.value, res.truncation_bound) == (one.value, one.truncation_bound)
+                if grad:
+                    assert np.array_equal(res.values, one.values)
+                    assert (res.value_bound, res.radius) == (one.value_bound, one.radius)
 
 
 @pytest.mark.parametrize("budget", [1, 1e9])
