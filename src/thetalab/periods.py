@@ -25,7 +25,6 @@ seeded generic divisors checks the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -73,12 +72,7 @@ class PeriodData:
     K_char: Characteristic
     diagnostics: dict = field(default_factory=dict)
     _theta_scale: float | None = field(default=None, init=False, repr=False)
-    _units: dict | None = field(default=None, init=False, repr=False)  # see characteristic
-    _entries: tuple = field(init=False, repr=False)     # i/n for i < 2n, see _char_of_units
     _theta_table: dict = field(default_factory=dict, init=False, repr=False)  # see theta_constants
-
-    def __post_init__(self):
-        self._entries = tuple(Fraction(i, self.curve.n) for i in range(2 * self.curve.n))
 
     # -- lattice helpers --------------------------------------------------
 
@@ -111,25 +105,22 @@ class PeriodData:
         if residual > SNAP_TOL:
             raise PeriodError(
                 f"characteristic snap residual {residual:.3e} exceeds {SNAP_TOL:.1e}")
-        return self._char_of_units(np.round(x).astype(np.int64)), residual
+        return Characteristic(np.round(x).astype(np.int64) % (2 * n), n), residual
 
     def characteristic(self, counts: Mapping[int, int],
                        plus_K: bool = True) -> Characteristic:
         """Characteristic of sum_k counts[k] u(P_k), plus K unless plus_K is
-        False, summed exactly in units of 1/n; the units of branch_char and
-        K_char are read on the first call."""
-        if self._units is None:
-            self._units = {k: np.array([int(x * self.curve.n) for x in ch.eps + ch.delta])
-                           for k, ch in dict(self.branch_char, K=self.K_char).items()}
-        total = self._units["K"] * int(plus_K)
-        for k, c in counts.items():
-            total = total + c * self._units[k]
-        return self._char_of_units(total)
-
-    def _char_of_units(self, units: np.ndarray) -> Characteristic:
-        """Entries units / n mod 2, eps first."""
-        entries = [self._entries[x] for x in (units % len(self._entries)).tolist()]
-        return Characteristic(tuple(entries[:self.g]), tuple(entries[self.g:]))
+        False, summed exactly in integer units of 1/n: every denominator of
+        branch_char and K_char divides n."""
+        n = self.curve.n
+        terms = [(c, self.branch_char[k]) for k, c in counts.items()]
+        if plus_K:
+            terms.append((1, self.K_char))
+        total = [0] * (2 * self.g)
+        for c, ch in terms:
+            scale = c * (n // ch.den)
+            total = [t + scale * u for t, u in zip(total, ch.units)]
+        return Characteristic(tuple(t % (2 * n) for t in total), n)
 
     def char_to_vector(self, char: Characteristic) -> np.ndarray:
         return self.tau.matrix @ (char.eps_float() / 2.0) + char.delta_float() / 2.0

@@ -12,7 +12,8 @@ for tau in the Siegel upper half-space.  Identities implemented here:
                       * theta[eps;delta](zeta)
                   (range reduction of the argument)
     char shift:   theta[eps+2n; delta+2l] = e(eps^t l / 2) theta[eps;delta]
-                  (reduce_characteristic)
+                  (reduce_characteristic; the exponent is reduced mod 1 in
+                  integers, so entries of any size give the exact phase)
 
 The transchar shift and the parity of integral characteristics are checked
 by the tests against these sums (tests/oracles.py), not used here.
@@ -48,8 +49,11 @@ Fincke-Pohst enumeration (Math. Comp. 44, 1985) of one or several centres,
 one numpy pass per coordinate, with the point cap checked on each level's
 candidates before they are allocated.
 
-Characteristics are stored as exact rationals (entries in (1/n)Z on a curve
-w^n = f) so that n-th-period bookkeeping never drifts.
+A characteristic is stored exactly, as integers over one denominator in
+lowest terms (Characteristic.units over Characteristic.den; entries in
+(1/n)Z on a curve w^n = f), so that n-th-period bookkeeping never drifts and
+equal entries give equal values with equal hashes.  This module is the only
+one that reads its entries as Fractions.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,63 +93,69 @@ def _efun(x: complex) -> complex:
 # Characteristics
 
 
-def _to_fraction_vector(v) -> tuple[Fraction, ...]:
-    out = []
-    for x in v:
-        if isinstance(x, (bool, np.bool_)):
-            # a bool is an int to Python, but not a characteristic entry
-            raise TypeError(f"characteristic entries must be rational, got {type(x)}")
-        if isinstance(x, Fraction):
-            out.append(x)
-        elif isinstance(x, (int, np.integer)):
-            out.append(Fraction(int(x)))
-        elif isinstance(x, float):
-            fr = Fraction(x).limit_denominator(10 ** 6)
-            out.append(fr)
-        else:
-            raise TypeError(f"characteristic entries must be rational, got {type(x)}")
-    return tuple(out)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of one characteristic entry."""
+    if isinstance(x, (bool, np.bool_)):
+        # a bool is an int to Python, but not a characteristic entry
+        raise TypeError(f"characteristic entries must be rational, got {type(x)}")
+    if isinstance(x, (int, np.integer)):
+        return int(x), 1
+    if isinstance(x, float):
+        x = Fraction(x).limit_denominator(10 ** 6)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"characteristic entries must be rational, got {type(x)}")
 
 
 @dataclass(frozen=True)
 class Characteristic:
-    """Pair of rational g-vectors (eps, delta) encoding tau*eps/2 + delta/2."""
+    """Pair of rational g-vectors (eps, delta) encoding tau*eps/2 + delta/2,
+    stored as integers over one denominator in lowest terms: units holds
+    den * eps, then den * delta (any 2g integers, made a tuple here)."""
 
-    eps: tuple[Fraction, ...]
-    delta: tuple[Fraction, ...]
+    units: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        # hashed once: every reduce_characteristic and theta table look-up
-        # hashes it, and rehashing 2g Fractions costs microseconds each time
-        object.__setattr__(self, "_hash", hash((self.eps, self.delta)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        if self.den < 1 or len(self.units) % 2:
+            raise ValueError("a characteristic needs 2g units and a positive denominator")
+        d = math.gcd(self.den, *self.units)
+        object.__setattr__(self, "units", tuple(int(x) // d for x in self.units))
+        object.__setattr__(self, "den", int(self.den) // d)
 
     @classmethod
     def of(cls, eps: Iterable, delta: Iterable) -> "Characteristic":
-        e = _to_fraction_vector(eps)
-        d = _to_fraction_vector(delta)
+        e = [_ratio(x) for x in eps]
+        d = [_ratio(x) for x in delta]
         if len(e) != len(d):
             raise ValueError("eps and delta must have equal length")
-        return cls(e, d)
+        den = math.lcm(*(q for _, q in e + d))
+        return cls(tuple(p * (den // q) for p, q in e + d), den)
 
     @classmethod
     def zero(cls, g: int) -> "Characteristic":
-        return cls(tuple([Fraction(0)] * g), tuple([Fraction(0)] * g))
+        return cls((0,) * (2 * g))
 
     @property
     def g(self) -> int:
-        return len(self.eps)
+        return len(self.units) // 2
+
+    @property
+    def eps(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.units[:self.g])
+
+    @property
+    def delta(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.units[self.g:])
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.eps + self.delta)
+        return self.den == 1
 
     def eps_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.eps])
+        return np.array([x / self.den for x in self.units[:self.g]])
 
     def delta_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.delta])
+        return np.array([x / self.den for x in self.units[self.g:]])
 
     def label(self) -> str:
         def fmt(v):
@@ -154,26 +163,18 @@ class Characteristic:
         return f"[{fmt(self.eps)}; {fmt(self.delta)}]"
 
 
-@lru_cache(maxsize=512)
 def reduce_characteristic(char: Characteristic) -> tuple[Characteristic, complex]:
     """Reduce entries into [0, 2); theta(original) = phase * theta(reduced).
 
-    Memoized: a pure function of the frozen characteristic, called on every
-    theta evaluation; 512 entries hold a plan's characteristics (at most 325
-    measured, for hyperelliptic plans of genus 2, 3 and 4 run together).
+    With delta = delta' + 2l the char shift gives the phase e(eps'^t l / 2),
+    eps' the reduced eps; its exponent is reduced mod 1 in integers before it
+    becomes a float, so entries of any size give the exact phase.
     """
-    eps_red, delta_red, n_shift, l_shift = [], [], [], []
-    for x in char.eps:
-        r = x % 2
-        eps_red.append(r)
-        n_shift.append((x - r) / 2)
-    for x in char.delta:
-        r = x % 2
-        delta_red.append(r)
-        l_shift.append((x - r) / 2)
-    expo = sum(e * l for e, l in zip(eps_red, l_shift)) / 2
-    phase = _efun(float(expo))
-    return Characteristic(tuple(eps_red), tuple(delta_red)), phase
+    two = 2 * char.den
+    g = char.g
+    red = [x % two for x in char.units]
+    expo = sum(e * (x // two) for e, x in zip(red[:g], char.units[g:]))
+    return Characteristic(tuple(red), char.den), _efun((expo % two) / two)
 
 
 # ----------------------------------------------------------------------------
@@ -378,11 +379,15 @@ def theta_sums(chars: Sequence[Characteristic], zeta, tau: RiemannMatrix,
     many = np.ndim(zeta) == 2
     zetas = np.asarray(zeta, dtype=complex).reshape(-1 if many else 1, tau.g)
     args = [_argument_setup(z, tau, tol, grad) for z in zetas]
-    classes: dict[tuple[Fraction, ...], list] = {}
+    # each class is keyed by its reduced eps in lowest terms: (units, den)
+    classes: dict[tuple[tuple[int, ...], int], list] = {}
     for i, ch in enumerate(chars):
         red, phase = reduce_characteristic(ch)
-        classes.setdefault(red.eps, []).append((i, red.delta_float(), phase))
-    eps = np.array([[float(x) for x in key] for key in classes]).reshape(-1, tau.g)
+        units = red.units[:tau.g]
+        d = math.gcd(red.den, *units)
+        key = (tuple(x // d for x in units), red.den // d)
+        classes.setdefault(key, []).append((i, red.delta_float(), phase))
+    eps = np.array([[x / den for x in units] for units, den in classes]).reshape(-1, tau.g)
     half = eps / 2.0
     members = list(classes.values())
     ball = math.pi ** (tau.g / 2) / math.gamma(tau.g / 2 + 1)

@@ -531,8 +531,9 @@ def alpha_ratio(curve: CurveSpec, periods: PeriodData,
     det_root = principal_power(np.linalg.det(periods.C), 0.5)
     ratios = []
     for p, ch, theta in _table_entries(periods, parts, char_from_partition_trig, False):
-        ed = sum(e * d for e, d in zip(ch.eps, ch.delta))
-        lhs = theta.value * np.exp(2j * np.pi * float(ed) / 4.0)
+        # eps^t delta as an integer over den^2
+        ed = sum(e * d for e, d in zip(ch.units[:ch.g], ch.units[ch.g:]))
+        lhs = theta.value * np.exp(2j * np.pi * (ed / ch.den ** 2) / 4.0)
         ratios.append(lhs / (det_root * _delta_product(p, lam)))
     return ratios
 

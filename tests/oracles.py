@@ -12,7 +12,8 @@ parity census that once found it, the exact partition characteristics
 against the float sums snapped once per partition that they replaced, the
 partition enumerators against the per-degree loops that they replaced, and
 the Thomae derivative right-hand sides and closed-form Jacobians against
-the contraction loops each once wrote out.  The truncation radius is
+the contraction loops each once wrote out, and the integer characteristics
+against the Fraction tuples they replaced.  The truncation radius is
 checked against the packing bound it replaced, its product bound against
 Poisson summation, theta itself against a 30-digit mpmath sum, and the
 symplectic reduction against the entry-by-entry triple sums it once
@@ -724,6 +725,55 @@ def apply_transchar(char: Characteristic, zeta: np.ndarray, tau: RiemannMatrix):
     shifted = zeta + tau.matrix @ a + b
     expo = a @ tau.matrix @ a / 2.0 + a @ (zeta + b)
     return shifted, complex(np.exp(2j * np.pi * expo))
+
+
+class FractionCharacteristic:
+    """A characteristic as thetalab once stored it, a pair of Fraction
+    tuples, with the parsing, read-outs and reduction it had then."""
+
+    def __init__(self, eps, delta):
+        self.eps = tuple(self._fraction(x) for x in eps)
+        self.delta = tuple(self._fraction(x) for x in delta)
+
+    @staticmethod
+    def _fraction(x) -> Fraction:
+        if isinstance(x, (bool, np.bool_)):
+            raise TypeError(f"characteristic entries must be rational, got {type(x)}")
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, (int, np.integer)):
+            return Fraction(int(x))
+        if isinstance(x, float):
+            return Fraction(x).limit_denominator(10 ** 6)
+        raise TypeError(f"characteristic entries must be rational, got {type(x)}")
+
+    def is_integral(self) -> bool:
+        return all(x.denominator == 1 for x in self.eps + self.delta)
+
+    def eps_float(self) -> np.ndarray:
+        return np.array([float(x) for x in self.eps])
+
+    def delta_float(self) -> np.ndarray:
+        return np.array([float(x) for x in self.delta])
+
+    def label(self) -> str:
+        def fmt(v):
+            return ",".join(str(x) for x in v)
+        return f"[{fmt(self.eps)}; {fmt(self.delta)}]"
+
+    def reduce(self) -> tuple["FractionCharacteristic", Fraction, complex]:
+        """(reduced characteristic, phase exponent, phase): entries into
+        [0, 2), with the exponent made a float before e() is taken."""
+        eps_red, delta_red, l_shift = [], [], []
+        for x in self.eps:
+            eps_red.append(x % 2)
+        for x in self.delta:
+            r = x % 2
+            delta_red.append(r)
+            l_shift.append((x - r) / 2)
+        expo = sum(e * l for e, l in zip(eps_red, l_shift)) / 2
+        phase = complex(np.exp(2j * np.pi * float(expo)))
+        return FractionCharacteristic(eps_red, delta_red), expo, phase
 
 
 def elementary_symmetric(values, p: int) -> complex:

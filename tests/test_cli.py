@@ -155,6 +155,23 @@ def test_theta_huge_argument_exits_3(tmp_path, capsys, zeta):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("delta, sign", [(4 * 10 ** 20, 1), (4 * 10 ** 20 + 2, -1),
+                                         (2 * 10 ** 400, 1)], ids=["4e20", "4e20+2", "2e400"])
+def test_theta_takes_characteristic_entries_of_any_size(tmp_path, capsys, delta, sign):
+    # theta[1; delta] = e(delta/4) theta[1; 0] for even delta: the phase
+    # exponent once became a float before it was reduced mod 1, so 4e20 and
+    # 4e20 + 2 printed 0.6298 - 0.6618i and 2e400 died on OverflowError
+    from thetalab.cli import main
+    values = []
+    for d in (0, delta):
+        f = write(tmp_path / "t.json", {"tau": [[[0.0, 1.0]]], "eps": [1], "delta": [d]})
+        assert main(["theta", f]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        values.append(complex(*value))
+    assert abs(values[0] - 0.9135791381561168) < 1e-10
+    assert abs(values[1] - sign * values[0]) < 1e-12
+
+
 @pytest.mark.parametrize("im", [30.0, 1e10])
 def test_theta_beyond_float_range_exits_3(tmp_path, im):
     # theta(30 i, i) is about exp(900 pi): the lattice prefactor once

@@ -4,7 +4,9 @@ Every module file under src/thetalab is loaded by the command-line entry
 point, so no module is reached only from the tests, and no module imports a
 name it does not use (an import marked `# noqa: F401` on its first line is
 kept on purpose).  `__init__.py` is left out of the second check: its
-imports are the package's exports.
+imports are the package's exports.  Only `theta` imports `fractions`: a
+characteristic is integers over one denominator everywhere else, and its
+Fraction entries are read out only there.
 """
 
 import ast
@@ -83,3 +85,25 @@ def test_unused_import_check():
 def test_no_unused_import(name):
     with open(os.path.join(PACKAGE_DIR, name)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that `source` imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_theta_imports_fractions():
+    owners = []
+    for name in MODULE_FILES:
+        with open(os.path.join(PACKAGE_DIR, name)) as fh:
+            if "fractions" in imported_modules(fh.read()):
+                owners.append(name)
+    assert owners == ["theta.py"]
+    assert imported_modules("import fractions.x\nfrom fractions import Fraction\n"
+                            "from .fractions import y\n") == {"fractions"}

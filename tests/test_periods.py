@@ -321,18 +321,37 @@ def _partition_characteristics(c, pd):
                             for i in part.finite})
 
 
-@pytest.mark.parametrize("fixture", FIXTURE_CURVES + ["trig_q3_g7"])
+def _seeded_counts(c, pd, draws: int = 12):
+    """(characteristic, branch multiplicities, plus_K) of seeded
+    multiplicities 0..n-1 on every branch point, with K and without."""
+    rng = np.random.default_rng(c.n)
+    for i in range(draws):
+        counts = {k: int(m) for k, m in enumerate(rng.integers(0, c.n, c.num_branch), 1)}
+        yield pd.characteristic(counts, plus_K=bool(i % 2)), counts, bool(i % 2)
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_CURVES + ["trig_q3_g7", "coprime_covers"])
 def test_exact_characteristics_match_the_float_snap(fixture, request):
     # each branch point's characteristic and every partition's, against
     # the float sums snapped once per partition that they replaced, here
-    # summed from one independent route per branch point
+    # summed from one independent route per branch point; on the covers of
+    # COPRIME_COVERS seeded multiplicities stand in for the partitions.  An
+    # n-torsion point has eps, delta in (2/n)Z, so at n = 4 a denominator
+    # is 1 or 2, below n, and both occur
     for c, pd in _fixture_periods(fixture, request):
         routes = branch_images_by_routes(pd)
         for k in routes:
             assert pd.branch_char[k] == pd.characteristic({k: 1}, plus_K=False) \
                 == char_by_snap(pd, routes, {k: 1}, plus_K=False)
-        for ch, counts in _partition_characteristics(c, pd):
-            assert ch == char_by_snap(pd, routes, counts)
+        if fixture == "coprime_covers":
+            dens = set()
+            for ch, counts, plus_K in _seeded_counts(c, pd):
+                assert ch == char_by_snap(pd, routes, counts, plus_K)
+                dens.add(ch.den)
+            assert dens == {1, 2} if c.n == 4 else dens <= {1, c.n}
+        else:
+            for ch, counts in _partition_characteristics(c, pd):
+                assert ch == char_by_snap(pd, routes, counts)
 
 
 @pytest.mark.parametrize("fixture", ["hyp_g2_batch", "trig_q2_batch"])

@@ -20,9 +20,9 @@ from thetalab.theta import (_S_GRID, Characteristic, RiemannMatrix, ThetaError,
                             truncation_radius)
 
 from conftest import random_riemann_matrix
-from oracles import (THETA_AT_I, apply_transchar, count_parities, gaussian_lattice_sum,
-                     mp_theta, naive_theta, naive_theta_grad, packing_radius, parity,
-                     recursive_enumerate)
+from oracles import (THETA_AT_I, FractionCharacteristic, apply_transchar, count_parities,
+                     gaussian_lattice_sum, mp_theta, naive_theta, naive_theta_grad,
+                     packing_radius, parity, recursive_enumerate)
 
 
 def test_classical_value_at_i():
@@ -761,22 +761,62 @@ def test_theta_constants_point_cap_counts_intermediate_levels(monkeypatch, budge
         theta_sums(chars, np.zeros(2), tau)
 
 
-def test_characteristic_hash_is_computed_once_and_equal_for_equal_entries(monkeypatch):
+def test_equal_characteristics_are_equal_values_with_equal_hashes():
+    # equal entries from any input give one (units, den) in lowest terms
     a = Characteristic.of([Fraction(1, 3), 1], [0, Fraction(5, 6)])
     b = Characteristic.of([Fraction(2, 6), 1.0], [0.0, Fraction(10, 12)])
-    want = hash((a.eps, a.delta))
-    calls = []
-    fraction_hash = Fraction.__hash__
-    monkeypatch.setattr(Fraction, "__hash__",
-                        lambda x: calls.append(x) or fraction_hash(x))
-    # after construction no hash rehashes an entry; a new one hashes its 2g once
-    assert hash(a) == hash(a) == hash(b) == want and not calls
     c = Characteristic.of([Fraction(1, 3), 1], [0, Fraction(1, 6)])
-    assert len(calls) == 4 and hash(c) == hash(c) and len(calls) == 4
-    monkeypatch.undo()
-    assert a is not b and a == b
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert (a.units, a.den) == ((2, 6, 0, 5), 6)
+    assert Characteristic((4, 12, 0, 10), 12) == a
     assert a != c
-    reduce_characteristic(a)
-    hits = reduce_characteristic.cache_info().hits
     assert reduce_characteristic(b) == reduce_characteristic(a)
-    assert reduce_characteristic.cache_info().hits == hits + 2
+
+
+def test_characteristic_shift_phase_is_exact_for_entries_of_any_size():
+    # theta[1; 2l] = e(l/2) theta[1; 0]: the phase exponent is reduced mod 1
+    # in integers, where it once became a float first and so lost its
+    # fraction above 2**53 and overflowed above 1e308
+    tau = RiemannMatrix([[1j]])
+    base = theta_eval(Characteristic.of([1], [0]), [0.0], tau).value
+    for l, sign in ((2 * 10 ** 20, 1), (2 * 10 ** 20 + 1, -1), (10 ** 400, 1),
+                    (-10 ** 400 - 1, -1)):
+        red, phase = reduce_characteristic(Characteristic.of([1], [2 * l]))
+        assert red == Characteristic.of([1], [0]) and abs(phase - sign) < 1e-15
+        assert abs(theta_eval(Characteristic.of([1], [2 * l]), [0.0], tau).value
+                   - sign * base) < 1e-12
+
+
+@st.composite
+def _entry(draw):
+    """k/d with d <= 12 and |k| <= 40, as an int, a Fraction or an exact
+    float, whichever can hold it exactly."""
+    k, d = draw(st.integers(-40, 40)), draw(st.integers(1, 12))
+    forms = [Fraction(k, d)]
+    if k % d == 0:
+        forms.append(k // d)
+    if d & (d - 1) == 0:
+        forms.append(k / d)
+    return draw(st.sampled_from(forms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_characteristic_matches_the_fraction_oracle(data):
+    g = data.draw(st.integers(1, 4))
+    eps = data.draw(st.lists(_entry(), min_size=g, max_size=g))
+    delta = data.draw(st.lists(_entry(), min_size=g, max_size=g))
+    ch, want = Characteristic.of(eps, delta), FractionCharacteristic(eps, delta)
+    assert (ch.eps, ch.delta, ch.label(), ch.is_integral()) \
+        == (want.eps, want.delta, want.label(), want.is_integral())
+    assert np.array_equal(ch.eps_float(), want.eps_float())
+    assert np.array_equal(ch.delta_float(), want.delta_float())
+    red, phase = reduce_characteristic(ch)
+    want_red, expo, want_phase = want.reduce()
+    assert (red.eps, red.delta) == (want_red.eps, want_red.delta)
+    assert np.array_equal(red.eps_float(), want_red.eps_float())
+    assert np.array_equal(red.delta_float(), want_red.delta_float())
+    if 0 <= expo < 1:
+        assert phase == want_phase
+    else:
+        assert abs(phase - want_phase) < 1e-12

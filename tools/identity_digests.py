@@ -8,7 +8,9 @@ checkout's `src/` directory.  For each of the 12 benchmark plans
 g = 2..4), the README example plan and tools/picard-g3.json (a Picard curve,
 w^3 = f with deg f = 4) it writes the `thetalab verify --out`
 JSONL and the `thetalab periods --out` JSON of the plan's curve, and it
-runs `thetalab theta` on the README input.  It prints one `sha256  name`
+runs `thetalab theta` on each of THETA_INPUTS: the README input, and a
+genus-2 input whose entries beyond [0, 2) and argument beyond the
+fundamental cell take the characteristic shift and the range reduction.  It prints one `sha256  name`
 line per output, so two checkouts give the same outputs exactly when
 `diff` of the two printouts is empty.  Any command that exits non-zero
 stops the script with that command's exit code.
@@ -37,6 +39,11 @@ README_PLAN = {
               {"id": "quotient_hyp", "ks": [1, 2, 3]}],
 }
 README_THETA = {"tau": [[[0.0, 1.0]]], "eps": [0], "delta": [0], "zeta": [[0.0, 0.0]]}
+# 7/3 is written as a float, which a characteristic reads back as 7/3
+SHIFTED_THETA = {"tau": [[[0.1, 1.2], [0.2, 0.3]], [[0.2, 0.3], [-0.1, 0.9]]],
+                 "eps": [7 / 3, 1], "delta": [3, 7 / 3],
+                 "zeta": [[1.7, 0.9], [-0.4, 1.3]]}
+THETA_INPUTS = [("readme", README_THETA), ("shifted", SHIFTED_THETA)]
 
 
 def plans() -> list[tuple[str, dict]]:
@@ -76,7 +83,9 @@ def main() -> int:
                              "--out", path(name))
                 with open(path(name), "rb") as fh:
                     digest(name, fh.read())
-        digest("readme.theta.out", run_thetalab("theta", path("theta.in.json", README_THETA)))
+        for label, obj in THETA_INPUTS:
+            digest(f"{label}.theta.out",
+                   run_thetalab("theta", path(f"{label}.theta.in.json", obj)))
     return 0
 
 

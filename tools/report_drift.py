@@ -5,8 +5,8 @@
 OLD and NEW are the roots of two source checkouts.  On each plan of
 tools/identity_digests.py (the 12 benchmark plans, the README example plan
 and the Picard plan, taken from this script's own checkout) it runs `thetalab verify` and
-`thetalab periods` from both checkouts' `src/`, and `thetalab theta` on the
-README input.  For each plan it prints whether the outputs are byte for byte
+`thetalab periods` from both checkouts' `src/`, and `thetalab theta` on each
+theta input of that script.  For each plan it prints whether the outputs are byte for byte
 the same, the largest entry of |tau_NEW - tau_OLD|, and for each identity the
 largest relative change of its reports' `ratios` and, on each side, the worst
 residual max(modulus_error, phase_residual, spread) of its root tags, so that
@@ -29,7 +29,7 @@ from collections import defaultdict
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from identity_digests import README_THETA, plans  # noqa: E402
+from identity_digests import THETA_INPUTS, plans  # noqa: E402
 
 
 def run_thetalab(checkout: str, *args: str, ok=(0,)) -> bytes:
@@ -120,11 +120,12 @@ def main(argv: list[str]) -> int:
         for label, plan in plans():
             n_changed += bool(compare(label, outputs(old, tmp, f"{label}.old", plan),
                                       outputs(new, tmp, f"{label}.new", plan)))
-        theta_in = os.path.join(tmp, "theta.in.json")
-        with open(theta_in, "w") as fh:
-            json.dump(README_THETA, fh)
-        same = run_thetalab(old, "theta", theta_in) == run_thetalab(new, "theta", theta_in)
-        print(f"readme theta: bytes {'same' if same else 'differ'}")
+        for label, obj in THETA_INPUTS:
+            theta_in = os.path.join(tmp, f"{label}.theta.in.json")
+            with open(theta_in, "w") as fh:
+                json.dump(obj, fh)
+            same = run_thetalab(old, "theta", theta_in) == run_thetalab(new, "theta", theta_in)
+            print(f"{label} theta: bytes {'same' if same else 'differ'}")
     print(f"{n_changed} of {len(plans())} plans changed")
     return 1 if n_changed else 0
 
